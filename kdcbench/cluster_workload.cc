@@ -22,7 +22,6 @@
 #include "kdcbench/workloads.h"
 #include "src/admin/kadmin.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/population.h"
 #include "src/cluster/router.h"
 #include "src/crypto/str2key.h"
 #include "src/krb4/client.h"
@@ -31,7 +30,6 @@
 namespace kdcbench {
 namespace {
 
-constexpr char kRealm[] = "ATHENA.MIT.EDU";
 constexpr size_t kUsers = 1000000;
 constexpr size_t kServices = 64;
 constexpr size_t kNodes = 4;
@@ -53,12 +51,12 @@ ksim::NetAddress ClientAddr(size_t actor, uint64_t op) {
           static_cast<uint16_t>(1024 + (op / kClients) % 64000)};
 }
 
-double Seconds(int64_t from_ns) { return static_cast<double>(NowNs() - from_ns) / 1e9; }
-
 class ClusterChurn : public Workload {
  public:
   explicit ClusterChurn(uint64_t seed)
-      : seed_(seed), population_(PopulationConfig()), world_(seed ^ 0xc105ull) {
+      : seed_(seed),
+        population_(MakePopulationConfig(kUsers, kServices)),
+        world_(seed ^ 0xc105ull) {
     kcluster::ZipfSampler zipf(kUsers, 1.0);
     kcrypto::Prng prng(seed * 0x9e3779b97f4a7c15ull + 0xc1);
     Fnv digest;
@@ -136,6 +134,9 @@ class ClusterChurn : public Workload {
   }
 
   size_t threads() const override { return 1; }
+  // The controller's WAL is never compacted and PropagateAll rescans it, so
+  // writes get slower through the run.
+  bool steady() const override { return false; }
   uint64_t schedule_digest() const override { return schedule_digest_; }
   void SetTracer(size_t, Tracer* tracer) override {
     tracer_ = tracer;
@@ -225,14 +226,6 @@ class ClusterChurn : public Workload {
     kcluster::ClientRouter::Stats routing;
     std::array<uint64_t, kNodes> served{};
   };
-
-  static kcluster::PopulationConfig PopulationConfig() {
-    kcluster::PopulationConfig pc;
-    pc.users = kUsers;
-    pc.services = kServices;
-    pc.realm = kRealm;
-    return pc;
-  }
 
   std::unique_ptr<krb4::Client4> MakeClient(const krb4::Principal& user,
                                             const ksim::NetAddress& self, size_t boot,

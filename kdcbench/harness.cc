@@ -174,6 +174,9 @@ double PeakRssMb() {
 
 namespace {
 
+constexpr uint64_t kDigestOps = 512;  // per worker, traced by kobs for the digest
+constexpr double kRoundS = 0.25;
+
 enum class RoundKind { kWarmup, kTimed, kTraced };
 
 // Cache-line aligned: each worker bumps its lane's counters on every op.
@@ -336,7 +339,7 @@ Measurement Drive(Workload& workload, const RunConfig& config) {
 
   // A fixed op prefix under kobs, for the determinism digest.
   trace.Install();
-  runner.Run(RoundKind::kWarmup, config.digest_ops, 0);
+  runner.Run(RoundKind::kWarmup, kDigestOps, 0);
   trace.Uninstall();
   m.kobs_digest = trace.digest();
   trace.Clear();
@@ -345,7 +348,7 @@ Measurement Drive(Workload& workload, const RunConfig& config) {
 
   // Timed rounds; trace runs alternate untraced and traced rounds so both
   // see the same drift, and the untraced ones give the overhead baseline.
-  const int rounds = std::max(1, static_cast<int>(config.seconds / config.round_s + 0.5));
+  const int rounds = std::max(1, static_cast<int>(config.seconds / kRoundS + 0.5));
   const double round_s = config.seconds / rounds;
   for (int r = 0; r < rounds; ++r) {
     const bool traced = config.trace && (r % 2 == 1);

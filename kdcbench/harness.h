@@ -28,6 +28,9 @@ inline int64_t NowNs() {
       .count();
 }
 
+// Seconds of steady_clock time since `from_ns`.
+inline double Seconds(int64_t from_ns) { return static_cast<double>(NowNs() - from_ns) / 1e9; }
+
 // FNV-1a, for schedule digests.
 class Fnv {
  public:
@@ -184,6 +187,9 @@ class Workload {
   virtual ~Workload() = default;
 
   virtual size_t threads() const = 0;
+  // False when the workload's own state grows through a run, so its later
+  // rounds are slower by design rather than by interference.
+  virtual bool steady() const { return true; }
   // Digest of the op schedule generated from the seed.
   virtual uint64_t schedule_digest() const = 0;
   const SetupTimes& setup() const { return setup_; }
@@ -233,13 +239,12 @@ struct SpanStats {
 struct RunConfig {
   double seconds = 10;
   bool trace = false;
-  uint64_t digest_ops = 512;   // per worker, traced by kobs for the digest
   uint64_t warmup_ops = 2048;  // per worker, before any timing
-  double round_s = 0.25;
 };
 
-// One untraced timed round. End-to-end metrics are medians over rounds, so
-// a burst of interference from outside moves a few rounds, not the result.
+// One untraced timed round. End-to-end metrics are quantiles over rounds,
+// so a burst of interference from outside moves a few rounds, not the
+// result.
 struct RoundStats {
   uint64_t ops = 0;
   uint64_t latency_samples = 0;

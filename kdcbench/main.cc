@@ -106,27 +106,45 @@ void PutLatency(Metrics& m, const std::string& stem, const std::vector<double>& 
   }
 }
 
-// Interference from outside the program (other tenants of the host) only
-// ever slows a round down, and comes and goes within seconds. So each
-// timing metric is the quartile of its per-round values on the better side:
-// the upper quartile of round throughput, the lower quartile of a round's
-// latency quantile and CPU per op. Those rounds measure the program.
-Metrics EndToEnd(const Measurement& m, double setup_s) {
+// Per-round values of the timing metrics, in round order.
+struct RoundSeries {
   std::vector<double> rate;
   std::vector<double> p50;
   std::vector<double> p99;
   std::vector<double> cpu;
-  for (const RoundStats& r : m.rounds) {
-    rate.push_back(Ratio(static_cast<double>(r.ops), r.wall_s));
-    p50.push_back(r.p50_us);
-    p99.push_back(r.p99_us);
-    cpu.push_back(Ratio(r.cpu_s * 1e6, static_cast<double>(r.ops)));
+
+  explicit RoundSeries(const std::vector<RoundStats>& rounds) {
+    for (const RoundStats& r : rounds) {
+      rate.push_back(Ratio(static_cast<double>(r.ops), r.wall_s));
+      p50.push_back(r.p50_us);
+      p99.push_back(r.p99_us);
+      cpu.push_back(Ratio(r.cpu_s * 1e6, static_cast<double>(r.ops)));
+    }
   }
+};
+
+// Median of the second half of `v` over the median of its first half.
+double Drift(const std::vector<double>& v) {
+  const auto mid = v.begin() + static_cast<ptrdiff_t>(v.size() / 2);
+  return Ratio(Median({mid, v.end()}), Median({v.begin(), mid}));
+}
+
+// Interference from outside the program (other tenants of the host) only
+// ever slows a round down, and comes and goes within seconds. So on a
+// steady workload each timing metric is the quartile of its per-round
+// values on the better side: the upper quartile of round throughput, the
+// lower quartile of a round's latency quantile and CPU per op. Those rounds
+// measure the program. A workload that slows itself down through the run
+// would have that quartile pick its early rounds, so there each metric is
+// the median over all rounds.
+Metrics EndToEnd(const Measurement& m, double setup_s, bool steady) {
+  const RoundSeries s(m.rounds);
+  const double better = steady ? 0.25 : 0.5;
   Metrics out;
-  Put(out, "ops_per_s", Quantile(rate, 0.75), "ops/s");
-  Put(out, "op_p50_us", Quantile(p50, 0.25), "us");
-  Put(out, "op_p99_us", Quantile(p99, 0.25), "us");
-  Put(out, "cpu_us_per_op", Quantile(cpu, 0.25), "us");
+  Put(out, "ops_per_s", Quantile(s.rate, 1 - better), "ops/s");
+  Put(out, "op_p50_us", Quantile(s.p50, better), "us");
+  Put(out, "op_p99_us", Quantile(s.p99, better), "us");
+  Put(out, "cpu_us_per_op", Quantile(s.cpu, better), "us");
   Put(out, "setup_s", setup_s, "s");
   Put(out, "peak_rss_mb", PeakRssMb(), "MB");
   return out;
@@ -249,7 +267,8 @@ int Main(int argc, char** argv) {
                        " child spans outside their parent");
   }
   const Metrics metrics =
-      args.trace ? PerLayer(m, workload->traced_counts(), setup) : EndToEnd(m, setup.total_s);
+      args.trace ? PerLayer(m, workload->traced_counts(), setup)
+                 : EndToEnd(m, setup.total_s, workload->steady());
   for (const auto& [name, vu] : metrics) {
     if (!std::isfinite(vu.first)) {
       failures.push_back("metric " + name + " is not finite");
@@ -268,11 +287,10 @@ int Main(int argc, char** argv) {
     std::printf(" %.4f", t);
   }
   uint64_t samples = 0;
-  std::vector<double> rate;
   for (const RoundStats& r : m.rounds) {
     samples += r.latency_samples;
-    rate.push_back(Ratio(static_cast<double>(r.ops), r.wall_s));
   }
+  const RoundSeries s(m.rounds);
   std::printf("\nattempted=%llu failed=%llu fail_frac=%.6g untraced_rounds=%zu "
               "latency_samples=%llu traced_ops=%llu\n",
               static_cast<unsigned long long>(m.attempted),
@@ -281,8 +299,11 @@ int Main(int argc, char** argv) {
               m.rounds.size(), static_cast<unsigned long long>(samples),
               static_cast<unsigned long long>(m.traced_ops));
   std::printf("round ops/s: min %.0f q1 %.0f median %.0f q3 %.0f max %.0f\n",
-              Quantile(rate, 0), Quantile(rate, 0.25), Median(rate), Quantile(rate, 0.75),
-              Quantile(rate, 1));
+              Quantile(s.rate, 0), Quantile(s.rate, 0.25), Median(s.rate),
+              Quantile(s.rate, 0.75), Quantile(s.rate, 1));
+  std::printf("drift, second half / first half of the rounds: ops/s %.3f p50 %.3f p99 %.3f "
+              "cpu/op %.3f\n",
+              Drift(s.rate), Drift(s.p50), Drift(s.p99), Drift(s.cpu));
   for (const std::string& f : failures) {
     std::printf("CHECK FAILED: %s\n", f.c_str());
     std::fprintf(stderr, "kdcbench: CHECK FAILED: %s\n", f.c_str());

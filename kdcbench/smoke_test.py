@@ -29,9 +29,11 @@ DIGESTS = re.compile(r"schedule_digest=(\w+) kobs_digest=(\w+)")
 FAIL_FRAC = re.compile(r"fail_frac=(\S+)")
 
 
-def run(workload, seed, trace, cwd=ROOT):
+def run(workload, seed, trace, seconds, extra=(), cwd=ROOT):
+    """Runs kdcbench/run.py in `cwd`; returns the CompletedProcess."""
     command = [sys.executable, os.path.join(cwd, "kdcbench", "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", "1", "--trace", str(trace), "--setups", "1"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    command += list(extra)
     return subprocess.run(command, cwd=cwd, stdout=subprocess.PIPE, text=True, check=False)
 
 
@@ -41,11 +43,20 @@ def check(ok, what):
         sys.exit(1)
 
 
-def parse(done, workload, trace, names):
+def result_of(done, where):
+    """The JSON result on a run's last stdout line; fails when the run did."""
     lines = done.stdout.strip().splitlines()
-    where = "%s trace=%d" % (workload, trace)
     check(done.returncode == 0 and lines, where + ": exit %d" % done.returncode)
-    result = json.loads(lines[-1])
+    return json.loads(lines[-1])
+
+
+def smoke_run(workload, seed, trace, cwd=ROOT):
+    return run(workload, seed, trace, 1, ("--setups", "1"), cwd)
+
+
+def parse(done, workload, trace, names):
+    where = "%s trace=%d" % (workload, trace)
+    result = result_of(done, where)
     check(set(result) == {"correct", "attempted", "failed", "metrics"}, where + ": result keys")
     check(result["correct"] and result["failed"] == 0 and result["attempted"] >= 1,
           where + ": correct/failed/attempted")
@@ -65,10 +76,10 @@ def main():
     end_to_end = [m["name"] for m in spec["end_to_end"]]
     per_layer = [m["name"] for m in spec["per_layer"]]
     for workload in [w["name"] for w in spec["workloads"]]:
-        first = parse(run(workload, 7, 0), workload, 0, end_to_end)
-        again = parse(run(workload, 7, 0), workload, 0, end_to_end)
+        first = parse(smoke_run(workload, 7, 0), workload, 0, end_to_end)
+        again = parse(smoke_run(workload, 7, 0), workload, 0, end_to_end)
         check(first == again, workload + ": same seed gave different digests or fail_frac")
-        other = parse(run(workload, 8, 1), workload, 1, per_layer)
+        other = parse(smoke_run(workload, 8, 1), workload, 1, per_layer)
         check(other[0][0] != first[0][0], workload + ": another seed gave the same schedule")
         print("ok  %-14s schedule %s kobs %s" % (workload, first[0][0], first[0][1]))
 
@@ -76,7 +87,7 @@ def main():
         shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), bare)
         shutil.copytree(BENCH_DIR, os.path.join(bare, "kdcbench"),
                         ignore=shutil.ignore_patterns("__pycache__"))
-        bare_run = run(spec["workloads"][0]["name"], 1, 0, cwd=bare)
+        bare_run = smoke_run(spec["workloads"][0]["name"], 1, 0, cwd=bare)
         check(bare_run.returncode != 0 and not bare_run.stdout.strip(),
               "a checkout without src/ must fail without a result")
     print("ok  bare benchmark directory fails without a result")

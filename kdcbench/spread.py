@@ -3,52 +3,33 @@
 
     python3 kdcbench/spread.py --workloads v5_login,cluster_churn --seeds 10
 
-Runs kdcbench/run.py once per seed (seeds 1..N, or --first-seed onwards) on
-each workload with --trace 0, then prints, per end-to-end metric in
-BENCHMARK.json, the median and the interquartile spread as a share of the
-median (statistics.quantiles(values, n=4)), next to a third of the metric's
-bound. --json writes every run's metrics to a file.
+Runs kdcbench/run.py once per seed (seeds 1..N) on each workload with
+--trace 0 for BENCHMARK.json's run_seconds, then prints, per end-to-end
+metric, the median and the interquartile spread as a share of the median
+(statistics.quantiles(values, n=4)), next to a third of the metric's bound.
 """
 
 import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 
-BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(BENCH_DIR)
-
-
-def run_once(workload, seed, seconds):
-    command = [sys.executable, os.path.join(BENCH_DIR, "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE, text=True, check=False)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        sys.exit("run failed: workload=%s seed=%d exit=%d" % (workload, seed, done.returncode))
-    return json.loads(lines[-1])
+from smoke_test import ROOT, result_of, run
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="defaults to run_seconds from BENCHMARK.json")
-    parser.add_argument("--json", help="write every run's result here")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds or spec["run_seconds"]
-    results = {}
+    seconds = spec["run_seconds"]
     for workload in args.workloads.split(","):
-        runs = [run_once(workload, seed, seconds)
-                for seed in range(args.first_seed, args.first_seed + args.seeds)]
-        results[workload] = runs
+        runs = [result_of(run(workload, seed, 0, seconds), "%s seed=%d" % (workload, seed))
+                for seed in range(1, args.seeds + 1)]
         print("%s (%d seeds, %g s):" % (workload, len(runs), seconds))
         for metric in spec["end_to_end"]:
             values = [r["metrics"][metric["name"]]["value"] for r in runs]
@@ -59,9 +40,6 @@ def main():
             print("  %-16s median %14.4f  spread %.4f  (bound/3 %.4f)%s"
                   % (metric["name"], median, spread, metric["bound"] / 3, flag))
         sys.stdout.flush()
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(results, f, indent=1)
 
 
 if __name__ == "__main__":

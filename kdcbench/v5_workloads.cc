@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/population.h"
 #include "src/krb5/appserver.h"
 #include "src/krb5/client.h"
 #include "src/krb5/kdccore.h"
@@ -29,7 +28,6 @@
 namespace kdcbench {
 namespace {
 
-constexpr char kRealm[] = "ATHENA.MIT.EDU";
 constexpr ksim::NetAddress kAsAddr{0x0a000001, 88};
 constexpr ksim::NetAddress kTgsAddr{0x0a000001, 89};
 constexpr size_t kServices = 8;
@@ -40,8 +38,6 @@ ksim::NetAddress AppAddr(size_t service) {
 ksim::NetAddress ClientAddr(size_t client) {
   return {0x0b000000u + static_cast<uint32_t>(client), 4000};
 }
-
-double Seconds(int64_t from_ns) { return static_cast<double>(NowNs() - from_ns) / 1e9; }
 
 kerb::Bytes OpPayload(uint64_t op) {
   kerb::Bytes payload(8);
@@ -160,7 +156,7 @@ class V5Login : public Workload {
   static constexpr size_t kUsers = 1000000;
   static constexpr size_t kScheduleLen = 1 << 16;
 
-  explicit V5Login(uint64_t seed) : population_(PopulationConfig()) {
+  explicit V5Login(uint64_t seed) : population_(MakePopulationConfig(kUsers, kServices)) {
     kcluster::ZipfSampler zipf(kUsers, 1.0);
     Fnv digest;
     for (size_t t = 0; t < kThreads; ++t) {
@@ -240,14 +236,6 @@ class V5Login : public Workload {
     uint64_t client_seed;
   };
 
-  static kcluster::PopulationConfig PopulationConfig() {
-    kcluster::PopulationConfig pc;
-    pc.users = kUsers;
-    pc.services = kServices;
-    pc.realm = kRealm;
-    return pc;
-  }
-
   kcluster::Population population_;
   std::vector<Entry> schedules_[kThreads];
   uint64_t schedule_digest_ = 0;
@@ -267,7 +255,7 @@ class V5Session : public Workload {
   static constexpr ksim::Duration kSkew = ksim::kMinute;
   static constexpr ksim::Duration kLifetime = 24 * ksim::kHour;
 
-  explicit V5Session(uint64_t seed) : population_(PopulationConfig()) {
+  explicit V5Session(uint64_t seed) : population_(MakePopulationConfig(kUsers, kServices)) {
     // 256 distinct users hold TGTs; clients are drawn Zipf(1.0).
     kcrypto::Prng prng(seed * 0x9e3779b97f4a7c15ull + 0x5e55);
     std::vector<uint32_t> users(kUsers);
@@ -353,14 +341,6 @@ class V5Session : public Workload {
     uint32_t client;
     uint32_t service;
   };
-
-  static kcluster::PopulationConfig PopulationConfig() {
-    kcluster::PopulationConfig pc;
-    pc.users = kUsers;
-    pc.services = kServices;
-    pc.realm = kRealm;
-    return pc;
-  }
 
   kcluster::Population population_;
   std::vector<Entry> schedule_;
