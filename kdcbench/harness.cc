@@ -242,16 +242,25 @@ class RoundRunner {
     RoundStats r;
     r.wall_s = static_cast<double>(NowNs() - t0) / 1e9;
     r.cpu_s = ProcessCpuSeconds() - cpu0;
+    // p50 is each worker's median, averaged over the workers; p99 is over
+    // all samples. The workers sit on CPUs of different speeds, so pooled
+    // samples form one mode per worker, and the pooled median falls in a
+    // gap between modes, where a small shift in the workers' shares of the
+    // samples moves it far.
     latency_us_.clear();
+    double p50_sum = 0;
     for (Lane& lane : lanes_) {
       r.ops += lane.round_ops;
+      const size_t first = latency_us_.size();
       for (int64_t ns : lane.latency_ns) {
         latency_us_.push_back(static_cast<double>(ns) / 1e3);
       }
+      p50_sum += Quantile(std::vector<double>(latency_us_.begin() + first, latency_us_.end()),
+                          0.50);
       lane.latency_ns.clear();  // keeps its capacity: memory stays flat
     }
     r.latency_samples = latency_us_.size();
-    r.p50_us = Quantile(latency_us_, 0.50);
+    r.p50_us = p50_sum / static_cast<double>(lanes_.size());
     r.p99_us = Quantile(latency_us_, 0.99);
     return r;
   }
