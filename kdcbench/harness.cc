@@ -172,6 +172,29 @@ double PeakRssMb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
 }
 
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &allowed)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+  return cpus;
+}
+
+void SetThreadCpus(const std::vector<int>& cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus) {
+    CPU_SET(cpu, &set);
+  }
+  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
 namespace {
 
 constexpr uint64_t kDigestOps = 512;  // per worker, traced by kobs for the digest
@@ -195,16 +218,10 @@ struct alignas(64) Lane {
 class RoundRunner {
  public:
   explicit RoundRunner(Workload& workload)
-      : workload_(workload), lanes_(workload.threads()), sync_(workload.threads() + 1) {
-    cpu_set_t allowed;
-    CPU_ZERO(&allowed);
-    if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-        if (CPU_ISSET(cpu, &allowed)) {
-          cpus_.push_back(cpu);
-        }
-      }
-    }
+      : workload_(workload),
+        lanes_(workload.threads()),
+        cpus_(AllowedCpus()),
+        sync_(workload.threads() + 1) {
     for (size_t t = 0; t < lanes_.size(); ++t) {
       threads_.emplace_back([this, t] { Work(t); });
     }
@@ -314,13 +331,9 @@ class RoundRunner {
   // slow down independently for tens of seconds at a time; a worker left on
   // one CPU made single-thread runs bimodal.
   void MoveToNextCpu(size_t t) {
-    if (cpus_.size() < 2) {
-      return;
+    if (cpus_.size() > 1) {
+      SetThreadCpus({cpus_[(t + round_) % cpus_.size()]});
     }
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpus_[(t + round_) % cpus_.size()], &one);
-    pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
   }
 
   static constexpr uint64_t kUnsampledOps = 32;
@@ -360,6 +373,7 @@ Measurement Drive(Workload& workload, const RunConfig& config) {
   const int rounds = std::max(1, static_cast<int>(config.seconds / kRoundS + 0.5));
   const double round_s = config.seconds / rounds;
   for (int r = 0; r < rounds; ++r) {
+    workload.BetweenRounds();
     const bool traced = config.trace && (r % 2 == 1);
     if (!traced) {
       m.rounds.push_back(runner.Run(RoundKind::kTimed, 0, round_s));

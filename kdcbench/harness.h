@@ -187,9 +187,6 @@ class Workload {
   virtual ~Workload() = default;
 
   virtual size_t threads() const = 0;
-  // False when the workload's own state grows through a run, so its later
-  // rounds are slower by design rather than by interference.
-  virtual bool steady() const { return true; }
   // Digest of the op schedule generated from the seed.
   virtual uint64_t schedule_digest() const = 0;
   const SetupTimes& setup() const { return setup_; }
@@ -200,6 +197,8 @@ class Workload {
   // Points worker `t`'s spans at `tracer` (null turns tracing off). Called
   // only while the workers are parked between rounds.
   virtual void SetTracer(size_t t, Tracer* tracer) = 0;
+  // Untimed upkeep before each timed round, while the workers are parked.
+  virtual void BetweenRounds() {}
   // Bracket each traced round, for counter deltas.
   virtual void BeginTracedRound() {}
   virtual void EndTracedRound() {}
@@ -280,6 +279,11 @@ double Median(std::vector<double> samples);
 
 double ProcessCpuSeconds();
 double PeakRssMb();
+
+// The CPUs the process may run on, and a way to confine the calling thread
+// to some of them.
+std::vector<int> AllowedCpus();
+void SetThreadCpus(const std::vector<int>& cpus);
 
 }  // namespace kdcbench
 

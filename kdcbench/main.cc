@@ -130,16 +130,16 @@ double Drift(const std::vector<double>& v) {
 }
 
 // Interference from outside the program (other tenants of the host) only
-// ever slows a round down, and comes and goes within seconds. So on a
-// steady workload each timing metric is the quartile of its per-round
-// values on the better side: the upper quartile of round throughput, the
-// lower quartile of a round's latency quantile and CPU per op. Those rounds
-// measure the program. A workload that slows itself down through the run
-// would have that quartile pick its early rounds, so there each metric is
-// the median over all rounds.
-Metrics EndToEnd(const Measurement& m, double setup_s, bool steady) {
+// ever slows a round down, and comes and goes within a second or so. So
+// each timing metric is a quantile of its per-round values on the better
+// side: high for round throughput, low for a round's latency quantile and
+// CPU per op. Those rounds measure the program. A lone worker sits on one
+// CPU per round and takes a burst on it whole, so it gets the better
+// decile; several workers spread over all CPUs each round, which evens
+// bursts out, and get the better quartile.
+Metrics EndToEnd(const Measurement& m, double setup_s, size_t threads) {
   const RoundSeries s(m.rounds);
-  const double better = steady ? 0.25 : 0.5;
+  const double better = threads == 1 ? 0.1 : 0.25;
   Metrics out;
   Put(out, "ops_per_s", Quantile(s.rate, 1 - better), "ops/s");
   Put(out, "op_p50_us", Quantile(s.p50, better), "us");
@@ -242,7 +242,13 @@ int Main(int argc, char** argv) {
   std::vector<double> installs;
   std::vector<double> bootstraps;
   const int setups = args.setups > 0 ? args.setups : DefaultSetups(args.workload);
+  // Set-up k runs on the k-th allowed CPU, round robin, so a burst of
+  // interference on one CPU slows only some of the set-ups, not their median.
+  const std::vector<int> cpus = AllowedCpus();
   for (int k = 0; k < setups; ++k) {
+    if (cpus.size() > 1) {
+      SetThreadCpus({cpus[static_cast<size_t>(k) % cpus.size()]});
+    }
     workload.reset();  // the previous instance goes first, so peak RSS is one instance
     workload = Make(args.workload, args.seed);
     if (workload == nullptr) {
@@ -252,6 +258,9 @@ int Main(int argc, char** argv) {
     totals.push_back(workload->setup().total_s);
     installs.push_back(workload->setup().install_s);
     bootstraps.push_back(workload->setup().bootstrap_s);
+  }
+  if (cpus.size() > 1) {
+    SetThreadCpus(cpus);
   }
   SetupTimes setup{Median(totals), Median(installs), Median(bootstraps)};
 
@@ -268,7 +277,7 @@ int Main(int argc, char** argv) {
   }
   const Metrics metrics =
       args.trace ? PerLayer(m, workload->traced_counts(), setup)
-                 : EndToEnd(m, setup.total_s, workload->steady());
+                 : EndToEnd(m, setup.total_s, workload->threads());
   for (const auto& [name, vu] : metrics) {
     if (!std::isfinite(vu.first)) {
       failures.push_back("metric " + name + " is not finite");
