@@ -23,113 +23,56 @@ unsigned KdcWorkerThreads() {
   return hw == 0 ? 1 : hw;
 }
 
-size_t KdcBatchSize() {
-  constexpr long kMaxBatch = 256;
-  if (const char* env = std::getenv("KERB_KDC_BATCH")) {
-    long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) {
-      return static_cast<size_t>(std::min(v, kMaxBatch));
-    }
+namespace {
+
+// The worker pool both load harnesses share. Each of `threads` workers
+// (at least one; worker 0 runs on the calling thread) owns one state, made
+// by make_state(master) on the calling thread in worker order, so every
+// PRNG stream a state forks is a pure function of (seed, worker index), not
+// of scheduling. Each worker then makes `per_worker` calls of op(t, state);
+// the pool counts the calls that succeeded and those that failed.
+template <typename MakeState, typename Op>
+KdcLoadResult RunWorkerPool(unsigned threads, uint64_t per_worker, uint64_t seed,
+                            MakeState make_state, Op op) {
+  threads = std::max(threads, 1u);
+  kcrypto::Prng master(seed);
+  std::vector<decltype(make_state(master))> states;
+  states.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    states.push_back(make_state(master));
   }
-  return 16;
+
+  std::atomic<uint64_t> ok{0};
+  auto worker = [&](unsigned t) {
+    uint64_t local_ok = 0;
+    for (uint64_t i = 0; i < per_worker; ++i) {
+      if (op(t, states[t])) {
+        ++local_ok;
+      }
+    }
+    ok.fetch_add(local_ok, std::memory_order_relaxed);
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (unsigned t = 1; t < threads; ++t) {
+    pool.emplace_back(worker, t);
+  }
+  worker(0);
+  for (auto& th : pool) {
+    th.join();
+  }
+  return KdcLoadResult{ok.load(), threads * per_worker - ok.load()};
 }
+
+}  // namespace
 
 KdcLoadResult RunKdcLoad(const KdcHandler& handler, const ksim::Message& request,
                          unsigned threads, uint64_t requests_per_worker, uint64_t seed) {
-  if (threads == 0) {
-    threads = 1;
-  }
-  // Contexts are forked on the calling thread so their PRNG streams are a
-  // pure function of (seed, worker index), not of scheduling.
-  kcrypto::Prng master(seed);
-  std::vector<krb4::KdcContext> contexts;
-  contexts.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    contexts.emplace_back(master.Fork());
-  }
-
-  std::atomic<uint64_t> ok{0};
-  std::atomic<uint64_t> failed{0};
-  auto worker = [&](unsigned t) {
-    uint64_t local_ok = 0;
-    uint64_t local_failed = 0;
-    for (uint64_t i = 0; i < requests_per_worker; ++i) {
-      if (handler(request, contexts[t]).ok()) {
-        ++local_ok;
-      } else {
-        ++local_failed;
-      }
-    }
-    ok.fetch_add(local_ok, std::memory_order_relaxed);
-    failed.fetch_add(local_failed, std::memory_order_relaxed);
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back(worker, t);
-  }
-  worker(0);
-  for (auto& th : pool) {
-    th.join();
-  }
-  return KdcLoadResult{ok.load(), failed.load()};
-}
-
-KdcLoadResult RunKdcLoadBatched(const KdcBatchHandler& handler, const ksim::Message& request,
-                                unsigned threads, uint64_t requests_per_worker, uint64_t seed,
-                                size_t batch) {
-  if (threads == 0) {
-    threads = 1;
-  }
-  if (batch == 0) {
-    batch = KdcBatchSize();
-  }
-  kcrypto::Prng master(seed);
-  std::vector<krb4::KdcContext> contexts;
-  contexts.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    contexts.emplace_back(master.Fork());
-  }
-
-  std::atomic<uint64_t> ok{0};
-  std::atomic<uint64_t> failed{0};
-  auto worker = [&](unsigned t) {
-    // The pending queue is all copies of one request here, so a dispatch is
-    // a window into one reusable array; the reply vector is reused across
-    // dispatches (cleared, capacity kept).
-    std::vector<ksim::Message> pending(std::min<uint64_t>(batch, requests_per_worker), request);
-    std::vector<kerb::Result<kerb::Bytes>> replies;
-    uint64_t local_ok = 0;
-    uint64_t local_failed = 0;
-    for (uint64_t done = 0; done < requests_per_worker;) {
-      const size_t take =
-          static_cast<size_t>(std::min<uint64_t>(batch, requests_per_worker - done));
-      replies.clear();
-      handler(pending.data(), take, contexts[t], replies);
-      for (const auto& reply : replies) {
-        if (reply.ok()) {
-          ++local_ok;
-        } else {
-          ++local_failed;
-        }
-      }
-      done += take;
-    }
-    ok.fetch_add(local_ok, std::memory_order_relaxed);
-    failed.fetch_add(local_failed, std::memory_order_relaxed);
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back(worker, t);
-  }
-  worker(0);
-  for (auto& th : pool) {
-    th.join();
-  }
-  return KdcLoadResult{ok.load(), failed.load()};
+  return RunWorkerPool(
+      threads, requests_per_worker, seed,
+      [](kcrypto::Prng& master) { return krb4::KdcContext(master.Fork()); },
+      [&](unsigned, krb4::KdcContext& ctx) { return handler(request, ctx).ok(); });
 }
 
 kerb::Result<krb4::AsReplyBody4> DoPkLogin4(const KdcHandler& handler,
@@ -191,50 +134,21 @@ PkLoginLoadResult RunPkLoginLoad(const KdcHandler& handler, const krb4::Principa
                                  const kcrypto::DesKey& user_key, const kcrypto::DhGroup& group,
                                  ksim::Time now, unsigned threads, uint64_t logins_per_worker,
                                  uint64_t seed) {
-  if (threads == 0) {
-    threads = 1;
-  }
-  // Server contexts and client PRNGs forked on the calling thread, as in
-  // RunKdcLoad: every stream is a pure function of (seed, worker index).
-  kcrypto::Prng master(seed);
-  std::vector<krb4::KdcContext> contexts;
-  std::vector<kcrypto::Prng> client_prngs;
-  contexts.reserve(threads);
-  client_prngs.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    contexts.emplace_back(master.Fork());
-    client_prngs.push_back(master.Fork());
-  }
-
-  std::atomic<uint64_t> ok{0};
-  std::atomic<uint64_t> failed{0};
-  auto worker = [&](unsigned t) {
-    // Distinct claimed sources per worker keep any reply cache honest.
-    const ksim::NetAddress src{0x0a000000u + t, static_cast<uint16_t>(40000 + t)};
-    uint64_t local_ok = 0;
-    uint64_t local_failed = 0;
-    for (uint64_t i = 0; i < logins_per_worker; ++i) {
-      if (DoPkLogin4(handler, user, user_key, group, now, contexts[t], client_prngs[t], src)
-              .ok()) {
-        ++local_ok;
-      } else {
-        ++local_failed;
-      }
-    }
-    ok.fetch_add(local_ok, std::memory_order_relaxed);
-    failed.fetch_add(local_failed, std::memory_order_relaxed);
+  // The server side's per-thread state and the client's PRNG, forked in
+  // that order.
+  struct Worker {
+    explicit Worker(kcrypto::Prng& master) : ctx(master.Fork()), client_prng(master.Fork()) {}
+    krb4::KdcContext ctx;
+    kcrypto::Prng client_prng;
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back(worker, t);
-  }
-  worker(0);
-  for (auto& th : pool) {
-    th.join();
-  }
-  return PkLoginLoadResult{ok.load(), failed.load()};
+  KdcLoadResult counts = RunWorkerPool(
+      threads, logins_per_worker, seed, [](kcrypto::Prng& master) { return Worker(master); },
+      [&](unsigned t, Worker& w) {
+        // Distinct claimed sources per worker keep any reply cache honest.
+        const ksim::NetAddress src{0x0a000000u + t, static_cast<uint16_t>(40000 + t)};
+        return DoPkLogin4(handler, user, user_key, group, now, w.ctx, w.client_prng, src).ok();
+      });
+  return PkLoginLoadResult{counts.requests_ok, counts.requests_failed};
 }
 
 }  // namespace kattack

@@ -48,7 +48,6 @@ struct RotationConfig {
   int kdc_slaves = 1;
   bool primary_blackout = false;  // KDC+kadmin host dark for the middle third
   bool kprop_paused = false;      // no propagation cycles until recovery
-  bool batched = false;           // KDCs serve through the batched entry points
   ksim::RetryPolicy retry;
   ksim::Duration kdc_reply_cache_window = 30 * ksim::kSecond;
 

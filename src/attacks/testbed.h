@@ -43,10 +43,6 @@ struct TestbedConfig {
   // host. Off by default — the historical testbed had no admin channel,
   // and enabling it perturbs the seeded key stream.
   bool enable_kadmin = false;
-  // Routes the KDC's Bind handlers through the batched dispatch entry
-  // points (n=1 batches). Verdicts are pinned identical to sequential
-  // serving by the chaos tests.
-  bool kdc_serve_batched = false;
 };
 
 class Testbed4 {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 #include <utility>
 
 #include "src/crypto/checksum.h"
@@ -11,26 +10,40 @@
 
 namespace krb4 {
 
-KdcCore4::KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options)
-    : clock_(clock),
+KdcServeFrame::KdcServeFrame(kobs::Source source, ksim::HostClock clock, std::string realm,
+                             KdcDatabase db)
+    : source_(source),
+      clock_(clock),
       realm_(std::move(realm)),
       tgs_principal_(TgsPrincipal(realm_)),
-      db_(std::move(db)),
-      options_(options) {}
+      db_(std::move(db)) {}
 
-kerb::Result<kcrypto::DesKey> KdcCore4::CachedLookup(const Principal& principal,
-                                                     KdcContext& ctx) const {
+void KdcServeFrame::EnablePkPreauth(kcrypto::DhGroup group) {
+  kcrypto::EnsureEngine(group);
+  pk_group_ = std::move(group);
+}
+
+kerb::Result<const kcrypto::DhGroup*> KdcServeFrame::PkGroup() {
+  if (!pk_group_.has_value()) {
+    return kerb::MakeError(kerb::ErrorCode::kUnsupported, "PK preauth not enabled");
+  }
+  pk_as_requests_.fetch_add(1, std::memory_order_relaxed);
+  return &*pk_group_;
+}
+
+kerb::Result<kcrypto::DesKey> KdcServeFrame::CachedLookup(const Principal& principal,
+                                                          KdcContext& ctx) const {
   const uint64_t hash = PrincipalStore::Hash(principal);
   const uint64_t generation = db_.generation();
   kcrypto::DesKey key;
   if (ctx.keys.Get(generation, hash, principal, &key)) {
     if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcKeyCacheHit, clock_.Now(), hash);
+      kobs::Emit(source_, kobs::Ev::kKdcKeyCacheHit, clock_.Now(), hash);
     }
     return key;
   }
   if (kobs::Enabled()) {
-    kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcKeyCacheMiss, clock_.Now(), hash);
+    kobs::Emit(source_, kobs::Ev::kKdcKeyCacheMiss, clock_.Now(), hash);
   }
   auto looked_up = db_.Lookup(principal);
   if (looked_up.ok()) {
@@ -39,79 +52,69 @@ kerb::Result<kcrypto::DesKey> KdcCore4::CachedLookup(const Principal& principal,
   return looked_up;
 }
 
-const kerb::Bytes* KdcCore4::CachedReply(const ksim::Message& msg, KdcContext& ctx) {
-  if (options_.reply_cache_window <= 0) {
+const kerb::Bytes* KdcServeFrame::CachedReply(const ksim::Message& msg, KdcContext& ctx,
+                                              ksim::Duration window) {
+  if (window <= 0) {
     return nullptr;
   }
-  const kerb::Bytes* cached =
-      ctx.replies.Get(msg.src, msg.payload, clock_.Now(), options_.reply_cache_window);
+  const kerb::Bytes* cached = ctx.replies.Get(msg.src, msg.payload, clock_.Now(), window);
   if (cached != nullptr) {
     reply_cache_hits_.fetch_add(1, std::memory_order_relaxed);
     if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcReplyCacheHit, clock_.Now(), msg.src.host,
+      kobs::Emit(source_, kobs::Ev::kKdcReplyCacheHit, clock_.Now(), msg.src.host,
                  cached->size());
     }
   }
   return cached;
 }
 
-kerb::Bytes KdcCore4::RememberReply(const ksim::Message& msg, const kerb::Bytes& reply,
-                                    KdcContext& ctx) {
-  if (options_.reply_cache_window > 0) {
-    ctx.replies.Put(msg.src, msg.payload, reply, clock_.Now());
-    if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcReplyCacheStore, clock_.Now(), msg.src.host,
-                 reply.size());
-    }
+void KdcServeFrame::RememberReply(const ksim::Message& msg, const kerb::Bytes& reply,
+                                  KdcContext& ctx, ksim::Duration window) {
+  if (window <= 0) {
+    return;
   }
-  return reply;
+  ctx.replies.Put(msg.src, msg.payload, reply, clock_.Now());
+  if (kobs::Enabled()) {
+    kobs::Emit(source_, kobs::Ev::kKdcReplyCacheStore, clock_.Now(), msg.src.host, reply.size());
+  }
 }
 
+KdcCore4::KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options)
+    : KdcServeFrame(kobs::kSrcKdc4, clock, std::move(realm), std::move(db)), options_(options) {}
+
 kerb::Result<kerb::Bytes> KdcCore4::HandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  return kobs::Enabled() ? TracedHandle(false, msg, ctx) : DoHandleAs(msg, ctx);
+  return Serve(false, msg, ctx, options_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
+    auto framed = Unframe4(msg.payload);
+    if (framed.ok() && framed.value().first == MsgType::kAsPkRequest) {
+      auto pk_req = AsPkRequest4::Decode(framed.value().second);
+      if (!pk_req.ok()) {
+        return pk_req.error();
+      }
+      return ServeAsPk(msg, pk_req.value(), ctx);
+    }
+    if (!framed.ok() || framed.value().first != MsgType::kAsRequest) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AS request");
+    }
+    auto req = AsRequest4::Decode(framed.value().second);
+    if (!req.ok()) {
+      return req.error();
+    }
+    return ServeAs(msg, req.value(), ctx);
+  });
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  return kobs::Enabled() ? TracedHandle(true, msg, ctx) : DoHandleTgs(msg, ctx);
-}
-
-kerb::Result<kerb::Bytes> KdcCore4::TracedHandle(bool tgs, const ksim::Message& msg,
-                                                 KdcContext& ctx) {
-  const uint64_t exchange = tgs ? 1 : 0;
-  kobs::Emit(kobs::kSrcKdc4, tgs ? kobs::Ev::kKdcTgsRequest : kobs::Ev::kKdcAsRequest,
-             clock_.Now(), msg.src.host, msg.payload.size());
-  kerb::Result<kerb::Bytes> reply = tgs ? DoHandleTgs(msg, ctx) : DoHandleAs(msg, ctx);
-  if (reply.ok()) {
-    kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcIssue, clock_.Now(), exchange,
-               reply.value().size());
-  } else {
-    kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKdcDeny, clock_.Now(), exchange,
-               static_cast<uint64_t>(reply.error().code));
-  }
-  return reply;
-}
-
-kerb::Result<kerb::Bytes> KdcCore4::DoHandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  as_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (const kerb::Bytes* cached = CachedReply(msg, ctx)) {
-    return *cached;
-  }
-  auto framed = Unframe4(msg.payload);
-  if (framed.ok() && framed.value().first == MsgType::kAsPkRequest) {
-    auto pk_req = AsPkRequest4::Decode(framed.value().second);
-    if (!pk_req.ok()) {
-      return pk_req.error();
+  return Serve(true, msg, ctx, options_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
+    auto framed = Unframe4(msg.payload);
+    if (!framed.ok() || framed.value().first != MsgType::kTgsRequest) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected TGS request");
     }
-    return ServeAsPk(msg, pk_req.value(), ctx);
-  }
-  if (!framed.ok() || framed.value().first != MsgType::kAsRequest) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AS request");
-  }
-  auto req = AsRequest4::Decode(framed.value().second);
-  if (!req.ok()) {
-    return req.error();
-  }
-  return ServeAs(msg, req.value(), ctx);
+    auto req = TgsRequest4::Decode(framed.value().second);
+    if (!req.ok()) {
+      return req.error();
+    }
+    return ServeTgs(msg, req.value(), ctx);
+  });
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRequest4& req,
@@ -153,21 +156,16 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRe
 
   SealedFrame4Into(MsgType::kAsReply, client_key.value(), ctx.scratch.body_plain,
                    ctx.scratch.reply);
-  return RememberReply(msg, ctx.scratch.reply, ctx);
-}
-
-void KdcCore4::EnablePkPreauth(kcrypto::DhGroup group) {
-  kcrypto::EnsureEngine(group);
-  pk_group_ = std::move(group);
+  return ctx.scratch.reply;
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const AsPkRequest4& req,
                                               KdcContext& ctx) {
-  if (!pk_group_.has_value()) {
-    return kerb::MakeError(kerb::ErrorCode::kUnsupported, "PK preauth not enabled");
+  auto pk_group = PkGroup();
+  if (!pk_group.ok()) {
+    return pk_group.error();
   }
-  pk_as_requests_.fetch_add(1, std::memory_order_relaxed);
-  const kcrypto::DhGroup& group = *pk_group_;
+  const kcrypto::DhGroup& group = *pk_group.value();
   kcrypto::BigInt client_pub = kcrypto::BigInt::FromBytes(req.client_pub);
   // Fail closed on degenerate publics before any exponent touches them.
   if (auto valid = kcrypto::ValidateDhPublic(group, client_pub); !valid.ok()) {
@@ -248,23 +246,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const As
   w.PutU8(static_cast<uint8_t>(MsgType::kAsPkReply));
   w.PutLengthPrefixed(server_pair.public_key.ToBytes());
   w.PutLengthPrefixed(ctx.scratch.pk_outer);
-  return RememberReply(msg, ctx.scratch.reply, ctx);
-}
-
-kerb::Result<kerb::Bytes> KdcCore4::DoHandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  tgs_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (const kerb::Bytes* cached = CachedReply(msg, ctx)) {
-    return *cached;
-  }
-  auto framed = Unframe4(msg.payload);
-  if (!framed.ok() || framed.value().first != MsgType::kTgsRequest) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected TGS request");
-  }
-  auto req = TgsRequest4::Decode(framed.value().second);
-  if (!req.ok()) {
-    return req.error();
-  }
-  return ServeTgs(msg, req.value(), ctx);
+  return ctx.scratch.reply;
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const TgsRequest4& req,
@@ -273,54 +255,13 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   if (!tgs_key.ok()) {
     return tgs_key.error();
   }
-  // The same sealed TGT arrives on every request of a client's session, so
-  // the decoded ticket is memoised per context (expiry is still checked
-  // against `now` on every request, below).
-  constexpr uint32_t kMemoTgt4 = 0x7467'3404;
-  const Ticket4* tgt =
-      ctx.unseals.Get<Ticket4>(kMemoTgt4, tgs_key.value(), req.sealed_tgt);
-  if (kobs::Enabled()) {
-    kobs::Emit(kobs::kSrcKdc4,
-               tgt != nullptr ? kobs::Ev::kKdcUnsealMemoHit : kobs::Ev::kKdcUnsealMemoMiss,
-               clock_.Now(), req.sealed_tgt.size());
+  const ksim::Time now = clock_.Now();
+  auto unsealed_tgt = UnsealTgt<Ticket4>(tgs_key.value(), req.sealed_tgt,
+                                         /*ring_fallback=*/true, now, ctx, Ticket4::Unseal);
+  if (!unsealed_tgt.ok()) {
+    return unsealed_tgt.error();
   }
-  ksim::Time now = clock_.Now();
-  if (tgt == nullptr) {
-    auto unsealed = Ticket4::Unseal(tgs_key.value(), req.sealed_tgt);
-    if (unsealed.ok()) {
-      tgt = ctx.unseals.Put(kMemoTgt4, tgs_key.value(), req.sealed_tgt,
-                            std::move(unsealed.value()));
-    } else {
-      // kvno fallback: a TGT sealed before a TGS key rotation keeps
-      // verifying under the retained older ring versions until its natural
-      // expiry (the rotation drain window). Each candidate key gets its own
-      // memo slot — the memo is keyed by key bytes, so entries cached under
-      // an old version keep hitting after the current version moves on.
-      PrincipalEntry tgs_entry;
-      if (db_.store().LookupEntry(tgs_principal_, &tgs_entry)) {
-        for (size_t i = 1; i < tgs_entry.keys.size() && tgt == nullptr; ++i) {
-          const KeyVersion& kv = tgs_entry.keys[i];
-          if (kv.not_after != 0 && now > kv.not_after) {
-            continue;
-          }
-          tgt = ctx.unseals.Get<Ticket4>(kMemoTgt4, kv.key, req.sealed_tgt);
-          if (tgt == nullptr) {
-            auto old_unsealed = Ticket4::Unseal(kv.key, req.sealed_tgt);
-            if (old_unsealed.ok()) {
-              tgt = ctx.unseals.Put(kMemoTgt4, kv.key, req.sealed_tgt,
-                                    std::move(old_unsealed.value()));
-            }
-          }
-          if (tgt != nullptr && kobs::Enabled()) {
-            kobs::Emit(kobs::kSrcKdc4, kobs::Ev::kKvnoOldKeyAccept, now, kv.kvno, i);
-          }
-        }
-      }
-    }
-    if (tgt == nullptr) {
-      return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "ticket-granting ticket invalid");
-    }
-  }
+  const Ticket4* tgt = unsealed_tgt.value();
 
   if (tgt->Expired(now)) {
     return kerb::MakeError(kerb::ErrorCode::kExpired, "ticket-granting ticket expired");
@@ -377,146 +318,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
 
   SealedFrame4Into(MsgType::kTgsReply, tgs_session, ctx.scratch.body_plain, ctx.scratch.reply);
-  return RememberReply(msg, ctx.scratch.reply, ctx);
-}
-
-void KdcCore4::WarmKeyCache(const std::vector<const Principal*>& principals,
-                            KdcContext& ctx) const {
-  const uint64_t generation = db_.generation();
-  std::vector<PrincipalStore::LookupRequest> misses;
-  misses.reserve(principals.size());
-  kcrypto::DesKey cached;
-  for (const Principal* p : principals) {
-    const uint64_t hash = PrincipalStore::Hash(*p);
-    if (ctx.keys.Get(generation, hash, *p, &cached)) {
-      continue;  // already warm from an earlier batch
-    }
-    bool queued = false;
-    for (const auto& m : misses) {
-      if (m.hash == hash && *m.principal == *p) {
-        queued = true;
-        break;
-      }
-    }
-    if (!queued) {
-      PrincipalStore::LookupRequest req;
-      req.principal = p;
-      req.hash = hash;
-      misses.push_back(req);
-    }
-  }
-  if (misses.empty()) {
-    return;
-  }
-  db_.store().LookupMany(misses.data(), misses.size());
-  for (const auto& m : misses) {
-    if (m.found) {
-      ctx.keys.Put(generation, m.hash, *m.principal, m.key);
-    }
-  }
-}
-
-void KdcCore4::HandleAsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                             std::vector<kerb::Result<kerb::Bytes>>& replies) {
-  replies.reserve(replies.size() + n);
-  if (kobs::Enabled()) {
-    // Sequential fallback keeps the per-request trace event order intact.
-    for (size_t i = 0; i < n; ++i) {
-      replies.push_back(HandleAs(msgs[i], ctx));
-    }
-    return;
-  }
-  // Phase 1: decode every request. Decoding is pure, so hoisting it off the
-  // serve path changes no reply bytes. PK-preauth requests ride in the same
-  // batch (a parallel slot engages for them) so the batched path reaches
-  // every verdict the sequential path does.
-  std::vector<kerb::Result<AsRequest4>> decoded;
-  std::vector<std::optional<kerb::Result<AsPkRequest4>>> pk;
-  decoded.reserve(n);
-  pk.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto framed = Unframe4(msgs[i].payload);
-    if (framed.ok() && framed.value().first == MsgType::kAsPkRequest) {
-      pk[i] = AsPkRequest4::Decode(framed.value().second);
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "pk slot"));
-      continue;
-    }
-    if (!framed.ok() || framed.value().first != MsgType::kAsRequest) {
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AS request"));
-      continue;
-    }
-    decoded.push_back(AsRequest4::Decode(framed.value().second));
-  }
-  // Phase 2: resolve the batch's principals (every client plus the TGS key
-  // that seals each TGT) with at most one shard-lock acquisition per shard.
-  std::vector<const Principal*> wanted;
-  wanted.reserve(n + 1);
-  wanted.push_back(&tgs_principal_);
-  for (size_t i = 0; i < n; ++i) {
-    if (pk[i].has_value()) {
-      if (pk[i]->ok()) {
-        wanted.push_back(&pk[i]->value().client);
-      }
-    } else if (decoded[i].ok()) {
-      wanted.push_back(&decoded[i].value().client);
-    }
-  }
-  WarmKeyCache(wanted, ctx);
-  // Phase 3: serve strictly in request order — the PRNG stream and the
-  // reply cache observe the exact one-at-a-time history.
-  for (size_t i = 0; i < n; ++i) {
-    as_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (const kerb::Bytes* cached = CachedReply(msgs[i], ctx)) {
-      replies.push_back(*cached);
-    } else if (pk[i].has_value()) {
-      replies.push_back(pk[i]->ok() ? ServeAsPk(msgs[i], pk[i]->value(), ctx)
-                                    : kerb::Result<kerb::Bytes>(pk[i]->error()));
-    } else if (!decoded[i].ok()) {
-      replies.push_back(decoded[i].error());
-    } else {
-      replies.push_back(ServeAs(msgs[i], decoded[i].value(), ctx));
-    }
-  }
-}
-
-void KdcCore4::HandleTgsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                              std::vector<kerb::Result<kerb::Bytes>>& replies) {
-  replies.reserve(replies.size() + n);
-  if (kobs::Enabled()) {
-    for (size_t i = 0; i < n; ++i) {
-      replies.push_back(HandleTgs(msgs[i], ctx));
-    }
-    return;
-  }
-  std::vector<kerb::Result<TgsRequest4>> decoded;
-  decoded.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto framed = Unframe4(msgs[i].payload);
-    if (!framed.ok() || framed.value().first != MsgType::kTgsRequest) {
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected TGS request"));
-      continue;
-    }
-    decoded.push_back(TgsRequest4::Decode(framed.value().second));
-  }
-  std::vector<const Principal*> wanted;
-  wanted.reserve(n + 1);
-  wanted.push_back(&tgs_principal_);
-  for (const auto& d : decoded) {
-    if (d.ok()) {
-      wanted.push_back(&d.value().service);
-    }
-  }
-  WarmKeyCache(wanted, ctx);
-  for (size_t i = 0; i < n; ++i) {
-    tgs_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (const kerb::Bytes* cached = CachedReply(msgs[i], ctx)) {
-      replies.push_back(*cached);
-    } else if (!decoded[i].ok()) {
-      replies.push_back(decoded[i].error());
-    } else {
-      replies.push_back(ServeTgs(msgs[i], decoded[i].value(), ctx));
-    }
-  }
+  return ctx.scratch.reply;
 }
 
 }  // namespace krb4

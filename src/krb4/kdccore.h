@@ -1,4 +1,5 @@
-// Thread-safe V4 KDC serving core.
+// Thread-safe V4 KDC serving core, and the serve frame it shares with the
+// V5 core.
 //
 // The protocol logic of the V4 authentication and ticket-granting servers,
 // factored out of the network-facing Kdc4 wrapper so two drivers can share
@@ -14,6 +15,10 @@
 // per-request — the PRNG stream, the derived-key cache, the encode scratch
 // buffers — lives in the caller-owned KdcContext, so handlers never contend
 // on anything but the store's shard locks.
+//
+// KdcServeFrame is the part of a serving core that does not depend on the
+// protocol version. KdcCore4 and KdcCore5 (src/krb5/kdccore.h) derive from
+// it and keep only their decoding, protocol checks and reply encoding.
 
 #ifndef SRC_KRB4_KDCCORE_H_
 #define SRC_KRB4_KDCCORE_H_
@@ -25,12 +30,13 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "src/crypto/dh.h"
 #include "src/crypto/prng.h"
 #include "src/krb4/database.h"
 #include "src/krb4/messages.h"
+#include "src/obs/kobs.h"
 #include "src/sim/clock.h"
 #include "src/sim/network.h"
 
@@ -48,11 +54,6 @@ struct KdcOptions {
   // timescales, seconds not minutes) wherever clients retry: the chaos
   // testbeds do.
   ksim::Duration reply_cache_window = 0;
-  // Route the Bind handlers through HandleAsBatch/HandleTgsBatch (with
-  // single-request batches) instead of HandleAs/HandleTgs, so the sim's
-  // one-at-a-time delivery exercises the batched dispatch path. Verdicts
-  // are pinned identical to sequential serving by the chaos tests.
-  bool serve_batched = false;
 };
 
 // Small direct-mapped cache of keys copied out of the principal store,
@@ -95,7 +96,7 @@ class KdcKeyCache {
   std::array<Slot, kSlots> slots_;
 };
 
-// Memo of deterministic unseal results, keyed by (tag, sealing key,
+// Memo of deterministic unseal results, keyed by (result type, sealing key,
 // ciphertext). A KDC sees the same sealed TGT on every ticket-granting
 // request a client makes for the lifetime of its login session; decrypting
 // and decoding it is a pure function of key and ciphertext, so the decoded
@@ -103,14 +104,15 @@ class KdcKeyCache {
 // blobs belong here — never authenticators or preauth data, which change
 // per request in real traffic. Direct-mapped; the stored ciphertext and key
 // bytes are compared in full on lookup, so a hash collision costs a miss,
-// never a wrong ticket. Failures are not cached (garbage varies).
+// never a wrong ticket. Failures are not cached (garbage varies). One
+// context serves either core, so an entry's type is part of its key: a V4
+// ticket never answers a V5 lookup (std::any_cast checks it).
 class KdcUnsealMemo {
  public:
   template <typename T>
-  const T* Get(uint32_t tag, const kcrypto::DesKey& key, kerb::BytesView sealed) const {
+  const T* Get(const kcrypto::DesKey& key, kerb::BytesView sealed) const {
     const Entry& entry = entries_[Slot(sealed)];
-    if (!entry.used || entry.tag != tag || entry.key_bytes != key.bytes() ||
-        entry.sealed.size() != sealed.size() ||
+    if (!entry.used || entry.key_bytes != key.bytes() || entry.sealed.size() != sealed.size() ||
         !std::equal(entry.sealed.begin(), entry.sealed.end(), sealed.begin())) {
       return nullptr;
     }
@@ -118,10 +120,9 @@ class KdcUnsealMemo {
   }
 
   template <typename T>
-  const T* Put(uint32_t tag, const kcrypto::DesKey& key, kerb::BytesView sealed, T value) {
+  const T* Put(const kcrypto::DesKey& key, kerb::BytesView sealed, T value) {
     Entry& entry = entries_[Slot(sealed)];
     entry.used = true;
-    entry.tag = tag;
     entry.key_bytes = key.bytes();
     entry.sealed.assign(sealed.begin(), sealed.end());
     entry.value = std::move(value);
@@ -141,7 +142,6 @@ class KdcUnsealMemo {
 
   struct Entry {
     bool used = false;
-    uint32_t tag = 0;
     kcrypto::DesBlock key_bytes{};
     kerb::Bytes sealed;
     std::any value;
@@ -234,81 +234,146 @@ struct KdcContext {
   KdcScratch scratch;
 };
 
-class KdcCore4 {
+// The serve frame both KdcCore4 and KdcCore5 derive from: the realm, its
+// database and krbtgt principal, the clock, the PK-preauth group, the
+// request counters, and every step of serving a request that does not
+// depend on the protocol version — the generation-checked key lookup, the
+// reply cache, the request/issue/deny trace framing, and the TGT unseal
+// through the per-context memo with its kvno-ring fallback. Events carry
+// the core's kobs source (kSrcKdc4 or kSrcKdc5). Nothing here is virtual:
+// the cores call the frame, never the other way round.
+class KdcServeFrame {
  public:
-  KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options);
-
-  kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx);
-
-  // Batched dispatch: serves msgs[0..n) through one context in three
-  // phases — decode every request, resolve the batch's principal keys
-  // through LookupMany (one shard-lock acquisition per shard per batch),
-  // then serve strictly in request order. Replies are appended to
-  // `replies`, byte-identical to calling the one-at-a-time handler on each
-  // message in sequence (pinned by tests/integration/kdc_batch_test.cc):
-  // decoding is pure, key pre-resolution only warms the context's key
-  // cache, and everything ordered — the PRNG stream, the reply cache, the
-  // unseal memo — runs in the serve phase in request order. With tracing
-  // enabled the batch falls back to the sequential handlers so trace
-  // streams keep their per-request event order.
-  void HandleAsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                     std::vector<kerb::Result<kerb::Bytes>>& replies);
-  void HandleTgsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                      std::vector<kerb::Result<kerb::Bytes>>& replies);
-
-  // Enables the public-key preauthenticated AS variant (MsgType::
-  // kAsPkRequest) over `group`. Builds the group's cached modexp engine —
-  // Montgomery context plus fixed-base g^x comb table — up front, so every
-  // login the core serves afterwards reuses it. Call before serving; the
-  // group is read-only once requests flow.
+  // Enables the public-key preauthenticated AS variant (V4 MsgType::
+  // kAsPkRequest, V5 kMsgAsPkReq) over `group`. Builds the group's cached
+  // modexp engine — Montgomery context plus fixed-base g^x comb table — up
+  // front, so every login the core serves afterwards reuses it. Call before
+  // serving; the group is read-only once requests flow.
   void EnablePkPreauth(kcrypto::DhGroup group);
   bool pk_preauth_enabled() const { return pk_group_.has_value(); }
 
   const std::string& realm() const { return realm_; }
   KdcDatabase& database() { return db_; }
-  const KdcOptions& options() const { return options_; }
 
+  uint64_t as_requests_served() const { return as_requests_.load(std::memory_order_relaxed); }
   uint64_t pk_as_requests_served() const {
     return pk_as_requests_.load(std::memory_order_relaxed);
   }
-  uint64_t as_requests_served() const { return as_requests_.load(std::memory_order_relaxed); }
   uint64_t tgs_requests_served() const { return tgs_requests_.load(std::memory_order_relaxed); }
   uint64_t reply_cache_hits() const { return reply_cache_hits_.load(std::memory_order_relaxed); }
 
- private:
-  // The protocol logic, unchanged; the public handlers wrap it in request
-  // and issue/deny trace events when a kobs::Trace is installed.
-  kerb::Result<kerb::Bytes> DoHandleAs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> DoHandleTgs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> TracedHandle(bool tgs, const ksim::Message& msg, KdcContext& ctx);
+ protected:
+  KdcServeFrame(kobs::Source source, ksim::HostClock clock, std::string realm, KdcDatabase db);
 
-  // Everything after the decode — shared by the one-at-a-time handlers and
-  // the serve phase of the batch path.
-  kerb::Result<kerb::Bytes> ServeAs(const ksim::Message& msg, const AsRequest4& req,
-                                    KdcContext& ctx);
-  kerb::Result<kerb::Bytes> ServeAsPk(const ksim::Message& msg, const AsPkRequest4& req,
-                                      KdcContext& ctx);
-  kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, const TgsRequest4& req,
-                                     KdcContext& ctx);
-
-  // Pre-resolves the batch's principals into the context's key cache via
-  // PrincipalStore::LookupMany. Purely a cache warm: serve-phase lookups
-  // observe identical keys either way.
-  void WarmKeyCache(const std::vector<const Principal*>& principals, KdcContext& ctx) const;
+  // Serves one AS (`tgs` false) or TGS request: counts it, answers a fresh
+  // duplicate from the reply cache (window <= 0 disables the cache), else
+  // runs `body` — the core's decode, checks and encode — and remembers a
+  // successful reply for retransmission. With a kobs::Trace installed the
+  // request is framed in request and issue/deny events.
+  template <typename Body>
+  kerb::Result<kerb::Bytes> Serve(bool tgs, const ksim::Message& msg, KdcContext& ctx,
+                                  ksim::Duration reply_cache_window, Body&& body) {
+    if (!kobs::Enabled()) {
+      return CountAndServe(tgs, msg, ctx, reply_cache_window, body);
+    }
+    kobs::Emit(source_, tgs ? kobs::Ev::kKdcTgsRequest : kobs::Ev::kKdcAsRequest, clock_.Now(),
+               msg.src.host, msg.payload.size());
+    kerb::Result<kerb::Bytes> reply = CountAndServe(tgs, msg, ctx, reply_cache_window, body);
+    if (reply.ok()) {
+      kobs::Emit(source_, kobs::Ev::kKdcIssue, clock_.Now(), tgs ? 1 : 0, reply.value().size());
+    } else {
+      kobs::Emit(source_, kobs::Ev::kKdcDeny, clock_.Now(), tgs ? 1 : 0,
+                 static_cast<uint64_t>(reply.error().code));
+    }
+    return reply;
+  }
 
   // db_.Lookup through the context's generation-checked key cache.
   kerb::Result<kcrypto::DesKey> CachedLookup(const Principal& principal, KdcContext& ctx) const;
-  // Serves a fresh duplicate from the context's reply cache, if enabled.
-  const kerb::Bytes* CachedReply(const ksim::Message& msg, KdcContext& ctx);
-  // Remembers a successful reply for retransmission, then returns it.
-  kerb::Bytes RememberReply(const ksim::Message& msg, const kerb::Bytes& reply, KdcContext& ctx);
 
-  ksim::HostClock clock_;
-  std::string realm_;
-  Principal tgs_principal_;
+  // The DH group for one PK-preauth AS request, which it counts as served;
+  // kUnsupported while PK preauth is off.
+  kerb::Result<const kcrypto::DhGroup*> PkGroup();
+
+  // Decodes a presented TGT sealed under `key` through the context's unseal
+  // memo; `unseal(key, sealed)` decodes on a miss. The same sealed TGT
+  // arrives on every request of a client's session, so the decoded ticket
+  // is reused (the caller still checks expiry against `now`). With
+  // `ring_fallback` — a TGT of this realm, sealed under the krbtgt key — a
+  // ticket that does not open under the current key is tried under each
+  // older, unexpired version of the krbtgt ring: a TGT sealed before a TGS
+  // key rotation keeps verifying until its natural expiry (the rotation
+  // drain window). Each candidate key gets its own memo slot, so entries
+  // cached under an old version keep hitting after the current version
+  // moves on.
+  template <typename Ticket, typename Unseal>
+  kerb::Result<const Ticket*> UnsealTgt(const kcrypto::DesKey& key, kerb::BytesView sealed,
+                                        bool ring_fallback, ksim::Time now, KdcContext& ctx,
+                                        Unseal&& unseal) const {
+    const Ticket* tgt = ctx.unseals.Get<Ticket>(key, sealed);
+    if (kobs::Enabled()) {
+      kobs::Emit(source_,
+                 tgt != nullptr ? kobs::Ev::kKdcUnsealMemoHit : kobs::Ev::kKdcUnsealMemoMiss,
+                 clock_.Now(), sealed.size());
+    }
+    if (tgt != nullptr) {
+      return tgt;
+    }
+    if (auto unsealed = unseal(key, sealed); unsealed.ok()) {
+      return ctx.unseals.Put(key, sealed, std::move(unsealed.value()));
+    }
+    PrincipalEntry tgs_entry;
+    if (ring_fallback && db_.store().LookupEntry(tgs_principal_, &tgs_entry)) {
+      for (size_t i = 1; i < tgs_entry.keys.size(); ++i) {
+        const KeyVersion& kv = tgs_entry.keys[i];
+        if (kv.not_after != 0 && now > kv.not_after) {
+          continue;
+        }
+        tgt = ctx.unseals.Get<Ticket>(kv.key, sealed);
+        if (tgt == nullptr) {
+          if (auto old_unsealed = unseal(kv.key, sealed); old_unsealed.ok()) {
+            tgt = ctx.unseals.Put(kv.key, sealed, std::move(old_unsealed.value()));
+          }
+        }
+        if (tgt != nullptr) {
+          if (kobs::Enabled()) {
+            kobs::Emit(source_, kobs::Ev::kKvnoOldKeyAccept, now, kv.kvno, i);
+          }
+          return tgt;
+        }
+      }
+    }
+    return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "ticket-granting ticket invalid");
+  }
+
+  const kobs::Source source_;
+  const ksim::HostClock clock_;
+  const std::string realm_;
+  const Principal tgs_principal_;
   KdcDatabase db_;
-  KdcOptions options_;
+
+ private:
+  template <typename Body>
+  kerb::Result<kerb::Bytes> CountAndServe(bool tgs, const ksim::Message& msg, KdcContext& ctx,
+                                          ksim::Duration reply_cache_window, Body& body) {
+    (tgs ? tgs_requests_ : as_requests_).fetch_add(1, std::memory_order_relaxed);
+    if (const kerb::Bytes* cached = CachedReply(msg, ctx, reply_cache_window)) {
+      return *cached;
+    }
+    kerb::Result<kerb::Bytes> reply = body();
+    if (reply.ok()) {
+      RememberReply(msg, reply.value(), ctx, reply_cache_window);
+    }
+    return reply;
+  }
+
+  // Serves a fresh duplicate from the context's reply cache, if enabled.
+  const kerb::Bytes* CachedReply(const ksim::Message& msg, KdcContext& ctx,
+                                 ksim::Duration window);
+  // Remembers a successful reply for retransmission, if enabled.
+  void RememberReply(const ksim::Message& msg, const kerb::Bytes& reply, KdcContext& ctx,
+                     ksim::Duration window);
+
   // DH group for PK preauth, engine pre-built; immutable while serving, so
   // worker threads share it without locks.
   std::optional<kcrypto::DhGroup> pk_group_;
@@ -316,6 +381,27 @@ class KdcCore4 {
   std::atomic<uint64_t> as_requests_{0};
   std::atomic<uint64_t> tgs_requests_{0};
   std::atomic<uint64_t> reply_cache_hits_{0};
+};
+
+class KdcCore4 : public KdcServeFrame {
+ public:
+  KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options);
+
+  kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
+  kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx);
+
+  const KdcOptions& options() const { return options_; }
+
+ private:
+  // Protocol checks and reply encoding, on a request HandleAs/HandleTgs has decoded.
+  kerb::Result<kerb::Bytes> ServeAs(const ksim::Message& msg, const AsRequest4& req,
+                                    KdcContext& ctx);
+  kerb::Result<kerb::Bytes> ServeAsPk(const ksim::Message& msg, const AsPkRequest4& req,
+                                      KdcContext& ctx);
+  kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, const TgsRequest4& req,
+                                     KdcContext& ctx);
+
+  KdcOptions options_;
 };
 
 }  // namespace krb4

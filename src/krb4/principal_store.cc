@@ -61,15 +61,20 @@ PrincipalStore& PrincipalStore::operator=(PrincipalStore&& other) noexcept {
   return *this;
 }
 
-PrincipalStore::Slot* PrincipalStore::FindSlot(std::vector<Slot>& slots, uint64_t hash,
-                                               const Principal& principal) {
+const PrincipalStore::Slot* PrincipalStore::FindSlot(const std::vector<Slot>& slots,
+                                                     uint64_t hash, const Principal& principal) {
   const size_t mask = slots.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    Slot& slot = slots[i];
+    const Slot& slot = slots[i];
     if (!slot.used || (slot.hash == hash && slot.principal == principal)) {
       return &slot;
     }
   }
+}
+
+PrincipalStore::Slot* PrincipalStore::FindSlot(std::vector<Slot>& slots, uint64_t hash,
+                                               const Principal& principal) {
+  return const_cast<Slot*>(FindSlot(std::as_const(slots), hash, principal));
 }
 
 void PrincipalStore::GrowLocked(Shard& shard) {
@@ -158,19 +163,14 @@ bool PrincipalStore::LookupEntry(const Principal& principal, PrincipalEntry* ent
   const uint64_t hash = Hash(principal);
   const Shard& shard = shards_[ShardIndex(hash)];
   std::shared_lock lock(shard.mu);
-  const size_t mask = shard.slots.size() - 1;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot& slot = shard.slots[i];
-    if (!slot.used) {
-      return false;
-    }
-    if (slot.hash == hash && slot.principal == principal) {
-      if (entry_out != nullptr) {
-        *entry_out = slot.entry;
-      }
-      return true;
-    }
+  const Slot* slot = FindSlot(shard.slots, hash, principal);
+  if (!slot->used) {
+    return false;
   }
+  if (entry_out != nullptr) {
+    *entry_out = slot->entry;
+  }
+  return true;
 }
 
 bool PrincipalStore::Erase(const Principal& principal) {
@@ -178,17 +178,12 @@ bool PrincipalStore::Erase(const Principal& principal) {
   Shard& shard = shards_[ShardIndex(hash)];
   {
     std::unique_lock lock(shard.mu);
-    const size_t mask = shard.slots.size() - 1;
-    size_t hole = hash & mask;
-    for (;; hole = (hole + 1) & mask) {
-      Slot& slot = shard.slots[hole];
-      if (!slot.used) {
-        return false;
-      }
-      if (slot.hash == hash && slot.principal == principal) {
-        break;
-      }
+    const Slot* found = FindSlot(shard.slots, hash, principal);
+    if (!found->used) {
+      return false;
     }
+    const size_t mask = shard.slots.size() - 1;
+    size_t hole = static_cast<size_t>(found - shard.slots.data());
     // Backward-shift deletion: walk the rest of the probe cluster and pull
     // each entry back into the hole when its home position permits —
     // i.e. when the hole lies on the entry's probe path (home ... j). This
@@ -217,59 +212,17 @@ bool PrincipalStore::Lookup(const Principal& principal, kcrypto::DesKey* key_out
   const uint64_t hash = Hash(principal);
   const Shard& shard = shards_[ShardIndex(hash)];
   std::shared_lock lock(shard.mu);
-  const size_t mask = shard.slots.size() - 1;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot& slot = shard.slots[i];
-    if (!slot.used) {
-      return false;
-    }
-    if (slot.hash == hash && slot.principal == principal) {
-      if (key_out != nullptr) {
-        *key_out = slot.entry.keys.front().key;
-      }
-      if (kind_out != nullptr) {
-        *kind_out = slot.entry.kind;
-      }
-      return true;
-    }
+  const Slot* slot = FindSlot(shard.slots, hash, principal);
+  if (!slot->used) {
+    return false;
   }
-}
-
-void PrincipalStore::LookupMany(LookupRequest* requests, size_t n) const {
-  // Group by shard: each shard's lock is acquired once and every request
-  // that hashes to it resolves under that single acquisition. Batches are
-  // small (a dispatch's worth), so the per-shard scan over the batch is
-  // cheaper than sorting.
-  for (size_t s = 0; s < kShardCount; ++s) {
-    bool any = false;
-    for (size_t i = 0; i < n && !any; ++i) {
-      any = ShardIndex(requests[i].hash) == s;
-    }
-    if (!any) {
-      continue;
-    }
-    const Shard& shard = shards_[s];
-    std::shared_lock lock(shard.mu);
-    const size_t mask = shard.slots.size() - 1;
-    for (size_t i = 0; i < n; ++i) {
-      LookupRequest& req = requests[i];
-      if (ShardIndex(req.hash) != s) {
-        continue;
-      }
-      req.found = false;
-      for (size_t p = req.hash & mask;; p = (p + 1) & mask) {
-        const Slot& slot = shard.slots[p];
-        if (!slot.used) {
-          break;
-        }
-        if (slot.hash == req.hash && slot.principal == *req.principal) {
-          req.key = slot.entry.keys.front().key;
-          req.found = true;
-          break;
-        }
-      }
-    }
+  if (key_out != nullptr) {
+    *key_out = slot->entry.keys.front().key;
   }
+  if (kind_out != nullptr) {
+    *kind_out = slot->entry.kind;
+  }
+  return true;
 }
 
 std::vector<Principal> PrincipalStore::Principals() const {

@@ -102,21 +102,6 @@ class PrincipalStore {
   bool Lookup(const Principal& principal, kcrypto::DesKey* key_out,
               PrincipalKind* kind_out = nullptr) const;
 
-  // One element of a LookupMany batch. `principal` and `hash` are inputs
-  // (hash must be Hash(*principal)); `key` and `found` are outputs.
-  struct LookupRequest {
-    const Principal* principal = nullptr;
-    uint64_t hash = 0;
-    kcrypto::DesKey key;
-    bool found = false;
-  };
-
-  // Resolves a whole batch of lookups, grouping them by shard so each
-  // shard's reader lock is taken at most once per call instead of once per
-  // principal — the lock-amortization path the batched KDC dispatch uses.
-  // Results are identical to calling Lookup() per element. Thread-safe.
-  void LookupMany(LookupRequest* requests, size_t n) const;
-
   bool Contains(const Principal& principal) const { return Lookup(principal, nullptr); }
 
   // Pre-sizes every shard for `expected_entries` total entries so the load
@@ -189,7 +174,13 @@ class PrincipalStore {
   static constexpr size_t kInitialSlots = 16;
 
   static size_t ShardIndex(uint64_t hash) { return (hash >> 60) & (kShardCount - 1); }
-  static Slot* FindSlot(std::vector<Slot>& slots, uint64_t hash, const Principal& principal);
+  // The slot holding `principal`, or the empty slot that ends its probe
+  // sequence when it is absent (check `used`). Every probe goes through
+  // here; inline so the lookup paths keep the probe loop in their body.
+  static inline Slot* FindSlot(std::vector<Slot>& slots, uint64_t hash,
+                               const Principal& principal);
+  static inline const Slot* FindSlot(const std::vector<Slot>& slots, uint64_t hash,
+                                     const Principal& principal);
   static void GrowLocked(Shard& shard);
 
   std::unique_ptr<Shard[]> shards_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 #include <utility>
 
 #include "src/encoding/io.h"
@@ -33,14 +32,29 @@ void SealMessageInto(const kcrypto::DesKey& key, const Msg& msg, const EncLayerC
   SealEncodedInto(key, plain_scratch, config, prng, out);
 }
 
+// The tail every TGS issue branch shares: `ticket` sealed under
+// `ticket_key`, its reply part under the TGT's session key, and the two
+// encoded as the reply.
+kerb::Bytes& SealTgsReplyInto(const kcrypto::DesKey& ticket_key, const Ticket5& ticket,
+                              const kcrypto::DesKey& tgs_session, uint64_t nonce,
+                              const EncLayerConfig& config, KdcContext& ctx) {
+  EncTgsRepPart5 part;
+  part.session_key = ticket.session_key;
+  part.nonce = nonce;
+  part.issued_at = ticket.issued_at;
+  part.lifetime = ticket.lifetime;
+  SealMessageInto(ticket_key, ticket, config, ctx.prng, ctx.scratch.ticket_plain,
+                  ctx.scratch.ticket_sealed);
+  SealMessageInto(tgs_session, part, config, ctx.prng, ctx.scratch.body_plain,
+                  ctx.scratch.body_sealed);
+  return EncodeReplyInto(kMsgTgsRep, ctx.scratch.ticket_sealed, ctx.scratch.body_sealed,
+                         ctx.scratch);
+}
+
 }  // namespace
 
 KdcCore5::KdcCore5(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcPolicy5 policy)
-    : clock_(clock),
-      realm_(std::move(realm)),
-      tgs_principal_(krb4::TgsPrincipal(realm_)),
-      db_(std::move(db)),
-      policy_(policy) {}
+    : KdcServeFrame(kobs::kSrcKdc5, clock, std::move(realm), std::move(db)), policy_(policy) {}
 
 void KdcCore5::AddInterRealmKey(const std::string& other_realm, const kcrypto::DesKey& key) {
   interrealm_keys_.insert_or_assign(other_realm, key);
@@ -58,103 +72,57 @@ std::string KdcCore5::RouteToward(const std::string& target) const {
   return it != realm_routes_.end() ? it->second : std::string();
 }
 
-kerb::Result<kcrypto::DesKey> KdcCore5::CachedLookup(const krb4::Principal& principal,
-                                                     KdcContext& ctx) const {
-  const uint64_t hash = krb4::PrincipalStore::Hash(principal);
-  const uint64_t generation = db_.generation();
-  kcrypto::DesKey key;
-  if (ctx.keys.Get(generation, hash, principal, &key)) {
-    if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc5, kobs::Ev::kKdcKeyCacheHit, clock_.Now(), hash);
-    }
-    return key;
+kerb::Status KdcCore5::AdmitAs(uint32_t host, ksim::Time now) {
+  if (policy_.as_rate_limit_per_minute == 0) {
+    return kerb::Status::Ok();
   }
-  if (kobs::Enabled()) {
-    kobs::Emit(kobs::kSrcKdc5, kobs::Ev::kKdcKeyCacheMiss, clock_.Now(), hash);
+  std::lock_guard lock(rate_mu_);
+  auto& times = as_request_times_[host];
+  std::erase_if(times, [&](ksim::Time t) { return t < now - ksim::kMinute; });
+  if (times.size() >= policy_.as_rate_limit_per_minute) {
+    as_rate_limited_.fetch_add(1, std::memory_order_relaxed);
+    return kerb::MakeError(kerb::ErrorCode::kRateLimited, "AS request rate exceeded");
   }
-  auto looked_up = db_.Lookup(principal);
-  if (looked_up.ok()) {
-    ctx.keys.Put(generation, hash, principal, looked_up.value());
-  }
-  return looked_up;
-}
-
-const kerb::Bytes* KdcCore5::CachedReply(const ksim::Message& msg, KdcContext& ctx) {
-  if (policy_.reply_cache_window <= 0) {
-    return nullptr;
-  }
-  const kerb::Bytes* cached =
-      ctx.replies.Get(msg.src, msg.payload, clock_.Now(), policy_.reply_cache_window);
-  if (cached != nullptr) {
-    reply_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc5, kobs::Ev::kKdcReplyCacheHit, clock_.Now(), msg.src.host,
-                 cached->size());
-    }
-  }
-  return cached;
-}
-
-kerb::Bytes KdcCore5::RememberReply(const ksim::Message& msg, const kerb::Bytes& reply,
-                                    KdcContext& ctx) {
-  if (policy_.reply_cache_window > 0) {
-    ctx.replies.Put(msg.src, msg.payload, reply, clock_.Now());
-    if (kobs::Enabled()) {
-      kobs::Emit(kobs::kSrcKdc5, kobs::Ev::kKdcReplyCacheStore, clock_.Now(), msg.src.host,
-                 reply.size());
-    }
-  }
-  return reply;
+  times.push_back(now);
+  return kerb::Status::Ok();
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::HandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  return kobs::Enabled() ? TracedHandle(false, msg, ctx) : DoHandleAs(msg, ctx);
+  return Serve(false, msg, ctx, policy_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
+    auto tlv = kenc::TlvMessage::Decode(msg.payload);
+    if (!tlv.ok()) {
+      return tlv.error();
+    }
+    if (tlv.value().type() == kMsgAsPkReq) {
+      auto pk_req = AsPkRequest5::FromTlv(tlv.value());
+      if (!pk_req.ok()) {
+        return pk_req.error();
+      }
+      return ServeAsPk(msg, pk_req.value(), ctx);
+    }
+    if (tlv.value().type() != kMsgAsReq) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "message type mismatch");
+    }
+    auto req = AsRequest5::FromTlv(tlv.value());
+    if (!req.ok()) {
+      return req.error();
+    }
+    return ServeAs(msg, req.value(), ctx);
+  });
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  return kobs::Enabled() ? TracedHandle(true, msg, ctx) : DoHandleTgs(msg, ctx);
-}
-
-kerb::Result<kerb::Bytes> KdcCore5::TracedHandle(bool tgs, const ksim::Message& msg,
-                                                 KdcContext& ctx) {
-  const uint64_t exchange = tgs ? 1 : 0;
-  kobs::Emit(kobs::kSrcKdc5, tgs ? kobs::Ev::kKdcTgsRequest : kobs::Ev::kKdcAsRequest,
-             clock_.Now(), msg.src.host, msg.payload.size());
-  kerb::Result<kerb::Bytes> reply = tgs ? DoHandleTgs(msg, ctx) : DoHandleAs(msg, ctx);
-  if (reply.ok()) {
-    kobs::Emit(kobs::kSrcKdc5, kobs::Ev::kKdcIssue, clock_.Now(), exchange,
-               reply.value().size());
-  } else {
-    kobs::Emit(kobs::kSrcKdc5, kobs::Ev::kKdcDeny, clock_.Now(), exchange,
-               static_cast<uint64_t>(reply.error().code));
-  }
-  return reply;
-}
-
-kerb::Result<kerb::Bytes> KdcCore5::DoHandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  as_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (const kerb::Bytes* cached = CachedReply(msg, ctx)) {
-    return *cached;
-  }
-  auto tlv = kenc::TlvMessage::Decode(msg.payload);
-  if (!tlv.ok()) {
-    return tlv.error();
-  }
-  if (tlv.value().type() == kMsgAsPkReq) {
-    auto pk_req = AsPkRequest5::FromTlv(tlv.value());
-    if (!pk_req.ok()) {
-      return pk_req.error();
+  return Serve(true, msg, ctx, policy_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
+    auto tlv = kenc::TlvMessage::DecodeExpecting(kMsgTgsReq, msg.payload);
+    if (!tlv.ok()) {
+      return tlv.error();
     }
-    return ServeAsPk(msg, pk_req.value(), ctx);
-  }
-  if (tlv.value().type() != kMsgAsReq) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "message type mismatch");
-  }
-  auto req = AsRequest5::FromTlv(tlv.value());
-  if (!req.ok()) {
-    return req.error();
-  }
-  return ServeAs(msg, req.value(), ctx);
+    auto req = TgsRequest5::FromTlv(tlv.value());
+    if (!req.ok()) {
+      return req.error();
+    }
+    return ServeTgs(msg, req.value(), ctx);
+  });
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRequest5& req,
@@ -163,15 +131,8 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRe
 
   // Rate limiting (the paper: "an enhancement to the server, to limit the
   // rate of requests from a single source, may be useful").
-  if (policy_.as_rate_limit_per_minute > 0) {
-    std::lock_guard lock(rate_mu_);
-    auto& times = as_request_times_[msg.src.host];
-    std::erase_if(times, [&](ksim::Time t) { return t < now - ksim::kMinute; });
-    if (times.size() >= policy_.as_rate_limit_per_minute) {
-      as_rate_limited_.fetch_add(1, std::memory_order_relaxed);
-      return kerb::MakeError(kerb::ErrorCode::kRateLimited, "AS request rate exceeded");
-    }
-    times.push_back(now);
+  if (auto admitted = AdmitAs(msg.src.host, now); !admitted.ok()) {
+    return admitted.error();
   }
 
   auto client_key = CachedLookup(req.client, ctx);
@@ -231,39 +192,25 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRe
                   ctx.scratch.ticket_sealed);
   SealMessageInto(client_key.value(), part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
                   ctx.scratch.body_sealed);
-  return RememberReply(msg,
-                       EncodeReplyInto(kMsgAsRep, ctx.scratch.ticket_sealed,
-                                       ctx.scratch.body_sealed, ctx.scratch),
-                       ctx);
-}
-
-void KdcCore5::EnablePkPreauth(kcrypto::DhGroup group) {
-  kcrypto::EnsureEngine(group);
-  pk_group_ = std::move(group);
+  return EncodeReplyInto(kMsgAsRep, ctx.scratch.ticket_sealed, ctx.scratch.body_sealed,
+                         ctx.scratch);
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::ServeAsPk(const ksim::Message& msg, const AsPkRequest5& req,
                                               KdcContext& ctx) {
-  if (!pk_group_.has_value()) {
-    return kerb::MakeError(kerb::ErrorCode::kUnsupported, "PK preauth not enabled");
+  auto pk_group = PkGroup();
+  if (!pk_group.ok()) {
+    return pk_group.error();
   }
-  pk_as_requests_.fetch_add(1, std::memory_order_relaxed);
   ksim::Time now = clock_.Now();
 
   // PK requests share the AS rate-limit budget: they are still unsolicited
   // work, and heavier per request than the password path.
-  if (policy_.as_rate_limit_per_minute > 0) {
-    std::lock_guard lock(rate_mu_);
-    auto& times = as_request_times_[msg.src.host];
-    std::erase_if(times, [&](ksim::Time t) { return t < now - ksim::kMinute; });
-    if (times.size() >= policy_.as_rate_limit_per_minute) {
-      as_rate_limited_.fetch_add(1, std::memory_order_relaxed);
-      return kerb::MakeError(kerb::ErrorCode::kRateLimited, "AS request rate exceeded");
-    }
-    times.push_back(now);
+  if (auto admitted = AdmitAs(msg.src.host, now); !admitted.ok()) {
+    return admitted.error();
   }
 
-  const kcrypto::DhGroup& group = *pk_group_;
+  const kcrypto::DhGroup& group = *pk_group.value();
   kcrypto::BigInt client_pub = kcrypto::BigInt::FromBytes(req.client_pub);
   // Fail closed on degenerate publics before any exponent touches them.
   if (auto valid = kcrypto::ValidateDhPublic(group, client_pub); !valid.ok()) {
@@ -351,83 +298,44 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAsPk(const ksim::Message& msg, const As
   reply.AddBytes(tag::kPkPublic, server_pair.public_key.ToBytes());
   reply.AddBytes(tag::kTicketBlob, ctx.scratch.ticket_sealed);
   reply.AddBytes(tag::kSealedPart, ctx.scratch.pk_outer);
-  return RememberReply(msg, ctx.scratch.reply, ctx);
-}
-
-kerb::Result<kerb::Bytes> KdcCore5::DoHandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  tgs_requests_.fetch_add(1, std::memory_order_relaxed);
-  if (const kerb::Bytes* cached = CachedReply(msg, ctx)) {
-    return *cached;
-  }
-  auto tlv = kenc::TlvMessage::DecodeExpecting(kMsgTgsReq, msg.payload);
-  if (!tlv.ok()) {
-    return tlv.error();
-  }
-  auto decoded = TgsRequest5::FromTlv(tlv.value());
-  if (!decoded.ok()) {
-    return decoded.error();
-  }
-  return ServeTgs(msg, decoded.value(), ctx);
+  return ctx.scratch.reply;
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const TgsRequest5& req,
                                              KdcContext& ctx) {
   ksim::Time now = clock_.Now();
 
-  // Which key seals the presented TGT?
-  kcrypto::DesKey tgt_key = [&]() -> kcrypto::DesKey {
-    if (req.tgt_realm == realm_) {
-      auto k = CachedLookup(tgs_principal_, ctx);
-      return k.ok() ? k.value() : kcrypto::DesKey();
+  // Which key seals the presented TGT? A TGT of this realm is sealed under
+  // the krbtgt key; one from a neighbour under the key shared with it. A
+  // realm we share no key with has no TGT we could verify: refuse it here,
+  // never fall back to a default key anyone can seal under.
+  kcrypto::DesKey tgt_key;
+  const bool local_tgt = req.tgt_realm == realm_;
+  if (local_tgt) {
+    auto krbtgt_key = CachedLookup(tgs_principal_, ctx);
+    if (!krbtgt_key.ok()) {
+      return krbtgt_key.error();
     }
+    tgt_key = krbtgt_key.value();
+  } else {
     auto it = interrealm_keys_.find(req.tgt_realm);
-    return it != interrealm_keys_.end() ? it->second : kcrypto::DesKey();
-  }();
-
-  // The same sealed TGT arrives on every request of a client's session, so
-  // the decoded ticket is memoised per context (expiry is still checked
-  // against `now` on every request, below).
-  constexpr uint32_t kMemoTgt5 = 0x7467'3505;
-  const Ticket5* tgt = ctx.unseals.Get<Ticket5>(kMemoTgt5, tgt_key, req.sealed_tgt);
-  if (kobs::Enabled()) {
-    kobs::Emit(kobs::kSrcKdc5,
-               tgt != nullptr ? kobs::Ev::kKdcUnsealMemoHit : kobs::Ev::kKdcUnsealMemoMiss,
-               clock_.Now(), req.sealed_tgt.size());
-  }
-  if (tgt == nullptr) {
-    auto unsealed = Ticket5::Unseal(tgt_key, req.sealed_tgt, policy_.enc);
-    if (unsealed.ok()) {
-      tgt = ctx.unseals.Put(kMemoTgt5, tgt_key, req.sealed_tgt, std::move(unsealed.value()));
-    } else if (req.tgt_realm == realm_) {
-      // kvno fallback (same-realm only — interrealm keys are pairwise
-      // config, not database entries): a TGT sealed before a TGS key
-      // rotation keeps verifying under retained older ring versions until
-      // its natural expiry. Each candidate key gets its own memo slot.
-      krb4::PrincipalEntry tgs_entry;
-      if (db_.store().LookupEntry(tgs_principal_, &tgs_entry)) {
-        for (size_t i = 1; i < tgs_entry.keys.size() && tgt == nullptr; ++i) {
-          const krb4::KeyVersion& kv = tgs_entry.keys[i];
-          if (kv.not_after != 0 && now > kv.not_after) {
-            continue;
-          }
-          tgt = ctx.unseals.Get<Ticket5>(kMemoTgt5, kv.key, req.sealed_tgt);
-          if (tgt == nullptr) {
-            auto old_unsealed = Ticket5::Unseal(kv.key, req.sealed_tgt, policy_.enc);
-            if (old_unsealed.ok()) {
-              tgt = ctx.unseals.Put(kMemoTgt5, kv.key, req.sealed_tgt,
-                                    std::move(old_unsealed.value()));
-            }
-          }
-          if (tgt != nullptr && kobs::Enabled()) {
-            kobs::Emit(kobs::kSrcKdc5, kobs::Ev::kKvnoOldKeyAccept, now, kv.kvno, i);
-          }
-        }
-      }
-    }
-    if (tgt == nullptr) {
+    if (it == interrealm_keys_.end()) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "ticket-granting ticket invalid");
     }
+    tgt_key = it->second;
   }
+
+  // The kvno-ring fallback is same-realm only: inter-realm keys are
+  // pairwise config, not database entries.
+  auto unsealed_tgt = UnsealTgt<Ticket5>(
+      tgt_key, req.sealed_tgt, /*ring_fallback=*/local_tgt, now, ctx,
+      [this](const kcrypto::DesKey& key, kerb::BytesView sealed) {
+        return Ticket5::Unseal(key, sealed, policy_.enc);
+      });
+  if (!unsealed_tgt.ok()) {
+    return unsealed_tgt.error();
+  }
+  const Ticket5* tgt = unsealed_tgt.value();
   if ((*tgt).Expired(now)) {
     return kerb::MakeError(kerb::ErrorCode::kExpired, "ticket-granting ticket expired");
   }
@@ -497,21 +405,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
     } else {
       forwarded.client_addr = msg.src.host;
     }
-
-    EncTgsRepPart5 part;
-    part.session_key = new_session.bytes();
-    part.nonce = req.nonce;
-    part.issued_at = now;
-    part.lifetime = lifetime;
-
-    SealMessageInto(tgt_key, forwarded, policy_.enc, ctx.prng, ctx.scratch.ticket_plain,
-                    ctx.scratch.ticket_sealed);
-    SealMessageInto(tgs_session, part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
-                    ctx.scratch.body_sealed);
-    return RememberReply(msg,
-                         EncodeReplyInto(kMsgTgsRep, ctx.scratch.ticket_sealed,
-                                         ctx.scratch.body_sealed, ctx.scratch),
-                         ctx);
+    return SealTgsReplyInto(tgt_key, forwarded, tgs_session, req.nonce, policy_.enc, ctx);
   }
 
   // Cross-realm: route toward the service's realm.
@@ -533,21 +427,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
     hop_tgt.lifetime = lifetime;
     hop_tgt.session_key = session_key.bytes();
     hop_tgt.transited = transited;  // path so far; next hop appends us
-
-    EncTgsRepPart5 part;
-    part.session_key = session_key.bytes();
-    part.nonce = req.nonce;
-    part.issued_at = now;
-    part.lifetime = lifetime;
-
-    SealMessageInto(hop_key, hop_tgt, policy_.enc, ctx.prng, ctx.scratch.ticket_plain,
-                    ctx.scratch.ticket_sealed);
-    SealMessageInto(tgs_session, part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
-                    ctx.scratch.body_sealed);
-    return RememberReply(msg,
-                         EncodeReplyInto(kMsgTgsRep, ctx.scratch.ticket_sealed,
-                                         ctx.scratch.body_sealed, ctx.scratch),
-                         ctx);
+    return SealTgsReplyInto(hop_key, hop_tgt, tgs_session, req.nonce, policy_.enc, ctx);
   }
 
   // Which key will seal the new ticket, and which session key goes inside?
@@ -632,169 +512,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
   ticket.lifetime = lifetime;
   ticket.session_key = session_key.bytes();
   ticket.transited = transited;
-
-  EncTgsRepPart5 part;
-  part.session_key = session_key.bytes();
-  part.nonce = req.nonce;
-  part.issued_at = now;
-  part.lifetime = lifetime;
-
-  SealMessageInto(sealing_key, ticket, policy_.enc, ctx.prng, ctx.scratch.ticket_plain,
-                  ctx.scratch.ticket_sealed);
-  SealMessageInto(tgs_session, part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
-                  ctx.scratch.body_sealed);
-  return RememberReply(msg,
-                       EncodeReplyInto(kMsgTgsRep, ctx.scratch.ticket_sealed,
-                                       ctx.scratch.body_sealed, ctx.scratch),
-                       ctx);
-}
-
-void KdcCore5::WarmKeyCache(const std::vector<const krb4::Principal*>& principals,
-                            KdcContext& ctx) const {
-  const uint64_t generation = db_.generation();
-  std::vector<krb4::PrincipalStore::LookupRequest> misses;
-  misses.reserve(principals.size());
-  kcrypto::DesKey cached;
-  for (const krb4::Principal* p : principals) {
-    const uint64_t hash = krb4::PrincipalStore::Hash(*p);
-    if (ctx.keys.Get(generation, hash, *p, &cached)) {
-      continue;  // already warm from an earlier batch
-    }
-    bool queued = false;
-    for (const auto& m : misses) {
-      if (m.hash == hash && *m.principal == *p) {
-        queued = true;
-        break;
-      }
-    }
-    if (!queued) {
-      krb4::PrincipalStore::LookupRequest req;
-      req.principal = p;
-      req.hash = hash;
-      misses.push_back(req);
-    }
-  }
-  if (misses.empty()) {
-    return;
-  }
-  db_.store().LookupMany(misses.data(), misses.size());
-  for (const auto& m : misses) {
-    if (m.found) {
-      ctx.keys.Put(generation, m.hash, *m.principal, m.key);
-    }
-  }
-}
-
-void KdcCore5::HandleAsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                             std::vector<kerb::Result<kerb::Bytes>>& replies) {
-  replies.reserve(replies.size() + n);
-  if (kobs::Enabled()) {
-    // Sequential fallback keeps the per-request trace event order intact.
-    for (size_t i = 0; i < n; ++i) {
-      replies.push_back(HandleAs(msgs[i], ctx));
-    }
-    return;
-  }
-  // Phase 1: decode every request (pure — no reply bytes depend on when the
-  // decode runs). The decode mirrors DoHandleAs exactly — PK-preauth frames
-  // ride in a parallel slot — so batched and sequential serving reach the
-  // same verdict for every input.
-  std::vector<kerb::Result<AsRequest5>> decoded;
-  std::vector<std::optional<kerb::Result<AsPkRequest5>>> pk;
-  decoded.reserve(n);
-  pk.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto tlv = kenc::TlvMessage::Decode(msgs[i].payload);
-    if (!tlv.ok()) {
-      decoded.push_back(tlv.error());
-      continue;
-    }
-    if (tlv.value().type() == kMsgAsPkReq) {
-      pk[i] = AsPkRequest5::FromTlv(tlv.value());
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "pk slot"));
-      continue;
-    }
-    if (tlv.value().type() != kMsgAsReq) {
-      decoded.push_back(kerb::MakeError(kerb::ErrorCode::kBadFormat, "message type mismatch"));
-      continue;
-    }
-    decoded.push_back(AsRequest5::FromTlv(tlv.value()));
-  }
-  // Phase 2: resolve the batch's principal keys with at most one shard-lock
-  // acquisition per shard.
-  std::vector<const krb4::Principal*> wanted;
-  wanted.reserve(n + 1);
-  wanted.push_back(&tgs_principal_);
-  for (size_t i = 0; i < n; ++i) {
-    if (pk[i].has_value()) {
-      if (pk[i]->ok()) {
-        wanted.push_back(&pk[i]->value().client);
-      }
-    } else if (decoded[i].ok()) {
-      wanted.push_back(&decoded[i].value().client);
-    }
-  }
-  WarmKeyCache(wanted, ctx);
-  // Phase 3: serve strictly in request order — the PRNG stream, the reply
-  // cache and the rate limiter observe the exact one-at-a-time history.
-  for (size_t i = 0; i < n; ++i) {
-    as_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (const kerb::Bytes* cached = CachedReply(msgs[i], ctx)) {
-      replies.push_back(*cached);
-    } else if (pk[i].has_value()) {
-      replies.push_back(pk[i]->ok() ? ServeAsPk(msgs[i], pk[i]->value(), ctx)
-                                    : kerb::Result<kerb::Bytes>(pk[i]->error()));
-    } else if (!decoded[i].ok()) {
-      replies.push_back(decoded[i].error());
-    } else {
-      replies.push_back(ServeAs(msgs[i], decoded[i].value(), ctx));
-    }
-  }
-}
-
-void KdcCore5::HandleTgsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                              std::vector<kerb::Result<kerb::Bytes>>& replies) {
-  replies.reserve(replies.size() + n);
-  if (kobs::Enabled()) {
-    for (size_t i = 0; i < n; ++i) {
-      replies.push_back(HandleTgs(msgs[i], ctx));
-    }
-    return;
-  }
-  std::vector<kerb::Result<TgsRequest5>> decoded;
-  decoded.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto tlv = kenc::TlvMessage::DecodeExpecting(kMsgTgsReq, msgs[i].payload);
-    if (!tlv.ok()) {
-      decoded.push_back(tlv.error());
-      continue;
-    }
-    decoded.push_back(TgsRequest5::FromTlv(tlv.value()));
-  }
-  // The TGS path may need the service's key, the TGS's own key, and (for
-  // REUSE-SKEY) the donor ticket's service key; warm all of them.
-  std::vector<const krb4::Principal*> wanted;
-  wanted.reserve(2 * n + 1);
-  wanted.push_back(&tgs_principal_);
-  for (const auto& d : decoded) {
-    if (d.ok()) {
-      wanted.push_back(&d.value().service);
-      if (d.value().additional_ticket_service.has_value()) {
-        wanted.push_back(&*d.value().additional_ticket_service);
-      }
-    }
-  }
-  WarmKeyCache(wanted, ctx);
-  for (size_t i = 0; i < n; ++i) {
-    tgs_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (const kerb::Bytes* cached = CachedReply(msgs[i], ctx)) {
-      replies.push_back(*cached);
-    } else if (!decoded[i].ok()) {
-      replies.push_back(decoded[i].error());
-    } else {
-      replies.push_back(ServeTgs(msgs[i], decoded[i].value(), ctx));
-    }
-  }
+  return SealTgsReplyInto(sealing_key, ticket, tgs_session, req.nonce, policy_.enc, ctx);
 }
 
 }  // namespace krb5

@@ -1,6 +1,7 @@
 // Thread-safe Version 5 Draft 3 KDC serving core.
 //
-// Same split as src/krb4/kdccore.h: the Kdc5 wrapper drives this core with
+// Same split as src/krb4/kdccore.h, on the same serve frame
+// (krb4::KdcServeFrame): the Kdc5 wrapper drives this core with
 // one KdcContext on the simulation thread (byte-identical replies, pinned
 // by tests/integration/kdc_capture_test.cc); the parallel bench harness
 // drives it with a KERB_KDC_THREADS pool of contexts.
@@ -21,11 +22,9 @@
 #include <atomic>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/crypto/dh.h"
 #include "src/krb4/database.h"
 #include "src/krb4/kdccore.h"
 #include "src/krb5/messages.h"
@@ -65,64 +64,26 @@ struct KdcPolicy5 {
   // supported alternative is registering separate instances with truly
   // random keys (the keystore supplies them).
   bool allow_tickets_for_user_principals = true;
-  // Route the Bind handlers through HandleAsBatch/HandleTgsBatch (with
-  // single-request batches) instead of HandleAs/HandleTgs, so the sim's
-  // one-at-a-time delivery exercises the batched dispatch path. Verdicts
-  // are pinned identical to sequential serving by the chaos tests.
-  bool serve_batched = false;
 };
 
-class KdcCore5 {
+class KdcCore5 : public krb4::KdcServeFrame {
  public:
   KdcCore5(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcPolicy5 policy);
 
   kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
   kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx);
 
-  // Batched dispatch, same contract as KdcCore4::HandleAsBatch: decode the
-  // whole batch, resolve its principal keys through one LookupMany pass,
-  // then serve strictly in request order. Replies are appended to
-  // `replies`, byte-identical to the one-at-a-time handlers (pinned by
-  // tests/integration/kdc_batch_test.cc). Falls back to the sequential
-  // handlers while tracing is enabled.
-  void HandleAsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                     std::vector<kerb::Result<kerb::Bytes>>& replies);
-  void HandleTgsBatch(const ksim::Message* msgs, size_t n, KdcContext& ctx,
-                      std::vector<kerb::Result<kerb::Bytes>>& replies);
-
-  // Enables the public-key preauthenticated AS variant (kMsgAsPkReq) over
-  // `group`. Builds the group's cached modexp engine — Montgomery context
-  // plus fixed-base g^x comb table — up front; call before serving, the
-  // group is read-only once requests flow.
-  void EnablePkPreauth(kcrypto::DhGroup group);
-  bool pk_preauth_enabled() const { return pk_group_.has_value(); }
-
-  const std::string& realm() const { return realm_; }
-  KdcDatabase& database() { return db_; }
   KdcPolicy5& policy() { return policy_; }
 
   void AddInterRealmKey(const std::string& other_realm, const kcrypto::DesKey& key);
   void AddRealmRoute(const std::string& target_realm, const std::string& via_neighbor);
 
-  uint64_t as_requests_served() const { return as_requests_.load(std::memory_order_relaxed); }
-  uint64_t pk_as_requests_served() const {
-    return pk_as_requests_.load(std::memory_order_relaxed);
-  }
   uint64_t as_requests_rate_limited() const {
     return as_rate_limited_.load(std::memory_order_relaxed);
   }
-  uint64_t tgs_requests_served() const { return tgs_requests_.load(std::memory_order_relaxed); }
-  uint64_t reply_cache_hits() const { return reply_cache_hits_.load(std::memory_order_relaxed); }
 
  private:
-  // The protocol logic, unchanged; the public handlers wrap it in request
-  // and issue/deny trace events when a kobs::Trace is installed.
-  kerb::Result<kerb::Bytes> DoHandleAs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> DoHandleTgs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> TracedHandle(bool tgs, const ksim::Message& msg, KdcContext& ctx);
-
-  // Everything after the decode — shared by the one-at-a-time handlers and
-  // the serve phase of the batch path.
+  // Protocol checks and reply encoding, on a request HandleAs/HandleTgs has decoded.
   kerb::Result<kerb::Bytes> ServeAs(const ksim::Message& msg, const AsRequest5& req,
                                     KdcContext& ctx);
   kerb::Result<kerb::Bytes> ServeAsPk(const ksim::Message& msg, const AsPkRequest5& req,
@@ -130,30 +91,13 @@ class KdcCore5 {
   kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, const TgsRequest5& req,
                                      KdcContext& ctx);
 
-  // Pre-resolves the batch's principals into the context's key cache via
-  // PrincipalStore::LookupMany. Purely a cache warm: serve-phase lookups
-  // observe identical keys either way.
-  void WarmKeyCache(const std::vector<const krb4::Principal*>& principals,
-                    KdcContext& ctx) const;
-
-  kerb::Result<kcrypto::DesKey> CachedLookup(const krb4::Principal& principal,
-                                             KdcContext& ctx) const;
-  // Serves a fresh duplicate from the context's reply cache, if enabled.
-  const kerb::Bytes* CachedReply(const ksim::Message& msg, KdcContext& ctx);
-  // Remembers a successful reply for retransmission, then returns it.
-  kerb::Bytes RememberReply(const ksim::Message& msg, const kerb::Bytes& reply, KdcContext& ctx);
+  // The per-source AS rate limit, shared by the password and PK paths.
+  kerb::Status AdmitAs(uint32_t host, ksim::Time now);
 
   // Which neighbor realm leads toward `target`; empty if unknown.
   std::string RouteToward(const std::string& target) const;
 
-  ksim::HostClock clock_;
-  std::string realm_;
-  krb4::Principal tgs_principal_;
-  KdcDatabase db_;
   KdcPolicy5 policy_;
-  // DH group for PK preauth, engine pre-built; immutable while serving, so
-  // worker threads share it without locks.
-  std::optional<kcrypto::DhGroup> pk_group_;
 
   std::map<std::string, kcrypto::DesKey> interrealm_keys_;
   std::map<std::string, std::string> realm_routes_;
@@ -161,12 +105,7 @@ class KdcCore5 {
   // Sliding-window rate limiter state per source host.
   std::mutex rate_mu_;
   std::map<uint32_t, std::vector<ksim::Time>> as_request_times_;
-
-  std::atomic<uint64_t> as_requests_{0};
-  std::atomic<uint64_t> pk_as_requests_{0};
   std::atomic<uint64_t> as_rate_limited_{0};
-  std::atomic<uint64_t> tgs_requests_{0};
-  std::atomic<uint64_t> reply_cache_hits_{0};
 };
 
 }  // namespace krb5

@@ -145,22 +145,5 @@ TEST(RotationChaosTest, SameConfigSameReport) {
   EXPECT_NE(first.schedule_digest, third.schedule_digest);
 }
 
-TEST(RotationChaosTest, BatchedDispatchMatchesSequential) {
-  // The KDCs route through the batched entry points (n=1 batches); every
-  // verdict, counter, and the fault schedule itself must be identical to
-  // sequential serving — batching is a performance path, not a semantic
-  // one, even under faults and rotation.
-  RotationConfig sequential = SweepConfig(0.20, 8686);
-  RotationConfig batched = sequential;
-  batched.batched = true;
-  RotationReport a = RunRotationStudy(sequential);
-  RotationReport b = RunRotationStudy(batched);
-  CheckInvariants(a);
-  CheckInvariants(b);
-  CheckSameRun(a, b);
-  EXPECT_EQ(a.old_ticket_calls, b.old_ticket_calls);
-  EXPECT_EQ(a.fresh_calls, b.fresh_calls);
-}
-
 }  // namespace
 }  // namespace kattack

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/attacks/testbed.h"
+#include "src/attacks/testbed5.h"
 
 namespace kattack {
 namespace {
@@ -37,14 +40,42 @@ TEST(RetransmitE16Test, DeterministicAcrossSeeds) {
 }
 
 // ---------------------------------------------------------------------------
-// The KDC reply cache: identical retransmissions get identical bytes.
+// The KDC reply cache: identical retransmissions get identical bytes. The
+// cache lives in the serve frame both KDC cores share, so every case runs
+// on the V4 and the V5 testbed.
+
+constexpr ksim::Duration kWindow = 30 * ksim::kSecond;
+
+// Runs `check(bed)` on a V4 and a V5 testbed whose KDC reply cache window
+// is `window` (0 = the default, off) and whose mail server keeps an
+// authenticator replay cache when `server_replay_cache` is set.
+template <typename Check>
+void ForBothCores(ksim::Duration window, bool server_replay_cache, Check check) {
+  {
+    SCOPED_TRACE("V4");
+    TestbedConfig config;
+    config.kdc_reply_cache_window = window;
+    config.server_replay_cache = server_replay_cache;
+    Testbed4 bed(config);
+    check(bed);
+  }
+  {
+    SCOPED_TRACE("V5");
+    Testbed5Config config;
+    config.kdc_policy.reply_cache_window = window;
+    config.server_options.replay_cache = server_replay_cache;
+    Testbed5 bed(config);
+    check(bed);
+  }
+}
 
 // Captures the request bytes of alice's login session and returns them by
 // destination.
-ksim::Message CaptureRequestTo(Testbed4& bed, const ksim::NetAddress& dst) {
+template <typename Bed>
+ksim::Message CaptureRequestTo(Bed& bed, const ksim::NetAddress& dst) {
   ksim::RecordingAdversary recorder;
   bed.world().network().SetAdversary(&recorder);
-  EXPECT_TRUE(bed.alice().Login(Testbed4::kAlicePassword).ok());
+  EXPECT_TRUE(bed.alice().Login(Bed::kAlicePassword).ok());
   EXPECT_TRUE(bed.alice().GetServiceTicket(bed.mail_principal()).ok());
   bed.world().network().SetAdversary(nullptr);
   for (const auto& exchange : recorder.exchanges()) {
@@ -57,83 +88,84 @@ ksim::Message CaptureRequestTo(Testbed4& bed, const ksim::NetAddress& dst) {
 }
 
 TEST(KdcReplyCacheTest, DuplicateAsRequestGetsIdenticalBytesNotASecondTicket) {
-  TestbedConfig config;
-  config.kdc_reply_cache_window = 30 * ksim::kSecond;
-  Testbed4 bed(config);
-  ksim::Message as_req = CaptureRequestTo(bed, Testbed4::kAsAddr);
+  ForBothCores(kWindow, false, [](auto& bed) {
+    using Bed = std::decay_t<decltype(bed)>;
+    ksim::Message as_req = CaptureRequestTo(bed, Bed::kAsAddr);
 
-  auto first = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-  auto second = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  // Byte-identical reply: same session key, same ticket — the KDC acted
-  // once. Without the cache each call would mint a fresh session key and
-  // the replies would diverge.
-  EXPECT_EQ(first.value(), second.value());
-  EXPECT_GE(bed.kdc().core().reply_cache_hits(), 1u);
+    auto first = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+    auto second = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    // Byte-identical reply: same session key, same ticket — the KDC acted
+    // once. Without the cache each call would mint a fresh session key and
+    // the replies would diverge.
+    EXPECT_EQ(first.value(), second.value());
+    EXPECT_GE(bed.kdc().core().reply_cache_hits(), 1u);
+  });
 }
 
 TEST(KdcReplyCacheTest, DuplicateTgsRequestGetsIdenticalBytes) {
-  TestbedConfig config;
-  config.kdc_reply_cache_window = 30 * ksim::kSecond;
-  Testbed4 bed(config);
-  ksim::Message tgs_req = CaptureRequestTo(bed, Testbed4::kTgsAddr);
+  ForBothCores(kWindow, false, [](auto& bed) {
+    using Bed = std::decay_t<decltype(bed)>;
+    ksim::Message tgs_req = CaptureRequestTo(bed, Bed::kTgsAddr);
 
-  auto replay = bed.world().network().Call(tgs_req.src, tgs_req.dst, tgs_req.payload);
-  ASSERT_TRUE(replay.ok());
-  uint64_t hits = bed.kdc().core().reply_cache_hits();
-  EXPECT_GE(hits, 1u);
-  auto again = bed.world().network().Call(tgs_req.src, tgs_req.dst, tgs_req.payload);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(replay.value(), again.value());
+    auto replay = bed.world().network().Call(tgs_req.src, tgs_req.dst, tgs_req.payload);
+    ASSERT_TRUE(replay.ok());
+    uint64_t hits = bed.kdc().core().reply_cache_hits();
+    EXPECT_GE(hits, 1u);
+    auto again = bed.world().network().Call(tgs_req.src, tgs_req.dst, tgs_req.payload);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(replay.value(), again.value());
+  });
 }
 
 TEST(KdcReplyCacheTest, DifferentSourceAddressMisses) {
   // The cache keys on (claimed source, request bytes): the same bytes from
   // another host are a new request, answered with a fresh ticket.
-  TestbedConfig config;
-  config.kdc_reply_cache_window = 30 * ksim::kSecond;
-  Testbed4 bed(config);
-  ksim::Message as_req = CaptureRequestTo(bed, Testbed4::kAsAddr);
+  ForBothCores(kWindow, false, [](auto& bed) {
+    using Bed = std::decay_t<decltype(bed)>;
+    ksim::Message as_req = CaptureRequestTo(bed, Bed::kAsAddr);
 
-  auto original = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-  uint64_t hits_before = bed.kdc().core().reply_cache_hits();
-  auto elsewhere =
-      bed.world().network().Call(Testbed4::kEveAddr, as_req.dst, as_req.payload);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(elsewhere.ok());
-  EXPECT_EQ(bed.kdc().core().reply_cache_hits(), hits_before);
-  EXPECT_NE(original.value(), elsewhere.value()) << "fresh issue expected on a miss";
+    auto original = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+    uint64_t hits_before = bed.kdc().core().reply_cache_hits();
+    auto elsewhere = bed.world().network().Call(Bed::kEveAddr, as_req.dst, as_req.payload);
+    ASSERT_TRUE(original.ok());
+    ASSERT_TRUE(elsewhere.ok());
+    EXPECT_EQ(bed.kdc().core().reply_cache_hits(), hits_before);
+    EXPECT_NE(original.value(), elsewhere.value()) << "fresh issue expected on a miss";
+  });
 }
 
 TEST(KdcReplyCacheTest, EntriesExpireAfterTheFreshnessWindow) {
-  TestbedConfig config;
-  config.kdc_reply_cache_window = 30 * ksim::kSecond;
-  Testbed4 bed(config);
-  ksim::Message as_req = CaptureRequestTo(bed, Testbed4::kAsAddr);
+  ForBothCores(kWindow, false, [](auto& bed) {
+    using Bed = std::decay_t<decltype(bed)>;
+    ksim::Message as_req = CaptureRequestTo(bed, Bed::kAsAddr);
 
-  auto first = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-  bed.world().clock().Advance(config.kdc_reply_cache_window + ksim::kSecond);
-  uint64_t hits_before = bed.kdc().core().reply_cache_hits();
-  auto stale = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(stale.ok());
-  EXPECT_EQ(bed.kdc().core().reply_cache_hits(), hits_before)
-      << "the cache answers retransmissions, not history";
-  EXPECT_NE(first.value(), stale.value());
+    auto first = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+    bed.world().clock().Advance(kWindow + ksim::kSecond);
+    uint64_t hits_before = bed.kdc().core().reply_cache_hits();
+    auto stale = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(stale.ok());
+    EXPECT_EQ(bed.kdc().core().reply_cache_hits(), hits_before)
+        << "the cache answers retransmissions, not history";
+    EXPECT_NE(first.value(), stale.value());
+  });
 }
 
 TEST(KdcReplyCacheTest, DisabledByDefault) {
   // With the default zero window, duplicated AS requests each mint a ticket
   // — the historical behaviour every pinned-bytes test depends on.
-  Testbed4 bed;
-  ksim::Message as_req = CaptureRequestTo(bed, Testbed4::kAsAddr);
-  auto a = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-  auto b = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(a.value(), b.value());
-  EXPECT_EQ(bed.kdc().core().reply_cache_hits(), 0u);
+  ForBothCores(0, false, [](auto& bed) {
+    using Bed = std::decay_t<decltype(bed)>;
+    ksim::Message as_req = CaptureRequestTo(bed, Bed::kAsAddr);
+    auto a = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+    auto b = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_NE(a.value(), b.value());
+    EXPECT_EQ(bed.kdc().core().reply_cache_hits(), 0u);
+  });
 }
 
 TEST(KdcReplyCacheTest, DoesNotWeakenAppServerReplayDetection) {
@@ -141,30 +173,27 @@ TEST(KdcReplyCacheTest, DoesNotWeakenAppServerReplayDetection) {
   // the paper's authenticator replay defence at the application server. With
   // the reply cache on and the server replay cache on, a wiretapped AP
   // request replayed by eve is still rejected.
-  TestbedConfig config;
-  config.kdc_reply_cache_window = 30 * ksim::kSecond;
-  config.server_replay_cache = true;
-  Testbed4 bed(config);
+  ForBothCores(kWindow, true, [](auto& bed) {
+    using Bed = std::decay_t<decltype(bed)>;
+    ksim::RecordingAdversary recorder;
+    bed.world().network().SetAdversary(&recorder);
+    ASSERT_TRUE(bed.alice().Login(Bed::kAlicePassword).ok());
+    ASSERT_TRUE(bed.alice().CallService(Bed::kMailAddr, bed.mail_principal(), true).ok());
+    bed.world().network().SetAdversary(nullptr);
 
-  ksim::RecordingAdversary recorder;
-  bed.world().network().SetAdversary(&recorder);
-  ASSERT_TRUE(bed.alice().Login(Testbed4::kAlicePassword).ok());
-  ASSERT_TRUE(
-      bed.alice().CallService(Testbed4::kMailAddr, bed.mail_principal(), true).ok());
-  bed.world().network().SetAdversary(nullptr);
-
-  const ksim::Message* ap_req = nullptr;
-  for (const auto& exchange : recorder.exchanges()) {
-    if (exchange.request.dst == Testbed4::kMailAddr) {
-      ap_req = &exchange.request;
+    const ksim::Message* ap_req = nullptr;
+    for (const auto& exchange : recorder.exchanges()) {
+      if (exchange.request.dst == Bed::kMailAddr) {
+        ap_req = &exchange.request;
+      }
     }
-  }
-  ASSERT_NE(ap_req, nullptr);
+    ASSERT_NE(ap_req, nullptr);
 
-  size_t served_before = bed.mail_log().size();
-  auto replay = bed.world().network().Call(ap_req->src, ap_req->dst, ap_req->payload);
-  EXPECT_FALSE(replay.ok()) << "replayed authenticator accepted";
-  EXPECT_EQ(bed.mail_log().size(), served_before) << "the server acted on a replay";
+    size_t served_before = bed.mail_log().size();
+    auto replay = bed.world().network().Call(ap_req->src, ap_req->dst, ap_req->payload);
+    EXPECT_FALSE(replay.ok()) << "replayed authenticator accepted";
+    EXPECT_EQ(bed.mail_log().size(), served_before) << "the server acted on a replay";
+  });
 }
 
 }  // namespace

@@ -144,27 +144,6 @@ TEST(ChaosTest, BlackoutWithoutSlavesFailsClosed) {
   EXPECT_GT(report.succeeded, 0u);      // first and last thirds unaffected
 }
 
-TEST(ChaosTest, BatchedDispatchMatchesSequentialUnderFaults) {
-  // The batched KDC entry points (n=1 batches through the Bind handlers)
-  // are a performance path, not a semantic one: under the same faults they
-  // must produce the same verdicts, the same counters, and the very same
-  // fault schedule as sequential serving.
-  ChaosConfig sequential = SweepConfig(0.20, 9090);
-  sequential.primary_blackout = true;
-  ChaosConfig batched = sequential;
-  batched.batched = true;
-  for (bool v5 : {false, true}) {
-    ChaosReport a = v5 ? RunChaosStudy5(sequential) : RunChaosStudy4(sequential);
-    ChaosReport b = v5 ? RunChaosStudy5(batched) : RunChaosStudy4(batched);
-    CheckInvariants(a);
-    CheckInvariants(b);
-    CheckSameRun(a, b);
-    EXPECT_EQ(a.bad_successes, b.bad_successes);
-    EXPECT_EQ(a.kdc_reply_cache_hits, b.kdc_reply_cache_hits);
-    EXPECT_EQ(a.retry.failovers, b.retry.failovers);
-  }
-}
-
 TEST(ChaosTest, SameSeedSameSchedule) {
   ChaosConfig config = SweepConfig(0.25, 12345);
   config.primary_blackout = true;

@@ -142,6 +142,46 @@ TEST(ErrorPaths5Test, TgsRequestFromWrongAddressRejected) {
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
+// A TGT the KDC has no key to verify must be refused, not unsealed under a
+// default key. Eve, holding no key at all, seals a TGT naming alice under
+// kcrypto::DesKey() and presents it: from a realm the KDC shares no key
+// with, and — once the krbtgt entry is gone — as a local TGT.
+TEST(ErrorPaths5Test, TgtUnderDefaultKeyRefused) {
+  Testbed5 bed;
+  kcrypto::Prng prng(7);
+  const ksim::Time now = bed.world().clock().Now();
+  const kcrypto::DesKey session = prng.NextDesKey();
+  Ticket5 forged;
+  forged.service = krb4::TgsPrincipal(bed.realm);
+  forged.client = bed.alice_principal();
+  forged.flags = kFlagForwardable;
+  forged.issued_at = now;
+  forged.lifetime = ksim::kHour;
+  forged.session_key = session.bytes();
+
+  auto present = [&](const std::string& tgt_realm) {
+    TgsRequest5 req;
+    req.service = bed.mail_principal();
+    req.lifetime = ksim::kHour;
+    req.nonce = prng.NextU64();
+    req.tgt_realm = tgt_realm;
+    req.sealed_tgt = forged.Seal(kcrypto::DesKey(), EncLayerConfig{}, prng);
+    Authenticator5 auth;
+    auth.client = bed.alice_principal();
+    auth.timestamp = now;
+    auth.checksum_type = kcrypto::ChecksumType::kCrc32;
+    auth.request_checksum =
+        kcrypto::ComputeChecksum(kcrypto::ChecksumType::kCrc32, req.ChecksumInput(), session);
+    req.sealed_authenticator = auth.Seal(session, EncLayerConfig{}, prng);
+    return bed.world().network().Call(Testbed5::kEveAddr, Testbed5::kTgsAddr,
+                                      req.ToTlv().Encode());
+  };
+
+  EXPECT_EQ(present("NO.SUCH.REALM").code(), kerb::ErrorCode::kAuthFailed);
+  ASSERT_TRUE(bed.kdc().database().Remove(forged.service));
+  EXPECT_EQ(present(bed.realm).code(), kerb::ErrorCode::kNotFound);
+}
+
 TEST(ErrorPaths5Test, ChallengesExpireAtTheServer) {
   Testbed5Config config;
   config.server_options.mode = ApAuthMode::kChallengeResponse;
