@@ -60,7 +60,7 @@ struct KdcBenchSetup {
 
     // One real AS exchange yields the TGT and session key for the TGS request.
     krb4::KdcContext setup_ctx(prng.Fork());
-    auto as_reply = bed.kdc().core().HandleAs(as_request, setup_ctx);
+    auto as_reply = bed.kdc().HandleAs(as_request, setup_ctx);
     auto as_tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgAsRep, as_reply.value());
     auto rep = krb5::AsReply5::FromTlv(as_tlv.value());
     auto part_tlv = krb5::UnsealTlv(client_key, krb5::kMsgEncAsRepPart,
@@ -112,7 +112,7 @@ KdcBenchSetup& PreauthSetup() {
 
 void RunHandlerBenchmark(benchmark::State& state, KdcBenchSetup& setup,
                          const ksim::Message& request, bool tgs) {
-  krb5::KdcCore5& core = setup.bed.kdc().core();
+  krb5::KdcCore5& core = setup.bed.kdc();
   krb4::KdcContext ctx(kcrypto::Prng(0xb11c0de));
   for (auto _ : state) {
     auto reply = tgs ? core.HandleTgs(request, ctx) : core.HandleAs(request, ctx);
@@ -151,7 +151,7 @@ constexpr uint64_t kRequestsPerWorker = 2048;
 
 void RunParallelBenchmark(benchmark::State& state, unsigned threads, bool tgs) {
   KdcBenchSetup& setup = BareSetup();
-  krb5::KdcCore5& core = setup.bed.kdc().core();
+  krb5::KdcCore5& core = setup.bed.kdc();
   const ksim::Message& request = tgs ? setup.tgs_request : setup.as_request;
   kattack::KdcHandler handler = [&core, tgs](const ksim::Message& msg,
                                              krb4::KdcContext& ctx) {

@@ -68,7 +68,7 @@ ObsBenchSetup& Setup() {
 
 void RunAsBenchmark(benchmark::State& state, bool traced) {
   ObsBenchSetup& setup = Setup();
-  krb5::KdcCore5& core = setup.bed.kdc().core();
+  krb5::KdcCore5& core = setup.bed.kdc();
   krb4::KdcContext ctx(kcrypto::Prng(0xb13c0de));
   kobs::Trace trace;
   if (traced) {

@@ -156,7 +156,6 @@ class AdminClient {
                                          kerb::BytesView payload, uint64_t nonce);
   kerb::Result<Ack> ParseReply(uint64_t nonce, kerb::BytesView reply_frame);
 
-  const ksim::NetAddress& admin_address() const { return admin_addr_; }
   krb4::Client4& client() { return *client_; }
 
  private:

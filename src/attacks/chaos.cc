@@ -128,9 +128,9 @@ ChaosReport RunChaosStudy4(const ChaosConfig& config) {
       "You have 3 messages.", report);
 
   FillNetworkReport(bed.world().faults(), kdc_host, bed.kdc_replicas().slave_count(), report);
-  report.kdc_reply_cache_hits = bed.kdc().core().reply_cache_hits();
+  report.kdc_reply_cache_hits = bed.kdc().reply_cache_hits();
   for (int i = 0; i < bed.kdc_replicas().slave_count(); ++i) {
-    report.kdc_reply_cache_hits += bed.kdc_replicas().slave(i).core().reply_cache_hits();
+    report.kdc_reply_cache_hits += bed.kdc_replicas().slave(i).reply_cache_hits();
   }
   report.retry = bed.alice().retry_stats();
   return report;
@@ -166,9 +166,9 @@ ChaosReport RunChaosStudy5(const ChaosConfig& config) {
       "mail-ok: mail-check", report);
 
   FillNetworkReport(bed.world().faults(), kdc_host, bed.kdc_replicas().slave_count(), report);
-  report.kdc_reply_cache_hits = bed.kdc().core().reply_cache_hits();
+  report.kdc_reply_cache_hits = bed.kdc().reply_cache_hits();
   for (int i = 0; i < bed.kdc_replicas().slave_count(); ++i) {
-    report.kdc_reply_cache_hits += bed.kdc_replicas().slave(i).core().reply_cache_hits();
+    report.kdc_reply_cache_hits += bed.kdc_replicas().slave(i).reply_cache_hits();
   }
   report.retry = bed.alice().retry_stats();
   return report;

@@ -102,19 +102,21 @@ Testbed4::Testbed4(TestbedConfig config) : config_(config) {
   bob_ = MakeClient(bob_principal(), kBobAddr);
 }
 
-krb4::Principal Testbed4::mail_principal() const {
+krb4::Principal TestbedLayout::mail_principal() const {
   return krb4::Principal::Service("pop", "mailhub", realm);
 }
-krb4::Principal Testbed4::file_principal() const {
+krb4::Principal TestbedLayout::file_principal() const {
   return krb4::Principal::Service("nfs", "fileserver", realm);
 }
-krb4::Principal Testbed4::backup_principal() const {
+krb4::Principal TestbedLayout::backup_principal() const {
   return krb4::Principal::Service("backup", "vault", realm);
 }
-krb4::Principal Testbed4::alice_principal() const {
+krb4::Principal TestbedLayout::alice_principal() const {
   return krb4::Principal::User("alice", realm);
 }
-krb4::Principal Testbed4::bob_principal() const { return krb4::Principal::User("bob", realm); }
+krb4::Principal TestbedLayout::bob_principal() const {
+  return krb4::Principal::User("bob", realm);
+}
 krb4::Principal Testbed4::oper_principal() const {
   return krb4::Principal{"oper", "admin", realm};
 }

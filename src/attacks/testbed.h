@@ -45,10 +45,13 @@ struct TestbedConfig {
   bool enable_kadmin = false;
 };
 
-class Testbed4 {
+// The layout both single-realm testbeds share (Testbed4 here, Testbed5 in
+// src/attacks/testbed5.h): one realm, its well-known addresses, alice's and
+// bob's passwords, and three application services with their keys and
+// operation logs. Each testbed builds its own world, KDC, servers and
+// clients, in its own PRNG fork order.
+class TestbedLayout {
  public:
-  explicit Testbed4(TestbedConfig config = {});
-
   // Well-known addresses.
   static constexpr ksim::NetAddress kAsAddr{0x0a000058, 88};
   static constexpr ksim::NetAddress kTgsAddr{0x0a000058, 750};
@@ -58,12 +61,42 @@ class Testbed4 {
   static constexpr ksim::NetAddress kAliceAddr{0x0a000101, 1023};
   static constexpr ksim::NetAddress kBobAddr{0x0a000102, 1023};
   static constexpr ksim::NetAddress kEveAddr{0x0a000666, 31337};
-  static constexpr ksim::NetAddress kAdminAddr{0x0a000058, kadmin::kAdminPort};
-  static constexpr ksim::NetAddress kOperAddr{0x0a000103, 1023};
 
   const std::string realm = "ATHENA.SIM";
   static constexpr const char* kAlicePassword = "quantum-Leap_77";
   static constexpr const char* kBobPassword = "password";  // bob chose badly
+
+  krb4::Principal mail_principal() const;
+  krb4::Principal file_principal() const;
+  krb4::Principal backup_principal() const;
+  krb4::Principal alice_principal() const;
+  krb4::Principal bob_principal() const;
+
+  const kcrypto::DesKey& mail_key() const { return mail_key_; }
+  const kcrypto::DesKey& file_key() const { return file_key_; }
+  const kcrypto::DesKey& backup_key() const { return backup_key_; }
+
+  // Operations each server executed, e.g. "mail-check alice@ATHENA.SIM" or
+  // "DELETE /archive/thesis.tex" — attacks assert on these to show effect.
+  const std::vector<std::string>& mail_log() const { return mail_log_; }
+  const std::vector<std::string>& file_log() const { return file_log_; }
+  const std::vector<std::string>& backup_log() const { return backup_log_; }
+
+ protected:
+  kcrypto::DesKey mail_key_;
+  kcrypto::DesKey file_key_;
+  kcrypto::DesKey backup_key_;
+  std::vector<std::string> mail_log_;
+  std::vector<std::string> file_log_;
+  std::vector<std::string> backup_log_;
+};
+
+class Testbed4 : public TestbedLayout {
+ public:
+  explicit Testbed4(TestbedConfig config = {});
+
+  static constexpr ksim::NetAddress kAdminAddr{0x0a000058, kadmin::kAdminPort};
+  static constexpr ksim::NetAddress kOperAddr{0x0a000103, 1023};
   static constexpr const char* kOperPassword = "0per-Master_Key!";
 
   ksim::World& world() { return *world_; }
@@ -75,11 +108,6 @@ class Testbed4 {
   krb4::AppServer4& file_server() { return *file_server_; }
   krb4::AppServer4& backup_server() { return *backup_server_; }
 
-  krb4::Principal mail_principal() const;
-  krb4::Principal file_principal() const;
-  krb4::Principal backup_principal() const;
-  krb4::Principal alice_principal() const;
-  krb4::Principal bob_principal() const;
   // The operator principal (instance "admin") — only registered when
   // config.enable_kadmin is set.
   krb4::Principal oper_principal() const;
@@ -90,16 +118,6 @@ class Testbed4 {
   // An admin-protocol client riding an existing (logged-in) Client4; its
   // retry policy follows the testbed's client_retry configuration.
   std::unique_ptr<kadmin::AdminClient> MakeAdminClient(krb4::Client4& client);
-
-  const kcrypto::DesKey& mail_key() const { return mail_key_; }
-  const kcrypto::DesKey& file_key() const { return file_key_; }
-  const kcrypto::DesKey& backup_key() const { return backup_key_; }
-
-  // Operations each server executed, e.g. "mail-check alice@ATHENA.SIM" or
-  // "DELETE /archive/thesis.tex" — attacks assert on these to show effect.
-  const std::vector<std::string>& mail_log() const { return mail_log_; }
-  const std::vector<std::string>& file_log() const { return file_log_; }
-  const std::vector<std::string>& backup_log() const { return backup_log_; }
 
   // Synthetic population (principal, password) pairs, including alice/bob.
   const std::vector<std::pair<krb4::Principal, std::string>>& users() const { return users_; }
@@ -112,9 +130,6 @@ class Testbed4 {
   TestbedConfig config_;
   std::unique_ptr<ksim::World> world_;
   std::unique_ptr<krb4::KdcReplicaSet4> kdcs_;
-  kcrypto::DesKey mail_key_;
-  kcrypto::DesKey file_key_;
-  kcrypto::DesKey backup_key_;
   std::unique_ptr<krb4::AppServer4> mail_server_;
   std::unique_ptr<krb4::AppServer4> file_server_;
   std::unique_ptr<krb4::AppServer4> backup_server_;
@@ -122,9 +137,6 @@ class Testbed4 {
   std::unique_ptr<krb4::Client4> alice_;
   std::unique_ptr<krb4::Client4> bob_;
   std::vector<std::pair<krb4::Principal, std::string>> users_;
-  std::vector<std::string> mail_log_;
-  std::vector<std::string> file_log_;
-  std::vector<std::string> backup_log_;
 };
 
 }  // namespace kattack

@@ -52,19 +52,6 @@ Testbed5::Testbed5(Testbed5Config config) : config_(config) {
   eve_ = MakeClient(eve_principal(), kEveAddr, config.client_options);
 }
 
-krb5::Principal Testbed5::mail_principal() const {
-  return krb5::Principal::Service("pop", "mailhub", realm);
-}
-krb5::Principal Testbed5::file_principal() const {
-  return krb5::Principal::Service("nfs", "fileserver", realm);
-}
-krb5::Principal Testbed5::backup_principal() const {
-  return krb5::Principal::Service("backup", "vault", realm);
-}
-krb5::Principal Testbed5::alice_principal() const {
-  return krb5::Principal::User("alice", realm);
-}
-krb5::Principal Testbed5::bob_principal() const { return krb5::Principal::User("bob", realm); }
 krb5::Principal Testbed5::eve_principal() const { return krb5::Principal::User("eve", realm); }
 
 std::unique_ptr<krb5::Client5> Testbed5::MakeClient(const krb5::Principal& user,

@@ -1,5 +1,6 @@
-// Version 5 experiment testbeds: a single-realm deployment mirroring
-// Testbed4, and a three-realm hierarchy for the inter-realm experiments.
+// Version 5 experiment testbeds: a single-realm deployment on Testbed4's
+// layout (TestbedLayout, src/attacks/testbed.h), and a three-realm
+// hierarchy for the inter-realm experiments.
 
 #ifndef SRC_ATTACKS_TESTBED5_H_
 #define SRC_ATTACKS_TESTBED5_H_
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/attacks/testbed.h"
 #include "src/krb5/appserver.h"
 #include "src/krb5/client.h"
 #include "src/krb5/kdc.h"
@@ -29,22 +31,10 @@ struct Testbed5Config {
   std::optional<ksim::RetryPolicy> client_retry;
 };
 
-class Testbed5 {
+class Testbed5 : public TestbedLayout {
  public:
   explicit Testbed5(Testbed5Config config = {});
 
-  static constexpr ksim::NetAddress kAsAddr{0x0a000058, 88};
-  static constexpr ksim::NetAddress kTgsAddr{0x0a000058, 750};
-  static constexpr ksim::NetAddress kMailAddr{0x0a000010, 220};
-  static constexpr ksim::NetAddress kFileAddr{0x0a000011, 2049};
-  static constexpr ksim::NetAddress kBackupAddr{0x0a000012, 911};
-  static constexpr ksim::NetAddress kAliceAddr{0x0a000101, 1023};
-  static constexpr ksim::NetAddress kBobAddr{0x0a000102, 1023};
-  static constexpr ksim::NetAddress kEveAddr{0x0a000666, 31337};
-
-  const std::string realm = "ATHENA.SIM";
-  static constexpr const char* kAlicePassword = "quantum-Leap_77";
-  static constexpr const char* kBobPassword = "password";
   static constexpr const char* kEvePassword = "evil-but-registered";
 
   ksim::World& world() { return *world_; }
@@ -59,20 +49,7 @@ class Testbed5 {
   krb5::AppServer5& file_server() { return *file_server_; }
   krb5::AppServer5& backup_server() { return *backup_server_; }
 
-  krb5::Principal mail_principal() const;
-  krb5::Principal file_principal() const;
-  krb5::Principal backup_principal() const;
-  krb5::Principal alice_principal() const;
-  krb5::Principal bob_principal() const;
   krb5::Principal eve_principal() const;
-
-  const kcrypto::DesKey& mail_key() const { return mail_key_; }
-  const kcrypto::DesKey& file_key() const { return file_key_; }
-  const kcrypto::DesKey& backup_key() const { return backup_key_; }
-
-  const std::vector<std::string>& mail_log() const { return mail_log_; }
-  const std::vector<std::string>& file_log() const { return file_log_; }
-  const std::vector<std::string>& backup_log() const { return backup_log_; }
 
   std::unique_ptr<krb5::Client5> MakeClient(const krb5::Principal& user,
                                             const ksim::NetAddress& addr,
@@ -82,18 +59,12 @@ class Testbed5 {
   Testbed5Config config_;
   std::unique_ptr<ksim::World> world_;
   std::unique_ptr<krb5::KdcReplicaSet5> kdcs_;
-  kcrypto::DesKey mail_key_;
-  kcrypto::DesKey file_key_;
-  kcrypto::DesKey backup_key_;
   std::unique_ptr<krb5::AppServer5> mail_server_;
   std::unique_ptr<krb5::AppServer5> file_server_;
   std::unique_ptr<krb5::AppServer5> backup_server_;
   std::unique_ptr<krb5::Client5> alice_;
   std::unique_ptr<krb5::Client5> bob_;
   std::unique_ptr<krb5::Client5> eve_;
-  std::vector<std::string> mail_log_;
-  std::vector<std::string> file_log_;
-  std::vector<std::string> backup_log_;
 };
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@
 
 namespace kcluster {
 
+void ClientRouter::Attach(krb4::KdcLink& client) {
+  client.SetClusterRouting(
+      {[this](const krb4::Principal& p, bool tgs) { return Endpoints(p, tgs); },
+       [this](kerb::BytesView body) { return ApplyReferral(body); }});
+}
+
 void ClientRouter::AdoptView(const RingAnnounce& view) {
   view_ = view;
   ring_ = HashRing(view.ring);

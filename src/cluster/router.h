@@ -20,14 +20,12 @@
 #define SRC_CLUSTER_ROUTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "src/cluster/ring.h"
 #include "src/cluster/wire.h"
-#include "src/krb4/client.h"
-#include "src/krb5/client.h"
+#include "src/krb4/kdclink.h"
 #include "src/sim/network.h"
 
 namespace kcluster {
@@ -43,14 +41,9 @@ class ClientRouter {
 
   ClientRouter() = default;
 
-  // Installs the routing hooks on a client. The router must outlive the
-  // client (the hooks capture `this`).
-  void Attach(krb4::Client4& client) {
-    client.SetClusterRouting({MakeEndpointsFn(), MakeReferralFn()});
-  }
-  void Attach(krb5::Client5& client) {
-    client.SetClusterRouting({MakeEndpointsFn(), MakeReferralFn()});
-  }
+  // Installs the routing hooks on a client of either protocol. The router
+  // must outlive the client (the hooks capture `this`).
+  void Attach(krb4::KdcLink& client);
 
   // Warm-starts the view (e.g. the harness hands freshly-created clients
   // the bootstrap ring so only deliberately-cold clients pay referrals).
@@ -70,20 +63,10 @@ class ClientRouter {
   // Drops the cached view back to cold.
   void Invalidate();
 
-  bool has_view() const { return view_.has_value(); }
   uint32_t epoch() const { return view_.has_value() ? view_->epoch : 0; }
   const Stats& stats() const { return stats_; }
 
  private:
-  // Both clients' ClusterRouting hooks have identical shapes; these build
-  // the shared closures.
-  std::function<std::vector<ksim::NetAddress>(const krb4::Principal&, bool)> MakeEndpointsFn() {
-    return [this](const krb4::Principal& p, bool tgs) { return Endpoints(p, tgs); };
-  }
-  std::function<bool(kerb::BytesView)> MakeReferralFn() {
-    return [this](kerb::BytesView body) { return ApplyReferral(body); };
-  }
-
   std::optional<RingAnnounce> view_;
   HashRing ring_;
   Stats stats_;

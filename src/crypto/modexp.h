@@ -109,7 +109,6 @@ class FixedBasePow {
   BigInt Pow(const BigInt& exponent) const;
 
   const BigInt& base() const { return base_; }
-  size_t table_entries() const { return windows_ << w_; }
 
  private:
   std::shared_ptr<const ModExpCtx> ctx_;

@@ -135,11 +135,6 @@ void TlvMessage::AppendTo(Writer& w) const {
   }
 }
 
-void TlvMessage::EncodeInto(kerb::Bytes& out) const {
-  Writer w(&out);
-  AppendTo(w);
-}
-
 kerb::Result<TlvMessage> TlvMessage::Decode(kerb::BytesView data) {
   Reader r(data);
   auto type = r.GetU16();

@@ -58,10 +58,9 @@ class TlvMessage {
   std::optional<kerb::Bytes> GetOptionalBytes(uint16_t tag) const;
 
   kerb::Bytes Encode() const;
-  // Appends the encoding to an in-progress Writer / reusable buffer — the
-  // allocation-free variants of Encode() used by the KDC serving path.
+  // Appends the encoding to an in-progress Writer — the allocation-free
+  // variant of Encode() used by the KDC serving path.
   void AppendTo(Writer& w) const;
-  void EncodeInto(kerb::Bytes& out) const;
   static kerb::Result<TlvMessage> Decode(kerb::BytesView data);
 
   // Decode that additionally requires the message type to match — the

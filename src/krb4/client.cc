@@ -4,77 +4,24 @@
 
 namespace krb4 {
 
+namespace {
+
+std::optional<kerb::Result<kerb::Bytes>> DecodeReferral4(kerb::BytesView reply) {
+  auto framed = Unframe4(reply);
+  if (!framed.ok() || framed.value().first != MsgType::kClusterReferral) {
+    return std::nullopt;
+  }
+  return std::move(framed.value().second);
+}
+
+}  // namespace
+
 Client4::Client4(ksim::Network* net, const ksim::NetAddress& self, ksim::HostClock clock,
                  Principal user, ksim::NetAddress as_addr, ksim::NetAddress tgs_addr)
-    : net_(net),
-      self_(self),
+    : KdcLink(net, self, as_addr, DecodeReferral4),
       clock_(clock),
       user_(std::move(user)),
-      as_addr_(as_addr),
-      tgs_addr_(tgs_addr),
-      as_endpoints_{as_addr},
-      tgs_endpoints_{tgs_addr} {}
-
-void Client4::ConfigureRetry(ksim::SimClock* sim_clock, const ksim::RetryPolicy& policy,
-                             uint64_t jitter_seed) {
-  exchanger_.emplace(net_, sim_clock, kcrypto::Prng(jitter_seed), policy);
-}
-
-void Client4::AddSlaveKdc(const ksim::NetAddress& as_addr, const ksim::NetAddress& tgs_addr) {
-  as_endpoints_.push_back(as_addr);
-  tgs_endpoints_.push_back(tgs_addr);
-}
-
-kerb::Result<kerb::Bytes> Client4::KdcExchange(const std::vector<ksim::NetAddress>& endpoints,
-                                               const kerb::Bytes& payload) {
-  if (exchanger_.has_value()) {
-    return exchanger_->Exchange(self_, endpoints,
-                                [&]() -> kerb::Result<kerb::Bytes> { return payload; });
-  }
-  return net_->Call(self_, endpoints.front(), payload);
-}
-
-kerb::Result<kerb::Bytes> Client4::RoutedKdcExchange(const Principal& routing_principal,
-                                                     bool tgs,
-                                                     const std::vector<ksim::NetAddress>& fallback,
-                                                     const kerb::Bytes& payload) {
-  if (!routing_.has_value() || !routing_->endpoints) {
-    return KdcExchange(fallback, payload);
-  }
-  for (int hop = 0; hop < kMaxReferralHops; ++hop) {
-    std::vector<ksim::NetAddress> endpoints = routing_->endpoints(routing_principal, tgs);
-    if (endpoints.empty()) {
-      endpoints = fallback;
-    }
-    auto reply = KdcExchange(endpoints, payload);
-    if (!reply.ok()) {
-      return reply;
-    }
-    auto framed = Unframe4(reply.value());
-    if (!framed.ok() || framed.value().first != MsgType::kClusterReferral) {
-      return reply;  // a real KDC answer; the caller decodes it
-    }
-    // A node we asked does not own this principal and is teaching us who
-    // does. If the router cannot act on the referral (malformed body, stale
-    // view no newer than ours), fail closed rather than spin.
-    if (!routing_->on_referral || !routing_->on_referral(framed.value().second)) {
-      return kerb::MakeError(kerb::ErrorCode::kTransport, "cluster referral not actionable");
-    }
-  }
-  return kerb::MakeError(kerb::ErrorCode::kTransport, "cluster referral loop");
-}
-
-kerb::Result<kerb::Bytes> Client4::ServiceExchange(const ksim::NetAddress& addr,
-                                                   const ksim::Exchanger::Builder& build) {
-  if (exchanger_.has_value()) {
-    return exchanger_->Exchange(self_, {addr}, build);
-  }
-  auto payload = build();
-  if (!payload.ok()) {
-    return payload.error();
-  }
-  return net_->Call(self_, addr, payload.value());
-}
+      tgs_addr_(tgs_addr) {}
 
 kerb::Status Client4::Login(std::string_view password, ksim::Duration lifetime) {
   return LoginWithKey(kcrypto::StringToKey(password, user_.Salt()), lifetime);
@@ -88,7 +35,7 @@ kerb::Status Client4::LoginWithKey(const kcrypto::DesKey& client_key,
   req.lifetime = lifetime;
 
   auto reply =
-      RoutedKdcExchange(user_, false, as_endpoints_, Frame4(MsgType::kAsRequest, req.Encode()));
+      RoutedKdcExchange(user_, false, as_endpoints(), Frame4(MsgType::kAsRequest, req.Encode()));
   if (!reply.ok()) {
     return reply.error();
   }
@@ -129,7 +76,7 @@ kerb::Result<ServiceCredentials> Client4::GetServiceTicket(const Principal& serv
 
   Authenticator4 auth;
   auth.client = user_;
-  auth.client_addr = self_.host;
+  auth.client_addr = address().host;
   auth.timestamp = clock_.Now();
 
   TgsRequest4 req;
@@ -138,7 +85,7 @@ kerb::Result<ServiceCredentials> Client4::GetServiceTicket(const Principal& serv
   req.sealed_auth = auth.Seal(tgs_creds_->session_key);
   req.lifetime = lifetime;
 
-  auto reply = RoutedKdcExchange(service, true, tgs_endpoints_,
+  auto reply = RoutedKdcExchange(service, true, TgsEndpoints(tgs_addr_),
                                  Frame4(MsgType::kTgsRequest, req.Encode()));
   if (!reply.ok()) {
     return reply.error();
@@ -176,7 +123,7 @@ kerb::Result<kerb::Bytes> Client4::MakeApRequest(const Principal& service, bool 
 
   Authenticator4 auth;
   auth.client = user_;
-  auth.client_addr = self_.host;
+  auth.client_addr = address().host;
   auth.timestamp = clock_.Now();
 
   ApRequest4 req;

@@ -9,16 +9,14 @@
 #ifndef SRC_KRB4_CLIENT_H_
 #define SRC_KRB4_CLIENT_H_
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "src/krb4/kdclink.h"
 #include "src/krb4/messages.h"
 #include "src/sim/clock.h"
 #include "src/sim/network.h"
-#include "src/sim/retry.h"
 
 namespace krb4 {
 
@@ -39,7 +37,9 @@ struct TgsCredentials {
   ksim::Duration lifetime = 0;
 };
 
-class Client4 {
+// Retry, failover and cluster routing come from the shared KdcLink
+// (src/krb4/kdclink.h).
+class Client4 : public KdcLink {
  public:
   Client4(ksim::Network* net, const ksim::NetAddress& self, ksim::HostClock clock,
           Principal user, ksim::NetAddress as_addr, ksim::NetAddress tgs_addr);
@@ -74,83 +74,25 @@ class Client4 {
                                         const Principal& service, bool want_mutual,
                                         kerb::BytesView app_data = {});
 
-  // Opts into resilient exchanges (src/sim/retry.h): every KDC and service
-  // call retries per `policy`, charging timeouts and backoff to the shared
-  // SimClock so retransmitted authenticators carry fresh timestamps. KDC
-  // retries resend identical bytes (the KDC reply cache absorbs them); AP
-  // retries rebuild the authenticator — the paper's retransmission fix.
-  // Without this call the client sends exactly one packet per exchange,
-  // byte-identical to the pre-retry client.
-  void ConfigureRetry(ksim::SimClock* sim_clock, const ksim::RetryPolicy& policy,
-                      uint64_t jitter_seed);
-
-  // Appends a read-only slave KDC to the failover lists; exchanges try the
-  // primary first, slaves in registration order.
-  void AddSlaveKdc(const ksim::NetAddress& as_addr, const ksim::NetAddress& tgs_addr);
-
-  // Cluster routing hooks, installed by kcluster::ClientRouter (the client
-  // library stays free of cluster types; the hooks speak only addresses and
-  // opaque referral bytes). `endpoints` picks the KDC endpoint list for a
-  // request routed by `principal` (the client principal for AS, the service
-  // principal for TGS); empty means "use the configured failover list".
-  // `on_referral` feeds a kClusterReferral body back to the router — true
-  // means the routing view changed and the exchange should re-route.
-  struct ClusterRouting {
-    std::function<std::vector<ksim::NetAddress>(const Principal& principal, bool tgs)>
-        endpoints;
-    std::function<bool(kerb::BytesView referral_body)> on_referral;
-  };
-  void SetClusterRouting(ClusterRouting routing) { routing_ = std::move(routing); }
-
   // Forgets cached service tickets (the TGT survives). Load harnesses use
   // this so repeated TGS requests actually exercise the KDC instead of the
   // local cache.
   void DropServiceCredentials() { service_creds_.clear(); }
-
-  ksim::RetryStats retry_stats() const {
-    return exchanger_.has_value() ? exchanger_->stats() : ksim::RetryStats{};
-  }
 
   // "Kerberos attempts to wipe out old keys at logoff time."
   void Logout();
 
   bool logged_in() const { return tgs_creds_.has_value(); }
   const Principal& user() const { return user_; }
-  const ksim::NetAddress& address() const { return self_; }
 
   // Host-compromise surface (see file comment).
   const std::optional<TgsCredentials>& tgs_credentials() const { return tgs_creds_; }
   const std::map<Principal, ServiceCredentials>& credentials() const { return service_creds_; }
 
  private:
-  // Referral hops a single exchange may follow before failing closed: one
-  // stale view plus its correction, with slack for a concurrent rebalance.
-  static constexpr int kMaxReferralHops = 4;
-
-  // Fixed request bytes through the AS/TGS failover list (retransmission);
-  // single direct call when retry is not configured.
-  kerb::Result<kerb::Bytes> KdcExchange(const std::vector<ksim::NetAddress>& endpoints,
-                                        const kerb::Bytes& payload);
-  // KdcExchange through the cluster routing hooks when installed: routes by
-  // `routing_principal`, follows referrals (≤ kMaxReferralHops), falls back
-  // to `fallback` endpoints when the router has no view yet.
-  kerb::Result<kerb::Bytes> RoutedKdcExchange(const Principal& routing_principal, bool tgs,
-                                              const std::vector<ksim::NetAddress>& fallback,
-                                              const kerb::Bytes& payload);
-  // Fresh request per attempt against one service address.
-  kerb::Result<kerb::Bytes> ServiceExchange(const ksim::NetAddress& addr,
-                                            const ksim::Exchanger::Builder& build);
-
-  ksim::Network* net_;
-  ksim::NetAddress self_;
   ksim::HostClock clock_;
   Principal user_;
-  ksim::NetAddress as_addr_;
   ksim::NetAddress tgs_addr_;
-  std::vector<ksim::NetAddress> as_endpoints_;
-  std::vector<ksim::NetAddress> tgs_endpoints_;
-  std::optional<ksim::Exchanger> exchanger_;
-  std::optional<ClusterRouting> routing_;
 
   std::optional<TgsCredentials> tgs_creds_;
   std::map<Principal, ServiceCredentials> service_creds_;

@@ -112,26 +112,6 @@ kerb::Result<PrincipalEntry> KdcDatabase::LookupEntry(const Principal& principal
   return entry;
 }
 
-kerb::Result<kcrypto::DesKey> KdcDatabase::LookupKvno(const Principal& principal, uint32_t kvno,
-                                                      ksim::Time now) const {
-  PrincipalEntry entry;
-  if (!store_.LookupEntry(principal, &entry)) {
-    return kerb::MakeError(kerb::ErrorCode::kNotFound,
-                           "unknown principal " + principal.ToString());
-  }
-  for (const KeyVersion& kv : entry.keys) {
-    if (kv.kvno != kvno) {
-      continue;
-    }
-    if (kv.not_after != 0 && now > kv.not_after) {
-      return kerb::MakeError(kerb::ErrorCode::kExpired,
-                             "key version past its drain window");
-    }
-    return kv.key;
-  }
-  return kerb::MakeError(kerb::ErrorCode::kNotFound, "unknown key version");
-}
-
 uint32_t KdcDatabase::Kvno(const Principal& principal) const {
   PrincipalEntry entry;
   return store_.LookupEntry(principal, &entry) ? entry.kvno() : 0;

@@ -101,12 +101,6 @@ class KdcDatabase {
   // Full record (ring + attributes); kNotFound for unknown principals.
   kerb::Result<PrincipalEntry> LookupEntry(const Principal& principal) const;
 
-  // The key at a specific version, provided that version is still accepted
-  // at `now` (not_after honored). kExpired for versions past their drain
-  // window, kNotFound for unknown principals or versions.
-  kerb::Result<kcrypto::DesKey> LookupKvno(const Principal& principal, uint32_t kvno,
-                                           ksim::Time now) const;
-
   // Current key version number; 0 for unknown principals.
   uint32_t Kvno(const Principal& principal) const;
 

@@ -6,16 +6,19 @@
 // user's password key (no preauthentication, no rate limiting), and the TGS
 // trusts timestamps within the configured skew window.
 //
-// This class is the network-facing wrapper: it binds the AS/TGS addresses
-// and drives a KdcCore4 (src/krb4/kdccore.h) with a single KdcContext, so
-// the deterministic simulation sees exactly the single-threaded behaviour
-// it always has. The parallel serving harness drives the same core with one
-// context per worker instead.
+// KdcHost is the network-facing KDC of either protocol: a serving core
+// (KdcCore4 here, krb5::KdcCore5 in src/krb5/kdc.h) plus its bindings. It
+// binds the AS/TGS addresses and drives the core with a single KdcContext,
+// so the deterministic simulation sees exactly the single-threaded
+// behaviour it always has. The parallel serving harness drives the same
+// core with one context per worker instead. Everything else — realm,
+// database, counters, policy — is the core's own, reached through the host.
 
 #ifndef SRC_KRB4_KDC_H_
 #define SRC_KRB4_KDC_H_
 
 #include <string>
+#include <utility>
 
 #include "src/krb4/database.h"
 #include "src/krb4/kdccore.h"
@@ -25,30 +28,22 @@
 
 namespace krb4 {
 
-class Kdc4 {
+template <class Core>
+class KdcHost : public Core {
  public:
-  Kdc4(ksim::Network* net, const ksim::NetAddress& as_addr, const ksim::NetAddress& tgs_addr,
-       ksim::HostClock clock, std::string realm, KdcDatabase db, kcrypto::Prng prng,
-       KdcOptions options = {});
-
-  const std::string& realm() const { return core_.realm(); }
-  KdcDatabase& database() { return core_.database(); }
-  const ksim::NetAddress& as_address() const { return as_addr_; }
-  const ksim::NetAddress& tgs_address() const { return tgs_addr_; }
-
-  KdcCore4& core() { return core_; }
-
-  // Request counters, visible to the rate-limiting and harvesting
-  // experiments.
-  uint64_t as_requests_served() const { return core_.as_requests_served(); }
-  uint64_t tgs_requests_served() const { return core_.tgs_requests_served(); }
+  KdcHost(ksim::Network* net, const ksim::NetAddress& as_addr, const ksim::NetAddress& tgs_addr,
+          ksim::HostClock clock, std::string realm, KdcDatabase db, kcrypto::Prng prng,
+          typename Core::Options options = {})
+      : Core(clock, std::move(realm), std::move(db), options), ctx_(prng) {
+    net->Bind(as_addr, [this](const ksim::Message& msg) { return this->HandleAs(msg, ctx_); });
+    net->Bind(tgs_addr, [this](const ksim::Message& msg) { return this->HandleTgs(msg, ctx_); });
+  }
 
  private:
-  ksim::NetAddress as_addr_;
-  ksim::NetAddress tgs_addr_;
-  KdcCore4 core_;
   KdcContext ctx_;
 };
+
+using Kdc4 = KdcHost<KdcCore4>;
 
 }  // namespace krb4
 

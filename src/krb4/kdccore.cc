@@ -117,20 +117,9 @@ kerb::Result<kerb::Bytes> KdcCore4::HandleTgs(const ksim::Message& msg, KdcConte
   });
 }
 
-kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRequest4& req,
-                                            KdcContext& ctx) {
-  // V4: no preauthentication. Whoever asked, for whatever principal,
-  // receives a reply encrypted in that principal's key.
-  auto client_key = CachedLookup(req.client, ctx);
-  if (!client_key.ok()) {
-    return client_key.error();
-  }
-  auto tgs_key = CachedLookup(tgs_principal_, ctx);
-  if (!tgs_key.ok()) {
-    return tgs_key.error();
-  }
-
-  ksim::Time now = clock_.Now();
+template <typename AsReq>
+void KdcCore4::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
+                       const kcrypto::DesKey& tgs_key, KdcContext& ctx) {
   // V4 quantization: the grant is whatever fits a one-byte 5-minute count.
   ksim::Duration lifetime = V4UnitsToLifetime(
       LifetimeToV4Units(std::min(req.lifetime, options_.max_ticket_lifetime)));
@@ -144,16 +133,32 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRe
   tgt.lifetime = lifetime;
   tgt.session_key = session_key.bytes();
 
-  // The reply is {K_c,tgs, {T_c,tgs}K_tgs, times}K_c, assembled through the
-  // context's scratch buffers instead of AsReplyBody4 temporaries.
+  // Assembled through the context's scratch buffers instead of
+  // AsReplyBody4 temporaries.
   kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
   tgt.AppendTo(ticket_writer);
   ctx.scratch.ticket_sealed.clear();
-  Seal4Into(tgs_key.value(), ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
+  Seal4Into(tgs_key, ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
 
   kenc::Writer body_writer(&ctx.scratch.body_plain);
   AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
+}
 
+kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRequest4& req,
+                                            KdcContext& ctx) {
+  // V4: no preauthentication. Whoever asked, for whatever principal,
+  // receives a reply encrypted in that principal's key.
+  auto client_key = CachedLookup(req.client, ctx);
+  if (!client_key.ok()) {
+    return client_key.error();
+  }
+  auto tgs_key = CachedLookup(tgs_principal_, ctx);
+  if (!tgs_key.ok()) {
+    return tgs_key.error();
+  }
+
+  // The reply is {K_c,tgs, {T_c,tgs}K_tgs, times}K_c.
+  MintTgt(msg, req, clock_.Now(), tgs_key.value(), ctx);
   SealedFrame4Into(MsgType::kAsReply, client_key.value(), ctx.scratch.body_plain,
                    ctx.scratch.reply);
   return ctx.scratch.reply;
@@ -214,25 +219,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const As
   kcrypto::DesKey dh_key = kcrypto::DhDeriveKey(
       kcrypto::DhSharedSecret(group, server_pair.private_key, client_pub));
 
-  ksim::Duration lifetime = V4UnitsToLifetime(
-      LifetimeToV4Units(std::min(req.lifetime, options_.max_ticket_lifetime)));
-
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
-  Ticket4 tgt;
-  tgt.service = tgs_principal_;
-  tgt.client = req.client;
-  tgt.client_addr = msg.src.host;
-  tgt.issued_at = now;
-  tgt.lifetime = lifetime;
-  tgt.session_key = session_key.bytes();
-
-  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
-  tgt.AppendTo(ticket_writer);
-  ctx.scratch.ticket_sealed.clear();
-  Seal4Into(tgs_key.value(), ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
-
-  kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
+  MintTgt(msg, req, now, tgs_key.value(), ctx);
 
   // Inner layer {body}K_c, then the DH layer over the inner ciphertext —
   // the password-keyed blob never appears bare on the wire.

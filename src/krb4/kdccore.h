@@ -2,8 +2,7 @@
 // V5 core.
 //
 // The protocol logic of the V4 authentication and ticket-granting servers,
-// factored out of the network-facing Kdc4 wrapper so two drivers can share
-// it:
+// kept apart from the network-facing KdcHost so two drivers can share it:
 //   * the deterministic simulation (src/krb4/kdc.h) drives it with ONE
 //     KdcContext on one thread, producing byte-identical replies to the
 //     pre-split handlers (pinned by tests/integration/kdc_capture_test.cc);
@@ -250,7 +249,6 @@ class KdcServeFrame {
   // front, so every login the core serves afterwards reuses it. Call before
   // serving; the group is read-only once requests flow.
   void EnablePkPreauth(kcrypto::DhGroup group);
-  bool pk_preauth_enabled() const { return pk_group_.has_value(); }
 
   const std::string& realm() const { return realm_; }
   KdcDatabase& database() { return db_; }
@@ -385,6 +383,8 @@ class KdcServeFrame {
 
 class KdcCore4 : public KdcServeFrame {
  public:
+  using Options = KdcOptions;
+
   KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options);
 
   kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
@@ -400,6 +400,14 @@ class KdcCore4 : public KdcServeFrame {
                                       KdcContext& ctx);
   kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, const TgsRequest4& req,
                                      KdcContext& ctx);
+
+  // The TGT both AS paths issue: mints it for `req`'s client at the claimed
+  // source address, seals it under `tgs_key`, and leaves the AS reply body
+  // {K_c,tgs, {T_c,tgs}K_tgs, times} in ctx.scratch.body_plain. Draws the
+  // session key from the context PRNG.
+  template <typename AsReq>
+  void MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
+               const kcrypto::DesKey& tgs_key, KdcContext& ctx);
 
   KdcOptions options_;
 };

@@ -99,7 +99,6 @@ class ReplicaPropagation {
   void Compact();
 
   kstore::KStore& store() { return *store_; }
-  kstore::Propagator& propagator() { return *propagator_; }
   const kstore::Propagator::CycleReport& last_report() const { return last_report_; }
   const kcrypto::DesKey& prop_key() const { return key_; }
 

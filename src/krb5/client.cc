@@ -4,79 +4,29 @@
 
 namespace krb5 {
 
+namespace {
+
+std::optional<kerb::Result<kerb::Bytes>> DecodeReferral5(kerb::BytesView reply) {
+  auto tlv = kenc::TlvMessage::Decode(reply);
+  if (!tlv.ok() || tlv.value().type() != kMsgClusterReferral) {
+    return std::nullopt;
+  }
+  return tlv.value().GetBytes(tag::kClusterBody);
+}
+
+}  // namespace
+
 Client5::Client5(ksim::Network* net, const ksim::NetAddress& self, ksim::HostClock clock,
                  Principal user, ksim::NetAddress as_addr, kcrypto::Prng prng,
                  Client5Options options)
-    : net_(net),
-      self_(self),
+    : krb4::KdcLink(net, self, as_addr, DecodeReferral5),
       clock_(clock),
       user_(std::move(user)),
-      as_addr_(as_addr),
       prng_(prng),
-      options_(options),
-      as_endpoints_{as_addr} {}
+      options_(options) {}
 
 void Client5::AddRealmTgs(const std::string& realm, const ksim::NetAddress& tgs_addr) {
   realm_tgs_.insert_or_assign(realm, tgs_addr);
-}
-
-void Client5::ConfigureRetry(ksim::SimClock* sim_clock, const ksim::RetryPolicy& policy,
-                             uint64_t jitter_seed) {
-  exchanger_.emplace(net_, sim_clock, kcrypto::Prng(jitter_seed), policy);
-}
-
-void Client5::AddSlaveKdc(const ksim::NetAddress& as_addr, const ksim::NetAddress& tgs_addr) {
-  as_endpoints_.push_back(as_addr);
-  tgs_slaves_.push_back(tgs_addr);
-}
-
-kerb::Result<kerb::Bytes> Client5::KdcExchange(const std::vector<ksim::NetAddress>& endpoints,
-                                               const kerb::Bytes& payload) {
-  if (exchanger_.has_value()) {
-    return exchanger_->Exchange(self_, endpoints,
-                                [&]() -> kerb::Result<kerb::Bytes> { return payload; });
-  }
-  return net_->Call(self_, endpoints.front(), payload);
-}
-
-kerb::Result<kerb::Bytes> Client5::RoutedKdcExchange(const Principal& routing_principal,
-                                                     bool tgs,
-                                                     const std::vector<ksim::NetAddress>& fallback,
-                                                     const kerb::Bytes& payload) {
-  if (!routing_.has_value() || !routing_->endpoints) {
-    return KdcExchange(fallback, payload);
-  }
-  for (int hop = 0; hop < kMaxReferralHops; ++hop) {
-    std::vector<ksim::NetAddress> endpoints = routing_->endpoints(routing_principal, tgs);
-    if (endpoints.empty()) {
-      endpoints = fallback;
-    }
-    auto reply = KdcExchange(endpoints, payload);
-    if (!reply.ok()) {
-      return reply;
-    }
-    auto tlv = kenc::TlvMessage::Decode(reply.value());
-    if (!tlv.ok() || tlv.value().type() != kMsgClusterReferral) {
-      return reply;  // a real KDC answer; the caller decodes it
-    }
-    auto body = tlv.value().GetBytes(tag::kClusterBody);
-    if (!body.ok() || !routing_->on_referral || !routing_->on_referral(body.value())) {
-      return kerb::MakeError(kerb::ErrorCode::kTransport, "cluster referral not actionable");
-    }
-  }
-  return kerb::MakeError(kerb::ErrorCode::kTransport, "cluster referral loop");
-}
-
-kerb::Result<kerb::Bytes> Client5::ServiceExchange(const ksim::NetAddress& addr,
-                                                   const ksim::Exchanger::Builder& build) {
-  if (exchanger_.has_value()) {
-    return exchanger_->Exchange(self_, {addr}, build);
-  }
-  auto payload = build();
-  if (!payload.ok()) {
-    return payload.error();
-  }
-  return net_->Call(self_, addr, payload.value());
 }
 
 kerb::Status Client5::Login(std::string_view password, ksim::Duration lifetime) {
@@ -98,7 +48,7 @@ kerb::Status Client5::LoginWithKey(const kcrypto::DesKey& client_key,
     req.padata = SealTlv(client_key, preauth, options_.enc, prng_);
   }
 
-  auto reply = RoutedKdcExchange(user_, false, as_endpoints_, req.ToTlv().Encode());
+  auto reply = RoutedKdcExchange(user_, false, as_endpoints(), req.ToTlv().Encode());
   if (!reply.ok()) {
     return reply.error();
   }
@@ -171,16 +121,13 @@ kerb::Result<TgsReply5> Client5::RawTgsRequest(const std::string& tgs_realm, Tgs
                                                    req.ChecksumInput(), creds->session_key);
   req.sealed_authenticator = auth.Seal(creds->session_key, options_.enc, prng_);
 
-  // Home-realm TGS requests fail over to the realm's slaves; cross-realm
-  // hops keep their one configured TGS (replication is per realm).
-  std::vector<ksim::NetAddress> endpoints{tgs_it->second};
-  if (tgs_realm == user_.realm) {
-    endpoints.insert(endpoints.end(), tgs_slaves_.begin(), tgs_slaves_.end());
-  }
-  // Only the home realm is clustered; cross-realm hops bypass the router.
+  // Home-realm TGS requests fail over to the realm's slaves and go through
+  // the cluster router; cross-realm hops keep their one configured TGS
+  // (replication and clustering are per realm).
   auto reply = tgs_realm == user_.realm
-                   ? RoutedKdcExchange(req.service, true, endpoints, req.ToTlv().Encode())
-                   : KdcExchange(endpoints, req.ToTlv().Encode());
+                   ? RoutedKdcExchange(req.service, true, TgsEndpoints(tgs_it->second),
+                                       req.ToTlv().Encode())
+                   : KdcExchange({tgs_it->second}, req.ToTlv().Encode());
   if (!reply.ok()) {
     return reply.error();
   }

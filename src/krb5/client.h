@@ -10,16 +10,13 @@
 #ifndef SRC_KRB5_CLIENT_H_
 #define SRC_KRB5_CLIENT_H_
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "src/krb4/kdclink.h"
 #include "src/krb5/appserver.h"
-#include "src/krb5/kdc.h"
 #include "src/krb5/messages.h"
-#include "src/sim/retry.h"
 
 namespace krb5 {
 
@@ -55,7 +52,9 @@ struct ServiceCallResult {
   kcrypto::DesKey channel_key;  // negotiated true session key when enabled
 };
 
-class Client5 {
+// Retry, failover and cluster routing come from the shared krb4::KdcLink
+// (src/krb4/kdclink.h); the V5 referral rides a kMsgClusterReferral TLV.
+class Client5 : public krb4::KdcLink {
  public:
   Client5(ksim::Network* net, const ksim::NetAddress& self, ksim::HostClock clock,
           Principal user, ksim::NetAddress as_addr, kcrypto::Prng prng,
@@ -93,35 +92,9 @@ class Client5 {
                                               const Principal& service, bool want_mutual,
                                               kerb::BytesView app_data = {});
 
-  // Opts into resilient exchanges, mirroring Client4::ConfigureRetry: KDC
-  // requests retransmit identical bytes through the failover list, AP
-  // requests rebuild their authenticator per attempt, and all waits charge
-  // the shared SimClock deterministically.
-  void ConfigureRetry(ksim::SimClock* sim_clock, const ksim::RetryPolicy& policy,
-                      uint64_t jitter_seed);
-
-  // Appends a home-realm slave KDC to the failover lists. Cross-realm hops
-  // keep their single configured TGS: replication is per realm.
-  void AddSlaveKdc(const ksim::NetAddress& as_addr, const ksim::NetAddress& tgs_addr);
-
-  // Cluster routing hooks — same contract as Client4::ClusterRouting (the
-  // V5 referral rides a kMsgClusterReferral TLV, but the body bytes handed
-  // to `on_referral` are the identical shared codec). Clustering applies to
-  // the home realm only; cross-realm hops keep their configured TGS.
-  struct ClusterRouting {
-    std::function<std::vector<ksim::NetAddress>(const Principal& principal, bool tgs)>
-        endpoints;
-    std::function<bool(kerb::BytesView referral_body)> on_referral;
-  };
-  void SetClusterRouting(ClusterRouting routing) { routing_ = std::move(routing); }
-
   // Forgets cached service tickets (TGTs survive) so load harnesses drive
   // real TGS exchanges.
   void DropServiceCredentials() { service_creds_.clear(); }
-
-  ksim::RetryStats retry_stats() const {
-    return exchanger_.has_value() ? exchanger_->stats() : ksim::RetryStats{};
-  }
 
   void Logout();
   bool logged_in() const { return tgs_creds_.has_value(); }
@@ -137,33 +110,11 @@ class Client5 {
  private:
   kerb::Result<TgsCredentials5> GetTgtForRealm(const std::string& realm,
                                                ksim::Duration lifetime);
-  // Referral hops one exchange may follow before failing closed.
-  static constexpr int kMaxReferralHops = 4;
 
-  // Fixed request bytes through a failover list (retransmission); single
-  // direct call when retry is not configured.
-  kerb::Result<kerb::Bytes> KdcExchange(const std::vector<ksim::NetAddress>& endpoints,
-                                        const kerb::Bytes& payload);
-  // KdcExchange through the cluster routing hooks when installed (see
-  // Client4::RoutedKdcExchange).
-  kerb::Result<kerb::Bytes> RoutedKdcExchange(const Principal& routing_principal, bool tgs,
-                                              const std::vector<ksim::NetAddress>& fallback,
-                                              const kerb::Bytes& payload);
-  // Fresh request per attempt against one service address.
-  kerb::Result<kerb::Bytes> ServiceExchange(const ksim::NetAddress& addr,
-                                            const ksim::Exchanger::Builder& build);
-
-  ksim::Network* net_;
-  ksim::NetAddress self_;
   ksim::HostClock clock_;
   Principal user_;
-  ksim::NetAddress as_addr_;
   kcrypto::Prng prng_;
   Client5Options options_;
-  std::vector<ksim::NetAddress> as_endpoints_;
-  std::vector<ksim::NetAddress> tgs_slaves_;  // home-realm failover targets
-  std::optional<ksim::Exchanger> exchanger_;
-  std::optional<ClusterRouting> routing_;
 
   std::map<std::string, ksim::NetAddress> realm_tgs_;
   std::optional<TgsCredentials5> tgs_creds_;  // home-realm TGT

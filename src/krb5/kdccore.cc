@@ -125,6 +125,36 @@ kerb::Result<kerb::Bytes> KdcCore5::HandleTgs(const ksim::Message& msg, KdcConte
   });
 }
 
+template <typename AsReq>
+void KdcCore5::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
+                       const kcrypto::DesKey& tgs_key, const kcrypto::DesKey& client_key,
+                       KdcContext& ctx) {
+  ksim::Duration lifetime = std::min(req.lifetime, policy_.max_ticket_lifetime);
+  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
+
+  Ticket5 tgt;
+  tgt.service = tgs_principal_;
+  tgt.client = req.client;
+  tgt.flags = kFlagForwardable;
+  if (!(policy_.allow_address_omission && (req.options & kOptOmitAddress))) {
+    tgt.client_addr = msg.src.host;
+  }
+  tgt.issued_at = now;
+  tgt.lifetime = lifetime;
+  tgt.session_key = session_key.bytes();
+
+  EncAsRepPart5 part;
+  part.tgs_session_key = session_key.bytes();
+  part.nonce = req.nonce;  // Draft 3's challenge/response to the client
+  part.issued_at = now;
+  part.lifetime = lifetime;
+
+  SealMessageInto(tgs_key, tgt, policy_.enc, ctx.prng, ctx.scratch.ticket_plain,
+                  ctx.scratch.ticket_sealed);
+  SealMessageInto(client_key, part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
+                  ctx.scratch.body_sealed);
+}
+
 kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRequest5& req,
                                             KdcContext& ctx) {
   ksim::Time now = clock_.Now();
@@ -168,30 +198,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRe
     return tgs_key.error();
   }
 
-  ksim::Duration lifetime = std::min(req.lifetime, policy_.max_ticket_lifetime);
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
-
-  Ticket5 tgt;
-  tgt.service = tgs_principal_;
-  tgt.client = req.client;
-  tgt.flags = kFlagForwardable;
-  if (!(policy_.allow_address_omission && (req.options & kOptOmitAddress))) {
-    tgt.client_addr = msg.src.host;
-  }
-  tgt.issued_at = now;
-  tgt.lifetime = lifetime;
-  tgt.session_key = session_key.bytes();
-
-  EncAsRepPart5 part;
-  part.tgs_session_key = session_key.bytes();
-  part.nonce = req.nonce;  // Draft 3's challenge/response to the client
-  part.issued_at = now;
-  part.lifetime = lifetime;
-
-  SealMessageInto(tgs_key.value(), tgt, policy_.enc, ctx.prng, ctx.scratch.ticket_plain,
-                  ctx.scratch.ticket_sealed);
-  SealMessageInto(client_key.value(), part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
-                  ctx.scratch.body_sealed);
+  MintTgt(msg, req, now, tgs_key.value(), client_key.value(), ctx);
   return EncodeReplyInto(kMsgAsRep, ctx.scratch.ticket_sealed, ctx.scratch.body_sealed,
                          ctx.scratch);
 }
@@ -263,32 +270,9 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAsPk(const ksim::Message& msg, const As
   kcrypto::DesKey dh_key = kcrypto::DhDeriveKey(
       kcrypto::DhSharedSecret(group, server_pair.private_key, client_pub));
 
-  ksim::Duration lifetime = std::min(req.lifetime, policy_.max_ticket_lifetime);
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
-
-  Ticket5 tgt;
-  tgt.service = tgs_principal_;
-  tgt.client = req.client;
-  tgt.flags = kFlagForwardable;
-  if (!(policy_.allow_address_omission && (req.options & kOptOmitAddress))) {
-    tgt.client_addr = msg.src.host;
-  }
-  tgt.issued_at = now;
-  tgt.lifetime = lifetime;
-  tgt.session_key = session_key.bytes();
-
-  EncAsRepPart5 part;
-  part.tgs_session_key = session_key.bytes();
-  part.nonce = req.nonce;
-  part.issued_at = now;
-  part.lifetime = lifetime;
-
-  SealMessageInto(tgs_key.value(), tgt, policy_.enc, ctx.prng, ctx.scratch.ticket_plain,
-                  ctx.scratch.ticket_sealed);
   // Inner layer {EncAsRepPart5}K_c, then the DH wrapper over the inner
   // ciphertext — the password-keyed blob never appears bare on the wire.
-  SealMessageInto(client_key.value(), part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
-                  ctx.scratch.body_sealed);
+  MintTgt(msg, req, now, tgs_key.value(), client_key.value(), ctx);
   kenc::TlvMessage wrap(kMsgPkEncWrap);
   wrap.SetBytes(tag::kSealedPart, ctx.scratch.body_sealed);
   SealTlvInto(dh_key, wrap, policy_.enc, ctx.prng, ctx.scratch.pk_outer);

@@ -1,7 +1,7 @@
 // Thread-safe Version 5 Draft 3 KDC serving core.
 //
 // Same split as src/krb4/kdccore.h, on the same serve frame
-// (krb4::KdcServeFrame): the Kdc5 wrapper drives this core with
+// (krb4::KdcServeFrame): the Kdc5 host drives this core with
 // one KdcContext on the simulation thread (byte-identical replies, pinned
 // by tests/integration/kdc_capture_test.cc); the parallel bench harness
 // drives it with a KERB_KDC_THREADS pool of contexts.
@@ -68,6 +68,8 @@ struct KdcPolicy5 {
 
 class KdcCore5 : public krb4::KdcServeFrame {
  public:
+  using Options = KdcPolicy5;
+
   KdcCore5(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcPolicy5 policy);
 
   kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
@@ -90,6 +92,16 @@ class KdcCore5 : public krb4::KdcServeFrame {
                                       KdcContext& ctx);
   kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, const TgsRequest5& req,
                                      KdcContext& ctx);
+
+  // The TGT both AS paths issue: mints it for `req`'s client (bound to the
+  // source address unless the policy lets the client omit it), then seals
+  // the ticket under `tgs_key` into ctx.scratch.ticket_sealed and its
+  // EncAsRepPart5 under `client_key` into ctx.scratch.body_sealed. Draws
+  // the session key, then each seal's confounder, from the context PRNG.
+  template <typename AsReq>
+  void MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
+               const kcrypto::DesKey& tgs_key, const kcrypto::DesKey& client_key,
+               KdcContext& ctx);
 
   // The per-source AS rate limit, shared by the password and PK paths.
   kerb::Status AdmitAs(uint32_t host, ksim::Time now);

@@ -1,62 +1,23 @@
 // V5 KDC replica set: one primary plus N read-only slaves.
 //
-// Same model as krb4::KdcReplicaSet4 (see that header for the paper
-// context and the durability/propagation design): slaves serve from a
-// snapshot of the primary's database at derived addresses (primary host +
-// 1 + index), Propagate() runs one authenticated kprop cycle over the
-// simulated network, and clients fail over primary-first. Inter-realm keys
-// and routes are part of policy-time setup, so configure them on every
-// replica via ForEach before traffic starts.
+// The same template as the V4 set (krb4::KdcReplicaSet, src/krb4/replica.h;
+// see that header for the paper context and the durability/propagation
+// design) over Kdc5 hosts: slaves serve from a snapshot of the primary's
+// database at derived addresses (primary host + 1 + index), Propagate()
+// runs one authenticated kprop cycle over the simulated network, and
+// clients fail over primary-first. Inter-realm keys and routes are part of
+// policy-time setup, so configure them on every replica before traffic
+// starts.
 
 #ifndef SRC_KRB5_REPLICA_H_
 #define SRC_KRB5_REPLICA_H_
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "src/krb4/kdcstore.h"
-#include "src/krb5/client.h"
+#include "src/krb4/replica.h"
 #include "src/krb5/kdc.h"
 
 namespace krb5 {
 
-class KdcReplicaSet5 {
- public:
-  // Slave PRNG streams fork off `prng` first; a zero-slave set drives the
-  // primary with the untouched stream, byte-identical to a bare Kdc5.
-  KdcReplicaSet5(ksim::Network* net, const ksim::NetAddress& as_addr,
-                 const ksim::NetAddress& tgs_addr, ksim::HostClock clock, std::string realm,
-                 KdcDatabase db, kcrypto::Prng prng, int slaves, KdcPolicy5 policy = {});
-
-  Kdc5& primary() { return *primary_; }
-  Kdc5& slave(int i) { return *slaves_.at(static_cast<size_t>(i)); }
-  int slave_count() const { return static_cast<int>(slaves_.size()); }
-
-  const std::vector<ksim::NetAddress>& as_endpoints() const { return as_endpoints_; }
-  const std::vector<ksim::NetAddress>& tgs_endpoints() const { return tgs_endpoints_; }
-
-  // One kprop cycle shipping WAL deltas to every slave; no-op with zero
-  // slaves.
-  void Propagate();
-
-  // Registers the slave endpoints on a client's failover lists.
-  void AttachClient(Client5& client) const;
-
-  // Applies setup (inter-realm keys, routes) to the primary and all slaves.
-  void ForEach(const std::function<void(Kdc5&)>& fn);
-
-  // The durable-store machinery; null with zero slaves.
-  krb4::ReplicaPropagation* propagation() { return propagation_.get(); }
-
- private:
-  std::unique_ptr<Kdc5> primary_;
-  std::vector<std::unique_ptr<Kdc5>> slaves_;
-  std::vector<ksim::NetAddress> as_endpoints_;
-  std::vector<ksim::NetAddress> tgs_endpoints_;
-  std::unique_ptr<krb4::ReplicaPropagation> propagation_;
-};
+using KdcReplicaSet5 = krb4::KdcReplicaSet<Kdc5>;
 
 }  // namespace krb5
 

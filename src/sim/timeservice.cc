@@ -14,11 +14,6 @@ UnauthTimeService::UnauthTimeService(Network* net, const NetAddress& addr, const
   });
 }
 
-const NetAddress& UnauthTimeService::DefaultAddress() {
-  static const NetAddress addr{0x0a000037, 37};  // 10.0.0.55:37, the TIME port
-  return addr;
-}
-
 kerb::Result<Time> UnauthTimeService::Query(Network* net, const NetAddress& client_addr,
                                             const NetAddress& service_addr) {
   auto reply = net->Call(client_addr, service_addr, kerb::Bytes{});

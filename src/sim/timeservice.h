@@ -27,8 +27,6 @@ class UnauthTimeService {
  public:
   UnauthTimeService(Network* net, const NetAddress& addr, const HostClock* clock);
 
-  static const NetAddress& DefaultAddress();
-
   // Client side: query the service and return the reported time. The caller
   // typically follows with HostClock::AdjustTo — trusting whatever arrived.
   static kerb::Result<Time> Query(Network* net, const NetAddress& client_addr,

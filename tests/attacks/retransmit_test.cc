@@ -100,7 +100,7 @@ TEST(KdcReplyCacheTest, DuplicateAsRequestGetsIdenticalBytesNotASecondTicket) {
     // once. Without the cache each call would mint a fresh session key and
     // the replies would diverge.
     EXPECT_EQ(first.value(), second.value());
-    EXPECT_GE(bed.kdc().core().reply_cache_hits(), 1u);
+    EXPECT_GE(bed.kdc().reply_cache_hits(), 1u);
   });
 }
 
@@ -111,7 +111,7 @@ TEST(KdcReplyCacheTest, DuplicateTgsRequestGetsIdenticalBytes) {
 
     auto replay = bed.world().network().Call(tgs_req.src, tgs_req.dst, tgs_req.payload);
     ASSERT_TRUE(replay.ok());
-    uint64_t hits = bed.kdc().core().reply_cache_hits();
+    uint64_t hits = bed.kdc().reply_cache_hits();
     EXPECT_GE(hits, 1u);
     auto again = bed.world().network().Call(tgs_req.src, tgs_req.dst, tgs_req.payload);
     ASSERT_TRUE(again.ok());
@@ -127,11 +127,11 @@ TEST(KdcReplyCacheTest, DifferentSourceAddressMisses) {
     ksim::Message as_req = CaptureRequestTo(bed, Bed::kAsAddr);
 
     auto original = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
-    uint64_t hits_before = bed.kdc().core().reply_cache_hits();
+    uint64_t hits_before = bed.kdc().reply_cache_hits();
     auto elsewhere = bed.world().network().Call(Bed::kEveAddr, as_req.dst, as_req.payload);
     ASSERT_TRUE(original.ok());
     ASSERT_TRUE(elsewhere.ok());
-    EXPECT_EQ(bed.kdc().core().reply_cache_hits(), hits_before);
+    EXPECT_EQ(bed.kdc().reply_cache_hits(), hits_before);
     EXPECT_NE(original.value(), elsewhere.value()) << "fresh issue expected on a miss";
   });
 }
@@ -143,11 +143,11 @@ TEST(KdcReplyCacheTest, EntriesExpireAfterTheFreshnessWindow) {
 
     auto first = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
     bed.world().clock().Advance(kWindow + ksim::kSecond);
-    uint64_t hits_before = bed.kdc().core().reply_cache_hits();
+    uint64_t hits_before = bed.kdc().reply_cache_hits();
     auto stale = bed.world().network().Call(as_req.src, as_req.dst, as_req.payload);
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(stale.ok());
-    EXPECT_EQ(bed.kdc().core().reply_cache_hits(), hits_before)
+    EXPECT_EQ(bed.kdc().reply_cache_hits(), hits_before)
         << "the cache answers retransmissions, not history";
     EXPECT_NE(first.value(), stale.value());
   });
@@ -164,7 +164,7 @@ TEST(KdcReplyCacheTest, DisabledByDefault) {
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_NE(a.value(), b.value());
-    EXPECT_EQ(bed.kdc().core().reply_cache_hits(), 0u);
+    EXPECT_EQ(bed.kdc().reply_cache_hits(), 0u);
   });
 }
 

@@ -145,7 +145,7 @@ TEST(ThreadedKdcTest, ParallelKdcCoreServesEveryRequest) {
   request.payload = as_req.ToTlv().Encode();
   request.sent_at = now;
 
-  krb5::KdcCore5& core = bed.kdc().core();
+  krb5::KdcCore5& core = bed.kdc();
   kattack::KdcHandler handler = [&core](const ksim::Message& msg, krb4::KdcContext& ctx) {
     return core.HandleAs(msg, ctx);
   };

@@ -140,7 +140,7 @@ TEST(GoldenTraceTest, KdcLoadDigestIndependentOfWorkerCount) {
     request.payload = as_req.ToTlv().Encode();
     request.sent_at = bed.world().MakeHostClock().Now();
 
-    krb5::KdcCore5& core = bed.kdc().core();
+    krb5::KdcCore5& core = bed.kdc();
     kattack::KdcHandler handler = [&core](const ksim::Message& msg, krb4::KdcContext& ctx) {
       return core.HandleAs(msg, ctx);
     };
