@@ -32,31 +32,28 @@ void Classify(kerb::ErrorCode code, ChaosReport& report) {
   }
 }
 
-// Scripts the primary-KDC outage over the middle third of the exchange
-// schedule by mutating the live plan — deterministic because the loop index,
-// not wall time, decides the boundaries.
-void UpdateBlackout(const ChaosConfig& config, int exchange, uint32_t kdc_host,
-                    ksim::FaultyNetwork* faults) {
-  if (!config.primary_blackout || faults == nullptr) return;
-  const int start = config.exchanges / 3;
-  const int end = 2 * config.exchanges / 3;
-  if (exchange == start) {
-    faults->plan().blackouts.push_back(
-        ksim::Blackout{kdc_host, 0, std::numeric_limits<ksim::Time>::max()});
-  } else if (exchange == end) {
-    faults->plan().blackouts.clear();
-  }
-}
-
-// Shared per-exchange skeleton: ensure a login, run one mail call through
-// `call_mail`, compare against the expected honest payload. The V4/V5
-// studies differ only in the client objects and encodings.
-template <typename LoginFn, typename CallFn>
-void DriveExchanges(const ChaosConfig& config, ksim::SimClock& clock, uint32_t kdc_host,
-                    ksim::FaultyNetwork* faults, bool& logged_in, LoginFn login,
-                    CallFn call_mail, const std::string& expected, ChaosReport& report) {
+// The study over either testbed (Testbed4 or Testbed5): alice logs in and
+// makes `config.exchanges` mail calls through `call_mail`, each compared
+// against the honest `expected` payload, while the primary KDC blacks out
+// over the middle third of the schedule when configured. The loop index,
+// not wall time, decides those boundaries, so a run is deterministic.
+template <typename Bed, typename CallFn>
+ChaosReport RunStudy(const ChaosConfig& config, Bed& bed, CallFn call_mail,
+                     const std::string& expected) {
+  ChaosReport report;
+  ksim::SimClock& clock = bed.world().clock();
+  ksim::FaultyNetwork* faults = bed.world().faults();
+  const uint32_t kdc_host = Bed::kAsAddr.host;
+  bool logged_in = false;
   for (int i = 0; i < config.exchanges; ++i) {
-    UpdateBlackout(config, i, kdc_host, faults);
+    if (config.primary_blackout && faults != nullptr) {
+      if (i == config.exchanges / 3) {
+        faults->plan().blackouts.push_back(
+            ksim::Blackout{kdc_host, 0, std::numeric_limits<ksim::Time>::max()});
+      } else if (i == 2 * config.exchanges / 3) {
+        faults->plan().blackouts.clear();
+      }
+    }
     ++report.attempted;
 
     // Periodically start a fresh session so AS exchanges stay in the
@@ -65,7 +62,8 @@ void DriveExchanges(const ChaosConfig& config, ksim::SimClock& clock, uint32_t k
 
     if (!logged_in) {
       ++report.logins;
-      kerb::Status st = login();
+      bed.alice().Logout();
+      kerb::Status st = bed.alice().Login(Bed::kAlicePassword);
       if (!st.ok()) {
         // The whole exchange fails closed at the login step.
         Classify(st.code(), report);
@@ -87,17 +85,22 @@ void DriveExchanges(const ChaosConfig& config, ksim::SimClock& clock, uint32_t k
     }
     clock.Advance(2 * ksim::kSecond);
   }
-}
 
-void FillNetworkReport(ksim::FaultyNetwork* faults, uint32_t kdc_host, int slaves,
-                       ChaosReport& report) {
-  if (faults == nullptr) return;
-  report.net = faults->stats();
-  report.schedule_digest = faults->schedule_digest();
-  report.kdc_divergences = faults->divergences_at(kdc_host);
-  for (int i = 0; i < slaves; ++i) {
-    report.kdc_divergences += faults->divergences_at(kdc_host + 1 + static_cast<uint32_t>(i));
+  const int slaves = bed.kdc_replicas().slave_count();
+  if (faults != nullptr) {
+    report.net = faults->stats();
+    report.schedule_digest = faults->schedule_digest();
+    report.kdc_divergences = faults->divergences_at(kdc_host);
+    for (int i = 0; i < slaves; ++i) {
+      report.kdc_divergences += faults->divergences_at(kdc_host + 1 + static_cast<uint32_t>(i));
+    }
   }
+  report.kdc_reply_cache_hits = bed.kdc().reply_cache_hits();
+  for (int i = 0; i < slaves; ++i) {
+    report.kdc_reply_cache_hits += bed.kdc_replicas().slave(i).reply_cache_hits();
+  }
+  report.retry = bed.alice().retry_stats();
+  return report;
 }
 
 }  // namespace
@@ -111,29 +114,13 @@ ChaosReport RunChaosStudy4(const ChaosConfig& config) {
   tb.kdc_reply_cache_window = config.kdc_reply_cache_window;
   tb.server_replay_cache = config.server_replay_cache;
   Testbed4 bed(tb);
-
-  ChaosReport report;
-  const uint32_t kdc_host = Testbed4::kAsAddr.host;
-  bool logged_in = false;
-  DriveExchanges(
-      config, bed.world().clock(), kdc_host, bed.world().faults(), logged_in,
-      [&] {
-        bed.alice().Logout();
-        return bed.alice().Login(Testbed4::kAlicePassword);
-      },
+  return RunStudy(
+      config, bed,
       [&] {
         return bed.alice().CallService(Testbed4::kMailAddr, bed.mail_principal(),
                                        /*want_mutual=*/true);
       },
-      "You have 3 messages.", report);
-
-  FillNetworkReport(bed.world().faults(), kdc_host, bed.kdc_replicas().slave_count(), report);
-  report.kdc_reply_cache_hits = bed.kdc().reply_cache_hits();
-  for (int i = 0; i < bed.kdc_replicas().slave_count(); ++i) {
-    report.kdc_reply_cache_hits += bed.kdc_replicas().slave(i).reply_cache_hits();
-  }
-  report.retry = bed.alice().retry_stats();
-  return report;
+      "You have 3 messages.");
 }
 
 ChaosReport RunChaosStudy5(const ChaosConfig& config) {
@@ -143,35 +130,17 @@ ChaosReport RunChaosStudy5(const ChaosConfig& config) {
   tb.kdc_slaves = config.kdc_slaves;
   tb.client_retry = config.retry;
   tb.kdc_policy.reply_cache_window = config.kdc_reply_cache_window;
-  tb.kdc_policy.require_preauth = config.preauth;
-  tb.client_options.use_preauth = config.preauth;
   tb.server_options.replay_cache = config.server_replay_cache;
   Testbed5 bed(tb);
-
-  ChaosReport report;
-  const uint32_t kdc_host = Testbed5::kAsAddr.host;
-  bool logged_in = false;
-  DriveExchanges(
-      config, bed.world().clock(), kdc_host, bed.world().faults(), logged_in,
-      [&] {
-        bed.alice().Logout();
-        return bed.alice().Login(Testbed5::kAlicePassword);
-      },
+  return RunStudy(
+      config, bed,
       [&]() -> kerb::Result<kerb::Bytes> {
         auto result = bed.alice().CallService(Testbed5::kMailAddr, bed.mail_principal(),
                                               /*want_mutual=*/true);
         if (!result.ok()) return result.error();
         return std::move(result).value().app_reply;
       },
-      "mail-ok: mail-check", report);
-
-  FillNetworkReport(bed.world().faults(), kdc_host, bed.kdc_replicas().slave_count(), report);
-  report.kdc_reply_cache_hits = bed.kdc().reply_cache_hits();
-  for (int i = 0; i < bed.kdc_replicas().slave_count(); ++i) {
-    report.kdc_reply_cache_hits += bed.kdc_replicas().slave(i).reply_cache_hits();
-  }
-  report.retry = bed.alice().retry_stats();
-  return report;
+      "mail-ok: mail-check");
 }
 
 }  // namespace kattack

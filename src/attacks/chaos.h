@@ -48,7 +48,6 @@ struct ChaosConfig {
   ksim::RetryPolicy retry;
   ksim::Duration kdc_reply_cache_window = 30 * ksim::kSecond;
   bool server_replay_cache = true;  // authenticator replay detection stays on
-  bool preauth = false;             // V5 only: hardened AS exchange
 };
 
 struct ChaosReport {
@@ -75,8 +74,7 @@ struct ChaosReport {
 // faults. Deterministic per (config, seed).
 ChaosReport RunChaosStudy4(const ChaosConfig& config);
 
-// The same study over the V5 stack (Testbed5, TLV encodings, optional
-// preauthentication).
+// The same study over the V5 stack (Testbed5, TLV encodings).
 ChaosReport RunChaosStudy5(const ChaosConfig& config);
 
 }  // namespace kattack

@@ -36,34 +36,9 @@ void ClassifyCall(kerb::ErrorCode code, bool strict, uint64_t& failed_closed,
   }
 }
 
-bool RingEqual(const krb4::PrincipalEntry& a, const krb4::PrincipalEntry& b) {
-  if (a.kind != b.kind || a.max_life != b.max_life || a.max_renew != b.max_renew ||
-      a.keys.size() != b.keys.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.keys.size(); ++i) {
-    if (a.keys[i].kvno != b.keys[i].kvno || a.keys[i].not_after != b.keys[i].not_after ||
-        a.keys[i].key.bytes() != b.keys[i].key.bytes()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool SameDatabase(krb4::KdcDatabase& a, krb4::KdcDatabase& b) {
-  auto pa = a.Principals();
-  auto pb = b.Principals();
-  if (pa.size() != pb.size()) {
-    return false;
-  }
-  for (const krb4::Principal& p : pa) {
-    auto ea = a.LookupEntry(p);
-    auto eb = b.LookupEntry(p);
-    if (!ea.ok() || !eb.ok() || !RingEqual(ea.value(), eb.value())) {
-      return false;
-    }
-  }
-  return true;
+// Byte equality of the encoded entry sets, in canonical principal order.
+bool SameDatabase(const krb4::KdcDatabase& a, const krb4::KdcDatabase& b) {
+  return krb4::SnapshotDatabase(a, 0).entries == krb4::SnapshotDatabase(b, 0).entries;
 }
 
 // No replica may ever hold a half-applied rotation: at the same kvno the
@@ -78,7 +53,8 @@ bool NoHalfAppliedRing(krb4::KdcDatabase& primary, krb4::KdcDatabase& slave) {
     if (es.value().kvno() > ep.value().kvno()) {
       return false;
     }
-    if (es.value().kvno() == ep.value().kvno() && !RingEqual(es.value(), ep.value())) {
+    if (es.value().kvno() == ep.value().kvno() &&
+        krb4::EncodePrincipalEntry(p, es.value()) != krb4::EncodePrincipalEntry(p, ep.value())) {
       return false;
     }
   }
@@ -348,15 +324,9 @@ RotationReport RunRotationStudy(const RotationConfig& config) {
   report.recovery_consistent = false;
   if (auto* prop = bed.kdc_replicas().propagation()) {
     prop->store().Crash();
-    auto recovered = prop->store().Recover();
-    if (recovered.ok()) {
-      krb4::KdcDatabase rebuilt;
-      bool ok = krb4::LoadSnapshotEntries(rebuilt, recovered.value().base).ok();
-      for (const kstore::WalRecord& rec : recovered.value().records) {
-        ok = ok && krb4::ApplyStoreRecord(rebuilt, rec.op, rec.payload).ok();
-      }
-      report.recovery_consistent = ok && SameDatabase(rebuilt, db);
-    }
+    krb4::KdcDatabase rebuilt;
+    report.recovery_consistent =
+        krb4::RecoverDatabase(prop->store(), rebuilt).ok() && SameDatabase(rebuilt, db);
   } else {
     // Zero-slave deployments have no durable store to crash; vacuously ok.
     report.recovery_consistent = bed.kdc_replicas().slave_count() == 0;

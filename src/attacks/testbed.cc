@@ -9,7 +9,6 @@ namespace {
 krb4::AppServerOptions ServerOptions(const TestbedConfig& config) {
   krb4::AppServerOptions options;
   options.replay_cache = config.server_replay_cache;
-  options.check_address = config.server_check_address;
   options.clock_skew_limit = config.clock_skew_limit;
   return options;
 }

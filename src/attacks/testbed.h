@@ -29,7 +29,6 @@ struct TestbedConfig {
   int extra_users = 0;
   double weak_fraction = 0.5;
   bool server_replay_cache = false;
-  bool server_check_address = true;
   ksim::Duration clock_skew_limit = ksim::kDefaultClockSkewLimit;
   // Robustness knobs (all default to the historical lossless testbed):
   // route traffic through a seeded FaultyNetwork, add read-only slave KDCs,

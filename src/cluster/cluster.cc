@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/crypto/str2key.h"
 #include "src/encoding/io.h"
 #include "src/encoding/tlv.h"
 #include "src/krb4/messages.h"
@@ -15,11 +14,16 @@ namespace kcluster {
 
 namespace {
 
-kcrypto::DesKey PropKey(const std::string& realm) {
-  // Same derivation kprop uses, so the cluster data plane and the classic
-  // replica sets speak under the same realm-derived key.
-  return kcrypto::StringToKey("kprop/" + realm, realm);
-}
+// Virtual per-request service time, charged to the serving node's busy
+// meter and to the shared SimClock. The single-core host can't run N nodes
+// in parallel, so aggregate throughput is derived from the busiest node's
+// meter: wall time = max over nodes, not the sum.
+constexpr ksim::Duration kNodeServiceTime = 200 * ksim::kMicrosecond;
+
+// Chunking for the controller's data plane: WAL records per kprop delta
+// frame, principal entries per range-load frame.
+constexpr uint32_t kDeltaRecordsPerFrame = 256;
+constexpr size_t kLoadEntriesPerFrame = 512;
 
 }  // namespace
 
@@ -35,7 +39,7 @@ ClusterNode::ClusterNode(ksim::World* world, const ClusterConfig& config,
       prng_(config.seed ^ (node_id * 0x9e3779b97f4a7c15ull)),
       ctx_(prng_.Fork()),
       ctl_key_(ClusterKey(config.realm)),
-      prop_key_(PropKey(config.realm)),
+      prop_key_(kstore::PropKey(config.realm)),
       ring_(config.ring) {
   if (config_.protocol == Protocol::kV4) {
     krb4::KdcOptions options;
@@ -186,10 +190,8 @@ kerb::Result<kerb::Bytes> ClusterNode::HandleKdc(bool tgs, const ksim::Message& 
     // never mask a fail-closed parse.
     return ReferralReply(routing);
   }
-  busy_us_ += config_.node_service_time;
-  if (config_.advance_clock_per_request) {
-    world_->clock().Advance(config_.node_service_time);
-  }
+  busy_us_ += kNodeServiceTime;
+  world_->clock().Advance(kNodeServiceTime);
   ++requests_served_;
   if (core4_.has_value()) {
     return tgs ? core4_->HandleTgs(msg, ctx_) : core4_->HandleAs(msg, ctx_);
@@ -235,25 +237,15 @@ kerb::Result<kerb::Bytes> ClusterNode::HandleCtl(const ksim::Message& msg) {
       // not at all. Loads are deliberately NOT journaled locally (that
       // would break the local-LSN == controller-LSN correspondence); a
       // crash loses them, and the always-wholesale rejoin restores them.
-      std::vector<std::pair<krb4::Principal, krb4::PrincipalEntry>> pending;
-      pending.reserve(load.value().entries.size());
-      for (const kerb::Bytes& record : load.value().entries) {
-        kenc::Reader r(record);
-        auto decoded = krb4::DecodePrincipalEntry(r);
-        if (!decoded.ok()) {
-          return decoded.error();
-        }
-        if (!r.AtEnd()) {
-          return kerb::MakeError(kerb::ErrorCode::kBadFormat,
-                                 "cluster: trailing load-entry bytes");
-        }
-        pending.push_back(std::move(decoded).value());
+      auto pending = krb4::DecodeEntries(load.value().entries);
+      if (!pending.ok()) {
+        return pending.error();
       }
-      for (const auto& [principal, entry] : pending) {
+      for (const auto& [principal, entry] : pending.value()) {
         db().ApplyEntry(principal, entry);
       }
-      kobs::EmitNow(kobs::kSrcCluster, kobs::Ev::kClusterOp, pending.size(), 2);
-      return EncodeLoadAckFrame(ctl_key_, static_cast<uint32_t>(pending.size()));
+      kobs::EmitNow(kobs::kSrcCluster, kobs::Ev::kClusterOp, pending.value().size(), 2);
+      return EncodeLoadAckFrame(ctl_key_, static_cast<uint32_t>(pending.value().size()));
     }
     default:
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: unexpected ctl frame");
@@ -268,40 +260,19 @@ kerb::Status ClusterNode::ApplyRecord(uint8_t op, kerb::BytesView payload) {
     store_->Append(op, payload);
     return kerb::Status::Ok();
   }
-  kenc::Reader r(payload);
-  if (op == kstore::kWalOpDelete) {
-    auto principal = krb4::Principal::DecodeFrom(r);
-    if (!principal.ok()) {
-      return principal.error();
-    }
-    if (!r.AtEnd()) {
-      return kerb::MakeError(kerb::ErrorCode::kBadFormat,
-                             "cluster: trailing delete bytes");
-    }
-    if (!OwnedOrInfra(principal.value())) {
-      store_->Append(kstore::kWalOpClusterMark, {});
-      return kerb::Status::Ok();
-    }
-    store_->Append(op, payload);
-    db().Remove(principal.value());
-    return kerb::Status::Ok();
+  auto record = krb4::DecodeStoreRecord(op, payload);
+  if (!record.ok()) {
+    return record.error();
   }
-  if (op != kstore::kWalOpUpsert) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: unknown record op");
-  }
-  auto decoded = krb4::DecodePrincipalEntry(r);
-  if (!decoded.ok()) {
-    return decoded.error();
-  }
-  if (!r.AtEnd()) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: trailing upsert bytes");
-  }
-  if (!OwnedOrInfra(decoded.value().first)) {
+  const krb4::StoreRecord& decoded = record.value();
+  if (!OwnedOrInfra(decoded.principal)) {
     store_->Append(kstore::kWalOpClusterMark, {});
     return kerb::Status::Ok();
   }
   store_->Append(op, payload);
-  if (!db().ApplyEntry(decoded.value().first, decoded.value().second)) {
+  if (!decoded.entry.has_value()) {
+    db().Remove(decoded.principal);
+  } else if (!db().ApplyEntry(decoded.principal, *decoded.entry)) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: entry rejected");
   }
   return kerb::Status::Ok();
@@ -346,24 +317,11 @@ void ClusterNode::Crash() {
 }
 
 kerb::Status ClusterNode::Recover() {
-  auto recovered = store_->Recover();
-  if (!recovered.ok()) {
-    return recovered.error();
+  auto recovered_lsn = krb4::RecoverDatabase(*store_, db());
+  if (!recovered_lsn.ok()) {
+    return recovered_lsn.error();
   }
-  auto loaded = krb4::LoadSnapshotEntries(db(), recovered.value().base);
-  if (!loaded.ok()) {
-    return loaded;
-  }
-  for (const kstore::WalRecord& record : recovered.value().records) {
-    if (record.op == kstore::kWalOpClusterMark) {
-      continue;
-    }
-    auto applied = krb4::ApplyStoreRecord(db(), record.op, record.payload);
-    if (!applied.ok()) {
-      return applied;
-    }
-  }
-  MakeSink(recovered.value().last_lsn);
+  MakeSink(recovered_lsn.value());
   // The pre-crash ring view is stale by assumption; drop it and let the
   // controller re-teach on rejoin (pong reports epoch 0, which forces a
   // wholesale re-sync even when membership never changed).
@@ -380,7 +338,6 @@ ClusterController::ClusterController(ksim::World* world, ClusterConfig config)
       config_(std::move(config)),
       prng_(config_.seed),
       ctl_key_(ClusterKey(config_.realm)),
-      prop_key_(PropKey(config_.realm)),
       ring_(config_.ring) {}
 
 std::vector<RingMember> ClusterController::UpMembers() const {
@@ -409,6 +366,9 @@ void ClusterController::Bootstrap(const std::vector<RingMember>& members) {
   store_ = std::make_unique<kstore::KStore>(prng_.Fork(), kstore::KStoreOptions{},
                                             krb4::SnapshotDatabase(logical_, 0));
   logical_.AttachJournal(store_.get());
+  feed_.emplace(&world_->network(), store_.get(), kstore::PropKey(config_.realm),
+                ksim::NetAddress{config_.controller_host, config_.prop_port},
+                kDeltaRecordsPerFrame);
   nodes_.reserve(members.size());
   // View() derives its member list from nodes_, which is still empty here —
   // splice in the bootstrap membership explicitly.
@@ -455,18 +415,21 @@ void ClusterController::AppendEpochMark() {
   store_->Append(kstore::kWalOpClusterMark, w.Peek());
 }
 
+kerb::Result<std::pair<uint8_t, kerb::Bytes>> ClusterController::CallCtl(
+    const NodeState& ns, kerb::BytesView frame) {
+  auto reply = world_->network().Call({config_.controller_host, config_.ctl_port},
+                                      {ns.member.host, config_.ctl_port}, frame);
+  if (!reply.ok()) {
+    return reply.error();
+  }
+  return OpenCtlFrame(ctl_key_, reply.value());
+}
+
 bool ClusterController::Ping(NodeState& ns, PongInfo* pong) {
-  const ksim::NetAddress src{config_.controller_host, config_.ctl_port};
-  const ksim::NetAddress dst{ns.member.host, config_.ctl_port};
   // Two attempts so one dropped datagram on a faulty link is not read as a
   // node loss; a real outage fails both deterministically.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto reply = world_->network().Call(src, dst, EncodePingFrame(ctl_key_, 0));
-    if (!reply.ok()) {
-      ++stats_.probe_failures;
-      continue;
-    }
-    auto opened = OpenCtlFrame(ctl_key_, reply.value());
+    auto opened = CallCtl(ns, EncodePingFrame(ctl_key_, 0));
     if (!opened.ok() || opened.value().first != kCtlPong) {
       ++stats_.probe_failures;
       continue;
@@ -483,13 +446,7 @@ bool ClusterController::Ping(NodeState& ns, PongInfo* pong) {
 }
 
 bool ClusterController::ShipRing(NodeState& ns) {
-  const ksim::NetAddress src{config_.controller_host, config_.ctl_port};
-  const ksim::NetAddress dst{ns.member.host, config_.ctl_port};
-  auto reply = world_->network().Call(src, dst, EncodeRingFrame(ctl_key_, View()));
-  if (!reply.ok()) {
-    return false;
-  }
-  auto opened = OpenCtlFrame(ctl_key_, reply.value());
+  auto opened = CallCtl(ns, EncodeRingFrame(ctl_key_, View()));
   if (!opened.ok() || opened.value().first != kCtlRingAck) {
     return false;
   }
@@ -519,25 +476,18 @@ uint64_t ClusterController::ShipGained(NodeState& ns, const HashRing& prev) {
     }
     gained.push_back(krb4::EncodePrincipalEntry(p, entry));
   });
-  const ksim::NetAddress src{config_.controller_host, config_.ctl_port};
-  const ksim::NetAddress dst{ns.member.host, config_.ctl_port};
   uint64_t shipped = 0;
-  for (size_t start = 0; start < gained.size(); start += config_.load_chunk_entries) {
+  for (size_t start = 0; start < gained.size(); start += kLoadEntriesPerFrame) {
     LoadFrame frame;
     frame.epoch = epoch_;
-    const size_t end = std::min(gained.size(),
-                                start + static_cast<size_t>(config_.load_chunk_entries));
+    const size_t end = std::min(gained.size(), start + kLoadEntriesPerFrame);
     frame.entries.assign(gained.begin() + static_cast<ptrdiff_t>(start),
                          gained.begin() + static_cast<ptrdiff_t>(end));
-    auto reply = world_->network().Call(src, dst, EncodeLoadFrame(ctl_key_, frame));
-    bool ok = reply.ok();
+    auto opened = CallCtl(ns, EncodeLoadFrame(ctl_key_, frame));
+    bool ok = opened.ok() && opened.value().first == kCtlLoadAck;
     if (ok) {
-      auto opened = OpenCtlFrame(ctl_key_, reply.value());
-      ok = opened.ok() && opened.value().first == kCtlLoadAck;
-      if (ok) {
-        auto count = ParseLoadAckBody(opened.value().second);
-        ok = count.ok() && count.value() == frame.entries.size();
-      }
+      auto count = ParseLoadAckBody(opened.value().second);
+      ok = count.ok() && count.value() == frame.entries.size();
     }
     if (!ok) {
       // A lost or rejected load leaves the node short of its new range —
@@ -573,45 +523,21 @@ kstore::Snapshot ClusterController::SliceSnapshot(uint64_t node_id, uint64_t lsn
 }
 
 bool ClusterController::SyncNode(NodeState& ns) {
-  const ksim::NetAddress src{config_.controller_host, config_.prop_port};
-  const ksim::NetAddress dst{ns.member.host, config_.prop_port};
-  while (ns.needs_wholesale || ns.acked_lsn < store_->last_lsn()) {
-    kerb::Bytes frame;
-    uint64_t frame_to = 0;
-    std::vector<kstore::WalRecord> delta;
-    if (!ns.needs_wholesale && store_->Delta(ns.acked_lsn, &delta)) {
-      if (delta.empty()) {
-        return true;
-      }
-      if (delta.size() > config_.delta_chunk_records) {
-        delta.resize(config_.delta_chunk_records);
-      }
-      frame_to = delta.back().lsn;
-      frame = kstore::EncodeDeltaFrame(prop_key_, ns.acked_lsn, frame_to, delta);
-    } else {
-      // Wholesale: the node's current ring slice at the controller's LSN.
-      // A mark keeps last_lsn strictly above the node's applied LSN so the
-      // sink's rollback stale-guard cannot reject the catch-up.
-      if (store_->last_lsn() <= ns.acked_lsn) {
-        AppendEpochMark();
-      }
-      frame_to = store_->last_lsn();
-      frame = kstore::EncodeWholesaleFrame(
-          prop_key_, kstore::EncodeSnapshot(SliceSnapshot(ns.member.node_id, frame_to)));
-      ++stats_.wholesale_transfers;
-    }
-    auto reply = world_->network().Call(src, dst, frame);
-    if (!reply.ok()) {
-      return false;
-    }
-    auto ack = kstore::ParseAckFrame(prop_key_, reply.value());
-    if (!ack.ok() || ack.value() < frame_to || ack.value() <= ns.acked_lsn) {
-      return false;  // no progress — bail rather than loop
-    }
-    ns.acked_lsn = ack.value();
+  // A forced wholesale is the node's ring slice at the controller's LSN. A
+  // mark keeps last_lsn strictly above the node's applied LSN so the sink's
+  // rollback stale-guard cannot reject the catch-up.
+  if (ns.needs_wholesale && store_->last_lsn() <= ns.acked_lsn) {
+    AppendEpochMark();
+  }
+  kstore::Propagator::CycleReport report;
+  const bool synced = feed_->CatchUp(
+      ns.member.host, &ns.acked_lsn, ns.needs_wholesale,
+      [&](uint64_t lsn) { return SliceSnapshot(ns.member.node_id, lsn); }, report);
+  stats_.wholesale_transfers += report.wholesale_transfers;
+  if (synced) {
     ns.needs_wholesale = false;
   }
-  return true;
+  return synced;
 }
 
 void ClusterController::Rebalance(const HashRing& prev) {
@@ -712,9 +638,7 @@ void ClusterController::Maintain() {
       // whatever state the partial update left behind.
       ns.needs_wholesale = true;
     }
-    if (ns.needs_wholesale || ns.acked_lsn < store_->last_lsn()) {
-      SyncNode(ns);
-    }
+    SyncNode(ns);
   }
 }
 

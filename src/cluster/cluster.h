@@ -22,12 +22,14 @@
 //
 //   * ClusterController — the registration primary and membership brain.
 //     It owns the logical (whole-realm) database and its WAL; per-node
-//     slices are projections of that log. ProbeAll() detects node loss and
-//     rejoin over the fault fabric and bumps the ring epoch; Rebalance()
-//     moves only the hash ranges the membership change affected (additive
-//     range loads to the gaining nodes, prune-on-adopt at the shrinking
-//     ones); a rejoining node is caught up wholesale — a slice snapshot at
-//     the current LSN — then rides the delta tail like everyone else.
+//     slices are projections of that log, shipped through the same kprop
+//     feed (kstore::Propagator) the replica sets use. ProbeAll() detects
+//     node loss and rejoin over the fault fabric and bumps the ring epoch;
+//     Rebalance() moves only the hash ranges the membership change affected
+//     (additive range loads to the gaining nodes, prune-on-adopt at the
+//     shrinking ones); a rejoining node is caught up wholesale — a slice
+//     snapshot at the current LSN — then rides the delta tail like everyone
+//     else.
 //
 // LSN discipline (the recovery invariant): a node's local WAL advances in
 // lockstep with the controller feed — exactly one local append per applied
@@ -46,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/ring.h"
@@ -74,15 +77,6 @@ struct ClusterConfig {
   // Duplicated requests must return the stored reply, never a second
   // ticket — the cluster's no-double-issue invariant leans on this.
   ksim::Duration reply_cache_window = 30 * ksim::kSecond;
-  // Virtual per-request service time, charged to the serving node's busy
-  // meter (and optionally the shared SimClock). The single-core host can't
-  // run N nodes in parallel, so aggregate throughput is derived from the
-  // busiest node's meter: wall time = max over nodes, not the sum.
-  ksim::Duration node_service_time = 200 * ksim::kMicrosecond;
-  bool advance_clock_per_request = true;
-  // Chunking for the controller's data plane.
-  uint32_t delta_chunk_records = 256;
-  uint32_t load_chunk_entries = 512;
 };
 
 // Principals replicated to every node regardless of ring ownership. The
@@ -230,12 +224,16 @@ class ClusterController {
   std::vector<RingMember> UpMembers() const;
   bool OwnedByOrInfra(uint64_t node_id, const krb4::Principal& p) const;
   void AppendEpochMark();
+  // One control-plane round trip to `ns`; returns the opened reply.
+  kerb::Result<std::pair<uint8_t, kerb::Bytes>> CallCtl(const NodeState& ns,
+                                                        kerb::BytesView frame);
   bool Ping(NodeState& ns, PongInfo* pong);
   bool ShipRing(NodeState& ns);
   uint64_t ShipGained(NodeState& ns, const HashRing& prev);
   kstore::Snapshot SliceSnapshot(uint64_t node_id, uint64_t lsn) const;
-  // Drives `ns` to the controller's last LSN: chunked deltas normally, a
-  // slice-snapshot wholesale when flagged or past the compaction horizon.
+  // Drives `ns` to the controller's last LSN through the feed: chunked
+  // deltas normally, a slice-snapshot wholesale when flagged or past the
+  // compaction horizon.
   bool SyncNode(NodeState& ns);
   void Rebalance(const HashRing& prev);
 
@@ -243,9 +241,9 @@ class ClusterController {
   ClusterConfig config_;
   kcrypto::Prng prng_;
   kcrypto::DesKey ctl_key_;
-  kcrypto::DesKey prop_key_;
   krb4::KdcDatabase logical_;
   std::unique_ptr<kstore::KStore> store_;
+  std::optional<kstore::Propagator> feed_;  // built with store_ in Bootstrap
   HashRing ring_;
   uint32_t epoch_ = 0;
   std::vector<NodeState> nodes_;

@@ -19,6 +19,17 @@ kcrypto::Prng KeyStream(uint64_t seed, uint64_t domain, uint64_t index) {
                        (index * 0xbf58476d1ce4e5b9ull) ^ 0x94d049bb133111ebull);
 }
 
+// Client actor i sends from {kClientHostBase + i, 4000}.
+constexpr uint32_t kClientHostBase = 0x0a000000;  // 10.0.0.0
+
+// The chaos scenario's shape: which members (by list index) black out and
+// crash, for how long the outage lasts, and how many registrations land
+// during it (the rebalance-under-load + paused-propagation ingredient).
+constexpr size_t kChaosBlackoutNode = 1;
+constexpr size_t kChaosCrashNode = 2;
+constexpr ksim::Duration kChaosBlackoutLength = 2 * ksim::kMinute;
+constexpr size_t kChaosMidstreamRegistrations = 32;
+
 }  // namespace
 
 // --- Population -------------------------------------------------------------
@@ -89,7 +100,7 @@ ClusterLoadReport RunClusterLoad(ksim::World& world, ClusterController& cluster,
   const PopulationConfig& pc = population.config();
   ClusterLoadReport report;
   kcrypto::Prng prng(config.seed);
-  ZipfSampler sampler(pc.users, config.zipf_s);
+  ZipfSampler sampler(pc.users, 1.0);
 
   const RingAnnounce view = cluster.View();
   const std::vector<RingMember>& members = view.members;
@@ -119,42 +130,36 @@ ClusterLoadReport RunClusterLoad(ksim::World& world, ClusterController& cluster,
         config.zipf ? sampler.Sample(prng) : static_cast<size_t>(prng.NextBelow(pc.users));
     const bool login_only = (prng.NextU64() & 1023) < config.login_mix_1024;
     const krb4::Principal user = population.UserPrincipal(ui);
-    const ksim::NetAddress self{config.client_host_base + static_cast<uint32_t>(actor),
-                                4000};
+    const ksim::NetAddress self{kClientHostBase + static_cast<uint32_t>(actor), 4000};
     const ksim::Time started = world.clock().Now();
 
+    // Either protocol's client: slaves, retry, router, login, then the
+    // optional service ticket.
+    auto drive = [&](auto& client) {
+      for (size_t k = 1; k < members.size(); ++k) {
+        const size_t alt = (boot + k) % members.size();
+        client.AddSlaveKdc(as_addrs[alt], tgs_addrs[alt]);
+      }
+      client.ConfigureRetry(&world.clock(), policy, config.seed ^ (op * 2 + 1));
+      routers[actor].Attach(client);
+      kerb::Status status = client.LoginWithKey(population.UserKey(ui));
+      if (status.ok() && !login_only) {
+        const size_t sj = static_cast<size_t>(prng.NextBelow(pc.services));
+        auto ticket = client.GetServiceTicket(population.ServicePrincipal(sj));
+        status = ticket.ok() ? kerb::Status::Ok() : ticket.error();
+      }
+      return status;
+    };
     kerb::Status outcome = kerb::Status::Ok();
     if (cc.protocol == Protocol::kV4) {
       krb4::Client4 client(&world.network(), self, world.MakeHostClock(), user,
                            as_addrs[boot], tgs_addrs[boot]);
-      for (size_t k = 1; k < members.size(); ++k) {
-        const size_t alt = (boot + k) % members.size();
-        client.AddSlaveKdc(as_addrs[alt], tgs_addrs[alt]);
-      }
-      client.ConfigureRetry(&world.clock(), policy, config.seed ^ (op * 2 + 1));
-      routers[actor].Attach(client);
-      outcome = client.LoginWithKey(population.UserKey(ui));
-      if (outcome.ok() && !login_only) {
-        const size_t sj = static_cast<size_t>(prng.NextBelow(pc.services));
-        auto ticket = client.GetServiceTicket(population.ServicePrincipal(sj));
-        outcome = ticket.ok() ? kerb::Status::Ok() : ticket.error();
-      }
+      outcome = drive(client);
     } else {
       krb5::Client5 client(&world.network(), self, world.MakeHostClock(), user,
                            as_addrs[boot], kcrypto::Prng(config.seed ^ (op * 2 + 1)));
       client.AddRealmTgs(pc.realm, tgs_addrs[boot]);
-      for (size_t k = 1; k < members.size(); ++k) {
-        const size_t alt = (boot + k) % members.size();
-        client.AddSlaveKdc(as_addrs[alt], tgs_addrs[alt]);
-      }
-      client.ConfigureRetry(&world.clock(), policy, config.seed ^ (op * 2 + 1));
-      routers[actor].Attach(client);
-      outcome = client.LoginWithKey(population.UserKey(ui));
-      if (outcome.ok() && !login_only) {
-        const size_t sj = static_cast<size_t>(prng.NextBelow(pc.services));
-        auto ticket = client.GetServiceTicket(population.ServicePrincipal(sj));
-        outcome = ticket.ok() ? kerb::Status::Ok() : ticket.error();
-      }
+      outcome = drive(client);
     }
 
     const uint64_t latency_us =
@@ -212,10 +217,8 @@ ClusterChaosReport RunClusterChaos(ksim::World& world, ClusterController& cluste
     ClusterLoadConfig lc;
     lc.seed = config.seed ^ salt;
     lc.ops = config.ops_per_phase;
-    lc.login_mix_1024 = config.login_mix_1024;
-    lc.client_pool = config.client_pool;
-    lc.cold_clients = config.cold_clients;
-    lc.client_host_base = config.client_host_base;
+    lc.client_pool = 16;  // the chaos scenario's pool, not the load defaults
+    lc.cold_clients = 2;
     const ClusterLoadReport r = RunClusterLoad(world, cluster, population, lc);
     report.attempted += r.attempted;
     report.ok += r.ok;
@@ -241,10 +244,10 @@ ClusterChaosReport RunClusterChaos(ksim::World& world, ClusterController& cluste
 
   // Outage: one node goes dark mid-stream — a scripted network blackout
   // when the world has a fault fabric, a device crash otherwise.
-  const uint64_t black_id = ids[config.blackout_node % ids.size()];
+  const uint64_t black_id = ids[kChaosBlackoutNode % ids.size()];
   ClusterNode* black = cluster.node(black_id);
   const ksim::Time outage_start = world.clock().Now();
-  const ksim::Time outage_end = outage_start + config.blackout_length;
+  const ksim::Time outage_end = outage_start + kChaosBlackoutLength;
   if (faults != nullptr) {
     faults->plan().blackouts.push_back({black->host(), outage_start, outage_end});
   } else {
@@ -253,7 +256,7 @@ ClusterChaosReport RunClusterChaos(ksim::World& world, ClusterController& cluste
 
   // Registrations land while propagation is paused: the rebalance and the
   // later catch-up must carry them.
-  for (size_t i = 0; i < config.midstream_registrations; ++i) {
+  for (size_t i = 0; i < kChaosMidstreamRegistrations; ++i) {
     const krb4::Principal extra =
         krb4::Principal::User("chaos" + std::to_string(i), pc.realm);
     cluster.logical_db().ApplyUpsert(extra,
@@ -268,7 +271,7 @@ ClusterChaosReport RunClusterChaos(ksim::World& world, ClusterController& cluste
   run_phase(0xB1ACC);
 
   // A second node takes a device crash and recovers in place.
-  const uint64_t crash_id = ids[config.crash_node % ids.size()];
+  const uint64_t crash_id = ids[kChaosCrashNode % ids.size()];
   if (crash_id != black_id) {
     ClusterNode* crashed = cluster.node(crash_id);
     crashed->Crash();

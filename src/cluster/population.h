@@ -82,8 +82,7 @@ struct ClusterLoadConfig {
   // login + service-ticket (TGS) pairs. Integer so op selection is exact
   // and replayable.
   uint32_t login_mix_1024 = 512;
-  bool zipf = true;
-  double zipf_s = 1.0;
+  bool zipf = true;  // Zipf(1) over users, else uniform
   // Client actors cycled round-robin across operations; each keeps its own
   // cached ring view.
   size_t client_pool = 32;
@@ -91,7 +90,6 @@ struct ClusterLoadConfig {
   // through an arbitrary node and learn the ring from its referral. The
   // rest are warm-started with the controller's view.
   size_t cold_clients = 4;
-  uint32_t client_host_base = 0x0a000000;  // 10.0.0.0
 };
 
 struct ClusterLoadReport {
@@ -112,21 +110,11 @@ ClusterLoadReport RunClusterLoad(ksim::World& world, ClusterController& cluster,
                                  const Population& population,
                                  const ClusterLoadConfig& config);
 
+// The chaos scenario itself is fixed (see RunClusterChaos); only the
+// workload seed and its size vary.
 struct ClusterChaosConfig {
   uint64_t seed = 7;
   size_t ops_per_phase = 200;  // three phases: before, during, after
-  uint32_t login_mix_1024 = 512;
-  size_t client_pool = 16;
-  size_t cold_clients = 2;
-  uint32_t client_host_base = 0x0a000000;
-  // Index (into the member list) of the node blacked out mid-traffic and of
-  // the node taking a device crash + recovery.
-  size_t blackout_node = 1;
-  size_t crash_node = 2;
-  ksim::Duration blackout_length = 2 * ksim::kMinute;
-  // Registrations trickled into the logical database during the outage —
-  // the rebalance-under-load + paused-propagation ingredient.
-  size_t midstream_registrations = 32;
 };
 
 struct ClusterChaosReport {

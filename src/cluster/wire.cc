@@ -2,21 +2,13 @@
 
 #include <utility>
 
-#include "src/crypto/modes.h"
 #include "src/crypto/str2key.h"
 #include "src/encoding/io.h"
+#include "src/store/kprop.h"
 
 namespace kcluster {
 
 namespace {
-
-// Same sealing convention as kprop: 8-byte DES CBC-MAC (zero IV) trailer
-// over the whole body.
-kerb::Bytes Seal(const kcrypto::DesKey& key, kerb::Bytes body) {
-  const kcrypto::DesBlock mac = kcrypto::CbcMac(key, kcrypto::DesBlock{}, body);
-  body.insert(body.end(), mac.begin(), mac.end());
-  return body;
-}
 
 kerb::Result<RingAnnounce> DecodeAnnounceFrom(kenc::Reader& r) {
   auto epoch = r.GetU32();
@@ -137,7 +129,7 @@ kerb::Bytes EncodePingFrame(const kcrypto::DesKey& key, uint64_t from_node) {
   w.PutU32(kClusterMagic);
   w.PutU8(kCtlPing);
   w.PutU64(from_node);
-  return Seal(key, w.Take());
+  return kstore::SealFrame(key, w.Take());
 }
 
 kerb::Bytes EncodePongFrame(const kcrypto::DesKey& key, const PongInfo& info) {
@@ -147,7 +139,7 @@ kerb::Bytes EncodePongFrame(const kcrypto::DesKey& key, const PongInfo& info) {
   w.PutU64(info.node_id);
   w.PutU32(info.epoch);
   w.PutU64(info.applied_lsn);
-  return Seal(key, w.Take());
+  return kstore::SealFrame(key, w.Take());
 }
 
 kerb::Bytes EncodeRingFrame(const kcrypto::DesKey& key, const RingAnnounce& announce) {
@@ -155,7 +147,7 @@ kerb::Bytes EncodeRingFrame(const kcrypto::DesKey& key, const RingAnnounce& anno
   w.PutU32(kClusterMagic);
   w.PutU8(kCtlRing);
   EncodeAnnounceTo(w, announce);
-  return Seal(key, w.Take());
+  return kstore::SealFrame(key, w.Take());
 }
 
 kerb::Bytes EncodeRingAckFrame(const kcrypto::DesKey& key, const RingAckInfo& info) {
@@ -164,7 +156,7 @@ kerb::Bytes EncodeRingAckFrame(const kcrypto::DesKey& key, const RingAckInfo& in
   w.PutU8(kCtlRingAck);
   w.PutU64(info.node_id);
   w.PutU32(info.epoch);
-  return Seal(key, w.Take());
+  return kstore::SealFrame(key, w.Take());
 }
 
 kerb::Bytes EncodeLoadFrame(const kcrypto::DesKey& key, const LoadFrame& load) {
@@ -176,7 +168,7 @@ kerb::Bytes EncodeLoadFrame(const kcrypto::DesKey& key, const LoadFrame& load) {
   for (const kerb::Bytes& entry : load.entries) {
     w.PutLengthPrefixed(entry);
   }
-  return Seal(key, w.Take());
+  return kstore::SealFrame(key, w.Take());
 }
 
 kerb::Bytes EncodeLoadAckFrame(const kcrypto::DesKey& key, uint32_t count_applied) {
@@ -184,27 +176,17 @@ kerb::Bytes EncodeLoadAckFrame(const kcrypto::DesKey& key, uint32_t count_applie
   w.PutU32(kClusterMagic);
   w.PutU8(kCtlLoadAck);
   w.PutU32(count_applied);
-  return Seal(key, w.Take());
+  return kstore::SealFrame(key, w.Take());
 }
 
 kerb::Result<std::pair<uint8_t, kerb::Bytes>> OpenCtlFrame(const kcrypto::DesKey& key,
                                                            kerb::BytesView frame) {
-  if (frame.size() < 8 + 5) {  // mac + (magic, type)
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: ctl frame too short");
+  auto opened = kstore::OpenFrame(key, kClusterMagic, frame);
+  if (!opened.ok()) {
+    return opened.error();
   }
-  const kerb::BytesView body = frame.subspan(0, frame.size() - 8);
-  const kerb::BytesView trailer = frame.subspan(frame.size() - 8);
-  const kcrypto::DesBlock mac = kcrypto::CbcMac(key, kcrypto::DesBlock{}, body);
-  if (!kerb::ConstantTimeEqual(trailer, kerb::BytesView(mac.data(), mac.size()))) {
-    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "cluster: bad ctl mac");
-  }
-  kenc::Reader r(body);
-  auto magic = r.GetU32();
-  auto type = r.GetU8();
-  if (!magic.ok() || magic.value() != kClusterMagic || !type.ok()) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: bad ctl header");
-  }
-  return std::make_pair(type.value(), r.Rest());
+  const kerb::BytesView body = opened.value().second;
+  return std::make_pair(opened.value().first, kerb::Bytes(body.begin(), body.end()));
 }
 
 kerb::Result<uint64_t> ParsePingBody(kerb::BytesView body) {

@@ -15,10 +15,10 @@
 //     avoid.
 //
 //   * Control frames (membership pings, ring updates, range loads) move
-//     database state and membership decisions between nodes, so they get
-//     the same treatment as kprop (src/store/kprop.h): an 8-byte DES
-//     CBC-MAC (zero IV) trailer under a key derived from the realm. A
-//     network adversary cannot forge a ring view or inject principals.
+//     database state and membership decisions between nodes, so they are
+//     sealed as kprop's are (kstore::SealFrame): an 8-byte DES CBC-MAC
+//     (zero IV) trailer under a key derived from the realm. A network
+//     adversary cannot forge a ring view or inject principals.
 //
 // Frames, big-endian, MAC over everything before the trailer:
 //   ping     := u32 'KCL1' | u8 1 | u64 from_node | mac8
@@ -117,8 +117,8 @@ kerb::Bytes EncodeRingAckFrame(const kcrypto::DesKey& key, const RingAckInfo& in
 kerb::Bytes EncodeLoadFrame(const kcrypto::DesKey& key, const LoadFrame& load);
 kerb::Bytes EncodeLoadAckFrame(const kcrypto::DesKey& key, uint32_t count_applied);
 
-// Verifies the MAC trailer and the magic, and returns (type, body-after-
-// header). kIntegrity on MAC mismatch, kBadFormat on framing damage — every
+// kstore::OpenFrame for 'KCL1' frames: (type, body-after-header), or
+// kIntegrity on MAC mismatch, kBadFormat on framing damage — every
 // malformed control frame is a rejection, never a partial parse.
 kerb::Result<std::pair<uint8_t, kerb::Bytes>> OpenCtlFrame(const kcrypto::DesKey& key,
                                                            kerb::BytesView frame);

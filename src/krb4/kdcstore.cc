@@ -3,7 +3,6 @@
 #include <set>
 #include <utility>
 
-#include "src/crypto/str2key.h"
 #include "src/encoding/io.h"
 
 namespace krb4 {
@@ -14,6 +13,10 @@ namespace {
 // deliberately NOT drawn from the replica PRNG: the device must not perturb
 // the key-generation streams that capture tests pin byte-for-byte.
 constexpr uint64_t kDeviceSeed = 0x6b70726f70644256ull;
+
+// Records per delta frame: small chunks mean an interrupted cycle still
+// lands complete prefixes on a slave.
+constexpr uint32_t kRecordsPerFrame = 4;
 
 }  // namespace
 
@@ -86,30 +89,56 @@ kerb::Bytes EncodePrincipalDelete(const Principal& principal) {
   return w.Take();
 }
 
-kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView payload) {
+kerb::Result<std::vector<std::pair<Principal, PrincipalEntry>>> DecodeEntries(
+    const std::vector<kerb::Bytes>& payloads) {
+  std::vector<std::pair<Principal, PrincipalEntry>> entries;
+  entries.reserve(payloads.size());
+  for (const kerb::Bytes& payload : payloads) {
+    kenc::Reader r(payload);
+    auto decoded = DecodePrincipalEntry(r);
+    if (!decoded.ok() || !r.AtEnd()) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: malformed entry");
+    }
+    entries.push_back(std::move(decoded).value());
+  }
+  return entries;
+}
+
+kerb::Result<StoreRecord> DecodeStoreRecord(uint8_t op, kerb::BytesView payload) {
   kenc::Reader r(payload);
+  StoreRecord record;
   if (op == kstore::kWalOpDelete) {
     auto principal = Principal::DecodeFrom(r);
     if (!principal.ok()) {
       return principal.error();
     }
-    if (!r.AtEnd()) {
-      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: trailing delete bytes");
+    record.principal = std::move(principal).value();
+  } else if (op == kstore::kWalOpUpsert) {
+    auto decoded = DecodePrincipalEntry(r);
+    if (!decoded.ok()) {
+      return decoded.error();
     }
-    db.Remove(principal.value());  // removing an absent principal is idempotent
-    return kerb::Status::Ok();
-  }
-  if (op != kstore::kWalOpUpsert) {
+    record.principal = std::move(decoded.value().first);
+    record.entry = std::move(decoded.value().second);
+  } else {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: unknown record op");
   }
-  auto decoded = DecodePrincipalEntry(r);
-  if (!decoded.ok()) {
-    return decoded.error();
-  }
   if (!r.AtEnd()) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: trailing upsert bytes");
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: trailing record bytes");
   }
-  db.ApplyEntry(decoded.value().first, decoded.value().second);
+  return record;
+}
+
+kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView payload) {
+  auto record = DecodeStoreRecord(op, payload);
+  if (!record.ok()) {
+    return record.error();
+  }
+  if (record.value().entry.has_value()) {
+    db.ApplyEntry(record.value().principal, *record.value().entry);
+  } else {
+    db.Remove(record.value().principal);  // removing an absent principal is idempotent
+  }
   return kerb::Status::Ok();
 }
 
@@ -129,18 +158,12 @@ kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn) {
 kerb::Status LoadSnapshotEntries(KdcDatabase& db, const kstore::Snapshot& snapshot) {
   // Decode everything before mutating anything: a malformed snapshot must
   // leave the database untouched.
-  std::vector<std::pair<Principal, PrincipalEntry>> entries;
-  entries.reserve(snapshot.entries.size());
-  for (const kerb::Bytes& payload : snapshot.entries) {
-    kenc::Reader r(payload);
-    auto decoded = DecodePrincipalEntry(r);
-    if (!decoded.ok() || !r.AtEnd()) {
-      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: malformed snapshot entry");
-    }
-    entries.push_back(std::move(decoded).value());
+  auto entries = DecodeEntries(snapshot.entries);
+  if (!entries.ok()) {
+    return entries.error();
   }
   std::set<Principal> incoming;
-  for (const auto& entry : entries) {
+  for (const auto& entry : entries.value()) {
     incoming.insert(entry.first);
   }
   for (const Principal& existing : db.Principals()) {
@@ -148,23 +171,42 @@ kerb::Status LoadSnapshotEntries(KdcDatabase& db, const kstore::Snapshot& snapsh
       db.Remove(existing);
     }
   }
-  for (const auto& entry : entries) {
+  for (const auto& entry : entries.value()) {
     db.ApplyEntry(entry.first, entry.second);
   }
   return kerb::Status::Ok();
 }
 
+kerb::Result<uint64_t> RecoverDatabase(kstore::KStore& store, KdcDatabase& db) {
+  auto recovered = store.Recover();
+  if (!recovered.ok()) {
+    return recovered.error();
+  }
+  auto loaded = LoadSnapshotEntries(db, recovered.value().base);
+  if (!loaded.ok()) {
+    return loaded.error();
+  }
+  for (const kstore::WalRecord& record : recovered.value().records) {
+    if (record.op == kstore::kWalOpClusterMark) {
+      continue;
+    }
+    auto applied = ApplyStoreRecord(db, record.op, record.payload);
+    if (!applied.ok()) {
+      return applied.error();
+    }
+  }
+  return recovered.value().last_lsn;
+}
+
 ReplicaPropagation::ReplicaPropagation(ksim::Network* net, const std::string& realm,
-                                       KdcDatabase* primary, uint32_t primary_host,
-                                       kstore::KStoreOptions store_options,
-                                       kstore::Propagator::Options prop_options)
-    : primary_(primary), key_(kcrypto::StringToKey("kprop/" + realm, realm)) {
-  const kstore::Snapshot base = SnapshotDatabase(*primary_, 0);
-  store_ = std::make_unique<kstore::KStore>(kcrypto::Prng(kDeviceSeed), store_options, base);
+                                       KdcDatabase* primary, uint32_t primary_host)
+    : net_(net),
+      primary_(primary),
+      key_(kstore::PropKey(realm)),
+      store_(std::make_unique<kstore::KStore>(kcrypto::Prng(kDeviceSeed), kstore::KStoreOptions{},
+                                              SnapshotDatabase(*primary, 0))),
+      feed_(net, store_.get(), key_, {primary_host, kstore::kPropPort}, kRecordsPerFrame) {
   primary_->AttachJournal(store_.get());
-  propagator_ = std::make_unique<kstore::Propagator>(
-      net, store_.get(), key_, primary_host, prop_options,
-      [this] { return SnapshotDatabase(*primary_, store_->last_lsn()); });
 }
 
 ReplicaPropagation::~ReplicaPropagation() {
@@ -182,13 +224,27 @@ void ReplicaPropagation::AddSlave(uint32_t slave_host, KdcDatabase* slave_db) {
       [slave_db](const kstore::Snapshot& snapshot) {
         return LoadSnapshotEntries(*slave_db, snapshot);
       });
-  propagator_->AddSlave(slave_host, sink.get());
-  sinks_.push_back(std::move(sink));
+  kstore::PropagationSink* endpoint = sink.get();
+  net_->Bind(ksim::NetAddress{slave_host, kstore::kPropPort},
+             [endpoint](const ksim::Message& msg) { return endpoint->Handle(msg); });
+  slaves_.push_back(Slave{slave_host, endpoint->applied_lsn(), std::move(sink)});
 }
 
 kstore::Propagator::CycleReport ReplicaPropagation::Propagate() {
-  last_report_ = propagator_->Propagate();
-  return last_report_;
+  kstore::Propagator::CycleReport report;
+  report.slaves_converged = true;
+  const kstore::Propagator::SnapshotFn snapshot = [this](uint64_t lsn) {
+    return SnapshotDatabase(*primary_, lsn);
+  };
+  for (Slave& slave : slaves_) {
+    // A failed catch-up leaves the slave at its last acknowledged prefix;
+    // the cycle moves on to the next slave.
+    if (!feed_.CatchUp(slave.host, &slave.acked_lsn, /*wholesale=*/false, snapshot, report)) {
+      report.slaves_converged = false;
+    }
+  }
+  last_report_ = report;
+  return report;
 }
 
 void ReplicaPropagation::Compact() {

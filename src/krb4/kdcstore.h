@@ -6,17 +6,19 @@
 // share krb4::KdcDatabase):
 //
 //   * the record codec — how one principal mutation serialises into a WAL
-//     payload and how a snapshot entry round-trips;
+//     payload and how a snapshot entry round-trips — and crash recovery,
+//     which the cluster (src/cluster) uses as well;
 //   * ReplicaPropagation — the kprop orchestration a replica set embeds:
-//     one KStore journaling the primary, one PropagationSink per slave
-//     applying verified deltas straight through the slave store's shard
-//     locks (no wholesale database swap, so propagation is safe while
-//     serving workers read concurrently).
+//     one KStore journaling the primary, the kstore::Propagator feed, and
+//     one PropagationSink per slave applying verified deltas straight
+//     through the slave store's shard locks (no wholesale database swap,
+//     so propagation is safe while serving workers read concurrently).
 
 #ifndef SRC_KRB4_KDCSTORE_H_
 #define SRC_KRB4_KDCSTORE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +60,19 @@ kerb::Bytes EncodePrincipalDelete(const Principal& principal);
 // Decodes one upsert payload; `r` is left positioned after the record.
 kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Reader& r);
 
+// Decodes upsert payloads (snapshot entries, range loads), all or nothing.
+kerb::Result<std::vector<std::pair<Principal, PrincipalEntry>>> DecodeEntries(
+    const std::vector<kerb::Bytes>& payloads);
+
+// One WAL record (op, payload), decoded: the principal it names and, for an
+// upsert, the entry it installs. Fails closed on unknown ops, malformed
+// payloads and trailing bytes.
+struct StoreRecord {
+  Principal principal;
+  std::optional<PrincipalEntry> entry;  // none for a delete
+};
+kerb::Result<StoreRecord> DecodeStoreRecord(uint8_t op, kerb::BytesView payload);
+
 // Applies one WAL record (op, payload) to `db`. Fails closed on malformed
 // payloads; the database is untouched on failure.
 kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView payload);
@@ -70,27 +85,32 @@ kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn);
 // snapshot does not contain, leaving `db` exactly at the snapshot state.
 kerb::Status LoadSnapshotEntries(KdcDatabase& db, const kstore::Snapshot& snapshot);
 
+// Crash recovery: rebuilds `db` from `store`'s durable snapshot plus its
+// surviving WAL suffix and returns the recovered LSN. Cluster marks carry
+// no principal and are skipped. Fails closed on any damaged record.
+kerb::Result<uint64_t> RecoverDatabase(kstore::KStore& store, KdcDatabase& db);
+
 // --- Propagation orchestration ---------------------------------------------
 
 // Owns the primary's durable store and the propagation machinery for one
 // replica set. Construction snapshots the primary database as the durable
 // base and attaches the journal, so every later registration is
 // write-ahead logged; Propagate() then ships exact WAL deltas to each
-// registered slave, DES-MAC'd under a propagation key derived from the
-// realm (never from the replica PRNG — key derivation must not perturb
-// the reply-byte streams pinned by capture tests).
+// registered slave, DES-MAC'd under the realm's propagation key
+// (kstore::PropKey — never from the replica PRNG, since key derivation
+// must not perturb the reply-byte streams pinned by capture tests).
 class ReplicaPropagation {
  public:
   ReplicaPropagation(ksim::Network* net, const std::string& realm, KdcDatabase* primary,
-                     uint32_t primary_host, kstore::KStoreOptions store_options = {},
-                     kstore::Propagator::Options prop_options = {});
+                     uint32_t primary_host);
   ~ReplicaPropagation();
 
   // Registers a slave database served at `slave_host` and binds its
-  // propagation endpoint at {slave_host, prop port}.
+  // propagation endpoint at {slave_host, kstore::kPropPort}.
   void AddSlave(uint32_t slave_host, KdcDatabase* slave_db);
 
-  // One kprop cycle; the report is also retained for inspection.
+  // One kprop cycle: one catch-up per slave. The report is also retained
+  // for inspection.
   kstore::Propagator::CycleReport Propagate();
 
   // Snapshots the primary at its current LSN and truncates the WAL.
@@ -100,14 +120,20 @@ class ReplicaPropagation {
 
   kstore::KStore& store() { return *store_; }
   const kstore::Propagator::CycleReport& last_report() const { return last_report_; }
-  const kcrypto::DesKey& prop_key() const { return key_; }
 
  private:
+  struct Slave {
+    uint32_t host = 0;
+    uint64_t acked_lsn = 0;
+    std::unique_ptr<kstore::PropagationSink> sink;
+  };
+
+  ksim::Network* net_;
   KdcDatabase* primary_;
   kcrypto::DesKey key_;
   std::unique_ptr<kstore::KStore> store_;
-  std::unique_ptr<kstore::Propagator> propagator_;
-  std::vector<std::unique_ptr<kstore::PropagationSink>> sinks_;
+  kstore::Propagator feed_;
+  std::vector<Slave> slaves_;
   kstore::Propagator::CycleReport last_report_;
 };
 

@@ -3,34 +3,39 @@
 #include <cassert>
 
 #include "src/crypto/modes.h"
+#include "src/crypto/str2key.h"
 #include "src/obs/kobs.h"
 
 namespace kstore {
 
-namespace {
-
-// Appends the 8-byte DES CBC-MAC (zero IV) trailer over the body.
-kerb::Bytes Seal(const kcrypto::DesKey& key, kerb::Bytes body) {
-  const kcrypto::DesBlock mac = kcrypto::CbcMac(key, kcrypto::DesBlock{}, body);
-  body.insert(body.end(), mac.begin(), mac.end());
-  return body;
+kcrypto::DesKey PropKey(const std::string& realm) {
+  return kcrypto::StringToKey("kprop/" + realm, realm);
 }
 
-// Verifies the trailer and returns the sealed body. kIntegrity on mismatch.
-kerb::Result<kerb::BytesView> Unseal(const kcrypto::DesKey& key, kerb::BytesView frame) {
-  if (frame.size() < 8 + 5) {  // mac + (magic, type)
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "prop: frame too short");
-  }
-  const kerb::BytesView body = frame.subspan(0, frame.size() - 8);
-  const kerb::BytesView trailer = frame.subspan(frame.size() - 8);
-  const kcrypto::DesBlock mac = kcrypto::CbcMac(key, kcrypto::DesBlock{}, body);
-  if (!kerb::ConstantTimeEqual(trailer, kerb::BytesView(mac.data(), mac.size()))) {
-    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "prop: bad mac");
-  }
-  return body;
+kerb::Bytes SealFrame(const kcrypto::DesKey& key, kerb::Bytes frame) {
+  const kcrypto::DesBlock mac = kcrypto::CbcMac(key, kcrypto::DesBlock{}, frame);
+  frame.insert(frame.end(), mac.begin(), mac.end());
+  return frame;
 }
 
-}  // namespace
+kerb::Result<std::pair<uint8_t, kerb::BytesView>> OpenFrame(const kcrypto::DesKey& key,
+                                                            uint32_t magic,
+                                                            kerb::BytesView frame) {
+  if (frame.size() < 5 + 8) {  // (magic, type) + mac
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "sealed frame too short");
+  }
+  const kerb::BytesView sealed = frame.first(frame.size() - 8);
+  const kcrypto::DesBlock mac = kcrypto::CbcMac(key, kcrypto::DesBlock{}, sealed);
+  if (!kerb::ConstantTimeEqual(frame.last(8), kerb::BytesView(mac.data(), mac.size()))) {
+    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "sealed frame: bad mac");
+  }
+  kenc::Reader r(sealed);
+  if (r.GetU32().value() != magic) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "sealed frame: bad magic");
+  }
+  const uint8_t type = r.GetU8().value();
+  return std::make_pair(type, sealed.subspan(5));
+}
 
 kerb::Bytes EncodeDeltaFrame(const kcrypto::DesKey& key, uint64_t from_lsn,
                              uint64_t to_lsn, const std::vector<WalRecord>& records) {
@@ -46,7 +51,7 @@ kerb::Bytes EncodeDeltaFrame(const kcrypto::DesKey& key, uint64_t from_lsn,
     w.PutU8(records[i].op);
     w.PutLengthPrefixed(records[i].payload);
   }
-  return Seal(key, w.Take());
+  return SealFrame(key, w.Take());
 }
 
 kerb::Bytes EncodeWholesaleFrame(const kcrypto::DesKey& key, kerb::BytesView snapshot_image) {
@@ -54,7 +59,7 @@ kerb::Bytes EncodeWholesaleFrame(const kcrypto::DesKey& key, kerb::BytesView sna
   w.PutU32(kPropMagic);
   w.PutU8(kPropWholesale);
   w.PutLengthPrefixed(snapshot_image);
-  return Seal(key, w.Take());
+  return SealFrame(key, w.Take());
 }
 
 kerb::Bytes EncodeAckFrame(const kcrypto::DesKey& key, uint64_t applied_lsn) {
@@ -62,20 +67,17 @@ kerb::Bytes EncodeAckFrame(const kcrypto::DesKey& key, uint64_t applied_lsn) {
   w.PutU32(kPropMagic);
   w.PutU8(kPropAck);
   w.PutU64(applied_lsn);
-  return Seal(key, w.Take());
+  return SealFrame(key, w.Take());
 }
 
 kerb::Result<uint64_t> ParseAckFrame(const kcrypto::DesKey& key, kerb::BytesView frame) {
-  auto body = Unseal(key, frame);
-  if (!body.ok()) {
-    return body.error();
+  auto opened = OpenFrame(key, kPropMagic, frame);
+  if (!opened.ok()) {
+    return opened.error();
   }
-  kenc::Reader r(body.value());
-  auto magic = r.GetU32();
-  auto type = r.GetU8();
+  kenc::Reader r(opened.value().second);
   auto lsn = r.GetU64();
-  if (!magic.ok() || magic.value() != kPropMagic || !type.ok() ||
-      type.value() != kPropAck || !lsn.ok() || !r.AtEnd()) {
+  if (opened.value().first != kPropAck || !lsn.ok() || !r.AtEnd()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "prop: malformed ack");
   }
   return lsn.value();
@@ -84,21 +86,16 @@ kerb::Result<uint64_t> ParseAckFrame(const kcrypto::DesKey& key, kerb::BytesView
 kerb::Bytes PropagationSink::Ack() const { return EncodeAckFrame(key_, applied_); }
 
 kerb::Result<kerb::Bytes> PropagationSink::Handle(const ksim::Message& msg) {
-  auto body = Unseal(key_, msg.payload);
-  if (!body.ok()) {
-    if (body.code() == kerb::ErrorCode::kIntegrity) {
+  auto opened = OpenFrame(key_, kPropMagic, msg.payload);
+  if (!opened.ok()) {
+    if (opened.code() == kerb::ErrorCode::kIntegrity) {
       kobs::EmitNow(kobs::kSrcProp, kobs::Ev::kPropReject,
                     static_cast<uint64_t>(kerb::ErrorCode::kIntegrity), 0);
     }
-    return body.error();
+    return opened.error();
   }
-  kenc::Reader r(body.value());
-  auto magic = r.GetU32();
-  auto type = r.GetU8();
-  if (!magic.ok() || magic.value() != kPropMagic || !type.ok()) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "prop: bad header");
-  }
-  switch (type.value()) {
+  kenc::Reader r(opened.value().second);
+  switch (opened.value().first) {
     case kPropDelta:
       return HandleDelta(r);
     case kPropWholesale:
@@ -199,71 +196,48 @@ kerb::Result<kerb::Bytes> PropagationSink::HandleWholesale(kenc::Reader& r) {
   return Ack();
 }
 
-void Propagator::AddSlave(uint32_t slave_host, PropagationSink* sink) {
-  net_->Bind(ksim::NetAddress{slave_host, options_.port},
-             [sink](const ksim::Message& msg) { return sink->Handle(msg); });
-  slaves_.push_back(SlaveState{slave_host, sink->applied_lsn()});
-}
-
-bool Propagator::AdvanceSlave(SlaveState& slave, uint64_t target, CycleReport& report) {
-  const ksim::NetAddress src{primary_host_, options_.port};
-  const ksim::NetAddress dst{slave.host, options_.port};
-  while (slave.acked_lsn < target) {
+bool Propagator::CatchUp(uint32_t host, uint64_t* acked_lsn, bool wholesale,
+                         const SnapshotFn& snapshot, CycleReport& report) const {
+  const ksim::NetAddress dst{host, source_.port};
+  while (wholesale || *acked_lsn < store_->last_lsn()) {
     std::vector<WalRecord> delta;
     kerb::Bytes frame;
     uint64_t frame_to = 0;
-    bool wholesale = false;
-    if (store_->Delta(slave.acked_lsn, &delta)) {
-      if (delta.size() > options_.chunk_records) {
-        delta.resize(options_.chunk_records);
-      }
-      if (delta.empty()) {
-        break;  // nothing shippable yet
+    if (!wholesale && store_->Delta(*acked_lsn, &delta)) {
+      if (delta.size() > records_per_frame_) {
+        delta.resize(records_per_frame_);
       }
       frame_to = delta.back().lsn;
-      frame = EncodeDeltaFrame(key_, slave.acked_lsn, frame_to, delta);
+      frame = EncodeDeltaFrame(key_, *acked_lsn, frame_to, delta);
       report.records_shipped += delta.size();
     } else {
-      // The slave predates the compaction horizon: only a full transfer
-      // can catch it up.
-      const Snapshot snapshot = snapshot_fn_();
-      frame_to = snapshot.lsn;
-      frame = EncodeWholesaleFrame(key_, EncodeSnapshot(snapshot));
-      wholesale = true;
+      // Asked for, or the replica predates the compaction horizon: only a
+      // full transfer can catch it up.
+      frame_to = store_->last_lsn();
+      frame = EncodeWholesaleFrame(key_, EncodeSnapshot(snapshot(frame_to)));
       ++report.wholesale_transfers;
       report.wholesale_bytes += frame.size();
     }
-    ++report.frames_sent;
     report.bytes_sent += frame.size();
-    kobs::EmitNow(kobs::kSrcProp, kobs::Ev::kPropShip, slave.host, frame.size());
-    auto reply = net_->Call(src, dst, frame);
+    kobs::EmitNow(kobs::kSrcProp, kobs::Ev::kPropShip, host, frame.size());
+    auto reply = net_->Call(source_, dst, frame);
     if (!reply.ok()) {
       ++report.failures;
       return false;
     }
+    // Every frame's window ends above *acked_lsn (a non-empty delta, a
+    // horizon snapshot, or a forced one the caller made land), so an ack at
+    // frame_to or beyond is progress. A garbled or regressive ack: assume
+    // nothing landed.
     auto acked = ParseAckFrame(key_, reply.value());
     if (!acked.ok() || acked.value() < frame_to) {
-      // A garbled or regressive ack: do not assume anything landed.
       ++report.failures;
       return false;
     }
-    slave.acked_lsn = acked.value();
-    (void)wholesale;
+    *acked_lsn = acked.value();
+    wholesale = false;
   }
   return true;
-}
-
-Propagator::CycleReport Propagator::Propagate() {
-  CycleReport report;
-  const uint64_t target = store_->last_lsn();
-  bool converged = true;
-  for (SlaveState& slave : slaves_) {
-    if (!AdvanceSlave(slave, target, report) || slave.acked_lsn < target) {
-      converged = false;
-    }
-  }
-  report.slaves_converged = converged;
-  return report;
 }
 
 }  // namespace kstore

@@ -21,7 +21,8 @@
 //     falls back to a wholesale snapshot transfer, versioned by its LSN so
 //     an old snapshot cannot roll a slave back.
 //
-// Frames, big-endian, MAC over everything before the 8-byte trailer:
+// Frames, big-endian, sealed by SealFrame (MAC over everything before the
+// 8-byte trailer):
 //   delta     := u32 'KPR1' | u8 1 | u64 from_lsn | u64 to_lsn |
 //                u32 count | count * (u8 op | lp(payload)) | mac8
 //   ack       := u32 'KPR1' | u8 2 | u64 applied_lsn | mac8
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -51,6 +53,20 @@ constexpr uint8_t kPropAck = 2;
 constexpr uint8_t kPropWholesale = 3;
 constexpr uint16_t kPropPort = 754;  // historical kprop service port
 constexpr uint32_t kMaxPropRecords = 1u << 16;
+
+// The propagation key primary and slaves derive from the realm name.
+kcrypto::DesKey PropKey(const std::string& realm);
+
+// The sealed frame every MAC'd channel here uses (kprop, and the cluster's
+// 'KCL1' control plane): u32 magic | u8 type | body | 8-byte DES CBC-MAC
+// (zero IV) over everything before it. SealFrame appends the MAC to an
+// encoded (magic, type, body). OpenFrame verifies it and the magic and
+// returns (type, body): kIntegrity on a MAC mismatch, kBadFormat on
+// framing damage.
+kerb::Bytes SealFrame(const kcrypto::DesKey& key, kerb::Bytes frame);
+kerb::Result<std::pair<uint8_t, kerb::BytesView>> OpenFrame(const kcrypto::DesKey& key,
+                                                            uint32_t magic,
+                                                            kerb::BytesView frame);
 
 kerb::Bytes EncodeDeltaFrame(const kcrypto::DesKey& key, uint64_t from_lsn,
                              uint64_t to_lsn, const std::vector<WalRecord>& records);
@@ -92,20 +108,13 @@ class PropagationSink {
   Loader loader_;
 };
 
-// Primary-side driver: tracks each slave's acknowledged LSN and pushes
-// chunked deltas (or a wholesale snapshot when the delta history is
-// compacted away) until every slave matches the primary.
+// The primary side: one primary's feed of its journal to its replicas.
+// The replica sets (krb4::ReplicaPropagation) and the cluster controller
+// (kcluster::ClusterController) both ship through it; each keeps its own
+// list of replicas and their acknowledged LSNs.
 class Propagator {
  public:
-  struct Options {
-    uint16_t port = kPropPort;
-    // Records per delta frame. Small chunks mean an interrupted cycle
-    // still lands complete prefixes on the slave.
-    uint32_t chunk_records = 4;
-  };
-
   struct CycleReport {
-    uint64_t frames_sent = 0;
     uint64_t bytes_sent = 0;
     uint64_t records_shipped = 0;
     uint64_t wholesale_transfers = 0;
@@ -114,42 +123,34 @@ class Propagator {
     bool slaves_converged = false;
   };
 
-  // `snapshot_fn` produces a current full snapshot for wholesale
-  // transfers; it is only invoked when a slave is behind the compaction
-  // horizon.
-  using SnapshotFn = std::function<Snapshot()>;
+  // Produces the replica's full snapshot at `lsn` for a wholesale transfer.
+  using SnapshotFn = std::function<Snapshot(uint64_t lsn)>;
 
-  Propagator(ksim::Network* net, KStore* store, kcrypto::DesKey key,
-             uint32_t primary_host, Options options, SnapshotFn snapshot_fn)
-      : net_(net), store_(store), key_(key), primary_host_(primary_host),
-        options_(options), snapshot_fn_(std::move(snapshot_fn)) {}
+  // Frames leave from `source`; a replica's endpoint is {host,
+  // source.port}. Small delta chunks mean an interrupted catch-up still
+  // lands complete prefixes on the replica.
+  Propagator(ksim::Network* net, KStore* store, kcrypto::DesKey key, ksim::NetAddress source,
+             uint32_t records_per_frame)
+      : net_(net), store_(store), key_(key), source_(source),
+        records_per_frame_(records_per_frame) {}
 
-  // Binds `sink`'s handler at {slave_host, options.port} and registers the
-  // slave for propagation. The sink must outlive the propagator.
-  void AddSlave(uint32_t slave_host, PropagationSink* sink);
-
-  // One propagation cycle: advance every slave toward last_lsn(). A failed
-  // frame abandons that slave for this cycle (it stays at its last
-  // acknowledged prefix) and the cycle continues with the next slave.
-  CycleReport Propagate();
-
-  size_t slave_count() const { return slaves_.size(); }
+  // Drives the replica at `host` from *acked_lsn to the store's last_lsn():
+  // chunked deltas, or one wholesale snapshot(last_lsn()) when `wholesale`
+  // is set or *acked_lsn predates the compaction horizon. A forced
+  // wholesale lands only when last_lsn() is above *acked_lsn (the replica
+  // re-acks an older snapshot as stale); the caller appends a record first
+  // if it is not. Emits kPropShip per frame and stops at the first failed
+  // or regressive ack, leaving *acked_lsn at the last acknowledged prefix.
+  // True once the replica acked last_lsn().
+  bool CatchUp(uint32_t host, uint64_t* acked_lsn, bool wholesale, const SnapshotFn& snapshot,
+               CycleReport& report) const;
 
  private:
-  struct SlaveState {
-    uint32_t host = 0;
-    uint64_t acked_lsn = 0;
-  };
-
-  bool AdvanceSlave(SlaveState& slave, uint64_t target, CycleReport& report);
-
   ksim::Network* net_;
   KStore* store_;
   kcrypto::DesKey key_;
-  uint32_t primary_host_;
-  Options options_;
-  SnapshotFn snapshot_fn_;
-  std::vector<SlaveState> slaves_;
+  ksim::NetAddress source_;
+  uint32_t records_per_frame_;
 };
 
 }  // namespace kstore

@@ -23,7 +23,10 @@
 #include "src/attacks/kdcload.h"
 #include "src/attacks/replay.h"
 #include "src/attacks/retransmit.h"
+#include "src/attacks/testbed.h"
 #include "src/attacks/testbed5.h"
+#include "src/cluster/cluster.h"
+#include "src/cluster/population.h"
 #include "src/crypto/prng.h"
 #include "src/obs/kobs.h"
 
@@ -35,6 +38,7 @@ constexpr uint64_t kGoldenE01Replay = 0xad07c607c6895075;
 constexpr uint64_t kGoldenE09CutPaste = 0x9e84a7d8457aa830;
 constexpr uint64_t kGoldenE16Retransmit = 0x54e38ad9a8e5d957;
 constexpr uint64_t kGoldenChaosBlackout = 0x5793bd1144d8254e;
+constexpr uint64_t kGoldenKpropFeed = 0x697ac6c1e6ec4ec7;
 
 template <typename Fn>
 uint64_t TracedDigest(Fn&& fn) {
@@ -113,6 +117,49 @@ TEST(GoldenTraceTest, ChaosBlackoutDigestPinnedAcrossRerunsAndThreadEnv) {
   EXPECT_EQ(with_one, with_one_again) << "chaos digest varies across reruns";
   EXPECT_EQ(with_one, with_four) << "chaos digest varies with KERB_KDC_THREADS";
   EXPECT_EQ(with_one, kGoldenChaosBlackout) << "actual digest 0x" << std::hex << with_one;
+}
+
+// Both primaries of the one kprop feed: a small cluster's controller
+// (writes, PropagateAll, a node crash and rejoin) and a 1-slave replica
+// set's Propagate() after registrations. Pins the prop_* event stream,
+// which no other golden digest contains.
+void RunKpropFeeds() {
+  {
+    ksim::World world(0x6b70);
+    kcluster::PopulationConfig pc;
+    pc.users = 200;
+    pc.services = 4;
+    const kcluster::Population population(pc);
+    kcluster::ClusterController controller(&world, kcluster::ClusterConfig{});
+    population.Install(controller.logical_db());
+    controller.Bootstrap({{1, 0x0a000010}, {2, 0x0a000011}, {3, 0x0a000012}});
+    for (int i = 0; i < 12; ++i) {
+      controller.logical_db().ApplyUpsert(
+          krb4::Principal::User("feed" + std::to_string(i), pc.realm),
+          kcrypto::Prng(0x6b70 + static_cast<uint64_t>(i)).NextDesKey(),
+          krb4::PrincipalKind::kUser);
+    }
+    controller.PropagateAll();
+    controller.node(2)->Crash();
+    controller.ProbeAll();
+    controller.node(2)->Recover();
+    controller.ProbeAll();
+  }
+  kattack::TestbedConfig config;
+  config.kdc_slaves = 1;
+  kattack::Testbed4 bed(config);
+  for (int i = 0; i < 6; ++i) {
+    bed.kdc().database().AddUser(krb4::Principal::User("feed" + std::to_string(i), bed.realm),
+                                 "pw-feed" + std::to_string(i));
+  }
+  bed.kdc_replicas().Propagate();
+}
+
+TEST(GoldenTraceTest, KpropFeedDigestPinnedAndRerunStable) {
+  uint64_t first = TracedDigest(RunKpropFeeds);
+  uint64_t second = TracedDigest(RunKpropFeeds);
+  EXPECT_EQ(first, second) << "kprop feed digest varies across reruns";
+  EXPECT_EQ(first, kGoldenKpropFeed) << "actual digest 0x" << std::hex << first;
 }
 
 TEST(GoldenTraceTest, KdcLoadDigestIndependentOfWorkerCount) {
