@@ -31,7 +31,9 @@ size_t ChecksumSize(ChecksumType type) {
   return 0;
 }
 
-bool IsCollisionProof(ChecksumType type) { return type != ChecksumType::kCrc32; }
+bool IsCollisionProof(ChecksumType type) {
+  return type == ChecksumType::kMd4 || type == ChecksumType::kMd4Des;
+}
 
 bool IsKeyed(ChecksumType type) { return type == ChecksumType::kMd4Des; }
 
@@ -63,6 +65,11 @@ kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
 
 bool VerifyChecksum(ChecksumType type, kerb::BytesView data, kerb::BytesView expected,
                     const std::optional<DesKey>& key) {
+  // An unknown type computes to no bytes, which must not match an empty
+  // claimed checksum.
+  if (ChecksumSize(type) == 0) {
+    return false;
+  }
   kerb::Bytes computed = ComputeChecksum(type, data, key);
   return kerb::ConstantTimeEqual(computed, expected);
 }

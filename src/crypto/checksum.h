@@ -37,6 +37,7 @@ size_t ChecksumSize(ChecksumType type);
 
 // Whether an adversary can construct a second preimage / forced value.
 // This is the property the paper says must drive protocol decisions.
+// False for a value outside the enum.
 bool IsCollisionProof(ChecksumType type);
 
 // Whether verification requires the key.
@@ -49,7 +50,8 @@ bool IsKeyed(ChecksumType type);
 kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
                             const std::optional<DesKey>& key = std::nullopt);
 
-// Verifies `expected` against `data`.
+// Verifies `expected` against `data`. Always false for a value outside the
+// enum.
 bool VerifyChecksum(ChecksumType type, kerb::BytesView data, kerb::BytesView expected,
                     const std::optional<DesKey>& key = std::nullopt);
 

@@ -94,6 +94,37 @@ inline uint32_t FeistelFast(uint32_t r, const uint32_t* k) {
          kSp[6][(u >> 2) & 0x3f] ^ kSp[7][(t >> 2) & 0x3f];
 }
 
+using RoundKeys = std::array<std::array<uint32_t, 2>, 16>;
+
+// R: the sixteen rounds and the final swap, on a block already through IP.
+// Two rounds per step keep L and R in registers without a swap; the output
+// is R16 || L16.
+inline uint64_t Rounds(const RoundKeys& k, uint64_t y) {
+  uint32_t l = static_cast<uint32_t>(y >> 32);
+  uint32_t r = static_cast<uint32_t>(y);
+  for (int round = 0; round < 16; round += 2) {
+    l ^= FeistelFast(r, k[round].data());
+    r ^= FeistelFast(l, k[round + 1].data());
+  }
+  return (static_cast<uint64_t>(r) << 32) | l;
+}
+
+// Rounds on two independent blocks, interleaved round by round.
+inline void RoundsPair(const RoundKeys& ka, uint64_t& ya, const RoundKeys& kb, uint64_t& yb) {
+  uint32_t la = static_cast<uint32_t>(ya >> 32);
+  uint32_t ra = static_cast<uint32_t>(ya);
+  uint32_t lb = static_cast<uint32_t>(yb >> 32);
+  uint32_t rb = static_cast<uint32_t>(yb);
+  for (int round = 0; round < 16; round += 2) {
+    la ^= FeistelFast(ra, ka[round].data());
+    lb ^= FeistelFast(rb, kb[round].data());
+    ra ^= FeistelFast(la, ka[round + 1].data());
+    rb ^= FeistelFast(lb, kb[round + 1].data());
+  }
+  ya = (static_cast<uint64_t>(ra) << 32) | la;
+  yb = (static_cast<uint64_t>(rb) << 32) | lb;
+}
+
 uint32_t RotateLeft28(uint32_t v, int n) {
   return ((v << n) | (v >> (28 - n))) & 0x0fffffff;
 }
@@ -107,6 +138,10 @@ DesBlock U64ToBlock(uint64_t v) {
   StoreU64BE(b.data(), v);
   return b;
 }
+
+uint64_t InitialPermutation(uint64_t block) { return ApplyIp(block); }
+
+uint64_t FinalPermutation(uint64_t block) { return ApplyFp(block); }
 
 DesKey::DesKey(const DesBlock& key_bytes) : bytes_(key_bytes) { Schedule(); }
 
@@ -143,17 +178,14 @@ void DesKey::Schedule() {
 }
 
 uint64_t DesKey::EncryptBlock(uint64_t plaintext) const {
-  uint64_t block = ApplyIp(plaintext);
-  uint32_t l = static_cast<uint32_t>(block >> 32);
-  uint32_t r = static_cast<uint32_t>(block);
-  for (int round = 0; round < 16; round += 2) {
-    // Two rounds per step keeps L and R in registers without a swap.
-    l ^= FeistelFast(r, roundkeys_[round].data());
-    r ^= FeistelFast(l, roundkeys_[round + 1].data());
-  }
-  // Note the final swap: the output is R16 || L16.
-  uint64_t preout = (static_cast<uint64_t>(r) << 32) | l;
-  return ApplyFp(preout);
+  return ApplyFp(Rounds(roundkeys_, ApplyIp(plaintext)));
+}
+
+uint64_t DesKey::EncryptRounds(uint64_t y) const { return Rounds(roundkeys_, y); }
+
+void DesKey::EncryptRoundsPair(const DesKey& key_a, uint64_t& ya, const DesKey& key_b,
+                               uint64_t& yb) {
+  RoundsPair(key_a.roundkeys_, ya, key_b.roundkeys_, yb);
 }
 
 uint64_t DesKey::DecryptBlock(uint64_t ciphertext) const {
@@ -173,18 +205,9 @@ void DesKey::EncryptBlocks2(const uint64_t* in, uint64_t* out, size_t n) const {
   for (; i + 2 <= n; i += 2) {
     uint64_t b0 = ApplyIp(in[i]);
     uint64_t b1 = ApplyIp(in[i + 1]);
-    uint32_t l0 = static_cast<uint32_t>(b0 >> 32);
-    uint32_t r0 = static_cast<uint32_t>(b0);
-    uint32_t l1 = static_cast<uint32_t>(b1 >> 32);
-    uint32_t r1 = static_cast<uint32_t>(b1);
-    for (int round = 0; round < 16; round += 2) {
-      l0 ^= FeistelFast(r0, roundkeys_[round].data());
-      l1 ^= FeistelFast(r1, roundkeys_[round].data());
-      r0 ^= FeistelFast(l0, roundkeys_[round + 1].data());
-      r1 ^= FeistelFast(l1, roundkeys_[round + 1].data());
-    }
-    out[i] = ApplyFp((static_cast<uint64_t>(r0) << 32) | l0);
-    out[i + 1] = ApplyFp((static_cast<uint64_t>(r1) << 32) | l1);
+    RoundsPair(roundkeys_, b0, roundkeys_, b1);
+    out[i] = ApplyFp(b0);
+    out[i + 1] = ApplyFp(b1);
   }
   if (i < n) {
     out[i] = EncryptBlock(in[i]);
@@ -216,10 +239,6 @@ void DesKey::DecryptBlocks2(const uint64_t* in, uint64_t* out, size_t n) const {
 
 DesBlock DesKey::EncryptBlock(const DesBlock& plaintext) const {
   return U64ToBlock(EncryptBlock(BlockToU64(plaintext)));
-}
-
-DesBlock DesKey::DecryptBlock(const DesBlock& ciphertext) const {
-  return U64ToBlock(DecryptBlock(BlockToU64(ciphertext)));
 }
 
 DesKey DesKey::Variant(uint8_t mask) const {

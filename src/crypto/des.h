@@ -52,6 +52,15 @@ inline void StoreU64BE(uint8_t* p, uint64_t v) {
 uint64_t BlockToU64(const DesBlock& b);
 DesBlock U64ToBlock(uint64_t v);
 
+// The initial and final permutations, for chained modes that run in the IP
+// domain. IP and FP are bit permutations and each other's inverse, so
+// IP(FP(y) ^ p) = y ^ IP(p): a CBC chain can carry y_i = R(IP(p_i) ^ y_{i-1})
+// from y_0 = IP(iv) and output c_i = FP(y_i), where R is the sixteen rounds
+// and the final swap (DesKey::EncryptRounds). IP of the next plaintext and FP
+// of each output then sit off the chain's serial path.
+uint64_t InitialPermutation(uint64_t block);
+uint64_t FinalPermutation(uint64_t block);
+
 // A DES key with its 16-round subkey schedule precomputed.
 //
 // Keys are 8 bytes; the low bit of each byte is an odd-parity bit per the
@@ -71,6 +80,16 @@ class DesKey {
   uint64_t EncryptBlock(uint64_t plaintext) const;
   uint64_t DecryptBlock(uint64_t ciphertext) const;
 
+  // R alone, on a block already through IP: EncryptBlock(x) ==
+  // FinalPermutation(EncryptRounds(InitialPermutation(x))).
+  uint64_t EncryptRounds(uint64_t y) const;
+
+  // EncryptRounds under two keys at once (they may be the same key), the
+  // rounds of the two blocks interleaved so that one chain's S-box loads
+  // overlap the other's arithmetic.
+  static void EncryptRoundsPair(const DesKey& key_a, uint64_t& ya, const DesKey& key_b,
+                                uint64_t& yb);
+
   // Bulk ECB over a span, two blocks in flight per step so the S-box table
   // loads of one block overlap the XOR/rotate arithmetic of the other —
   // byte-identical to calling EncryptBlock/DecryptBlock per element but
@@ -80,7 +99,6 @@ class DesKey {
   void DecryptBlocks2(const uint64_t* in, uint64_t* out, size_t n) const;
 
   DesBlock EncryptBlock(const DesBlock& plaintext) const;
-  DesBlock DecryptBlock(const DesBlock& ciphertext) const;
 
   // Derives a "variant" key by XORing every byte with `mask`. Draft 3 uses
   // variant keys for its encrypted-checksum types so that a checksum key is

@@ -18,6 +18,14 @@ void Pkcs5PadInPlace(kerb::Bytes& data) {
 }
 
 kerb::Result<kerb::Bytes> Pkcs5Unpad(kerb::BytesView data) {
+  auto size = Pkcs5UnpaddedSize(data);
+  if (!size.ok()) {
+    return size.error();
+  }
+  return kerb::Bytes(data.begin(), data.begin() + static_cast<ptrdiff_t>(size.value()));
+}
+
+kerb::Result<size_t> Pkcs5UnpaddedSize(kerb::BytesView data) {
   if (data.empty() || data.size() % 8 != 0) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "padded data not a multiple of 8");
   }
@@ -30,7 +38,7 @@ kerb::Result<kerb::Bytes> Pkcs5Unpad(kerb::BytesView data) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "inconsistent pad bytes");
     }
   }
-  return kerb::Bytes(data.begin(), data.end() - pad);
+  return data.size() - pad;
 }
 
 kerb::Bytes ZeroPadTo8(kerb::BytesView data) {
@@ -39,7 +47,7 @@ kerb::Bytes ZeroPadTo8(kerb::BytesView data) {
   return out;
 }
 
-// --- Bulk primitives over spans of 64-bit blocks. ------------------------
+// --- Primitives over spans of 64-bit blocks. -----------------------------
 
 namespace {
 
@@ -51,10 +59,6 @@ constexpr size_t kBulkChunk = 64;
 
 void EcbEncryptBlocks(const DesKey& key, const uint64_t* in, uint64_t* out, size_t n) {
   key.EncryptBlocks2(in, out, n);
-}
-
-void EcbDecryptBlocks(const DesKey& key, const uint64_t* in, uint64_t* out, size_t n) {
-  key.DecryptBlocks2(in, out, n);
 }
 
 void CbcEncryptBlocks(const DesKey& key, uint64_t iv, const uint64_t* in, uint64_t* out,
@@ -126,6 +130,20 @@ uint64_t CbcMacBlocks(const DesKey& key, uint64_t iv, const uint64_t* in, size_t
 
 // --- In-place byte-buffer transforms. ------------------------------------
 
+namespace {
+
+// Continues a CBC chain held in the IP domain (y = IP of the previous
+// ciphertext block) over whole blocks in place; returns the final state.
+uint64_t CbcChainInPlace(const DesKey& key, uint64_t y, uint8_t* data, size_t size) {
+  for (size_t off = 0; off < size; off += 8) {
+    y = key.EncryptRounds(y ^ InitialPermutation(LoadU64BE(data + off)));
+    StoreU64BE(data + off, FinalPermutation(y));
+  }
+  return y;
+}
+
+}  // namespace
+
 void EncryptEcbInPlace(const DesKey& key, uint8_t* data, size_t size) {
   assert(size % 8 == 0);
   uint64_t b[kBulkChunk];
@@ -158,11 +176,7 @@ void DecryptEcbInPlace(const DesKey& key, uint8_t* data, size_t size) {
 
 void EncryptCbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size) {
   assert(size % 8 == 0);
-  uint64_t chain = BlockToU64(iv);
-  for (size_t off = 0; off < size; off += 8) {
-    chain = key.EncryptBlock(LoadU64BE(data + off) ^ chain);
-    StoreU64BE(data + off, chain);
-  }
+  CbcChainInPlace(key, InitialPermutation(BlockToU64(iv)), data, size);
 }
 
 void DecryptCbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size) {
@@ -185,12 +199,15 @@ void DecryptCbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, siz
 
 void EncryptPcbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size) {
   assert(size % 8 == 0);
-  uint64_t chain = BlockToU64(iv);
+  // C_i = E(P_i ^ P_{i-1} ^ C_{i-1}) in the IP domain: the chain carries
+  // IP(P_i ^ P_{i-1}) ^ y_{i-1}, starting from P_0 = IV and y_0 = 0.
+  uint64_t prev = BlockToU64(iv);
+  uint64_t y = 0;
   for (size_t off = 0; off < size; off += 8) {
-    uint64_t p = LoadU64BE(data + off);
-    uint64_t c = key.EncryptBlock(p ^ chain);
-    StoreU64BE(data + off, c);
-    chain = p ^ c;
+    const uint64_t p = LoadU64BE(data + off);
+    y = key.EncryptRounds(y ^ InitialPermutation(p ^ prev));
+    StoreU64BE(data + off, FinalPermutation(y));
+    prev = p;
   }
 }
 
@@ -211,6 +228,24 @@ void DecryptPcbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, si
       chain = p ^ c[i];
     }
   }
+}
+
+void EncryptCbcPairInPlace(const DesKey& key_a, uint8_t* a, size_t a_size, const DesKey& key_b,
+                           uint8_t* b, size_t b_size) {
+  assert(a_size % 8 == 0 && b_size % 8 == 0);
+  uint64_t ya = 0;  // IP of the zero IV
+  uint64_t yb = 0;
+  const size_t both = std::min(a_size, b_size);
+  for (size_t off = 0; off < both; off += 8) {
+    ya ^= InitialPermutation(LoadU64BE(a + off));
+    yb ^= InitialPermutation(LoadU64BE(b + off));
+    DesKey::EncryptRoundsPair(key_a, ya, key_b, yb);
+    StoreU64BE(a + off, FinalPermutation(ya));
+    StoreU64BE(b + off, FinalPermutation(yb));
+  }
+  // At most one of these has blocks left.
+  CbcChainInPlace(key_a, ya, a + both, a_size - both);
+  CbcChainInPlace(key_b, yb, b + both, b_size - both);
 }
 
 // --- Allocating convenience wrappers. ------------------------------------
@@ -252,21 +287,22 @@ kerb::Bytes DecryptPcbc(const DesKey& key, const DesBlock& iv, kerb::BytesView c
 }
 
 DesBlock CbcMac(const DesKey& key, const DesBlock& iv, kerb::BytesView data) {
-  uint64_t chain = BlockToU64(iv);
+  // The CBC chain in the IP domain; only the final block pays for FP.
+  uint64_t y = InitialPermutation(BlockToU64(iv));
   size_t full = data.size() & ~size_t{7};
   for (size_t off = 0; off < full; off += 8) {
-    chain = key.EncryptBlock(LoadU64BE(data.data() + off) ^ chain);
+    y = key.EncryptRounds(y ^ InitialPermutation(LoadU64BE(data.data() + off)));
   }
   // Trailing partial block, zero-padded. Empty input degenerates to exactly
   // one zero block — the MAC must never be the unencrypted IV.
   if (data.size() > full) {
     uint8_t last[8] = {0};
     std::memcpy(last, data.data() + full, data.size() - full);
-    chain = key.EncryptBlock(LoadU64BE(last) ^ chain);
+    y = key.EncryptRounds(y ^ InitialPermutation(LoadU64BE(last)));
   } else if (data.empty()) {
-    chain = key.EncryptBlock(chain);  // the zero block XORs to the chain itself
+    y = key.EncryptRounds(y);  // the zero block XORs to the chain itself
   }
-  return U64ToBlock(chain);
+  return U64ToBlock(FinalPermutation(y));
 }
 
 }  // namespace kcrypto

@@ -11,10 +11,14 @@
 //     modification weakness that led Version 5 to abandon PCBC (E8).
 // Both properties are demonstrated by tests and experiments in this repo.
 //
-// Two API layers are provided:
-//   * Bulk primitives over uint64_t block spans and in-place byte-buffer
-//     transforms. These are allocation-free and are what the protocol
-//     layers (enclayer, krbpriv) and the attack inner loops use.
+// Three API layers are provided:
+//   * In-place byte-buffer transforms. These are allocation-free and are
+//     what the protocol layers (enclayer, krbpriv) and the attack inner loops
+//     use. Their serial chains (CBC and PCBC encryption, CBC-MAC) run in the
+//     IP domain (see des.h).
+//   * Primitives over uint64_t block spans. The chained ones step block by
+//     block through DesKey::EncryptBlock, the textbook form, and the tests
+//     hold the in-place chains to them.
 //   * The original kerb::Bytes convenience wrappers, now a single
 //     allocation plus an in-place transform.
 //
@@ -46,17 +50,19 @@ void Pkcs5PadInPlace(kerb::Bytes& data);
 // Removes PKCS#5 padding; fails with kBadFormat on malformed padding.
 kerb::Result<kerb::Bytes> Pkcs5Unpad(kerb::BytesView data);
 
+// The length Pkcs5Unpad would return, without the copy; fails alike.
+kerb::Result<size_t> Pkcs5UnpaddedSize(kerb::BytesView data);
+
 // Appends zero bytes until the length is a multiple of 8 (Kerberos V4
 // style; the plaintext must carry its own length field).
 kerb::Bytes ZeroPadTo8(kerb::BytesView data);
 
-// --- Bulk primitives over spans of 64-bit blocks (FIPS bit order). -------
+// --- Primitives over spans of 64-bit blocks (FIPS bit order). -----------
 //
 // All of them allow in == out (in-place); CBC/PCBC decryption keeps the
 // needed previous-ciphertext state in locals. None of them allocate.
 
 void EcbEncryptBlocks(const DesKey& key, const uint64_t* in, uint64_t* out, size_t n);
-void EcbDecryptBlocks(const DesKey& key, const uint64_t* in, uint64_t* out, size_t n);
 void CbcEncryptBlocks(const DesKey& key, uint64_t iv, const uint64_t* in, uint64_t* out,
                       size_t n);
 void CbcDecryptBlocks(const DesKey& key, uint64_t iv, const uint64_t* in, uint64_t* out,
@@ -78,6 +84,13 @@ void EncryptCbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, siz
 void DecryptCbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size);
 void EncryptPcbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size);
 void DecryptPcbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size);
+
+// Two independent CBC encryptions with the zero IV: `a` under `key_a` and
+// `b` under `key_b`, byte-identical to two EncryptCbcInPlace calls. The
+// rounds of both chains run interleaved over the shorter message, then the
+// longer one finishes alone. The buffers must not overlap.
+void EncryptCbcPairInPlace(const DesKey& key_a, uint8_t* a, size_t a_size, const DesKey& key_b,
+                           uint8_t* b, size_t b_size);
 
 // --- Allocating convenience wrappers (copy once, transform in place). ----
 

@@ -41,7 +41,9 @@ void Prng::Fill(uint8_t* out, size_t n) {
   }
 }
 
-DesKey Prng::NextDesKey() {
+DesKey Prng::NextDesKey() { return DesKey(NextDesKeyBytes()); }
+
+DesBlock Prng::NextDesKeyBytes() {
   for (;;) {
     DesBlock raw;
     uint64_t v = NextU64();
@@ -51,7 +53,7 @@ DesKey Prng::NextDesKey() {
     }
     DesBlock key = FixParity(raw);
     if (!IsWeakKey(key)) {
-      return DesKey(key);
+      return key;
     }
   }
 }

@@ -40,6 +40,10 @@ class Prng {
   // A fresh DES key: random 56 bits, odd parity, never weak/semi-weak.
   DesKey NextDesKey();
 
+  // The same draw as NextDesKey, as key bytes with no subkey schedule — for
+  // keys that are only sent, never encrypted under (the KDC's session keys).
+  DesBlock NextDesKeyBytes();
+
   // Forks an independent stream (for per-host generators).
   Prng Fork();
 

@@ -125,6 +125,14 @@ kerb::Bytes TlvMessage::Encode() const {
   return w.Take();
 }
 
+size_t TlvMessage::EncodedSize() const {
+  size_t size = 4;  // type, field count
+  for (const auto& field : fields_) {
+    size += 6 + field.second.size();  // tag, length, value
+  }
+  return size;
+}
+
 void TlvMessage::AppendTo(Writer& w) const {
   w.PutU16(type_);
   w.PutU16(static_cast<uint16_t>(fields_.size()));

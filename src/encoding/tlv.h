@@ -58,6 +58,8 @@ class TlvMessage {
   std::optional<kerb::Bytes> GetOptionalBytes(uint16_t tag) const;
 
   kerb::Bytes Encode() const;
+  // Length of Encode()'s output, without encoding.
+  size_t EncodedSize() const;
   // Appends the encoding to an in-progress Writer — the allocation-free
   // variant of Encode() used by the KDC serving path.
   void AppendTo(Writer& w) const;

@@ -124,14 +124,15 @@ void KdcCore4::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time no
   ksim::Duration lifetime = V4UnitsToLifetime(
       LifetimeToV4Units(std::min(req.lifetime, options_.max_ticket_lifetime)));
 
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
+  // Session keys are only sent, never used here: draw them unscheduled.
+  const kcrypto::DesBlock session_key = ctx.prng.NextDesKeyBytes();
   Ticket4 tgt;
   tgt.service = tgs_principal_;
   tgt.client = req.client;
   tgt.client_addr = msg.src.host;  // trusts the claimed source address
   tgt.issued_at = now;
   tgt.lifetime = lifetime;
-  tgt.session_key = session_key.bytes();
+  tgt.session_key = session_key;
 
   // Assembled through the context's scratch buffers instead of
   // AsReplyBody4 temporaries.
@@ -141,7 +142,7 @@ void KdcCore4::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time no
   Seal4Into(tgs_key, ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
 
   kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
+  AppendReplyBody4(body_writer, session_key, ctx.scratch.ticket_sealed, now, lifetime);
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRequest4& req,
@@ -286,7 +287,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   ksim::Duration requested =
       std::min({req.lifetime, options_.max_ticket_lifetime, tgt_remaining});
   ksim::Duration lifetime = (requested / kV4LifetimeUnit) * kV4LifetimeUnit;
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
+  const kcrypto::DesBlock session_key = ctx.prng.NextDesKeyBytes();
 
   Ticket4 ticket;
   ticket.service = req.service;
@@ -294,7 +295,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   ticket.client_addr = tgt->client_addr;
   ticket.issued_at = now;
   ticket.lifetime = lifetime;
-  ticket.session_key = session_key.bytes();
+  ticket.session_key = session_key;
 
   kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
   ticket.AppendTo(ticket_writer);
@@ -302,7 +303,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   Seal4Into(service_key.value(), ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
 
   kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key.bytes(), ctx.scratch.ticket_sealed, now, lifetime);
+  AppendReplyBody4(body_writer, session_key, ctx.scratch.ticket_sealed, now, lifetime);
 
   SealedFrame4Into(MsgType::kTgsReply, tgs_session, ctx.scratch.body_plain, ctx.scratch.reply);
   return ctx.scratch.reply;

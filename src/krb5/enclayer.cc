@@ -1,54 +1,36 @@
 #include "src/krb5/enclayer.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "src/crypto/modes.h"
 #include "src/encoding/io.h"
 #include "src/obs/kobs.h"
 
 namespace krb5 {
 
-kerb::Bytes SealTlvWithIv(const kcrypto::DesKey& key, const kcrypto::DesBlock& iv,
-                          const kenc::TlvMessage& msg, const EncLayerConfig& config,
-                          kcrypto::Prng& prng) {
-  kerb::Bytes body = msg.Encode();
-  size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
-
-  kenc::Writer w;
-  if (config.use_confounder) {
-    w.PutBytes(prng.NextBytes(8));
-  }
-  w.PutU8(static_cast<uint8_t>(config.checksum));
-  size_t checksum_offset = w.size();
-  w.PutBytes(kerb::Bytes(checksum_len, 0));
-  w.PutBytes(body);
-
-  kerb::Bytes plain = w.Take();
-  kerb::Bytes checksum = kcrypto::ComputeChecksum(config.checksum, plain, key);
-  std::copy(checksum.begin(), checksum.end(), plain.begin() + checksum_offset);
-  kcrypto::Pkcs5PadInPlace(plain);
-  kcrypto::EncryptCbcInPlace(key, iv, plain.data(), plain.size());
-  kobs::EmitNow(kobs::kSrcSeal5, kobs::Ev::kSeal, plain.size(),
-                static_cast<uint64_t>(config.checksum));
-  return plain;
-}
-
 namespace {
 
-// Shared tail of the Into-style seals: writes the confounder/checksum-type
-// prefix, lets `append_body` add the TLV bytes, then checksums (over the
-// zeroed checksum field), pads, and encrypts — the same order SealTlvWithIv
-// uses.
+// The one Draft 3 plaintext builder behind every seal: writes
+//   confounder || checksum type || checksum || body || PKCS#5 padding
+// into `out` (cleared, capacity kept). The confounder is drawn from `prng`
+// first; `append_body` then adds the `body_size` TLV bytes, and the checksum
+// covers everything before the padding with its own field still zero.
 template <typename AppendBody>
-void SealBodyInto(const kcrypto::DesKey& key, const EncLayerConfig& config,
-                  kcrypto::Prng& prng, kerb::Bytes& out, AppendBody&& append_body) {
+void BuildPlaintext(const kcrypto::DesKey& key, const EncLayerConfig& config,
+                    kcrypto::Prng& prng, size_t body_size, AppendBody&& append_body,
+                    kerb::Bytes& out) {
   const size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
-  kenc::Writer w(&out);  // clears `out`, keeps its capacity
+  const size_t checksum_offset = (config.use_confounder ? 8u : 0u) + 1u;
+  const size_t unpadded = checksum_offset + checksum_len + body_size;
+  out.reserve(unpadded + 8 - unpadded % 8);
+  kenc::Writer w(&out);
   if (config.use_confounder) {
     uint8_t confounder[8];
     prng.Fill(confounder, 8);
     w.PutBytes(kerb::BytesView(confounder, 8));
   }
   w.PutU8(static_cast<uint8_t>(config.checksum));
-  const size_t checksum_offset = w.size();
   for (size_t i = 0; i < checksum_len; ++i) {
     w.PutU8(0);
   }
@@ -56,26 +38,56 @@ void SealBodyInto(const kcrypto::DesKey& key, const EncLayerConfig& config,
   kerb::Bytes checksum = kcrypto::ComputeChecksum(config.checksum, out, key);
   std::copy(checksum.begin(), checksum.end(), out.begin() + checksum_offset);
   kcrypto::Pkcs5PadInPlace(out);
-  kcrypto::EncryptCbcInPlace(key, kcrypto::kZeroIv, out.data(), out.size());
-  kobs::EmitNow(kobs::kSrcSeal5, kobs::Ev::kSeal, out.size(),
+}
+
+void EmitSeal(const kerb::Bytes& sealed, const EncLayerConfig& config) {
+  kobs::EmitNow(kobs::kSrcSeal5, kobs::Ev::kSeal, sealed.size(),
                 static_cast<uint64_t>(config.checksum));
+}
+
+void SealTlvWithIvInto(const kcrypto::DesKey& key, const kcrypto::DesBlock& iv,
+                       const kenc::TlvMessage& msg, const EncLayerConfig& config,
+                       kcrypto::Prng& prng, kerb::Bytes& out) {
+  BuildPlaintext(key, config, prng, msg.EncodedSize(),
+                 [&msg](kenc::Writer& w) { msg.AppendTo(w); }, out);
+  kcrypto::EncryptCbcInPlace(key, iv, out.data(), out.size());
+  EmitSeal(out, config);
 }
 
 }  // namespace
 
-void SealTlvInto(const kcrypto::DesKey& key, const kenc::TlvMessage& msg,
-                 const EncLayerConfig& config, kcrypto::Prng& prng, kerb::Bytes& out) {
-  SealBodyInto(key, config, prng, out, [&msg](kenc::Writer& w) { msg.AppendTo(w); });
+kerb::Bytes SealTlvWithIv(const kcrypto::DesKey& key, const kcrypto::DesBlock& iv,
+                          const kenc::TlvMessage& msg, const EncLayerConfig& config,
+                          kcrypto::Prng& prng) {
+  kerb::Bytes sealed;
+  SealTlvWithIvInto(key, iv, msg, config, prng, sealed);
+  return sealed;
 }
 
-void SealEncodedInto(const kcrypto::DesKey& key, kerb::BytesView encoded_msg,
-                     const EncLayerConfig& config, kcrypto::Prng& prng, kerb::Bytes& out) {
-  SealBodyInto(key, config, prng, out,
-               [encoded_msg](kenc::Writer& w) { w.PutBytes(encoded_msg); });
+void SealTlvInto(const kcrypto::DesKey& key, const kenc::TlvMessage& msg,
+                 const EncLayerConfig& config, kcrypto::Prng& prng, kerb::Bytes& out) {
+  SealTlvWithIvInto(key, kcrypto::kZeroIv, msg, config, prng, out);
+}
+
+void SealEncodedPairInto(const kcrypto::DesKey& first_key, kerb::BytesView first,
+                         kerb::Bytes& first_out, const kcrypto::DesKey& second_key,
+                         kerb::BytesView second, kerb::Bytes& second_out,
+                         const EncLayerConfig& config, kcrypto::Prng& prng) {
+  BuildPlaintext(first_key, config, prng, first.size(),
+                 [first](kenc::Writer& w) { w.PutBytes(first); }, first_out);
+  BuildPlaintext(second_key, config, prng, second.size(),
+                 [second](kenc::Writer& w) { w.PutBytes(second); }, second_out);
+  kcrypto::EncryptCbcPairInPlace(first_key, first_out.data(), first_out.size(), second_key,
+                                 second_out.data(), second_out.size());
+  EmitSeal(first_out, config);
+  EmitSeal(second_out, config);
 }
 
 namespace {
 
+// Decrypts one copy of `sealed` and checks it where it lies: padding,
+// confounder, checksum type and length, then the checksum over the
+// plaintext with its field zeroed, and finally the TLV body read from a view.
 kerb::Result<kenc::TlvMessage> UnsealTlvWithIvImpl(const kcrypto::DesKey& key,
                                                    const kcrypto::DesBlock& iv,
                                                    uint16_t expected_type,
@@ -84,36 +96,35 @@ kerb::Result<kenc::TlvMessage> UnsealTlvWithIvImpl(const kcrypto::DesKey& key,
   if (sealed.empty() || sealed.size() % 8 != 0) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "sealed data not block-aligned");
   }
-  kerb::Bytes padded(sealed.begin(), sealed.end());
-  kcrypto::DecryptCbcInPlace(key, iv, padded.data(), padded.size());
-  auto plain = kcrypto::Pkcs5Unpad(padded);
-  if (!plain.ok()) {
+  kerb::Bytes plain(sealed.begin(), sealed.end());
+  kcrypto::DecryptCbcInPlace(key, iv, plain.data(), plain.size());
+  auto unpadded = kcrypto::Pkcs5UnpaddedSize(plain);
+  if (!unpadded.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "padding invalid (wrong key/IV?)");
   }
-  kenc::Reader r(plain.value());
-  if (config.use_confounder) {
-    auto confounder = r.GetBytes(8);
-    if (!confounder.ok()) {
-      return kerb::MakeError(kerb::ErrorCode::kIntegrity, "confounder missing");
-    }
+  const size_t len = unpadded.value();
+  const size_t type_offset = config.use_confounder ? 8u : 0u;
+  if (len < type_offset) {
+    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "confounder missing");
   }
-  auto type_byte = r.GetU8();
-  if (!type_byte.ok() || type_byte.value() != static_cast<uint8_t>(config.checksum)) {
+  if (len == type_offset || plain[type_offset] != static_cast<uint8_t>(config.checksum)) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "checksum type mismatch");
   }
-  size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
-  auto checksum = r.GetBytes(checksum_len);
-  if (!checksum.ok()) {
+  const size_t checksum_offset = type_offset + 1;
+  const size_t checksum_len = kcrypto::ChecksumSize(config.checksum);
+  if (len - checksum_offset < checksum_len) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "checksum missing");
   }
-  kerb::Bytes verify_buf = plain.value();
-  size_t checksum_offset = (config.use_confounder ? 8u : 0u) + 1u;
-  std::fill(verify_buf.begin() + checksum_offset,
-            verify_buf.begin() + checksum_offset + checksum_len, 0);
-  if (!kcrypto::VerifyChecksum(config.checksum, verify_buf, checksum.value(), key)) {
+  uint8_t claimed[16];  // the largest ChecksumSize
+  std::memcpy(claimed, plain.data() + checksum_offset, checksum_len);
+  std::memset(plain.data() + checksum_offset, 0, checksum_len);
+  if (!kcrypto::VerifyChecksum(config.checksum, kerb::BytesView(plain.data(), len),
+                               kerb::BytesView(claimed, checksum_len), key)) {
     return kerb::MakeError(kerb::ErrorCode::kIntegrity, "checksum mismatch");
   }
-  return kenc::TlvMessage::DecodeExpecting(expected_type, r.Rest());
+  const size_t body_offset = checksum_offset + checksum_len;
+  return kenc::TlvMessage::DecodeExpecting(
+      expected_type, kerb::BytesView(plain.data() + body_offset, len - body_offset));
 }
 
 }  // namespace

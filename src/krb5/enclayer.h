@@ -42,15 +42,21 @@ kerb::Bytes SealTlv(const kcrypto::DesKey& key, const kenc::TlvMessage& msg,
                     const EncLayerConfig& config, kcrypto::Prng& prng);
 
 // Same bytes as SealTlv, built in a caller-owned buffer (cleared first,
-// capacity kept) with no intermediate allocations — the KDC serving path
-// seals every ticket and enc-part through here.
+// capacity kept) with no intermediate allocations.
 void SealTlvInto(const kcrypto::DesKey& key, const kenc::TlvMessage& msg,
                  const EncLayerConfig& config, kcrypto::Prng& prng, kerb::Bytes& out);
 
-// SealTlvInto for a message already encoded into a flat buffer (e.g. via
-// kenc::TlvFieldWriter) — skips the TlvMessage field map entirely.
-void SealEncodedInto(const kcrypto::DesKey& key, kerb::BytesView encoded_msg,
-                     const EncLayerConfig& config, kcrypto::Prng& prng, kerb::Bytes& out);
+// Seals two messages already encoded into flat buffers (e.g. via
+// kenc::TlvFieldWriter), `first` under `first_key` into `first_out` and
+// `second` under `second_key` into `second_out` (each cleared, capacity
+// kept). Byte-identical to sealing `first` and then `second` one at a time:
+// the first confounder is drawn first and the first kSeal event emitted
+// first. The two CBC chains run in lockstep (kcrypto::EncryptCbcPairInPlace).
+// The KDC seals every V5 reply's ticket and enc-part through here.
+void SealEncodedPairInto(const kcrypto::DesKey& first_key, kerb::BytesView first,
+                         kerb::Bytes& first_out, const kcrypto::DesKey& second_key,
+                         kerb::BytesView second, kerb::Bytes& second_out,
+                         const EncLayerConfig& config, kcrypto::Prng& prng);
 
 // Unseals and verifies; also checks the embedded message type.
 kerb::Result<kenc::TlvMessage> UnsealTlv(const kcrypto::DesKey& key, uint16_t expected_type,

@@ -22,14 +22,19 @@ kerb::Bytes& EncodeReplyInto(uint16_t msg_type, kerb::BytesView sealed_ticket,
   return scratch.reply;
 }
 
-// Streams `msg` into the scratch plaintext buffer and seals it — the
-// per-request encode path, map-free end to end.
-template <typename Msg>
-void SealMessageInto(const kcrypto::DesKey& key, const Msg& msg, const EncLayerConfig& config,
-                     kcrypto::Prng& prng, kerb::Bytes& plain_scratch, kerb::Bytes& out) {
-  kenc::Writer w(&plain_scratch);
-  msg.AppendTlvTo(w);
-  SealEncodedInto(key, plain_scratch, config, prng, out);
+// Streams `ticket` and its reply `part` into the scratch plaintext buffers
+// — map-free end to end — and seals the two together, the ticket under
+// `ticket_key` and the part under `part_key`.
+template <typename Part>
+void SealReplyPairInto(const kcrypto::DesKey& ticket_key, const Ticket5& ticket,
+                       const kcrypto::DesKey& part_key, const Part& part,
+                       const EncLayerConfig& config, KdcContext& ctx) {
+  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
+  ticket.AppendTlvTo(ticket_writer);
+  kenc::Writer part_writer(&ctx.scratch.body_plain);
+  part.AppendTlvTo(part_writer);
+  SealEncodedPairInto(ticket_key, ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed, part_key,
+                      ctx.scratch.body_plain, ctx.scratch.body_sealed, config, ctx.prng);
 }
 
 // The tail every TGS issue branch shares: `ticket` sealed under
@@ -43,10 +48,7 @@ kerb::Bytes& SealTgsReplyInto(const kcrypto::DesKey& ticket_key, const Ticket5& 
   part.nonce = nonce;
   part.issued_at = ticket.issued_at;
   part.lifetime = ticket.lifetime;
-  SealMessageInto(ticket_key, ticket, config, ctx.prng, ctx.scratch.ticket_plain,
-                  ctx.scratch.ticket_sealed);
-  SealMessageInto(tgs_session, part, config, ctx.prng, ctx.scratch.body_plain,
-                  ctx.scratch.body_sealed);
+  SealReplyPairInto(ticket_key, ticket, tgs_session, part, config, ctx);
   return EncodeReplyInto(kMsgTgsRep, ctx.scratch.ticket_sealed, ctx.scratch.body_sealed,
                          ctx.scratch);
 }
@@ -130,7 +132,8 @@ void KdcCore5::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time no
                        const kcrypto::DesKey& tgs_key, const kcrypto::DesKey& client_key,
                        KdcContext& ctx) {
   ksim::Duration lifetime = std::min(req.lifetime, policy_.max_ticket_lifetime);
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
+  // Session keys are only sent, never used here: draw them unscheduled.
+  const kcrypto::DesBlock session_key = ctx.prng.NextDesKeyBytes();
 
   Ticket5 tgt;
   tgt.service = tgs_principal_;
@@ -141,18 +144,15 @@ void KdcCore5::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time no
   }
   tgt.issued_at = now;
   tgt.lifetime = lifetime;
-  tgt.session_key = session_key.bytes();
+  tgt.session_key = session_key;
 
   EncAsRepPart5 part;
-  part.tgs_session_key = session_key.bytes();
+  part.tgs_session_key = session_key;
   part.nonce = req.nonce;  // Draft 3's challenge/response to the client
   part.issued_at = now;
   part.lifetime = lifetime;
 
-  SealMessageInto(tgs_key, tgt, policy_.enc, ctx.prng, ctx.scratch.ticket_plain,
-                  ctx.scratch.ticket_sealed);
-  SealMessageInto(client_key, part, policy_.enc, ctx.prng, ctx.scratch.body_plain,
-                  ctx.scratch.body_sealed);
+  SealReplyPairInto(tgs_key, tgt, client_key, part, policy_.enc, ctx);
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRequest5& req,
@@ -378,10 +378,9 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
     if (!((*tgt).flags & kFlagForwardable)) {
       return kerb::MakeError(kerb::ErrorCode::kPolicy, "TGT not forwardable");
     }
-    kcrypto::DesKey new_session = ctx.prng.NextDesKey();
     Ticket5 forwarded = (*tgt);
     forwarded.flags |= kFlagForwarded;
-    forwarded.session_key = new_session.bytes();
+    forwarded.session_key = ctx.prng.NextDesKeyBytes();
     forwarded.issued_at = now;
     forwarded.lifetime = lifetime;
     if (req.options & kOptOmitAddress) {
@@ -399,8 +398,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
       return kerb::MakeError(kerb::ErrorCode::kNotFound,
                              "no route to realm " + req.service.realm);
     }
-    kcrypto::DesKey hop_key = interrealm_keys_.at(neighbor);
-    kcrypto::DesKey session_key = ctx.prng.NextDesKey();
+    const kcrypto::DesKey& hop_key = interrealm_keys_.at(neighbor);
 
     Ticket5 hop_tgt;
     hop_tgt.service = krb4::Principal{"krbtgt", neighbor, realm_};
@@ -409,14 +407,14 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
     hop_tgt.client_addr = (*tgt).client_addr;
     hop_tgt.issued_at = now;
     hop_tgt.lifetime = lifetime;
-    hop_tgt.session_key = session_key.bytes();
+    hop_tgt.session_key = ctx.prng.NextDesKeyBytes();
     hop_tgt.transited = transited;  // path so far; next hop appends us
     return SealTgsReplyInto(hop_key, hop_tgt, tgs_session, req.nonce, policy_.enc, ctx);
   }
 
   // Which key will seal the new ticket, and which session key goes inside?
   kcrypto::DesKey sealing_key;
-  kcrypto::DesKey session_key = ctx.prng.NextDesKey();
+  kcrypto::DesBlock session_key = ctx.prng.NextDesKeyBytes();
 
   if (req.options & kOptEncTktInSkey) {
     if (!policy_.allow_enc_tkt_in_skey) {
@@ -464,7 +462,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
                              "additional ticket belongs to another client");
     }
-    session_key = kcrypto::DesKey(donor.value().session_key);
+    session_key = donor.value().session_key;
     auto service_key = CachedLookup(req.service, ctx);
     if (!service_key.ok()) {
       return service_key.error();
@@ -494,7 +492,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
   }
   ticket.issued_at = now;
   ticket.lifetime = lifetime;
-  ticket.session_key = session_key.bytes();
+  ticket.session_key = session_key;
   ticket.transited = transited;
   return SealTgsReplyInto(sealing_key, ticket, tgs_session, req.nonce, policy_.enc, ctx);
 }

@@ -202,6 +202,12 @@ kerb::Result<Authenticator5> Authenticator5::FromTlv(const kenc::TlvMessage& msg
   a.client = client.value();
   a.timestamp = static_cast<ksim::Time>(ts.value());
   if (auto type = msg.GetOptionalU32(tag::kChecksumType)) {
+    // Range-check the wire's u32 before narrowing it into the enum: 0x101
+    // must not read as CRC-32, nor an unknown type reach VerifyChecksum.
+    if (*type < static_cast<uint32_t>(kcrypto::ChecksumType::kCrc32) ||
+        *type > static_cast<uint32_t>(kcrypto::ChecksumType::kMd4Des)) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "unknown checksum type");
+    }
     a.checksum_type = static_cast<kcrypto::ChecksumType>(*type);
   }
   a.request_checksum = msg.GetOptionalBytes(tag::kChecksum);

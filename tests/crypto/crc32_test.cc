@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/bytes.h"
 #include "src/crypto/prng.h"
 
@@ -45,6 +47,61 @@ TEST(Crc32Test, ForgePatchHitsArbitraryTargets) {
     Bytes forged = prefix;
     forged.insert(forged.end(), patch.begin(), patch.end());
     EXPECT_EQ(Crc32(forged), target);
+  }
+}
+
+// The textbook one-byte-at-a-time CRC-32, the reference for the sliced
+// Update: reflected polynomial 0xEDB88320, bit by bit.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t n) {
+  uint32_t reg = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    reg ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      reg = (reg & 1) ? (0xedb88320u ^ (reg >> 1)) : (reg >> 1);
+    }
+  }
+  return reg ^ 0xffffffffu;
+}
+
+// Every length across the 8-byte slicing boundary, at every start alignment.
+TEST(Crc32Test, SlicedMatchesReferenceAtEveryLengthAndOffset) {
+  Prng prng(4);
+  Bytes buffer = prng.NextBytes(80);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 70; ++len) {
+      EXPECT_EQ(Crc32(kerb::BytesView(buffer.data() + offset, len)),
+                BitwiseCrc32(buffer.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+// Any split of the input into Update calls gives the one-shot value.
+TEST(Crc32Test, RandomSplitsMatchOneShot) {
+  Prng prng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes data = prng.NextBytes(prng.NextBelow(160));
+    Crc32State state;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      const size_t step = std::min<size_t>(data.size() - pos, prng.NextBelow(20));
+      state.Update(kerb::BytesView(data.data() + pos, step));
+      pos += step;
+    }
+    EXPECT_EQ(state.Final(), BitwiseCrc32(data.data(), data.size())) << "trial " << trial;
+  }
+}
+
+// ForgePatch runs its prefix through the sliced Update: prefixes long
+// enough to take the 8-byte path must still land on the target.
+TEST(Crc32Test, ForgePatchOnSlicedPrefixes) {
+  Prng prng(6);
+  for (size_t len = 8; len <= 70; ++len) {
+    Bytes prefix = prng.NextBytes(len);
+    const uint32_t target = prng.NextU32();
+    auto patch = ForgePatch(prefix, target);
+    kerb::Append(prefix, kerb::BytesView(patch.data(), patch.size()));
+    EXPECT_EQ(BitwiseCrc32(prefix.data(), prefix.size()), target) << "prefix " << len;
   }
 }
 

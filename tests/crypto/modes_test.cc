@@ -223,6 +223,87 @@ TEST(ModesTest, BulkPrimitivesMatchWrappers) {
   }
 }
 
+std::vector<uint64_t> ToBlocks(const Bytes& bytes) {
+  std::vector<uint64_t> blocks(bytes.size() / 8);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    blocks[b] = LoadU64BE(bytes.data() + 8 * b);
+  }
+  return blocks;
+}
+
+Bytes FromBlocks(const std::vector<uint64_t>& blocks) {
+  Bytes out(8 * blocks.size());
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    StoreU64BE(out.data() + 8 * b, blocks[b]);
+  }
+  return out;
+}
+
+// The in-place chains run in the IP domain; the span primitives step block
+// by block through EncryptBlock. They must agree at every length, from the
+// empty message on, and CbcMac's zero-padded partial tail and empty input
+// must be the span MAC of the padded blocks.
+TEST(ModesTest, IpDomainChainsMatchSerialReferences) {
+  Prng prng(25);
+  for (size_t nblocks = 0; nblocks <= 33; ++nblocks) {
+    DesKey key = prng.NextDesKey();
+    DesBlock iv = U64ToBlock(prng.NextU64());
+    Bytes pt = prng.NextBytes(8 * nblocks);
+    std::vector<uint64_t> blocks = ToBlocks(pt);
+    std::vector<uint64_t> ref(nblocks);
+
+    Bytes inplace = pt;
+    EncryptCbcInPlace(key, iv, inplace.data(), inplace.size());
+    CbcEncryptBlocks(key, BlockToU64(iv), blocks.data(), ref.data(), nblocks);
+    EXPECT_EQ(inplace, FromBlocks(ref)) << "CBC, " << nblocks << " blocks";
+
+    inplace = pt;
+    EncryptPcbcInPlace(key, iv, inplace.data(), inplace.size());
+    PcbcEncryptBlocks(key, BlockToU64(iv), blocks.data(), ref.data(), nblocks);
+    EXPECT_EQ(inplace, FromBlocks(ref)) << "PCBC, " << nblocks << " blocks";
+
+    if (nblocks > 0) {
+      EXPECT_EQ(BlockToU64(CbcMac(key, iv, pt)),
+                CbcMacBlocks(key, BlockToU64(iv), blocks.data(), nblocks))
+          << "MAC, " << nblocks << " blocks";
+      // Drop 1..7 bytes: the tail is zero-padded back to the same blocks.
+      const size_t cut = 1 + prng.NextBelow(7);
+      Bytes ragged(pt.begin(), pt.end() - static_cast<ptrdiff_t>(cut));
+      std::vector<uint64_t> padded = ToBlocks(ZeroPadTo8(ragged));
+      EXPECT_EQ(BlockToU64(CbcMac(key, iv, ragged)),
+                CbcMacBlocks(key, BlockToU64(iv), padded.data(), padded.size()))
+          << "MAC with a " << 8 - cut << "-byte tail, " << nblocks << " blocks";
+    } else {
+      const uint64_t zero_block = 0;
+      EXPECT_EQ(BlockToU64(CbcMac(key, iv, pt)),
+                CbcMacBlocks(key, BlockToU64(iv), &zero_block, 1));
+    }
+  }
+}
+
+// The lockstep pair is two independent zero-IV CBC encryptions: for every
+// pair of lengths, with two keys and with one key for both messages.
+TEST(ModesTest, CbcPairMatchesTwoSerialChains) {
+  Prng prng(26);
+  for (size_t na = 0; na <= 24; ++na) {
+    for (size_t nb = 0; nb <= 24; ++nb) {
+      for (bool same_key : {false, true}) {
+        DesKey key_a = prng.NextDesKey();
+        DesKey key_b = same_key ? key_a : prng.NextDesKey();
+        Bytes a = prng.NextBytes(8 * na);
+        Bytes b = prng.NextBytes(8 * nb);
+        Bytes want_a = a;
+        Bytes want_b = b;
+        EncryptCbcInPlace(key_a, kZeroIv, want_a.data(), want_a.size());
+        EncryptCbcInPlace(key_b, kZeroIv, want_b.data(), want_b.size());
+        EncryptCbcPairInPlace(key_a, a.data(), a.size(), key_b, b.data(), b.size());
+        EXPECT_EQ(a, want_a) << na << "+" << nb << " blocks, same key " << same_key;
+        EXPECT_EQ(b, want_b) << na << "+" << nb << " blocks, same key " << same_key;
+      }
+    }
+  }
+}
+
 TEST(ModesTest, Pkcs5PadInPlaceMatchesCopy) {
   Prng prng(24);
   for (size_t len = 0; len < 20; ++len) {

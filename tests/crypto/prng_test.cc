@@ -77,5 +77,15 @@ TEST(PrngTest, ForkIndependentStreams) {
   EXPECT_EQ(same, 0);
 }
 
+// The unscheduled draw is the same draw: a generator handing out key bytes
+// stays in step with one handing out scheduled keys.
+TEST(PrngTest, NextDesKeyBytesMatchesNextDesKey) {
+  Prng bytes_side(77), key_side(77);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(bytes_side.NextDesKeyBytes(), key_side.NextDesKey().bytes()) << "draw " << i;
+  }
+  EXPECT_EQ(bytes_side.NextU64(), key_side.NextU64());
+}
+
 }  // namespace
 }  // namespace kcrypto

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/crypto/modes.h"
 #include "src/krb5/messages.h"
+#include "src/obs/kobs.h"
 
 namespace krb5 {
 namespace {
@@ -108,6 +110,112 @@ TEST(EncLayerTest, Md4ConfigRejectsCrc32Sealed) {
   kcrypto::DesKey key = prng.NextDesKey();
   kerb::Bytes sealed = SealTlv(key, SampleMessage(), Crc32Config(), prng);
   EXPECT_FALSE(UnsealTlv(key, kMsgEncAsRepPart, sealed, Md4Config()).ok());
+}
+
+// A Draft 3 plaintext built by hand: confounder || checksum type byte ||
+// checksum || body, then PKCS#5 padding. The checksum is computed the way
+// the layer does it (over everything before the padding, its own field
+// zeroed) and then truncated to `checksum_len` bytes, or flipped.
+struct Craft {
+  bool confounder = true;
+  uint8_t type_byte = static_cast<uint8_t>(kcrypto::ChecksumType::kCrc32);
+  size_t checksum_len = 4;
+  bool flip_checksum = false;
+  kerb::Bytes body = SampleMessage().Encode();
+};
+
+kerb::Bytes CraftPlaintext(const kcrypto::DesKey& key, const Craft& c) {
+  kerb::Bytes plain;
+  if (c.confounder) {
+    plain.assign(8, 0x5a);
+  }
+  plain.push_back(c.type_byte);
+  const size_t checksum_offset = plain.size();
+  plain.resize(plain.size() + c.checksum_len, 0);
+  kerb::Append(plain, c.body);
+  kerb::Bytes sum = kcrypto::ComputeChecksum(kcrypto::ChecksumType::kCrc32, plain, key);
+  sum.resize(c.checksum_len);
+  std::copy(sum.begin(), sum.end(), plain.begin() + checksum_offset);
+  if (c.flip_checksum) {
+    plain[checksum_offset] ^= 0x01;
+  }
+  return kcrypto::Pkcs5Pad(plain);
+}
+
+kerb::Bytes HandSeal(const kcrypto::DesKey& key, const kerb::Bytes& padded_plaintext) {
+  return kcrypto::EncryptCbc(key, kcrypto::kZeroIv, padded_plaintext);
+}
+
+// Every rejection UnsealTlv can give, each from a ciphertext sealed by hand,
+// with its error code and exactly one kUnsealFail event.
+TEST(EncLayerTest, UnsealRejectionsPinned) {
+  kcrypto::Prng prng(12);
+  const kcrypto::DesKey key = prng.NextDesKey();
+  const EncLayerConfig config = Crc32Config();
+  kobs::ScopedTrace trace;
+
+  auto expect_rejected = [&](kerb::BytesView sealed, kerb::ErrorCode code, const char* what) {
+    const uint64_t fails = trace->Count(kobs::Ev::kUnsealFail);
+    auto opened = UnsealTlv(key, kMsgEncAsRepPart, sealed, config);
+    EXPECT_EQ(opened.code(), code) << what;
+    EXPECT_EQ(trace->Count(kobs::Ev::kUnsealFail), fails + 1) << what;
+  };
+
+  // The crafting itself is the layer's format: left alone, it unseals.
+  {
+    auto opened = UnsealTlv(key, kMsgEncAsRepPart, HandSeal(key, CraftPlaintext(key, {})),
+                            config);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(opened.value(), SampleMessage());
+    EXPECT_EQ(trace->Count(kobs::Ev::kUnsealOk), 1u);
+  }
+
+  expect_rejected(kerb::Bytes{}, kerb::ErrorCode::kBadFormat, "empty");
+  expect_rejected(kerb::Bytes(12, 0), kerb::ErrorCode::kBadFormat, "misaligned");
+
+  kerb::Bytes zero_pad(16, 0x11);
+  zero_pad[15] = 0;
+  expect_rejected(HandSeal(key, zero_pad), kerb::ErrorCode::kIntegrity, "pad length 0");
+  kerb::Bytes long_pad(16, 0x11);
+  long_pad[15] = 9;
+  expect_rejected(HandSeal(key, long_pad), kerb::ErrorCode::kIntegrity, "pad length 9");
+  kerb::Bytes mixed_pad(16, 0x11);
+  mixed_pad[15] = 3;
+  mixed_pad[14] = 3;
+  expect_rejected(HandSeal(key, mixed_pad), kerb::ErrorCode::kIntegrity, "inconsistent pad");
+
+  expect_rejected(HandSeal(key, kcrypto::Pkcs5Pad(kerb::Bytes(5, 0x11))),
+                  kerb::ErrorCode::kIntegrity, "confounder missing");
+  expect_rejected(HandSeal(key, kcrypto::Pkcs5Pad(kerb::Bytes(8, 0x11))),
+                  kerb::ErrorCode::kIntegrity, "type byte missing");
+
+  Craft wrong_type;
+  wrong_type.type_byte = static_cast<uint8_t>(kcrypto::ChecksumType::kMd4);
+  expect_rejected(HandSeal(key, CraftPlaintext(key, wrong_type)), kerb::ErrorCode::kIntegrity,
+                  "wrong type byte");
+
+  Craft truncated;
+  truncated.checksum_len = 2;
+  truncated.body.clear();
+  expect_rejected(HandSeal(key, CraftPlaintext(key, truncated)), kerb::ErrorCode::kIntegrity,
+                  "truncated checksum");
+
+  Craft mismatch;
+  mismatch.flip_checksum = true;
+  expect_rejected(HandSeal(key, CraftPlaintext(key, mismatch)), kerb::ErrorCode::kIntegrity,
+                  "checksum mismatch");
+
+  // Past the checksum, the body's own decode errors come through as is.
+  Craft not_tlv;
+  not_tlv.body = kerb::Bytes{0x00, 0x01};
+  expect_rejected(HandSeal(key, CraftPlaintext(key, not_tlv)), kerb::ErrorCode::kBadFormat,
+                  "body not a TLV message");
+  Craft other_type;
+  other_type.body = kenc::TlvMessage(kMsgTicket).Encode();
+  expect_rejected(HandSeal(key, CraftPlaintext(key, other_type)), kerb::ErrorCode::kBadFormat,
+                  "body of another message type");
+
+  EXPECT_EQ(trace->Count(kobs::Ev::kUnsealOk), 1u);
 }
 
 // --------------------------------------------------------------------------- Draft 2 KRB_PRIV

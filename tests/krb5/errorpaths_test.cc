@@ -142,6 +142,44 @@ TEST(ErrorPaths5Test, TgsRequestFromWrongAddressRejected) {
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
+// The authenticator's checksum type comes off the wire as a u32. A value
+// outside the Draft 3 suite must not verify an empty checksum — that would
+// leave every unencrypted request field unprotected — whether or not the
+// policy demands a collision-proof type, and 0x101 must not read as CRC-32.
+TEST(ErrorPaths5Test, TgsRequestWithUnknownChecksumTypeRejected) {
+  for (bool collision_proof : {false, true}) {
+    Testbed5Config config;
+    config.kdc_policy.require_collision_proof_checksum = collision_proof;
+    Testbed5 bed(config);
+    ASSERT_TRUE(bed.alice().Login(Testbed5::kAlicePassword).ok());
+    const kcrypto::DesKey& session = bed.alice().tgs_credentials()->session_key;
+    kcrypto::Prng prng(8);
+    for (uint32_t type : {0u, 4u, 200u, 0x101u}) {
+      TgsRequest5 req;
+      req.service = bed.mail_principal();
+      req.lifetime = ksim::kHour;
+      req.nonce = prng.NextU64();
+      req.tgt_realm = bed.realm;
+      req.sealed_tgt = bed.alice().tgs_credentials()->sealed_tgt;
+      Authenticator5 auth;
+      auth.client = bed.alice_principal();
+      auth.timestamp = bed.world().clock().Now();
+      kenc::TlvMessage tlv = auth.ToTlv();
+      tlv.SetU32(tag::kChecksumType, type);
+      tlv.SetBytes(tag::kChecksum, kerb::Bytes{});
+      EXPECT_EQ(Authenticator5::FromTlv(tlv).code(), kerb::ErrorCode::kBadFormat) << type;
+      req.sealed_authenticator = SealTlv(session, tlv, EncLayerConfig{}, prng);
+      auto reply = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kTgsAddr,
+                                              req.ToTlv().Encode());
+      EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed)
+          << "type " << type << ", collision-proof policy " << collision_proof;
+    }
+  }
+  const auto unknown = static_cast<kcrypto::ChecksumType>(4);
+  EXPECT_FALSE(kcrypto::VerifyChecksum(unknown, kerb::ToBytes("request"), kerb::Bytes{}));
+  EXPECT_FALSE(kcrypto::IsCollisionProof(unknown));
+}
+
 // A TGT the KDC has no key to verify must be refused, not unsealed under a
 // default key. Eve, holding no key at all, seals a TGT naming alice under
 // kcrypto::DesKey() and presents it: from a realm the KDC shares no key
