@@ -63,7 +63,7 @@ kerb::Result<krb4::Ticket4> KadminServer::UnsealTicket(kerb::BytesView sealed, k
     if (kv.not_after != 0 && now > kv.not_after) {
       continue;  // drain window closed
     }
-    auto ticket = krb4::Ticket4::Unseal(kv.key, sealed);
+    auto ticket = krb4::Ticket4::Unseal(kcrypto::DesKey(kv.key), sealed);
     if (ticket.ok()) {
       return ticket;
     }
@@ -155,16 +155,19 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   // Layer 3: an applied nonce's verdict is served from the ack cache — a
   // retry with a fresh authenticator (or a splice reusing the nonce with a
   // different body) never applies twice.
-  std::erase_if(acks_, [&](const auto& kv) {
-    return now - kv.second.second > policy_.nonce_window;
-  });
+  // The expired verdicts are exactly the oldest stored ones, whatever order
+  // the clock stored them in.
+  while (!ack_times_.empty() && now - ack_times_.begin()->first > policy_.nonce_window) {
+    acks_.erase(ack_times_.begin()->second);
+    ack_times_.erase(ack_times_.begin());
+  }
   const auto ack_key =
       std::make_pair(krb4::PrincipalStore::Hash(client), body.value().nonce);
   auto ack = acks_.find(ack_key);
   if (ack != acks_.end()) {
     ++ack_replays_;
     kobs::Emit(kobs::kSrcAdmin, kobs::Ev::kAdminReplayServe, now, msg.src.host, 1);
-    return ack->second.first;
+    return ack->second;
   }
 
   AdminReplyBody verdict = Apply(client, body.value(), now);
@@ -172,7 +175,8 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   if (verdict.code == 0) {
     ++applied_;
     kobs::Emit(kobs::kSrcAdmin, kobs::Ev::kAdminApply, now, op, verdict.kvno);
-    acks_[ack_key] = {reply, now};
+    acks_[ack_key] = reply;
+    ack_times_.emplace(now, ack_key);
   } else {
     ++denied_;
     kobs::Emit(kobs::kSrcAdmin, kobs::Ev::kAdminDeny, now, op, verdict.code);
@@ -240,7 +244,7 @@ AdminReplyBody KadminServer::Apply(const krb4::Principal& client, const AdminReq
         return verdict(entry.error().code, entry.error().detail);
       }
       out.kvno = entry.value().kvno();
-      const auto& key_bytes = entry.value().keys.front().key.bytes();
+      const kcrypto::DesBlock& key_bytes = entry.value().keys.front().key;
       out.detail.assign(key_bytes.begin(), key_bytes.end());
       return out;
     }

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -110,9 +111,13 @@ class KadminServer {
 
   krb4::KdcReplyCache replies_;
   ksim::ShardedReplayCache seen_authenticators_;
-  // (client hash, nonce) → (stored framed reply, stored_at). Only applied
-  // verdicts are stored; denials recompute deterministically.
-  std::map<std::pair<uint64_t, uint64_t>, std::pair<kerb::Bytes, ksim::Time>> acks_;
+  // (client hash, nonce) → stored framed reply. Only applied verdicts are
+  // stored; denials recompute deterministically.
+  using AckKey = std::pair<uint64_t, uint64_t>;
+  std::map<AckKey, kerb::Bytes> acks_;
+  // The same verdicts by stored time, so expiry erases a prefix instead of
+  // scanning every ack on each request.
+  std::set<std::pair<ksim::Time, AckKey>> ack_times_;
 
   uint64_t requests_ = 0;
   uint64_t applied_ = 0;

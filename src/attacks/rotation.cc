@@ -38,7 +38,7 @@ void ClassifyCall(kerb::ErrorCode code, bool strict, uint64_t& failed_closed,
 
 // Byte equality of the encoded entry sets, in canonical principal order.
 bool SameDatabase(const krb4::KdcDatabase& a, const krb4::KdcDatabase& b) {
-  return krb4::SnapshotDatabase(a, 0).entries == krb4::SnapshotDatabase(b, 0).entries;
+  return krb4::SnapshotDatabase(a, 0) == krb4::SnapshotDatabase(b, 0);
 }
 
 // No replica may ever hold a half-applied rotation: at the same kvno the
@@ -153,7 +153,7 @@ RotationReport RunRotationStudy(const RotationConfig& config) {
         // key and grants the outgoing one the full drain window.
         auto entry = db.LookupEntry(mail);
         if (entry.ok()) {
-          bed.mail_server().Rekey(entry.value().keys.front().key,
+          bed.mail_server().Rekey(kcrypto::DesKey(entry.value().keys.front().key),
                                   clock.Now() + 8 * ksim::kHour);
         }
       } else {

@@ -374,20 +374,28 @@ void ClusterController::Bootstrap(const std::vector<RingMember>& members) {
   // splice in the bootstrap membership explicitly.
   RingAnnounce view = View();
   view.members = members;
-  for (const RingMember& member : members) {
-    krb4::KdcDatabase slice;
-    slice.Reserve(logical_.size() / std::max<size_t>(members.size(), 1) +
-                  logical_.size() / (4 * std::max<size_t>(members.size(), 1)) + 16);
-    logical_.ForEachEntry(
-        [&](const krb4::Principal& p, const krb4::PrincipalEntry& entry) {
-          if (OwnedByOrInfra(member.node_id, p)) {
-            slice.ApplyEntry(p, entry);
-          }
-        });
+  // One pass over the logical database routes each entry to its owner's
+  // slice (infra principals to every slice), so each slice receives its
+  // entries in the logical database's order.
+  std::vector<krb4::KdcDatabase> slices(members.size());
+  for (krb4::KdcDatabase& slice : slices) {
+    slice.Reserve(logical_.size() / members.size() +
+                  logical_.size() / (4 * members.size()) + 16);
+  }
+  logical_.ForEachEntry([&](const krb4::Principal& p, const krb4::PrincipalEntry& entry) {
+    const RingMember* owner = IsInfraPrincipal(p) ? nullptr : ring_.OwnerOfPrincipal(p);
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (IsInfraPrincipal(p) || (owner != nullptr && owner->node_id == members[i].node_id)) {
+        slices[i].ApplyEntry(p, entry);
+      }
+    }
+  });
+  for (size_t i = 0; i < members.size(); ++i) {
+    const RingMember& member = members[i];
     NodeState ns;
     ns.member = member;
     ns.node = std::make_unique<ClusterNode>(world_, config_, member.node_id, member.host,
-                                            std::move(slice), 0);
+                                            std::move(slices[i]), 0);
     ns.node->Bind();
     // Bootstrap is setup, not protocol: install the view directly instead
     // of racing the first ring frame against a chaos plan's link faults.
@@ -502,24 +510,9 @@ uint64_t ClusterController::ShipGained(NodeState& ns, const HashRing& prev) {
 }
 
 kstore::Snapshot ClusterController::SliceSnapshot(uint64_t node_id, uint64_t lsn) const {
-  std::vector<std::pair<krb4::Principal, kerb::Bytes>> entries;
-  logical_.ForEachEntry([&](const krb4::Principal& p, const krb4::PrincipalEntry& entry) {
-    if (OwnedByOrInfra(node_id, p)) {
-      entries.emplace_back(p, krb4::EncodePrincipalEntry(p, entry));
-    }
+  return krb4::SnapshotDatabase(logical_, lsn, [&](const krb4::Principal& p) {
+    return OwnedByOrInfra(node_id, p);
   });
-  // Canonical order, matching SnapshotDatabase, so slice equivalence can be
-  // checked bytewise.
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  kstore::Snapshot snapshot;
-  snapshot.lsn = lsn;
-  snapshot.entries.reserve(entries.size());
-  for (auto& [principal, record] : entries) {
-    (void)principal;
-    snapshot.entries.push_back(std::move(record));
-  }
-  return snapshot;
 }
 
 bool ClusterController::SyncNode(NodeState& ns) {
@@ -653,20 +646,8 @@ bool ClusterController::NodeSliceConsistent(uint64_t node_id) const {
   if (found == nullptr) {
     return false;
   }
-  std::vector<kerb::Bytes> want;
-  logical_.ForEachEntry([&](const krb4::Principal& p, const krb4::PrincipalEntry& entry) {
-    if (OwnedByOrInfra(node_id, p)) {
-      want.push_back(krb4::EncodePrincipalEntry(p, entry));
-    }
-  });
-  std::vector<kerb::Bytes> have;
-  found->node->database().ForEachEntry(
-      [&](const krb4::Principal& p, const krb4::PrincipalEntry& entry) {
-        have.push_back(krb4::EncodePrincipalEntry(p, entry));
-      });
-  std::sort(want.begin(), want.end());
-  std::sort(have.begin(), have.end());
-  return want == have;
+  // Both snapshots list their entries in canonical principal order.
+  return SliceSnapshot(node_id, 0) == krb4::SnapshotDatabase(found->node->database(), 0);
 }
 
 bool ClusterController::AllSlicesConsistent() const {

@@ -198,7 +198,7 @@ class ClusterController {
   void Maintain();
 
   // Node db == the ring-assigned slice of the logical db, compared as
-  // sorted encoded-entry multisets (byte equivalence).
+  // snapshots in canonical principal order (byte equivalence).
   bool NodeSliceConsistent(uint64_t node_id) const;
   bool AllSlicesConsistent() const;
 

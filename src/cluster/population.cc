@@ -56,14 +56,18 @@ kcrypto::DesKey Population::TgsKey() const {
 }
 
 void Population::Install(krb4::KdcDatabase& db) const {
+  // The store keeps key bytes, so registration draws each key without
+  // scheduling it: the same draws UserKey() and friends make.
   db.Reserve(db.size() + config_.users + config_.services + 1);
-  db.ApplyUpsert(krb4::TgsPrincipal(config_.realm), TgsKey(),
-                 krb4::PrincipalKind::kService);
+  db.ApplyUpsert(krb4::TgsPrincipal(config_.realm),
+                 KeyStream(config_.seed, 3, 0).NextDesKeyBytes(), krb4::PrincipalKind::kService);
   for (size_t i = 0; i < config_.users; ++i) {
-    db.ApplyUpsert(UserPrincipal(i), UserKey(i), krb4::PrincipalKind::kUser);
+    db.ApplyUpsert(UserPrincipal(i), KeyStream(config_.seed, 1, i).NextDesKeyBytes(),
+                   krb4::PrincipalKind::kUser);
   }
   for (size_t j = 0; j < config_.services; ++j) {
-    db.ApplyUpsert(ServicePrincipal(j), ServiceKey(j), krb4::PrincipalKind::kService);
+    db.ApplyUpsert(ServicePrincipal(j), KeyStream(config_.seed, 2, j).NextDesKeyBytes(),
+                   krb4::PrincipalKind::kService);
   }
 }
 

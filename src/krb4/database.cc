@@ -15,7 +15,7 @@ void KdcDatabase::AddService(const Principal& service, const kcrypto::DesKey& ke
   ApplyUpsert(service, key, PrincipalKind::kService);
 }
 
-void KdcDatabase::ApplyUpsert(const Principal& principal, const kcrypto::DesKey& key,
+void KdcDatabase::ApplyUpsert(const Principal& principal, const kcrypto::DesBlock& key,
                               PrincipalKind kind) {
   if (journal_ != nullptr) {
     journal_->Append(kstore::kWalOpUpsert, EncodePrincipalUpsert(principal, key, kind));
@@ -47,7 +47,7 @@ kerb::Result<uint32_t> KdcDatabase::RotateKey(const Principal& principal,
   // whose window has already closed fall out of the ring here.
   entry.keys.front().not_after = retain_until;
   std::vector<KeyVersion> ring;
-  ring.push_back(KeyVersion{new_kvno, new_key, 0});
+  ring.push_back(KeyVersion{new_kvno, new_key.bytes(), 0});
   for (const KeyVersion& kv : entry.keys) {
     if (kv.not_after == 0 || now > kv.not_after) {
       continue;

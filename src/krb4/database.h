@@ -8,7 +8,8 @@
 //
 // Storage is a sharded open-addressing table (src/krb4/principal_store.h):
 // one probe per lookup instead of the seed's two std::map walks, and safe
-// for concurrent reads from a multi-threaded serving core.
+// for concurrent reads from a multi-threaded serving core. It holds each key
+// as its 8 bytes; Lookup schedules the DesKey it returns.
 
 #ifndef SRC_KRB4_DATABASE_H_
 #define SRC_KRB4_DATABASE_H_
@@ -60,7 +61,10 @@ class KdcDatabase {
   // the change first when a journal is attached (write-ahead), then applies
   // it to the in-memory store under the shard lock. Registration resets the
   // principal to a fresh single-entry key ring at kvno 1.
-  void ApplyUpsert(const Principal& principal, const kcrypto::DesKey& key, PrincipalKind kind);
+  void ApplyUpsert(const Principal& principal, const kcrypto::DesBlock& key, PrincipalKind kind);
+  void ApplyUpsert(const Principal& principal, const kcrypto::DesKey& key, PrincipalKind kind) {
+    ApplyUpsert(principal, key.bytes(), kind);
+  }
 
   // Journals and applies a *whole* record — ring, kind, policy attributes —
   // as one WAL record. Every rotation funnels through here, which is what
@@ -96,6 +100,7 @@ class KdcDatabase {
   kstore::KStore* journal() const { return journal_; }
 
   bool Has(const Principal& principal) const { return store_.Contains(principal); }
+  // The current key, scheduled.
   kerb::Result<kcrypto::DesKey> Lookup(const Principal& principal) const;
 
   // Full record (ring + attributes); kNotFound for unknown principals.
@@ -118,7 +123,7 @@ class KdcDatabase {
 
   // Visits every full record as fn(principal, entry), shard/slot order
   // (deterministic, unsorted). See PrincipalStore::ForEach for the locking
-  // contract: fn must not touch this database.
+  // contract: fn must copy what it keeps and must not touch this database.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
     store_.ForEach(std::forward<Fn>(fn));

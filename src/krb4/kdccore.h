@@ -55,11 +55,12 @@ struct KdcOptions {
   ksim::Duration reply_cache_window = 0;
 };
 
-// Small direct-mapped cache of keys copied out of the principal store,
-// validated against the store's generation counter so post-construction
-// registrations (several attack scenarios add services mid-run) invalidate
-// it automatically. Returns keys by value: a later insert may overwrite any
-// slot, so references into the cache would dangle within one request.
+// Small direct-mapped cache of scheduled keys, validated against the
+// principal store's generation counter so post-construction registrations
+// (several attack scenarios add services mid-run) invalidate it
+// automatically. The store holds key bytes, so a miss pays one DES key
+// schedule. Returns keys by value: a later insert may overwrite any slot,
+// so references into the cache would dangle within one request.
 class KdcKeyCache {
  public:
   bool Get(uint64_t generation, uint64_t hash, const Principal& principal,
@@ -109,9 +110,9 @@ class KdcKeyCache {
 class KdcUnsealMemo {
  public:
   template <typename T>
-  const T* Get(const kcrypto::DesKey& key, kerb::BytesView sealed) const {
+  const T* Get(const kcrypto::DesBlock& key, kerb::BytesView sealed) const {
     const Entry& entry = entries_[Slot(sealed)];
-    if (!entry.used || entry.key_bytes != key.bytes() || entry.sealed.size() != sealed.size() ||
+    if (!entry.used || entry.key_bytes != key || entry.sealed.size() != sealed.size() ||
         !std::equal(entry.sealed.begin(), entry.sealed.end(), sealed.begin())) {
       return nullptr;
     }
@@ -119,10 +120,10 @@ class KdcUnsealMemo {
   }
 
   template <typename T>
-  const T* Put(const kcrypto::DesKey& key, kerb::BytesView sealed, T value) {
+  const T* Put(const kcrypto::DesBlock& key, kerb::BytesView sealed, T value) {
     Entry& entry = entries_[Slot(sealed)];
     entry.used = true;
-    entry.key_bytes = key.bytes();
+    entry.key_bytes = key;
     entry.sealed.assign(sealed.begin(), sealed.end());
     entry.value = std::move(value);
     return std::any_cast<T>(&entry.value);
@@ -286,7 +287,8 @@ class KdcServeFrame {
     return reply;
   }
 
-  // db_.Lookup through the context's generation-checked key cache.
+  // db_.Lookup through the context's generation-checked key cache: only a
+  // miss reads the store and schedules the key.
   kerb::Result<kcrypto::DesKey> CachedLookup(const Principal& principal, KdcContext& ctx) const;
 
   // The DH group for one PK-preauth AS request, which it counts as served;
@@ -308,7 +310,7 @@ class KdcServeFrame {
   kerb::Result<const Ticket*> UnsealTgt(const kcrypto::DesKey& key, kerb::BytesView sealed,
                                         bool ring_fallback, ksim::Time now, KdcContext& ctx,
                                         Unseal&& unseal) const {
-    const Ticket* tgt = ctx.unseals.Get<Ticket>(key, sealed);
+    const Ticket* tgt = ctx.unseals.Get<Ticket>(key.bytes(), sealed);
     if (kobs::Enabled()) {
       kobs::Emit(source_,
                  tgt != nullptr ? kobs::Ev::kKdcUnsealMemoHit : kobs::Ev::kKdcUnsealMemoMiss,
@@ -318,7 +320,7 @@ class KdcServeFrame {
       return tgt;
     }
     if (auto unsealed = unseal(key, sealed); unsealed.ok()) {
-      return ctx.unseals.Put(key, sealed, std::move(unsealed.value()));
+      return ctx.unseals.Put(key.bytes(), sealed, std::move(unsealed.value()));
     }
     PrincipalEntry tgs_entry;
     if (ring_fallback && db_.store().LookupEntry(tgs_principal_, &tgs_entry)) {
@@ -329,7 +331,9 @@ class KdcServeFrame {
         }
         tgt = ctx.unseals.Get<Ticket>(kv.key, sealed);
         if (tgt == nullptr) {
-          if (auto old_unsealed = unseal(kv.key, sealed); old_unsealed.ok()) {
+          // The store holds the old version's bytes; schedule it only now
+          // that the memo has missed.
+          if (auto old_unsealed = unseal(kcrypto::DesKey(kv.key), sealed); old_unsealed.ok()) {
             tgt = ctx.unseals.Put(kv.key, sealed, std::move(old_unsealed.value()));
           }
         }

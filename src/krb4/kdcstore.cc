@@ -22,6 +22,12 @@ constexpr uint32_t kRecordsPerFrame = 4;
 
 kerb::Bytes EncodePrincipalEntry(const Principal& principal, const PrincipalEntry& entry) {
   kenc::Writer w;
+  EncodePrincipalEntryTo(w, principal, entry);
+  return w.Take();
+}
+
+void EncodePrincipalEntryTo(kenc::Writer& w, const Principal& principal,
+                            const PrincipalEntry& entry) {
   principal.EncodeTo(w);
   w.PutU8(static_cast<uint8_t>(entry.kind));
   w.PutU64(static_cast<uint64_t>(entry.max_life));
@@ -29,13 +35,12 @@ kerb::Bytes EncodePrincipalEntry(const Principal& principal, const PrincipalEntr
   w.PutU8(static_cast<uint8_t>(entry.keys.size()));
   for (const KeyVersion& kv : entry.keys) {
     w.PutU32(kv.kvno);
-    w.PutBytes(kerb::BytesView(kv.key.bytes().data(), kv.key.bytes().size()));
+    w.PutBytes(kv.key);
     w.PutU64(static_cast<uint64_t>(kv.not_after));
   }
-  return w.Take();
 }
 
-kerb::Bytes EncodePrincipalUpsert(const Principal& principal, const kcrypto::DesKey& key,
+kerb::Bytes EncodePrincipalUpsert(const Principal& principal, const kcrypto::DesBlock& key,
                                   PrincipalKind kind) {
   PrincipalEntry entry;
   entry.kind = kind;
@@ -75,10 +80,10 @@ kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Re
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: malformed ring entry");
     }
     prev_kvno = kvno.value();
-    kcrypto::DesBlock block;
-    std::copy(key_bytes.value().begin(), key_bytes.value().end(), block.begin());
-    entry.keys.push_back(KeyVersion{kvno.value(), kcrypto::DesKey(block),
-                                    static_cast<ksim::Time>(not_after.value())});
+    KeyVersion& kv = entry.keys.emplace_back();
+    kv.kvno = kvno.value();
+    std::copy(key_bytes.value().begin(), key_bytes.value().end(), kv.key.begin());
+    kv.not_after = static_cast<ksim::Time>(not_after.value());
   }
   return std::make_pair(std::move(principal).value(), std::move(entry));
 }
@@ -89,15 +94,23 @@ kerb::Bytes EncodePrincipalDelete(const Principal& principal) {
   return w.Take();
 }
 
+kerb::Result<std::pair<Principal, PrincipalEntry>> DecodeEntry(kerb::BytesView payload) {
+  kenc::Reader r(payload);
+  auto decoded = DecodePrincipalEntry(r);
+  if (!decoded.ok() || !r.AtEnd()) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: malformed entry");
+  }
+  return decoded;
+}
+
 kerb::Result<std::vector<std::pair<Principal, PrincipalEntry>>> DecodeEntries(
     const std::vector<kerb::Bytes>& payloads) {
   std::vector<std::pair<Principal, PrincipalEntry>> entries;
   entries.reserve(payloads.size());
   for (const kerb::Bytes& payload : payloads) {
-    kenc::Reader r(payload);
-    auto decoded = DecodePrincipalEntry(r);
-    if (!decoded.ok() || !r.AtEnd()) {
-      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: malformed entry");
+    auto decoded = DecodeEntry(payload);
+    if (!decoded.ok()) {
+      return decoded.error();
     }
     entries.push_back(std::move(decoded).value());
   }
@@ -142,28 +155,44 @@ kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView paylo
   return kerb::Status::Ok();
 }
 
-kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn) {
+kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn,
+                                  const std::function<bool(const Principal&)>& keep) {
   kstore::Snapshot snapshot;
   snapshot.lsn = lsn;
-  for (const Principal& principal : db.Principals()) {
-    PrincipalEntry entry;
-    if (!db.store().LookupEntry(principal, &entry)) {
-      continue;  // racing removal; the entry set is re-snapshotted next cycle
+  kerb::Bytes encoded;
+  db.store().ForEachSorted([&](const Principal& principal, const PrincipalEntry& entry) {
+    if (keep && !keep(principal)) {
+      return;
     }
-    snapshot.entries.push_back(EncodePrincipalEntry(principal, entry));
-  }
+    kenc::Writer w(&encoded);
+    EncodePrincipalEntryTo(w, principal, entry);
+    snapshot.Add(encoded);
+  });
   return snapshot;
 }
 
 kerb::Status LoadSnapshotEntries(KdcDatabase& db, const kstore::Snapshot& snapshot) {
   // Decode everything before mutating anything: a malformed snapshot must
   // leave the database untouched.
-  auto entries = DecodeEntries(snapshot.entries);
-  if (!entries.ok()) {
-    return entries.error();
+  std::vector<std::pair<Principal, PrincipalEntry>> entries;
+  entries.reserve(snapshot.size());
+  kerb::Status decoded = kerb::Status::Ok();
+  snapshot.ForEachEntry([&](kerb::BytesView payload) {
+    if (!decoded.ok()) {
+      return;
+    }
+    auto entry = DecodeEntry(payload);
+    if (!entry.ok()) {
+      decoded = entry.error();
+      return;
+    }
+    entries.push_back(std::move(entry).value());
+  });
+  if (!decoded.ok()) {
+    return decoded;
   }
   std::set<Principal> incoming;
-  for (const auto& entry : entries.value()) {
+  for (const auto& entry : entries) {
     incoming.insert(entry.first);
   }
   for (const Principal& existing : db.Principals()) {
@@ -171,7 +200,7 @@ kerb::Status LoadSnapshotEntries(KdcDatabase& db, const kstore::Snapshot& snapsh
       db.Remove(existing);
     }
   }
-  for (const auto& entry : entries.value()) {
+  for (const auto& entry : entries) {
     db.ApplyEntry(entry.first, entry.second);
   }
   return kerb::Status::Ok();

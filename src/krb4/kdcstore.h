@@ -17,6 +17,7 @@
 #ifndef SRC_KRB4_KDCSTORE_H_
 #define SRC_KRB4_KDCSTORE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,16 +52,22 @@ namespace krb4 {
 constexpr size_t kMaxRingEntries = 64;
 
 kerb::Bytes EncodePrincipalEntry(const Principal& principal, const PrincipalEntry& entry);
+// The same bytes, appended to `w`.
+void EncodePrincipalEntryTo(kenc::Writer& w, const Principal& principal,
+                            const PrincipalEntry& entry);
 // Single-version convenience used by registration-shaped callers/tests:
 // encodes a fresh ring at kvno 1.
-kerb::Bytes EncodePrincipalUpsert(const Principal& principal, const kcrypto::DesKey& key,
+kerb::Bytes EncodePrincipalUpsert(const Principal& principal, const kcrypto::DesBlock& key,
                                   PrincipalKind kind);
 kerb::Bytes EncodePrincipalDelete(const Principal& principal);
 
 // Decodes one upsert payload; `r` is left positioned after the record.
 kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Reader& r);
 
-// Decodes upsert payloads (snapshot entries, range loads), all or nothing.
+// Decodes one whole upsert payload (a snapshot entry or range-load entry).
+kerb::Result<std::pair<Principal, PrincipalEntry>> DecodeEntry(kerb::BytesView payload);
+
+// Decodes upsert payloads (range loads), all or nothing.
 kerb::Result<std::vector<std::pair<Principal, PrincipalEntry>>> DecodeEntries(
     const std::vector<kerb::Bytes>& payloads);
 
@@ -77,9 +84,12 @@ kerb::Result<StoreRecord> DecodeStoreRecord(uint8_t op, kerb::BytesView payload)
 // payloads; the database is untouched on failure.
 kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView payload);
 
-// The database's full entry set as a snapshot at `lsn`, entries in the
-// canonical sorted principal order.
-kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn);
+// The database's entry set as a snapshot at `lsn`, entries in the canonical
+// sorted principal order: one sorted walk over the store, each entry
+// encoded once and appended to the snapshot. With `keep`, only the entries
+// it accepts (a cluster node's slice).
+kstore::Snapshot SnapshotDatabase(const KdcDatabase& db, uint64_t lsn,
+                                  const std::function<bool(const Principal&)>& keep = nullptr);
 
 // Wholesale load: upserts every snapshot entry and removes principals the
 // snapshot does not contain, leaving `db` exactly at the snapshot state.

@@ -3,24 +3,33 @@
 // The seed KdcDatabase kept two parallel std::maps (principal → key,
 // principal → kind), so every request paid two O(log n) string-comparison
 // walks plus node-pointer chasing. This store keeps one entry per principal
-// in an open-addressing table (power-of-two capacity, linear probing, one
-// hash → typically one probe), split into shards each guarded by its own
+// behind an open-addressing index (power-of-two capacity, linear probing,
+// one hash → typically one probe), split into shards each guarded by its own
 // reader/writer lock so a multi-threaded serving core can look keys up
 // concurrently while registrations proceed.
 //
-// Keys are stored with their DES subkey schedule already expanded (DesKey
-// precomputes it at construction), so string-to-key and schedule derivation
-// happen once per principal at registration, never per request. The
-// `generation()` counter advances on every mutation; per-worker derived-key
-// caches (src/krb4/kdccore.h) use it to detect staleness without locks.
+// Each shard packs its entries into one dense array behind an index of
+// 8-byte slots (hash tag, entry number). An entry is the record of
+// Heimdal's db_fetch: name and instance bytes (in a per-shard name arena),
+// the realm (interned once per store), kind, max_life and max_renew, and
+// the current key as its 8 bytes plus kvno; only the older versions of a
+// rotated principal's ring live out of line. Nothing is allocated per
+// principal, so a million-principal realm costs about 90 bytes a principal,
+// table included. Keys are stored unscheduled: the KDC expands a key's DES
+// subkey schedule when it serves the principal (src/krb4/kdccore.h keeps the
+// scheduled key in a per-worker cache). The `generation()` counter advances
+// on every mutation; those caches use it to detect staleness without locks.
 
 #ifndef SRC_KRB4_PRINCIPAL_STORE_H_
 #define SRC_KRB4_PRINCIPAL_STORE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/crypto/des.h"
@@ -42,10 +51,11 @@ enum class PrincipalKind {
 // key version number precisely so keys can change while tickets sealed
 // under the previous version are still in flight; the paper's complaint
 // about keys that live forever is answered by rotating the current entry
-// and letting the old one drain.
+// and letting the old one drain. The key is its 8 bytes; whoever encrypts
+// under it schedules a kcrypto::DesKey.
 struct KeyVersion {
   uint32_t kvno = 1;
-  kcrypto::DesKey key;
+  kcrypto::DesBlock key{};
   // Virtual time after which this version stops being accepted; 0 means no
   // scheduled expiry (the current version always has 0).
   ksim::Time not_after = 0;
@@ -78,14 +88,20 @@ class PrincipalStore {
   PrincipalStore& operator=(PrincipalStore&& other) noexcept;
 
   // Inserts or replaces the entry for `principal` with a fresh single-entry
-  // key ring at kvno 1 — the registration path. Thread-safe.
-  void Upsert(const Principal& principal, const kcrypto::DesKey& key, PrincipalKind kind);
+  // key ring at kvno 1 — the registration path. Thread-safe. Like every
+  // insert, throws std::length_error if the principal's shard already holds
+  // 4 GiB of name and instance bytes.
+  void Upsert(const Principal& principal, const kcrypto::DesBlock& key, PrincipalKind kind);
+  void Upsert(const Principal& principal, const kcrypto::DesKey& key, PrincipalKind kind) {
+    Upsert(principal, key.bytes(), kind);
+  }
 
   // Inserts or replaces the *whole* record — ring, kind, and policy
   // attributes — in one shard-locked step. Rotation and replica
   // propagation go through this so a ring change is atomic: no reader ever
-  // observes a principal between key versions. Entries with an empty ring
-  // are rejected (returns false, store untouched). Thread-safe.
+  // observes a principal between key versions. Entries with an empty ring,
+  // or a ring deeper than kMaxRing, are rejected (returns false, store
+  // untouched). Thread-safe.
   bool UpsertEntry(const Principal& principal, const PrincipalEntry& entry);
 
   // Copies the full record out under the shard's reader lock. Returns
@@ -94,40 +110,62 @@ class PrincipalStore {
 
   // Removes the entry for `principal` (false when absent). Linear probing
   // cannot tolerate tombstone-free holes, so removal backward-shifts the
-  // rest of the probe cluster into place. Thread-safe.
+  // rest of the probe cluster into place; the shard's last entry then moves
+  // into the freed place of the dense array. Thread-safe.
   bool Erase(const Principal& principal);
 
-  // Copies the entry out under the shard's reader lock. Either output may be
-  // null. Returns false when the principal is unknown. Thread-safe.
+  // Copies the current key's bytes and the kind out under the shard's
+  // reader lock, then schedules the key. Either output may be null. Returns
+  // false when the principal is unknown. Thread-safe.
   bool Lookup(const Principal& principal, kcrypto::DesKey* key_out,
               PrincipalKind* kind_out = nullptr) const;
 
   bool Contains(const Principal& principal) const { return Lookup(principal, nullptr); }
 
   // Pre-sizes every shard for `expected_entries` total entries so the load
-  // factor stays below 3/4 without incremental growth. Registering a
-  // million-principal realm without this pays ~12 doubling rehashes per
-  // shard — each a full reallocate-and-reinsert of the shard, with the
-  // worst one rehashing half the population — and transiently holds both
-  // the old and new slot arrays. With it, registration is one allocation
-  // per shard and insert cost is flat from the first principal to the
-  // last. Never shrinks; safe to call on a live store. Thread-safe.
+  // factor stays below 3/4 without incremental growth: an empty shard gets
+  // its final index in one allocation, and each shard's entry array is
+  // reserved for its expected share. Registering a million-principal realm
+  // without this pays ~12 doubling rehashes per shard, each holding the old
+  // and new index at once. Never shrinks; safe to call on a live store.
+  // Thread-safe.
   void Reserve(size_t expected_entries);
 
   // Visits every entry as fn(principal, entry) under each shard's reader
   // lock, in shard/slot order — deterministic for a given insertion
-  // history, NOT sorted. The bulk-export path (cluster slice extraction,
-  // snapshots) uses this to avoid the Principals()+LookupEntry double walk.
-  // fn must not call back into this store (the shard lock is held).
+  // history, NOT sorted. The bulk-export path (cluster slice extraction)
+  // uses this. Both arguments are rebuilt in place for each entry, so fn
+  // must copy what it keeps, and must not call back into this store (the
+  // shard lock is held).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
+    Principal principal;
+    PrincipalEntry entry;
     for (size_t s = 0; s < kShardCount; ++s) {
-      std::shared_lock lock(shards_[s].mu);
-      for (const Slot& slot : shards_[s].slots) {
-        if (slot.used) {
-          fn(slot.principal, slot.entry);
+      const Shard& shard = shards_[s];
+      std::shared_lock lock(shard.mu);
+      for (const Slot& slot : shard.slots) {
+        if (slot.entry != kEmpty) {
+          Load(shard, shard.entries[slot.entry], &principal, &entry);
+          fn(principal, entry);
         }
       }
+    }
+  }
+
+  // Visits every entry as fn(principal, entry) in sorted principal order —
+  // the canonical order of snapshot images. Holds every shard's reader lock
+  // for the whole walk, so the visit is one point-in-time state. Same
+  // contract for fn as ForEach.
+  template <typename Fn>
+  void ForEachSorted(Fn&& fn) const {
+    const auto locks = LockAllShared();
+    Principal principal;
+    PrincipalEntry entry;
+    for (const EntryRef& ref : SortedRefs()) {
+      const Shard& shard = shards_[ref.shard];
+      Load(shard, shard.entries[ref.entry], &principal, &entry);
+      fn(principal, entry);
     }
   }
 
@@ -152,20 +190,57 @@ class PrincipalStore {
   // realm with separators). Exposed so derived-key caches hash only once.
   static uint64_t Hash(const Principal& principal);
 
+  // Deepest ring UpsertEntry accepts (the wire codec caps rings far lower).
+  static constexpr size_t kMaxRing = 1 + UINT16_MAX;
+
  private:
-  struct Slot {
-    uint64_t hash = 0;
-    bool used = false;
-    Principal principal;
-    PrincipalEntry entry;
+  // One principal. 64 bytes: a cache line, and no heap block unless the
+  // ring has older versions.
+  struct alignas(64) Entry {
+    Entry() = default;
+    Entry(const Entry& other);
+    Entry& operator=(const Entry& other);
+    Entry(Entry&&) noexcept = default;
+    Entry& operator=(Entry&&) noexcept = default;
+
+    kcrypto::DesBlock key{};  // the current version
+    uint32_t kvno = 0;
+    uint32_t realm = 0;        // index into realms_
+    ksim::Time not_after = 0;  // the current version's
+    ksim::Duration max_life = 0;
+    ksim::Duration max_renew = 0;
+    std::unique_ptr<KeyVersion[]> older;  // ring versions after the current one
+    uint32_t name_at = 0;                 // name, then instance, in Shard::names
+    uint32_t name_len = 0;
+    uint32_t instance_len = 0;
+    uint8_t kind = 0;
+    uint16_t older_count = 0;
   };
+  static_assert(sizeof(Entry) == 64);
+
+  // An index slot: the low 32 bits of the principal's hash (its home slot
+  // and a probe filter) and the entry's place in the dense array.
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t entry = kEmpty;
+  };
+
   // Padded to a cache line so one shard's lock traffic never invalidates a
   // neighbouring shard's line — with shards packed tight, a writer bouncing
   // shard s's mutex would also evict readers of shards s±1 (false sharing).
   struct alignas(64) Shard {
     mutable std::shared_mutex mu;
-    std::vector<Slot> slots;  // power-of-two capacity
-    size_t used = 0;
+    std::vector<Slot> slots;     // power-of-two capacity
+    std::vector<Entry> entries;  // dense: one per live principal
+    std::string names;           // every entry's name and instance bytes
+    size_t dead_name_bytes = 0;  // left in `names` by erased entries
+  };
+
+  struct EntryRef {
+    uint64_t prefix;  // first 8 name bytes, big-endian: sorts most pairs alone
+    uint32_t shard;
+    uint32_t entry;
   };
 
   // Shard count is a power of two; the top hash bits pick the shard, the low
@@ -174,16 +249,40 @@ class PrincipalStore {
   static constexpr size_t kInitialSlots = 16;
 
   static size_t ShardIndex(uint64_t hash) { return (hash >> 60) & (kShardCount - 1); }
+
+  std::string_view Name(const Shard& shard, const Entry& e) const {
+    return std::string_view(shard.names).substr(e.name_at, e.name_len);
+  }
+  std::string_view Instance(const Shard& shard, const Entry& e) const {
+    return std::string_view(shard.names).substr(e.name_at + e.name_len, e.instance_len);
+  }
+
   // The slot holding `principal`, or the empty slot that ends its probe
-  // sequence when it is absent (check `used`). Every probe goes through
-  // here; inline so the lookup paths keep the probe loop in their body.
-  static inline Slot* FindSlot(std::vector<Slot>& slots, uint64_t hash,
-                               const Principal& principal);
-  static inline const Slot* FindSlot(const std::vector<Slot>& slots, uint64_t hash,
-                                     const Principal& principal);
+  // sequence when it is absent (check `entry`). Caller holds the shard lock.
+  size_t FindSlot(const Shard& shard, uint64_t hash, const Principal& principal) const;
+  // Inserts or overwrites `principal` with the given record fields.
+  void Put(const Principal& principal, PrincipalKind kind, ksim::Duration max_life,
+           ksim::Duration max_renew, const KeyVersion* ring, size_t ring_size);
+  // Rebuilds `principal` and `entry` from a stored entry. Either may be
+  // null. Caller holds the shard lock.
+  void Load(const Shard& shard, const Entry& e, Principal* principal,
+            PrincipalEntry* entry) const;
+  // Index of `realm` in realms_. Caller holds at least one shard lock.
+  bool FindRealm(std::string_view realm, uint32_t* index) const;
+  // Adds `realm` to realms_ (if absent) with every shard locked, so a
+  // reader holding any one shard lock always sees a stable list.
+  uint32_t InternRealm(const std::string& realm);
+  std::array<std::shared_lock<std::shared_mutex>, kShardCount> LockAllShared() const;
+  // Every entry, in sorted principal order. Caller holds every shard lock.
+  std::vector<EntryRef> SortedRefs() const;
   static void GrowLocked(Shard& shard);
+  void RemoveEntryLocked(Shard& shard, uint32_t index);
+  static void CompactNamesLocked(Shard& shard);
 
   std::unique_ptr<Shard[]> shards_;
+  // Realm names, interned: entries hold an index into this list. Append
+  // only, and only with every shard's lock held.
+  std::vector<std::string> realms_;
   std::atomic<uint64_t> generation_{0};
 };
 

@@ -1,6 +1,7 @@
 #include "src/store/blockdev.h"
 
 #include <cassert>
+#include <utility>
 
 #include "src/obs/kobs.h"
 
@@ -56,15 +57,20 @@ void SimDevice::Append(const std::string& file, kerb::BytesView data) {
 }
 
 void SimDevice::WriteAtomic(const std::string& file, kerb::BytesView data) {
+  WriteAtomic(file, kerb::Bytes(data.begin(), data.end()));
+}
+
+void SimDevice::WriteAtomic(const std::string& file, kerb::Bytes&& data) {
   FileState& state = files_[file];
   // A staged replacement subsumes any volatile tail: the caller is
   // replacing the whole file.
   state.tail.clear();
-  state.staged = kerb::Bytes(data.begin(), data.end());
+  const size_t size = data.size();
+  state.staged = std::move(data);
   Fold(kOpWriteAtomic);
   FoldName(file);
-  Fold(data.size());
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevWrite, data.size());
+  Fold(size);
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevWrite, size);
 }
 
 void SimDevice::Flush(const std::string& file) {

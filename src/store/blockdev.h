@@ -56,8 +56,10 @@ class SimDevice {
 
   // Stages a wholesale replacement of the file's content, committed by the
   // next Flush(). Until then readers see the staged bytes but a crash
-  // reverts to the old content.
+  // reverts to the old content. The overload taking ownership stages the
+  // caller's buffer itself instead of a copy.
   void WriteAtomic(const std::string& file, kerb::BytesView data);
+  void WriteAtomic(const std::string& file, kerb::Bytes&& data);
 
   // Hardens the file: commits a staged replacement and/or moves the
   // volatile tail into the durable prefix. Subject to lost_flush.

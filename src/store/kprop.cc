@@ -192,7 +192,7 @@ kerb::Result<kerb::Bytes> PropagationSink::HandleWholesale(kenc::Reader& r) {
   }
   applied_ = snapshot.value().lsn;
   kobs::EmitNow(kobs::kSrcProp, kobs::Ev::kPropWholesale, applied_,
-                snapshot.value().entries.size());
+                snapshot.value().size());
   return Ack();
 }
 

@@ -1,6 +1,7 @@
 #include "src/store/kstore.h"
 
 #include <cassert>
+#include <utility>
 
 #include "src/obs/kobs.h"
 
@@ -11,10 +12,11 @@ KStore::KStore(kcrypto::Prng dev_prng, const KStoreOptions& options, const Snaps
       options_(options),
       wal_(&dev_, options.wal_file, base.lsn),
       snapshot_lsn_(base.lsn) {
-  const kerb::Bytes image = EncodeSnapshot(base);
-  dev_.WriteAtomic(options_.snapshot_file, image);
+  kerb::Bytes image = EncodeSnapshot(base);
+  const size_t image_size = image.size();
+  dev_.WriteAtomic(options_.snapshot_file, std::move(image));
   dev_.Flush(options_.snapshot_file);
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, base.lsn, image.size());
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, base.lsn, image_size);
 }
 
 uint64_t KStore::Append(uint8_t op, kerb::BytesView payload) {
@@ -33,10 +35,12 @@ bool KStore::Delta(uint64_t from_lsn, std::vector<WalRecord>* out) const {
   if (from_lsn < snapshot_lsn_) {
     return false;  // compacted away
   }
-  for (const WalRecord& record : live_) {
-    if (record.lsn > from_lsn) {
-      out->push_back(record);
-    }
+  // live_ holds LSNs snapshot_lsn_ + 1, + 2, ... with no gaps (Append,
+  // Compact and Recover keep it so), so the records after from_lsn start
+  // at index from_lsn - snapshot_lsn_.
+  const uint64_t skip = from_lsn - snapshot_lsn_;
+  if (skip < live_.size()) {
+    out->assign(live_.begin() + static_cast<ptrdiff_t>(skip), live_.end());
   }
   return true;
 }
@@ -44,8 +48,9 @@ bool KStore::Delta(uint64_t from_lsn, std::vector<WalRecord>* out) const {
 void KStore::Compact(const Snapshot& snapshot) {
   std::lock_guard lock(mu_);
   assert(snapshot.lsn == wal_.last_lsn() && "compaction snapshot must be current");
-  const kerb::Bytes image = EncodeSnapshot(snapshot);
-  dev_.WriteAtomic(options_.snapshot_file, image);
+  kerb::Bytes image = EncodeSnapshot(snapshot);
+  const size_t image_size = image.size();
+  dev_.WriteAtomic(options_.snapshot_file, std::move(image));
   dev_.Flush(options_.snapshot_file);
   // Snapshot durable first; only then truncate the log. A crash between
   // the two leaves a snapshot plus a WAL whose prefix it already covers —
@@ -53,7 +58,7 @@ void KStore::Compact(const Snapshot& snapshot) {
   wal_.Rewrite({}, snapshot.lsn);
   snapshot_lsn_ = snapshot.lsn;
   live_.clear();
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, snapshot.lsn, image.size());
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, snapshot.lsn, image_size);
 }
 
 void KStore::Crash() { dev_.Crash(); }

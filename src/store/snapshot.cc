@@ -5,20 +5,26 @@
 
 namespace kstore {
 
+void Snapshot::Add(kerb::BytesView entry) {
+  const auto len = static_cast<uint32_t>(entry.size());
+  body_.push_back(static_cast<uint8_t>(len >> 24));
+  body_.push_back(static_cast<uint8_t>(len >> 16));
+  body_.push_back(static_cast<uint8_t>(len >> 8));
+  body_.push_back(static_cast<uint8_t>(len));
+  kerb::Append(body_, entry);
+  ++count_;
+}
+
 kerb::Bytes EncodeSnapshot(const Snapshot& snapshot) {
-  kenc::Writer w;
+  kerb::Bytes image;
+  image.reserve(16 + snapshot.body().size() + 4);
+  kenc::Writer w(&image);
   w.PutU32(kSnapshotMagic);
   w.PutU64(snapshot.lsn);
-  w.PutU32(static_cast<uint32_t>(snapshot.entries.size()));
-  for (const kerb::Bytes& entry : snapshot.entries) {
-    w.PutLengthPrefixed(entry);
-  }
-  kerb::Bytes image = w.Take();
+  w.PutU32(static_cast<uint32_t>(snapshot.size()));
+  w.PutBytes(snapshot.body());
   const uint32_t crc = kcrypto::Crc32(image);
-  image.push_back(static_cast<uint8_t>(crc >> 24));
-  image.push_back(static_cast<uint8_t>(crc >> 16));
-  image.push_back(static_cast<uint8_t>(crc >> 8));
-  image.push_back(static_cast<uint8_t>(crc));
+  w.PutU32(crc);
   return image;
 }
 
@@ -44,19 +50,26 @@ kerb::Result<Snapshot> DecodeSnapshot(kerb::BytesView image) {
   if (!lsn.ok() || !count.ok() || count.value() > kMaxSnapshotEntries) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "snapshot: bad header");
   }
-  Snapshot snapshot;
-  snapshot.lsn = lsn.value();
-  snapshot.entries.reserve(count.value());
+  // The body must hold exactly `count` length-prefixed entries.
+  const kerb::BytesView body = sealed.subspan(sealed.size() - r.remaining());
+  size_t at = 0;
   for (uint32_t i = 0; i < count.value(); ++i) {
-    auto entry = r.GetLengthPrefixed();
-    if (!entry.ok()) {
+    if (body.size() - at < 4) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "snapshot: truncated entry");
     }
-    snapshot.entries.push_back(std::move(entry).value());
+    const size_t len = Snapshot::LengthAt(body.data() + at);
+    if (body.size() - at - 4 < len) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "snapshot: truncated entry");
+    }
+    at += 4 + len;
   }
-  if (!r.AtEnd()) {
+  if (at != body.size()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "snapshot: trailing bytes");
   }
+  Snapshot snapshot;
+  snapshot.lsn = lsn.value();
+  snapshot.count_ = count.value();
+  snapshot.body_.assign(body.begin(), body.end());
   return snapshot;
 }
 

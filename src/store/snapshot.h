@@ -18,8 +18,8 @@
 #ifndef SRC_STORE_SNAPSHOT_H_
 #define SRC_STORE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
@@ -33,9 +33,45 @@ constexpr uint32_t kSnapshotMagic = 0x4b534e31;  // "KSN1"
 // length field is capped well before it can drive pathological allocation.
 constexpr uint32_t kMaxSnapshotEntries = 1u << 22;
 
-struct Snapshot {
+// The entries are held as the image holds them, one length-prefixed run,
+// so building a snapshot writes each entry once and encoding only frames
+// it — no per-entry buffer.
+class Snapshot {
+ public:
   uint64_t lsn = 0;
-  std::vector<kerb::Bytes> entries;  // canonical order, kWalOpUpsert payloads
+
+  // Appends one entry (a kWalOpUpsert payload) after the others.
+  void Add(kerb::BytesView entry);
+
+  size_t size() const { return count_; }
+
+  // Visits every entry in order as fn(kerb::BytesView).
+  template <typename Fn>
+  void ForEachEntry(Fn&& fn) const {
+    size_t at = 0;
+    for (uint32_t i = 0; i < count_; ++i) {
+      const size_t len = LengthAt(body_.data() + at);
+      fn(kerb::BytesView(body_.data() + at + 4, len));
+      at += 4 + len;
+    }
+  }
+
+  // size() × lp(entry), in order: the image between its header and CRC.
+  const kerb::Bytes& body() const { return body_; }
+
+  bool operator==(const Snapshot& other) const = default;
+
+ private:
+  friend kerb::Result<Snapshot> DecodeSnapshot(kerb::BytesView image);
+
+  // The big-endian u32 length prefix at `p`.
+  static size_t LengthAt(const uint8_t* p) {
+    return (static_cast<size_t>(p[0]) << 24) | (static_cast<size_t>(p[1]) << 16) |
+           (static_cast<size_t>(p[2]) << 8) | p[3];
+  }
+
+  uint32_t count_ = 0;
+  kerb::Bytes body_;  // canonical order, kWalOpUpsert payloads
 };
 
 kerb::Bytes EncodeSnapshot(const Snapshot& snapshot);

@@ -153,6 +153,51 @@ TEST(KadminTest, FreshAuthenticatorSameNonceHitsAckCache) {
   EXPECT_TRUE(t.bed.bob().Login("retry-Pw_77abc!").ok());
 }
 
+// An applied nonce's verdict is served up to stored + nonce_window and is
+// gone one tick later. Expiry follows stored time, not arrival order: here
+// the server clock steps back between two applies, so the later apply holds
+// the older stored time and must expire first.
+TEST(KadminTest, AckCacheExpiresAtTheNonceWindowInStoredTimeOrder) {
+  AdminBed t;
+  ksim::Network& net = t.bed.world().network();
+  ksim::SimClock& clock = t.bed.world().clock();
+  kadmin::KadminServer& server = *t.bed.kadmin_server();
+  const ksim::Duration window = 10 * ksim::kSecond;
+  server.policy().nonce_window = window;
+  const krb4::Principal bob = t.bed.bob_principal();
+
+  // One GetKvno under `nonce`, with a fresh authenticator: true when the
+  // server applies it, false when its ack cache serves the stored verdict.
+  auto applied = [&](uint64_t nonce) {
+    auto wire = t.admin->BuildRequest(kadmin::AdminOp::kGetKvno, bob, {}, nonce);
+    EXPECT_TRUE(wire.ok());
+    const uint64_t applies = server.applied();
+    const uint64_t replays = server.ack_replays();
+    EXPECT_TRUE(net.Call(Testbed4::kOperAddr, Testbed4::kAdminAddr, wire.value()).ok());
+    EXPECT_EQ(server.applied() + server.ack_replays(), applies + replays + 1) << nonce;
+    return server.applied() > applies;
+  };
+
+  const ksim::Time t0 = server.clock().Now();
+  ASSERT_TRUE(applied(1));  // stored at t0
+  server.clock().SetOffset(server.clock().offset() - 2 * window);
+  ASSERT_TRUE(applied(2));  // stored at t0 - 2 * window
+
+  clock.Advance(window);  // server time t0 - window
+  EXPECT_FALSE(applied(2)) << "nonce 2 at stored + window";
+  EXPECT_FALSE(applied(1));
+  clock.Advance(ksim::kMicrosecond);
+  EXPECT_TRUE(applied(2)) << "nonce 2 one tick past stored + window";
+  EXPECT_FALSE(applied(1)) << "nonce 1 was stored later and is still held";
+
+  clock.Advance(2 * window - ksim::kMicrosecond);  // server time t0 + window
+  ASSERT_EQ(server.clock().Now(), t0 + window);
+  EXPECT_FALSE(applied(1)) << "nonce 1 at stored + window";
+  clock.Advance(ksim::kMicrosecond);
+  EXPECT_TRUE(applied(1)) << "nonce 1 one tick past stored + window";
+  EXPECT_EQ(server.denied(), 0u);
+}
+
 TEST(KadminTest, StaleReplayAndTamperAndInterceptRejected) {
   AdminBed t;
   ksim::Network& net = t.bed.world().network();
@@ -203,7 +248,7 @@ TEST(KadminTest, OldTicketDrainsAcrossRotationThenExpires) {
   ASSERT_TRUE(entry.ok());
   ASSERT_EQ(entry.value().keys.size(), 2u);
   const ksim::Time drain_until = clock.Now() + 10 * ksim::kMinute;
-  t.bed.mail_server().Rekey(entry.value().keys.front().key, drain_until);
+  t.bed.mail_server().Rekey(kcrypto::DesKey(entry.value().keys.front().key), drain_until);
 
   // Inside the drain window the old ticket keeps working, via the
   // server's retained old key.
@@ -312,7 +357,7 @@ TEST(KadminTest, GetKeyMatchesDatabase) {
   ASSERT_TRUE(got.ok()) << got.error().detail;
   auto entry = t.bed.kdc().database().LookupEntry(mail);
   ASSERT_TRUE(entry.ok());
-  const auto& key_bytes = entry.value().keys.front().key.bytes();
+  const kcrypto::DesBlock& key_bytes = entry.value().keys.front().key;
   ASSERT_EQ(got.value().detail.size(), key_bytes.size());
   EXPECT_TRUE(std::equal(key_bytes.begin(), key_bytes.end(), got.value().detail.begin()));
   EXPECT_EQ(got.value().kvno, 1u);

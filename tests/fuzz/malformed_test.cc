@@ -300,7 +300,7 @@ TEST(MalformedTest, SnapshotImageSweepsFailCleanly) {
   snapshot.lsn = 9;
   kcrypto::Prng prng(23);
   for (int i = 0; i < 5; ++i) {
-    snapshot.entries.push_back(prng.NextBytes(24));
+    snapshot.Add(prng.NextBytes(24));
   }
   const kerb::Bytes image = kstore::EncodeSnapshot(snapshot);
 
@@ -588,7 +588,7 @@ TEST(MalformedTest, RingRecordPayloadSweepsFailClosed) {
   for (uint32_t kvno = 3; kvno >= 1; --kvno) {
     krb4::KeyVersion kv;
     kv.kvno = kvno;
-    kv.key = prng.NextDesKey();
+    kv.key = prng.NextDesKeyBytes();
     kv.not_after = kvno == 3 ? 0 : 1000000 + kvno;
     entry.keys.push_back(kv);
   }
@@ -683,7 +683,7 @@ TEST(MalformedTest, ClusterControlFrameSweepsFailClosed) {
   for (int i = 0; i < 6; ++i) {
     krb4::PrincipalEntry entry;
     entry.kind = krb4::PrincipalKind::kUser;
-    entry.keys.push_back({1, prng.NextDesKey(), 0});
+    entry.keys.push_back({1, prng.NextDesKeyBytes(), 0});
     load.entries.push_back(krb4::EncodePrincipalEntry(
         krb4::Principal{"u" + std::to_string(i), "", "ATHENA.SIM"}, entry));
   }

@@ -8,6 +8,7 @@
 // matter how many threads race on it, and the accept/reject decisions are
 // independent of the worker count.
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -90,6 +91,71 @@ TEST(ThreadedKdcTest, PrincipalStoreRacingUpsertsOnOneKeyKeepSomeWrite) {
   }
   EXPECT_TRUE(matches_some_write);
   EXPECT_EQ(store.size(), 1u);
+}
+
+// Each writer brings realms the store has never seen (interning one locks
+// every shard) and erases half of what it wrote (the dense array moves an
+// entry into each hole), while readers look up a fixed principal and walk
+// the whole store in sorted order under every shard's reader lock.
+TEST(ThreadedKdcTest, PrincipalStoreNewRealmsErasesAndSortedWalksUnderRace) {
+  constexpr int kPerThread = 120;
+  PrincipalStore store;
+  const Principal fixed{"fixed", "", "ATHENA.SIM"};
+  const kcrypto::DesKey fixed_key = kcrypto::Prng(3000).NextDesKey();
+  store.Upsert(fixed, fixed_key, PrincipalKind::kService);
+  auto name = [](unsigned t, int i) {
+    return Principal{"u" + std::to_string(i), "",
+                     "R" + std::to_string(t) + "-" + std::to_string(i % 5)};
+  };
+  std::atomic<bool> writing{true};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (unsigned r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (writing.load()) {
+        kcrypto::DesKey got;
+        if (!store.Lookup(fixed, &got) || got.bytes() != fixed_key.bytes()) {
+          ++bad_reads;
+        }
+        const std::vector<Principal> listed = store.Principals();
+        if (!std::is_sorted(listed.begin(), listed.end())) {
+          ++bad_reads;
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (unsigned t = 0; t < kThreads / 2; ++t) {
+    writers.emplace_back([&store, &name, t] {
+      kcrypto::Prng prng(4000 + t);
+      for (int i = 0; i < kPerThread; ++i) {
+        store.Upsert(name(t, i), prng.NextDesKey(), PrincipalKind::kUser);
+      }
+      for (int i = 0; i < kPerThread; i += 2) {
+        store.Erase(name(t, i));
+      }
+    });
+  }
+  for (auto& w : writers) {
+    w.join();
+  }
+  writing = false;
+  for (auto& r : readers) {
+    r.join();
+  }
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_EQ(store.size(), 1 + (kThreads / 2) * kPerThread / 2);
+  for (unsigned t = 0; t < kThreads / 2; ++t) {
+    kcrypto::Prng prng(4000 + t);
+    for (int i = 0; i < kPerThread; ++i) {
+      const kcrypto::DesKey expected = prng.NextDesKey();
+      kcrypto::DesKey got;
+      ASSERT_EQ(store.Lookup(name(t, i), &got), i % 2 == 1) << name(t, i).ToString();
+      if (i % 2 == 1) {
+        EXPECT_EQ(got.bytes(), expected.bytes()) << name(t, i).ToString();
+      }
+    }
+  }
 }
 
 TEST(ThreadedKdcTest, ReplayCacheAdmitsEachTupleExactlyOnceUnderRace) {

@@ -190,7 +190,7 @@ TEST(CacheModelTest, PrincipalStoreMatchesNaiveModelWithEraseInTheMix) {
     krb4::PrincipalKind kind;
     ASSERT_EQ(store.Lookup(p, &key, &kind), found) << "op " << op;
     if (found) {
-      ASSERT_TRUE(key == it->second.keys.front().key) << "op " << op;
+      ASSERT_TRUE(key.bytes() == it->second.keys.front().key) << "op " << op;
       ASSERT_EQ(kind, it->second.kind) << "op " << op;
     }
   };
@@ -206,7 +206,7 @@ TEST(CacheModelTest, PrincipalStoreMatchesNaiveModelWithEraseInTheMix) {
         store.Upsert(p, key, kind);
         krb4::PrincipalEntry e;
         e.kind = kind;
-        e.keys.push_back(krb4::KeyVersion{1, key, 0});
+        e.keys.push_back(krb4::KeyVersion{1, key.bytes(), 0});
         model[p] = e;
         break;
       }
@@ -221,7 +221,7 @@ TEST(CacheModelTest, PrincipalStoreMatchesNaiveModelWithEraseInTheMix) {
         const size_t depth = 1 + prng.NextBelow(krb4::PrincipalEntry::kRingCap);
         for (size_t v = 0; v < depth && v < top; ++v) {
           e.keys.push_back(krb4::KeyVersion{
-              top - static_cast<uint32_t>(v), prng.NextDesKey(),
+              top - static_cast<uint32_t>(v), prng.NextDesKeyBytes(),
               v == 0 ? 0 : static_cast<ksim::Time>(prng.NextBelow(1000)) * ksim::kMinute});
         }
         ASSERT_TRUE(store.UpsertEntry(p, e)) << "op " << i;

@@ -157,16 +157,26 @@ TEST(WalTest, ScanRejectsInteriorLsnGap) {
 
 // --- Snapshot codec ---------------------------------------------------------
 
+std::vector<kerb::Bytes> Entries(const kstore::Snapshot& snapshot) {
+  std::vector<kerb::Bytes> out;
+  snapshot.ForEachEntry(
+      [&](kerb::BytesView entry) { out.emplace_back(entry.begin(), entry.end()); });
+  return out;
+}
+
 TEST(SnapshotTest, RoundTripsAndFailsClosed) {
+  const std::vector<kerb::Bytes> entries = {B("alpha"), B(""), B("gamma")};
   kstore::Snapshot snapshot;
   snapshot.lsn = 17;
-  snapshot.entries = {B("alpha"), B(""), B("gamma")};
+  for (const kerb::Bytes& entry : entries) {
+    snapshot.Add(entry);
+  }
   kerb::Bytes image = kstore::EncodeSnapshot(snapshot);
 
   auto decoded = kstore::DecodeSnapshot(image);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().lsn, 17u);
-  EXPECT_EQ(decoded.value().entries, snapshot.entries);
+  EXPECT_EQ(Entries(decoded.value()), entries);
 
   for (size_t len = 0; len < image.size(); ++len) {
     kerb::Bytes cut(image.begin(), image.begin() + len);
@@ -236,7 +246,8 @@ TEST(KStoreTest, CompactionBoundsDeltaHistory) {
 
   kstore::Snapshot snapshot;
   snapshot.lsn = store.last_lsn();
-  snapshot.entries = {B("a"), B("b")};
+  snapshot.Add(B("a"));
+  snapshot.Add(B("b"));
   store.Compact(snapshot);
   EXPECT_EQ(store.snapshot_lsn(), 2u);
 
@@ -254,9 +265,76 @@ TEST(KStoreTest, CompactionBoundsDeltaHistory) {
   auto recovered = store.Recover();
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered.value().base.lsn, 2u);
-  EXPECT_EQ(recovered.value().base.entries.size(), 2u);
+  EXPECT_EQ(recovered.value().base.size(), 2u);
   ASSERT_EQ(recovered.value().records.size(), 1u);
   EXPECT_EQ(recovered.value().records[0].lsn, 3u);
+}
+
+// Delta finds the suffix by position in the in-memory log. At every
+// from_lsn, from 0 to past the end, it must return exactly what a full scan
+// of the records journaled since the last compaction returns — after
+// appends and cluster marks, a compaction, and a crash and recovery.
+TEST(KStoreTest, DeltaMatchesAFullScanAtEveryLsn) {
+  kstore::KStore store(kcrypto::Prng(9), {}, EmptyBase());
+  std::vector<kstore::WalRecord> journal;  // every record since the base
+  auto append = [&](int i) {
+    kstore::WalRecord record;
+    record.op = i % 3 == 2 ? kstore::kWalOpClusterMark
+                           : (i % 4 == 3 ? kstore::kWalOpDelete : kstore::kWalOpUpsert);
+    record.payload = B("r" + std::to_string(i));
+    record.lsn = store.Append(record.op, record.payload);
+    journal.push_back(record);
+  };
+  auto check = [&](const std::string& stage) {
+    for (uint64_t from = 0; from <= store.last_lsn() + 2; ++from) {
+      std::vector<kstore::WalRecord> want;
+      for (const kstore::WalRecord& record : journal) {
+        if (record.lsn > from) {
+          want.push_back(record);
+        }
+      }
+      std::vector<kstore::WalRecord> got(1);  // Delta clears what it is given
+      const bool ok = store.Delta(from, &got);
+      ASSERT_EQ(ok, from >= store.snapshot_lsn()) << stage << ", from " << from;
+      if (!ok) {
+        EXPECT_TRUE(got.empty()) << stage << ", from " << from;
+        continue;
+      }
+      ASSERT_EQ(got.size(), want.size()) << stage << ", from " << from;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].lsn, want[i].lsn) << stage << ", from " << from;
+        EXPECT_EQ(got[i].op, want[i].op) << stage << ", from " << from;
+        EXPECT_EQ(got[i].payload, want[i].payload) << stage << ", from " << from;
+      }
+    }
+  };
+
+  int next = 0;
+  for (; next < 7; ++next) {
+    append(next);
+  }
+  check("appends");
+
+  kstore::Snapshot snapshot;
+  snapshot.lsn = store.last_lsn();
+  store.Compact(snapshot);
+  journal.clear();
+  check("compacted");
+  for (; next < 13; ++next) {
+    append(next);
+  }
+  check("appends after compaction");
+
+  store.Crash();
+  auto recovered = store.Recover();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value().records.size(), journal.size());
+  journal = recovered.value().records;
+  check("recovered");
+  for (; next < 17; ++next) {
+    append(next);
+  }
+  check("appends after recovery");
 }
 
 TEST(KStoreTest, RecoveryIsIdempotent) {

@@ -161,7 +161,7 @@ TEST(PropSinkTest, StaleWholesaleSnapshotCannotRollBack) {
   CountingSink s(/*applied_lsn=*/10);
   kstore::Snapshot old_snapshot;
   old_snapshot.lsn = 4;
-  old_snapshot.entries.push_back(kerb::ToBytes("ancient"));
+  old_snapshot.Add(kerb::ToBytes("ancient"));
   auto reply = s.sink.Handle(
       Frame(kstore::EncodeWholesaleFrame(PropKey(), kstore::EncodeSnapshot(old_snapshot))));
   ASSERT_TRUE(reply.ok());  // acked, so the primary learns the real position

@@ -81,7 +81,7 @@ void ExpectSameDatabase(KdcDatabase& got, KdcDatabase& want, const char* what) {
           << what << ": kvno[" << v << "] differs for " << principal.ToString();
       EXPECT_EQ(got_entry.value().keys[v].not_after, want_entry.value().keys[v].not_after)
           << what << ": not_after[" << v << "] differs for " << principal.ToString();
-      EXPECT_EQ(got_entry.value().keys[v].key.bytes(), want_entry.value().keys[v].key.bytes())
+      EXPECT_EQ(got_entry.value().keys[v].key, want_entry.value().keys[v].key)
           << what << ": key[" << v << "] differs for " << principal.ToString();
     }
   }
