@@ -48,24 +48,22 @@ struct KdcBenchSetup {
     as_req.lifetime = 4 * ksim::kHour;
     as_req.nonce = prng.NextU64();
     if (preauth) {
-      kenc::TlvMessage pre(krb5::kMsgPreauth);
-      pre.SetU64(krb5::tag::kNonce, as_req.nonce);
-      pre.SetU64(krb5::tag::kTimestamp, static_cast<uint64_t>(now));
-      as_req.padata = krb5::SealTlv(client_key, pre, krb5::EncLayerConfig{}, prng);
+      krb5::Preauth5 pre;
+      pre.nonce = as_req.nonce;
+      pre.timestamp = now;
+      as_req.padata = krb5::Seal(client_key, pre, krb5::EncLayerConfig{}, prng);
     }
     as_request.src = Testbed5::kAliceAddr;
     as_request.dst = Testbed5::kAsAddr;
-    as_request.payload = as_req.ToTlv().Encode();
+    as_request.payload = kenc::Encode(as_req);
     as_request.sent_at = now;
 
     // One real AS exchange yields the TGT and session key for the TGS request.
     krb4::KdcContext setup_ctx(prng.Fork());
     auto as_reply = bed.kdc().HandleAs(as_request, setup_ctx);
-    auto as_tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgAsRep, as_reply.value());
-    auto rep = krb5::AsReply5::FromTlv(as_tlv.value());
-    auto part_tlv = krb5::UnsealTlv(client_key, krb5::kMsgEncAsRepPart,
-                                    rep.value().sealed_enc_part, krb5::EncLayerConfig{});
-    auto part = krb5::EncAsRepPart5::FromTlv(part_tlv.value());
+    auto rep = kenc::Decode<krb5::AsReply5>(as_reply.value());
+    auto part = krb5::Unseal<krb5::EncAsRepPart5>(client_key, rep.value().sealed_enc_part,
+                                                  krb5::EncLayerConfig{});
     kcrypto::DesKey tgs_session(part.value().tgs_session_key);
 
     krb5::TgsRequest5 tgs_req;
@@ -80,11 +78,10 @@ struct KdcBenchSetup {
     auth.checksum_type = kcrypto::ChecksumType::kCrc32;
     auth.request_checksum = kcrypto::ComputeChecksum(
         kcrypto::ChecksumType::kCrc32, tgs_req.ChecksumInput(), tgs_session);
-    tgs_req.sealed_authenticator =
-        auth.Seal(tgs_session, krb5::EncLayerConfig{}, prng);
+    tgs_req.sealed_authenticator = krb5::Seal(tgs_session, auth, krb5::EncLayerConfig{}, prng);
     tgs_request.src = Testbed5::kAliceAddr;
     tgs_request.dst = Testbed5::kTgsAddr;
-    tgs_request.payload = tgs_req.ToTlv().Encode();
+    tgs_request.payload = kenc::Encode(tgs_req);
     tgs_request.sent_at = now;
   }
 

@@ -53,7 +53,7 @@ struct ObsBenchSetup {
     as_req.nonce = prng.NextU64();
     as_request.src = Testbed5::kAliceAddr;
     as_request.dst = Testbed5::kAsAddr;
-    as_request.payload = as_req.ToTlv().Encode();
+    as_request.payload = kenc::Encode(as_req);
     as_request.sent_at = bed.world().MakeHostClock().Now();
   }
 

@@ -36,9 +36,9 @@ Exposure MeasureExposure(bool negotiate_subkeys, int sessions, int messages_per_
     // Session traffic sealed under the channel key.
     krb5::EncLayerConfig enc;
     for (int m = 0; m < messages_per_session; ++m) {
-      kenc::TlvMessage msg(krb5::kMsgPriv);
-      msg.SetBytes(krb5::tag::kAppData, prng.NextBytes(128));
-      kerb::Bytes sealed = SealTlv(call.value().channel_key, msg, enc, prng);
+      krb5::PrivMessage5 msg;
+      msg.data = prng.NextBytes(128);
+      kerb::Bytes sealed = krb5::Seal(call.value().channel_key, msg, enc, prng);
       blocks_per_key[call.value().channel_key.AsU64()] += sealed.size() / 8;
     }
   }

@@ -31,25 +31,25 @@ void PrintExperimentReport() {
   // Ablate the confounder.
   {
     EncLayerConfig config{kcrypto::ChecksumType::kMd4Des, /*use_confounder=*/false};
-    kerb::Bytes a = SealTlv(key, Sample(), config, prng);
-    kerb::Bytes b = SealTlv(key, Sample(), config, prng);
+    kerb::Bytes a = krb5::Seal(key, Sample(), config, prng);
+    kerb::Bytes b = krb5::Seal(key, Sample(), config, prng);
     kbench::ResultRow("no confounder: equal plaintexts visible on the wire", a == b,
                       "ciphertexts identical — repeat traffic leaks");
     EncLayerConfig with{kcrypto::ChecksumType::kMd4Des, true};
-    kerb::Bytes c = SealTlv(key, Sample(), with, prng);
-    kerb::Bytes d = SealTlv(key, Sample(), with, prng);
+    kerb::Bytes c = krb5::Seal(key, Sample(), with, prng);
+    kerb::Bytes d = krb5::Seal(key, Sample(), with, prng);
     kbench::ResultRow("with confounder", c == d);
   }
 
   // Ablate checksum strength: blind flips vs compensated rewrites.
   {
     EncLayerConfig crc{kcrypto::ChecksumType::kCrc32, true};
-    kerb::Bytes sealed = SealTlv(key, Sample(), crc, prng);
+    kerb::Bytes sealed = krb5::Seal(key, Sample(), crc, prng);
     int blind_accepted = 0;
     for (size_t i = 0; i < sealed.size(); ++i) {
       kerb::Bytes tampered = sealed;
       tampered[i] ^= 0x01;
-      if (UnsealTlv(key, krb5::kMsgPriv, tampered, crc).ok()) {
+      if (krb5::Unseal(key, krb5::kMsgPriv, tampered, crc).ok()) {
         ++blind_accepted;
       }
     }
@@ -81,7 +81,7 @@ void BM_SealWithConfounder(benchmark::State& state) {
   EncLayerConfig config{kcrypto::ChecksumType::kMd4Des, state.range(0) != 0};
   kenc::TlvMessage msg = Sample();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SealTlv(key, msg, config, prng));
+    benchmark::DoNotOptimize(krb5::Seal(key, msg, config, prng));
   }
   state.SetLabel(state.range(0) ? "with confounder" : "without confounder");
 }
@@ -93,7 +93,7 @@ void BM_SealByChecksumType(benchmark::State& state) {
   EncLayerConfig config{static_cast<kcrypto::ChecksumType>(state.range(0)), true};
   kenc::TlvMessage msg = Sample();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SealTlv(key, msg, config, prng));
+    benchmark::DoNotOptimize(krb5::Seal(key, msg, config, prng));
   }
   state.SetLabel(kcrypto::ChecksumTypeName(config.checksum));
 }

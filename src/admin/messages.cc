@@ -12,24 +12,6 @@ krb4::Principal AdminPrincipal(const std::string& realm) {
   return krb4::Principal::Service("changepw", "kerberos", realm);
 }
 
-const char* AdminOpName(AdminOp op) {
-  switch (op) {
-    case AdminOp::kChangePassword:
-      return "change_password";
-    case AdminOp::kRotateKey:
-      return "rotate_key";
-    case AdminOp::kGetKey:
-      return "get_key";
-    case AdminOp::kAddPrincipal:
-      return "add_principal";
-    case AdminOp::kDelPrincipal:
-      return "del_principal";
-    case AdminOp::kGetKvno:
-      return "get_kvno";
-  }
-  return "unknown";
-}
-
 kerb::Bytes AdminRequest::Encode() const {
   kenc::Writer w;
   w.PutLengthPrefixed(sealed_ticket);

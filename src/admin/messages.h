@@ -53,8 +53,6 @@ enum class AdminOp : uint8_t {
   kGetKvno = 6,         // payload: empty; self or admin
 };
 
-const char* AdminOpName(AdminOp op);
-
 // The top-level request: three sealed blobs, each length-prefixed.
 struct AdminRequest {
   kerb::Bytes sealed_ticket;  // {T_c,changepw}K_changepw

@@ -34,17 +34,13 @@ class EncTktMitm : public ksim::Adversary {
       return false;
     }
     // Capture the issued ticket and open it with eve's TGT session key.
-    auto tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgTgsRep, reply);
-    if (!tlv.ok()) {
-      return false;
-    }
-    auto rep = krb5::TgsReply5::FromTlv(tlv.value());
+    auto rep = kenc::Decode<krb5::TgsReply5>(reply);
     if (!rep.ok()) {
       return false;
     }
     kdc_accepted_ = true;
-    auto ticket = krb5::Ticket5::Unseal(bed_.eve().tgs_credentials()->session_key,
-                                        rep.value().sealed_ticket, enc_);
+    auto ticket = krb5::Unseal<krb5::Ticket5>(bed_.eve().tgs_credentials()->session_key,
+                                              rep.value().sealed_ticket, enc_);
     if (ticket.ok()) {
       session_key_ = kcrypto::DesKey(ticket.value().session_key);
     }
@@ -59,11 +55,7 @@ class EncTktMitm : public ksim::Adversary {
 
  private:
   void RewriteTgsRequest(ksim::Message& msg) {
-    auto tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgTgsReq, msg.payload);
-    if (!tlv.ok()) {
-      return;
-    }
-    auto decoded = TgsRequest5::FromTlv(tlv.value());
+    auto decoded = kenc::Decode<TgsRequest5>(msg.payload);
     if (!decoded.ok()) {
       return;
     }
@@ -94,21 +86,17 @@ class EncTktMitm : public ksim::Adversary {
     // For a collision-proof checksum there is nothing the attacker can do;
     // the rewrite goes out anyway and the TGS will reject it.
 
-    msg.payload = req.ToTlv().Encode();
+    msg.payload = kenc::Encode(req);
     modified_ = true;
   }
 
   Decision ImpersonateServer(ksim::Message& msg) {
-    auto tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgApReq, msg.payload);
-    if (!tlv.ok()) {
-      return {};
-    }
-    auto req = krb5::ApRequest5::FromTlv(tlv.value());
+    auto req = kenc::Decode<krb5::ApRequest5>(msg.payload);
     if (!req.ok()) {
       return {};
     }
     auto auth =
-        krb5::Authenticator5::Unseal(*session_key_, req.value().sealed_authenticator, enc_);
+        krb5::Unseal<krb5::Authenticator5>(*session_key_, req.value().sealed_authenticator, enc_);
     if (!auth.ok()) {
       return {};
     }
@@ -117,11 +105,11 @@ class EncTktMitm : public ksim::Adversary {
     // Forge the server half of bidirectional authentication.
     krb5::EncApRepPart5 part;
     part.timestamp = auth.value().timestamp;
-    kenc::TlvMessage reply(krb5::kMsgApRep);
-    reply.SetBytes(krb5::tag::kSealedPart, SealTlv(*session_key_, part.ToTlv(), enc_, prng_));
-    reply.SetBytes(krb5::tag::kAppData, kerb::ToBytes("mail-ok: mail-check"));
+    krb5::ApReply5 reply;
+    reply.app_data = kerb::ToBytes("mail-ok: mail-check");
+    reply.sealed_part = krb5::Seal(*session_key_, part, enc_, prng_);
     mutual_auth_spoofed_ = true;
-    return Decision{false, reply.Encode()};
+    return Decision{false, kenc::Encode(reply)};
   }
 
   CutPasteScenario scenario_;

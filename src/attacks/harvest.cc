@@ -225,18 +225,14 @@ CrackReport RunActiveHarvest(const ActiveHarvestScenario& scenario) {
     req.service_realm = realm;
     req.lifetime = ksim::kHour;
     req.nonce = eve_prng.NextU64();
-    auto reply = world.network().Call(eve, as_addr, req.ToTlv().Encode());
+    auto reply = world.network().Call(eve, as_addr, kenc::Encode(req));
     if (!reply.ok()) {
       ++report.rejected_by_kdc;
       continue;
     }
-    auto tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgAsRep, reply.value());
-    if (!tlv.ok()) {
-      ++report.rejected_by_kdc;
-      continue;
-    }
-    auto rep = krb5::AsReply5::FromTlv(tlv.value());
+    auto rep = kenc::Decode<krb5::AsReply5>(reply.value());
     if (!rep.ok()) {
+      ++report.rejected_by_kdc;
       continue;
     }
     ++report.replies_obtained;

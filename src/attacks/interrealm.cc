@@ -62,7 +62,7 @@ InterRealmForgeReport RunTransitRealmForgery(const std::string& forged_client_re
   if (forged_client_realm != "CORP") {
     forged_tgt.transited = {forged_client_realm};
   }
-  kerb::Bytes sealed_forged = forged_tgt.Seal(tree.corp_sales_key(), enc, prng);
+  kerb::Bytes sealed_forged = krb5::Seal(tree.corp_sales_key(), forged_tgt, enc, prng);
 
   // Use it against SALES' TGS exactly as a real multi-hop client would.
   krb5::TgsRequest5 req;
@@ -77,37 +77,30 @@ InterRealmForgeReport RunTransitRealmForgery(const std::string& forged_client_re
   auth.checksum_type = kcrypto::ChecksumType::kCrc32;
   auth.request_checksum = kcrypto::ComputeChecksum(kcrypto::ChecksumType::kCrc32,
                                                    req.ChecksumInput(), forged_session);
-  req.sealed_authenticator = auth.Seal(forged_session, enc, prng);
+  req.sealed_authenticator = krb5::Seal(forged_session, auth, enc, prng);
 
   const ksim::NetAddress attacker{0x0a020066, 40000};  // a CORP-side host
-  auto reply = tree.world().network().Call(attacker, RealmTree5::kSalesTgs,
-                                           req.ToTlv().Encode());
+  auto reply = tree.world().network().Call(attacker, RealmTree5::kSalesTgs, kenc::Encode(req));
   if (reply.ok()) {
-    auto tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgTgsRep, reply.value());
-    if (tlv.ok()) {
-      auto rep = krb5::TgsReply5::FromTlv(tlv.value());
-      auto part_tlv = rep.ok() ? UnsealTlv(forged_session, krb5::kMsgEncTgsRepPart,
-                                           rep.value().sealed_enc_part, enc)
-                               : kerb::Result<kenc::TlvMessage>(rep.error());
-      if (rep.ok() && part_tlv.ok()) {
-        auto part = krb5::EncTgsRepPart5::FromTlv(part_tlv.value());
-        if (part.ok()) {
-          kcrypto::DesKey service_session(part.value().session_key);
-          krb5::ApRequest5 ap;
-          ap.sealed_ticket = rep.value().sealed_ticket;
-          krb5::Authenticator5 ap_auth;
-          ap_auth.client = forged_client;
-          ap_auth.timestamp = tree.world().clock().Now();
-          ap.sealed_authenticator = ap_auth.Seal(service_session, enc, prng);
-          ap.app_data = kerb::ToBytes("raise-salary ceo 40%");
-          auto verdict = tree.world().network().Call(attacker, RealmTree5::kPayrollAddr,
-                                                     ap.ToTlv().Encode());
-          report.forged_access_ok = verdict.ok();
-          if (verdict.ok()) {
-            report.forged_client = LastClient(tree.payroll_log());
-            report.forged_transited = LastTransited(tree.payroll_log());
-          }
-        }
+    auto rep = kenc::Decode<krb5::TgsReply5>(reply.value());
+    auto part = rep.ok() ? krb5::Unseal<krb5::EncTgsRepPart5>(forged_session,
+                                                              rep.value().sealed_enc_part, enc)
+                         : kerb::Result<krb5::EncTgsRepPart5>(rep.error());
+    if (part.ok()) {
+      kcrypto::DesKey service_session(part.value().session_key);
+      krb5::ApRequest5 ap;
+      ap.sealed_ticket = rep.value().sealed_ticket;
+      krb5::Authenticator5 ap_auth;
+      ap_auth.client = forged_client;
+      ap_auth.timestamp = tree.world().clock().Now();
+      ap.sealed_authenticator = krb5::Seal(service_session, ap_auth, enc, prng);
+      ap.app_data = kerb::ToBytes("raise-salary ceo 40%");
+      auto verdict =
+          tree.world().network().Call(attacker, RealmTree5::kPayrollAddr, kenc::Encode(ap));
+      report.forged_access_ok = verdict.ok();
+      if (verdict.ok()) {
+        report.forged_client = LastClient(tree.payroll_log());
+        report.forged_transited = LastTransited(tree.payroll_log());
       }
     }
   }
@@ -132,32 +125,27 @@ InterRealmForgeReport RunTransitRealmForgery(const std::string& forged_client_re
     a2.checksum_type = kcrypto::ChecksumType::kCrc32;
     a2.request_checksum = kcrypto::ComputeChecksum(kcrypto::ChecksumType::kCrc32,
                                                    req2.ChecksumInput(), forged_session);
-    req2.sealed_authenticator = a2.Seal(forged_session, enc, prng);
-    auto reply2 = tree.world().network().Call(attacker, RealmTree5::kSalesTgs,
-                                              req2.ToTlv().Encode());
+    req2.sealed_authenticator = krb5::Seal(forged_session, a2, enc, prng);
+    auto reply2 =
+        tree.world().network().Call(attacker, RealmTree5::kSalesTgs, kenc::Encode(req2));
     bool forged_again = false;
     if (reply2.ok()) {
-      auto tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgTgsRep, reply2.value());
-      auto rep = tlv.ok() ? krb5::TgsReply5::FromTlv(tlv.value())
-                          : kerb::Result<krb5::TgsReply5>(tlv.error());
-      auto part_tlv = rep.ok() ? UnsealTlv(forged_session, krb5::kMsgEncTgsRepPart,
-                                           rep.value().sealed_enc_part, enc)
-                               : kerb::Result<kenc::TlvMessage>(rep.error());
-      if (rep.ok() && part_tlv.ok()) {
-        auto part = krb5::EncTgsRepPart5::FromTlv(part_tlv.value());
-        if (part.ok()) {
-          kcrypto::DesKey service_session(part.value().session_key);
-          krb5::ApRequest5 ap;
-          ap.sealed_ticket = rep.value().sealed_ticket;
-          krb5::Authenticator5 ap_auth;
-          ap_auth.client = forged_client;
-          ap_auth.timestamp = tree.world().clock().Now();
-          ap.sealed_authenticator = ap_auth.Seal(service_session, enc, prng);
-          forged_again = tree.world()
-                             .network()
-                             .Call(attacker, RealmTree5::kPayrollAddr, ap.ToTlv().Encode())
-                             .ok();
-        }
+      auto rep = kenc::Decode<krb5::TgsReply5>(reply2.value());
+      auto part = rep.ok() ? krb5::Unseal<krb5::EncTgsRepPart5>(forged_session,
+                                                                rep.value().sealed_enc_part, enc)
+                           : kerb::Result<krb5::EncTgsRepPart5>(rep.error());
+      if (part.ok()) {
+        kcrypto::DesKey service_session(part.value().session_key);
+        krb5::ApRequest5 ap;
+        ap.sealed_ticket = rep.value().sealed_ticket;
+        krb5::Authenticator5 ap_auth;
+        ap_auth.client = forged_client;
+        ap_auth.timestamp = tree.world().clock().Now();
+        ap.sealed_authenticator = krb5::Seal(service_session, ap_auth, enc, prng);
+        forged_again = tree.world()
+                           .network()
+                           .Call(attacker, RealmTree5::kPayrollAddr, kenc::Encode(ap))
+                           .ok();
       }
     }
     report.strict_policy_blocks_forgery = !forged_again;

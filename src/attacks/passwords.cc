@@ -164,8 +164,8 @@ std::optional<size_t> TryChunk4(kerb::BytesView sealed, const std::string& salt,
 // structure — instead reject on (a) the checksum-type byte that directly
 // follows the confounder and (b) PKCS#5 padding validity in the last block,
 // both bitsliced single-block decrypts (P_i = D(C_i) ^ C_{i-1}) and both
-// strict subsets of UnsealTlv's checks. Combined false-positive rate is
-// ~2^-13, so a survivor costs one scalar UnsealTlv — the full predicate.
+// strict subsets of Unseal's checks. Combined false-positive rate is
+// ~2^-13, so a survivor costs one scalar Unseal — the full predicate.
 std::optional<size_t> TryChunk5(kerb::BytesView sealed, const std::string& salt,
                                 const std::vector<std::string>& dictionary, size_t start,
                                 size_t len, const krb5::EncLayerConfig& enc) {
@@ -178,11 +178,11 @@ std::optional<size_t> TryChunk5(kerb::BytesView sealed, const std::string& salt,
   const size_t type_block = type_offset / 8;
   auto confirm = [&](size_t i) {
     kcrypto::DesKey guess(keys[i]);
-    return krb5::UnsealTlv(guess, krb5::kMsgEncAsRepPart, sealed, enc).ok();
+    return krb5::Unseal<krb5::EncAsRepPart5>(guess, sealed, enc).ok();
   };
   if (sealed.empty() || sealed.size() % 8 != 0 || nblocks <= type_block) {
     // Degenerate framing: no bitsliced filter applies; run the scalar
-    // predicate per lane (UnsealTlv rejects these cheaply anyway).
+    // predicate per lane (Unseal rejects these cheaply anyway).
     for (size_t i = 0; i < len; ++i) {
       if (confirm(i)) {
         return start + i;
@@ -348,7 +348,7 @@ std::optional<std::string> CrackSealedReply5(kerb::BytesView sealed_enc_part,
   if (kobs::Enabled()) {
     hit = FirstMatch(dictionary.size(), CrackWorkerThreads(), [&](size_t i) {
       kcrypto::DesKey guess = kcrypto::StringToKey(dictionary[i], salt);
-      return krb5::UnsealTlv(guess, krb5::kMsgEncAsRepPart, sealed_enc_part, enc).ok();
+      return krb5::Unseal<krb5::EncAsRepPart5>(guess, sealed_enc_part, enc).ok();
     });
   } else {
     hit = FirstMatchChunked(dictionary.size(), CrackWorkerThreads(),

@@ -38,7 +38,7 @@ ReuseSkeyReport RunReuseSkeyRedirection(const ReuseSkeyScenario& scenario) {
 
   // Confirm the shared key (from the servers' vantage, via the DB keys).
   krb5::EncLayerConfig enc;
-  auto t_backup = krb5::Ticket5::Unseal(bed.backup_key(), backup_ticket, enc);
+  auto t_backup = krb5::Unseal<krb5::Ticket5>(bed.backup_key(), backup_ticket, enc);
   if (t_backup.ok() &&
       t_backup.value().session_key == kcrypto::DesKey(file_creds.value().session_key).bytes()) {
     report.shared_key_issued = true;
@@ -63,11 +63,7 @@ ReuseSkeyReport RunReuseSkeyRedirection(const ReuseSkeyScenario& scenario) {
 
   // ...and splices: backup ticket + the LIVE authenticator from the file
   // request + a destructive command, delivered to the backup server.
-  auto tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgApReq, file_request);
-  if (!tlv.ok()) {
-    return report;
-  }
-  auto original = krb5::ApRequest5::FromTlv(tlv.value());
+  auto original = kenc::Decode<krb5::ApRequest5>(file_request);
   if (!original.ok()) {
     return report;
   }
@@ -77,7 +73,7 @@ ReuseSkeyReport RunReuseSkeyRedirection(const ReuseSkeyScenario& scenario) {
   spliced.app_data = kerb::ToBytes("DELETE /archive/thesis.tex");
 
   auto verdict = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kBackupAddr,
-                                            spliced.ToTlv().Encode());
+                                            kenc::Encode(spliced));
   report.splice_accepted = verdict.ok();
   if (!bed.backup_log().empty()) {
     report.backup_action = bed.backup_log().back();

@@ -15,7 +15,7 @@ std::optional<std::string> CrackSealedTicket(kerb::BytesView sealed,
   krb5::EncLayerConfig enc;
   for (const auto& candidate : dictionary) {
     kcrypto::DesKey guess = kcrypto::StringToKey(candidate, victim.Salt());
-    if (krb5::Ticket5::Unseal(guess, sealed, enc).ok()) {
+    if (krb5::Unseal<krb5::Ticket5>(guess, sealed, enc).ok()) {
       return candidate;
     }
   }

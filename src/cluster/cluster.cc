@@ -127,13 +127,9 @@ bool ClusterNode::ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
         return false;
     }
   }
-  auto tlv = kenc::TlvMessage::Decode(payload);
-  if (!tlv.ok()) {
-    return false;
-  }
-  switch (tlv.value().type()) {
+  switch (kenc::PeekType(payload)) {
     case krb5::kMsgAsReq: {
-      auto req = krb5::AsRequest5::FromTlv(tlv.value());
+      auto req = kenc::Decode<krb5::AsRequest5>(payload);
       if (!req.ok()) {
         return false;
       }
@@ -141,7 +137,7 @@ bool ClusterNode::ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
       return true;
     }
     case krb5::kMsgAsPkReq: {
-      auto req = krb5::AsPkRequest5::FromTlv(tlv.value());
+      auto req = kenc::Decode<krb5::AsPkRequest5>(payload);
       if (!req.ok()) {
         return false;
       }
@@ -149,7 +145,7 @@ bool ClusterNode::ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
       return true;
     }
     case krb5::kMsgTgsReq: {
-      auto req = krb5::TgsRequest5::FromTlv(tlv.value());
+      auto req = kenc::Decode<krb5::TgsRequest5>(payload);
       if (!req.ok()) {
         return false;
       }
@@ -173,9 +169,7 @@ kerb::Bytes ClusterNode::ReferralReply(const krb4::Principal& p) {
   if (config_.protocol == Protocol::kV4) {
     return krb4::Frame4(krb4::MsgType::kClusterReferral, encoded);
   }
-  kenc::TlvMessage msg(krb5::kMsgClusterReferral);
-  msg.SetBytes(krb5::tag::kClusterBody, encoded);
-  return msg.Encode();
+  return kenc::Encode(krb5::ClusterReferral5{encoded});
 }
 
 kerb::Result<kerb::Bytes> ClusterNode::HandleKdc(bool tgs, const ksim::Message& msg) {

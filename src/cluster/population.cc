@@ -35,12 +35,12 @@ constexpr size_t kChaosMidstreamRegistrations = 32;
 // --- Population -------------------------------------------------------------
 
 krb4::Principal Population::UserPrincipal(size_t i) const {
-  return krb4::Principal::User("u" + std::to_string(i), config_.realm);
+  return krb4::Principal::User(std::string("u").append(std::to_string(i)), config_.realm);
 }
 
 krb4::Principal Population::ServicePrincipal(size_t j) const {
-  return krb4::Principal::Service("svc" + std::to_string(j),
-                                  "host" + std::to_string(j), config_.realm);
+  return krb4::Principal::Service(std::string("svc").append(std::to_string(j)),
+                                  std::string("host").append(std::to_string(j)), config_.realm);
 }
 
 kcrypto::DesKey Population::UserKey(size_t i) const {

@@ -74,12 +74,6 @@ kcrypto::DesKey ClusterKey(const std::string& realm) {
   return kcrypto::StringToKey("kcluster/" + realm, realm);
 }
 
-kerb::Bytes EncodeRingAnnounce(const RingAnnounce& announce) {
-  kenc::Writer w;
-  EncodeAnnounceTo(w, announce);
-  return w.Take();
-}
-
 kerb::Result<RingAnnounce> DecodeRingAnnounce(kerb::BytesView data) {
   kenc::Reader r(data);
   auto announce = DecodeAnnounceFrom(r);

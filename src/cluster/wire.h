@@ -76,7 +76,6 @@ struct RingAnnounce {
   std::vector<RingMember> members;
 };
 
-kerb::Bytes EncodeRingAnnounce(const RingAnnounce& announce);
 kerb::Result<RingAnnounce> DecodeRingAnnounce(kerb::BytesView data);
 
 // The body of a kClusterReferral (V4) frame / kMsgClusterReferral (V5)

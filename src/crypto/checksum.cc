@@ -1,5 +1,6 @@
 #include "src/crypto/checksum.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/crypto/crc32.h"
@@ -37,30 +38,37 @@ bool IsCollisionProof(ChecksumType type) {
 
 bool IsKeyed(ChecksumType type) { return type == ChecksumType::kMd4Des; }
 
-kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
-                            const std::optional<DesKey>& key) {
+size_t ComputeChecksumInto(ChecksumType type, kerb::BytesView data, uint8_t* out,
+                           const DesKey* key) {
   switch (type) {
     case ChecksumType::kCrc32: {
       uint32_t c = Crc32(data);
-      return kerb::Bytes{
-          static_cast<uint8_t>(c & 0xff),
-          static_cast<uint8_t>((c >> 8) & 0xff),
-          static_cast<uint8_t>((c >> 16) & 0xff),
-          static_cast<uint8_t>((c >> 24) & 0xff),
-      };
+      for (int i = 0; i < 4; ++i) {
+        out[i] = static_cast<uint8_t>(c >> (8 * i));
+      }
+      return 4;
     }
     case ChecksumType::kMd4: {
       Md4Digest d = Md4(data);
-      return kerb::Bytes(d.begin(), d.end());
+      std::copy(d.begin(), d.end(), out);
+      return d.size();
     }
     case ChecksumType::kMd4Des: {
-      assert(key.has_value());
+      assert(key != nullptr);
       Md4Digest d = Md4(data);
-      DesKey variant = key->Variant(0xf0);
-      return EncryptCbc(variant, kZeroIv, kerb::BytesView(d.data(), d.size()));
+      std::copy(d.begin(), d.end(), out);
+      EncryptCbcInPlace(key->Variant(0xf0), kZeroIv, out, d.size());
+      return d.size();
     }
   }
-  return {};
+  return 0;
+}
+
+kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
+                            const std::optional<DesKey>& key) {
+  uint8_t out[kMaxChecksumSize];
+  const size_t size = ComputeChecksumInto(type, data, out, key.has_value() ? &*key : nullptr);
+  return kerb::Bytes(out, out + size);
 }
 
 bool VerifyChecksum(ChecksumType type, kerb::BytesView data, kerb::BytesView expected,
@@ -70,8 +78,10 @@ bool VerifyChecksum(ChecksumType type, kerb::BytesView data, kerb::BytesView exp
   if (ChecksumSize(type) == 0) {
     return false;
   }
-  kerb::Bytes computed = ComputeChecksum(type, data, key);
-  return kerb::ConstantTimeEqual(computed, expected);
+  uint8_t computed[kMaxChecksumSize];
+  const size_t size =
+      ComputeChecksumInto(type, data, computed, key.has_value() ? &*key : nullptr);
+  return kerb::ConstantTimeEqual(kerb::BytesView(computed, size), expected);
 }
 
 }  // namespace kcrypto

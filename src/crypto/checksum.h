@@ -35,6 +35,9 @@ const char* ChecksumTypeName(ChecksumType type);
 // Output size in bytes.
 size_t ChecksumSize(ChecksumType type);
 
+// The largest ChecksumSize.
+constexpr size_t kMaxChecksumSize = 16;
+
 // Whether an adversary can construct a second preimage / forced value.
 // This is the property the paper says must drive protocol decisions.
 // False for a value outside the enum.
@@ -49,6 +52,11 @@ bool IsKeyed(ChecksumType type);
 // from message keys.
 kerb::Bytes ComputeChecksum(ChecksumType type, kerb::BytesView data,
                             const std::optional<DesKey>& key = std::nullopt);
+
+// The same checksum written to `out` (kMaxChecksumSize bytes of room)
+// without allocating; returns ChecksumSize(type). `key` as above, or null.
+size_t ComputeChecksumInto(ChecksumType type, kerb::BytesView data, uint8_t* out,
+                           const DesKey* key = nullptr);
 
 // Verifies `expected` against `data`. Always false for a value outside the
 // enum.

@@ -57,8 +57,6 @@ krb5::ChannelConfig RecommendedChannelConfig() {
 
 krb5::KdcPolicy5 Draft3KdcPolicy() { return krb5::KdcPolicy5{}; }
 
-krb5::AppServer5Options Draft3ServerOptions() { return krb5::AppServer5Options{}; }
-
 krb5::Client5Options Draft3ClientOptions() { return krb5::Client5Options{}; }
 
 }  // namespace khard

@@ -3,7 +3,7 @@
 // Mapping from the paper's recommendation lists to knobs in this codebase:
 //
 //  body (a) challenge/response option         → AppServer5Options::mode
-//  body (b) standard encoding w/ type tags    → kenc::TlvMessage (always on in V5)
+//  body (b) standard encoding w/ type tags    → src/encoding/tlv.h tables (always on in V5)
 //  body (c) handheld-authenticator login      → src/hardened/handheld_login.h
 //  body (d) separate encryption layer         → src/krb5/enclayer.h (always on in V5)
 //  body (e) true session keys                 → send_subkey / negotiate_subkey
@@ -45,7 +45,6 @@ krb5::ChannelConfig RecommendedChannelConfig();
 // The Draft 3 permissive defaults, for experiments that need the explicit
 // "vulnerable" end of each comparison.
 krb5::KdcPolicy5 Draft3KdcPolicy();
-krb5::AppServer5Options Draft3ServerOptions();
 krb5::Client5Options Draft3ClientOptions();
 
 }  // namespace khard

@@ -146,16 +146,6 @@ kerb::Result<TicketInfo> EncryptionUnit::DecryptTicket(KeyHandle service_key,
   return info;
 }
 
-kerb::Result<krb4::Authenticator4> EncryptionUnit::VerifyAuthenticator(
-    KeyHandle session_key, kerb::BytesView sealed_auth) {
-  auto key = Get(session_key, KeyUsage::kSessionKey);
-  if (!key.ok()) {
-    return key.error();
-  }
-  Log("verify-authenticator");
-  return krb4::Authenticator4::Unseal(key.value()->key, sealed_auth);
-}
-
 kerb::Result<kerb::Bytes> EncryptionUnit::SealData(KeyHandle session_key,
                                                    kerb::BytesView data) {
   auto key = Get(session_key, KeyUsage::kSessionKey);

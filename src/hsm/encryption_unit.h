@@ -89,10 +89,6 @@ class EncryptionUnit {
   // embedded session key becomes a handle, the metadata is returned.
   kerb::Result<TicketInfo> DecryptTicket(KeyHandle service_key, kerb::BytesView sealed_ticket);
 
-  // Verifies an authenticator against a session-key handle.
-  kerb::Result<krb4::Authenticator4> VerifyAuthenticator(KeyHandle session_key,
-                                                         kerb::BytesView sealed_auth);
-
   // Data protection under a session key.
   kerb::Result<kerb::Bytes> SealData(KeyHandle session_key, kerb::BytesView data);
   kerb::Result<kerb::Bytes> OpenData(KeyHandle session_key, kerb::BytesView sealed);

@@ -276,13 +276,6 @@ kerb::Result<AsPkRequest4> AsPkRequest4::Decode(kerb::BytesView data) {
   return req;
 }
 
-kerb::Bytes AsPkReply4::Encode() const {
-  kenc::Writer w;
-  w.PutLengthPrefixed(server_pub);
-  w.PutLengthPrefixed(sealed_reply);
-  return w.Take();
-}
-
 kerb::Result<AsPkReply4> AsPkReply4::Decode(kerb::BytesView data) {
   kenc::Reader r(data);
   AsPkReply4 rep;

@@ -177,7 +177,6 @@ struct AsPkReply4 {
   kerb::Bytes server_pub;     // big-endian g^b mod p
   kerb::Bytes sealed_reply;   // { {AsReplyBody4}K_c } K_dh
 
-  kerb::Bytes Encode() const;
   static kerb::Result<AsPkReply4> Decode(kerb::BytesView data);
 };
 

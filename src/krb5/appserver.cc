@@ -24,7 +24,7 @@ kerb::Result<VerifiedSession5> AppServer5::VerifyApRequest(const ApRequest5& req
     return kerb::MakeError(code, what);
   };
 
-  auto ticket = Ticket5::Unseal(service_key_, req.sealed_ticket, options_.enc);
+  auto ticket = Unseal<Ticket5>(service_key_, req.sealed_ticket, options_.enc);
   if (!ticket.ok()) {
     return fail(kerb::ErrorCode::kAuthFailed, "ticket not sealed with our key");
   }
@@ -40,7 +40,7 @@ kerb::Result<VerifiedSession5> AppServer5::VerifyApRequest(const ApRequest5& req
   }
 
   kcrypto::DesKey session_key(ticket.value().session_key);
-  auto auth = Authenticator5::Unseal(session_key, req.sealed_authenticator, options_.enc);
+  auto auth = Unseal<Authenticator5>(session_key, req.sealed_authenticator, options_.enc);
   if (!auth.ok()) {
     return fail(kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");
   }
@@ -77,17 +77,13 @@ kerb::Result<VerifiedSession5> AppServer5::VerifyApRequest(const ApRequest5& req
     });
     bool answered = false;
     if (req.challenge_response.has_value()) {
-      auto response =
-          UnsealTlv(session_key, kMsgChallenge, *req.challenge_response, options_.enc);
+      auto response = Unseal<Challenge5>(session_key, *req.challenge_response, options_.enc);
       if (response.ok()) {
-        auto value = response.value().GetU64(tag::kNonce);
-        if (value.ok()) {
-          // The response must be (outstanding nonce) + 1. Single use.
-          auto it = challenges_.find(value.value() - 1);
-          if (it != challenges_.end()) {
-            challenges_.erase(it);
-            answered = true;
-          }
+        // The response must be (outstanding nonce) + 1. Single use.
+        auto it = challenges_.find(response.value().nonce - 1);
+        if (it != challenges_.end()) {
+          challenges_.erase(it);
+          answered = true;
         }
       }
     }
@@ -95,9 +91,7 @@ kerb::Result<VerifiedSession5> AppServer5::VerifyApRequest(const ApRequest5& req
       uint64_t nonce = prng_.NextU64();
       challenges_.emplace(nonce, now);
       if (challenge_out != nullptr) {
-        kenc::TlvMessage challenge(kMsgChallenge);
-        challenge.SetU64(tag::kNonce, nonce);
-        *challenge_out = SealTlv(session_key, challenge, options_.enc, prng_);
+        *challenge_out = Seal(session_key, Challenge5{nonce}, options_.enc, prng_);
       }
       ++rejected_;
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "challenge issued");
@@ -116,11 +110,7 @@ kerb::Result<VerifiedSession5> AppServer5::VerifyApRequest(const ApRequest5& req
 }
 
 kerb::Result<kerb::Bytes> AppServer5::Handle(const ksim::Message& msg) {
-  auto tlv = kenc::TlvMessage::DecodeExpecting(kMsgApReq, msg.payload);
-  if (!tlv.ok()) {
-    return tlv.error();
-  }
-  auto req = ApRequest5::FromTlv(tlv.value());
+  auto req = kenc::Decode<ApRequest5>(msg.payload);
   if (!req.ok()) {
     return req.error();
   }
@@ -134,7 +124,7 @@ kerb::Result<kerb::Bytes> AppServer5::Handle(const ksim::Message& msg) {
       err.code = kErrMethod;
       err.text = "challenge/response required";
       err.e_data = challenge;
-      return err.ToTlv().Encode();
+      return kenc::Encode(err);
     }
     return session.error();
   }
@@ -143,7 +133,7 @@ kerb::Result<kerb::Bytes> AppServer5::Handle(const ksim::Message& msg) {
   // the multi-session key with both parties' random subkeys.
   std::optional<kcrypto::DesBlock> server_subkey;
   if (options_.negotiate_subkey) {
-    auto auth = Authenticator5::Unseal(session.value().multi_session_key,
+    auto auth = Unseal<Authenticator5>(session.value().multi_session_key,
                                        req.value().sealed_authenticator, options_.enc);
     kcrypto::DesBlock client_subkey{};
     if (auth.ok() && auth.value().subkey.has_value()) {
@@ -168,11 +158,10 @@ kerb::Result<kerb::Bytes> AppServer5::Handle(const ksim::Message& msg) {
   EncApRepPart5 part;
   part.timestamp = session.value().authenticator_time;
   part.subkey = server_subkey;
-  kenc::TlvMessage reply(kMsgApRep);
-  reply.SetBytes(tag::kSealedPart,
-                 SealTlv(session.value().multi_session_key, part.ToTlv(), options_.enc, prng_));
-  reply.SetBytes(tag::kAppData, app_reply);
-  return reply.Encode();
+  ApReply5 reply;
+  reply.app_data = std::move(app_reply);
+  reply.sealed_part = Seal(session.value().multi_session_key, part, options_.enc, prng_);
+  return kenc::Encode(reply);
 }
 
 }  // namespace krb5

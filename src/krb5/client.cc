@@ -6,12 +6,17 @@ namespace krb5 {
 
 namespace {
 
+// Anything not claiming to be a referral is a real KDC answer for the caller
+// to decode; a referral that does not decode is not actionable.
 std::optional<kerb::Result<kerb::Bytes>> DecodeReferral5(kerb::BytesView reply) {
-  auto tlv = kenc::TlvMessage::Decode(reply);
-  if (!tlv.ok() || tlv.value().type() != kMsgClusterReferral) {
+  if (kenc::PeekType(reply) != kMsgClusterReferral) {
     return std::nullopt;
   }
-  return tlv.value().GetBytes(tag::kClusterBody);
+  auto referral = kenc::Decode<ClusterReferral5>(reply);
+  if (!referral.ok()) {
+    return referral.error();
+  }
+  return std::move(referral.value().body);
 }
 
 }  // namespace
@@ -42,34 +47,25 @@ kerb::Status Client5::LoginWithKey(const kcrypto::DesKey& client_key,
   req.options = options_.omit_address ? kOptOmitAddress : 0;
   req.nonce = prng_.NextU64();
   if (options_.use_preauth) {
-    kenc::TlvMessage preauth(kMsgPreauth);
-    preauth.SetU64(tag::kNonce, req.nonce);
-    preauth.SetU64(tag::kTimestamp, static_cast<uint64_t>(clock_.Now()));
-    req.padata = SealTlv(client_key, preauth, options_.enc, prng_);
+    Preauth5 preauth;
+    preauth.nonce = req.nonce;
+    preauth.timestamp = clock_.Now();
+    req.padata = Seal(client_key, preauth, options_.enc, prng_);
   }
 
-  auto reply = RoutedKdcExchange(user_, false, as_endpoints(), req.ToTlv().Encode());
+  auto reply = RoutedKdcExchange(user_, false, as_endpoints(), kenc::Encode(req));
   if (!reply.ok()) {
     return reply.error();
   }
-  auto tlv = kenc::TlvMessage::DecodeExpecting(kMsgAsRep, reply.value());
-  if (!tlv.ok()) {
-    return tlv.error();
-  }
-  auto rep = AsReply5::FromTlv(tlv.value());
+  auto rep = kenc::Decode<AsReply5>(reply.value());
   if (!rep.ok()) {
     return rep.error();
   }
 
-  auto part_tlv =
-      UnsealTlv(client_key, kMsgEncAsRepPart, rep.value().sealed_enc_part, options_.enc);
-  if (!part_tlv.ok()) {
+  auto part = Unseal<EncAsRepPart5>(client_key, rep.value().sealed_enc_part, options_.enc);
+  if (!part.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
                            "cannot decrypt AS reply (wrong password?)");
-  }
-  auto part = EncAsRepPart5::FromTlv(part_tlv.value());
-  if (!part.ok()) {
-    return part.error();
   }
   // Draft 3: the echoed nonce authenticates the KDC to us without trusting
   // our clock.
@@ -119,23 +115,19 @@ kerb::Result<TgsReply5> Client5::RawTgsRequest(const std::string& tgs_realm, Tgs
   auth.checksum_type = options_.request_checksum;
   auth.request_checksum = kcrypto::ComputeChecksum(options_.request_checksum,
                                                    req.ChecksumInput(), creds->session_key);
-  req.sealed_authenticator = auth.Seal(creds->session_key, options_.enc, prng_);
+  req.sealed_authenticator = Seal(creds->session_key, auth, options_.enc, prng_);
 
   // Home-realm TGS requests fail over to the realm's slaves and go through
   // the cluster router; cross-realm hops keep their one configured TGS
   // (replication and clustering are per realm).
   auto reply = tgs_realm == user_.realm
                    ? RoutedKdcExchange(req.service, true, TgsEndpoints(tgs_it->second),
-                                       req.ToTlv().Encode())
-                   : KdcExchange({tgs_it->second}, req.ToTlv().Encode());
+                                       kenc::Encode(req))
+                   : KdcExchange({tgs_it->second}, kenc::Encode(req));
   if (!reply.ok()) {
     return reply.error();
   }
-  auto tlv = kenc::TlvMessage::DecodeExpecting(kMsgTgsRep, reply.value());
-  if (!tlv.ok()) {
-    return tlv.error();
-  }
-  return TgsReply5::FromTlv(tlv.value());
+  return kenc::Decode<TgsReply5>(reply.value());
 }
 
 kerb::Result<TgsCredentials5> Client5::GetTgtForRealm(const std::string& target_realm,
@@ -168,12 +160,8 @@ kerb::Result<TgsCredentials5> Client5::GetTgtForRealm(const std::string& target_
     // Decrypt the enc part with the session key of the TGT we used.
     const TgsCredentials5& used =
         current == tgs_creds_->realm ? *tgs_creds_ : foreign_tgts_.at(current);
-    auto part_tlv = UnsealTlv(used.session_key, kMsgEncTgsRepPart,
-                              reply.value().sealed_enc_part, options_.enc);
-    if (!part_tlv.ok()) {
-      return part_tlv.error();
-    }
-    auto part = EncTgsRepPart5::FromTlv(part_tlv.value());
+    auto part =
+        Unseal<EncTgsRepPart5>(used.session_key, reply.value().sealed_enc_part, options_.enc);
     if (!part.ok()) {
       return part.error();
     }
@@ -268,14 +256,10 @@ kerb::Result<ServiceCredentials5> Client5::GetServiceTicket(const Principal& ser
   if (!reply.ok()) {
     return reply.error();
   }
-  auto part_tlv = UnsealTlv(tgt.value().session_key, kMsgEncTgsRepPart,
-                            reply.value().sealed_enc_part, options_.enc);
-  if (!part_tlv.ok()) {
-    return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "cannot decrypt TGS reply");
-  }
-  auto part = EncTgsRepPart5::FromTlv(part_tlv.value());
+  auto part = Unseal<EncTgsRepPart5>(tgt.value().session_key, reply.value().sealed_enc_part,
+                                     options_.enc);
   if (!part.ok()) {
-    return part.error();
+    return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "cannot decrypt TGS reply");
   }
 
   ServiceCredentials5 creds;
@@ -301,12 +285,8 @@ kerb::Result<TgsCredentials5> Client5::ForwardTgt(bool omit_address) {
   if (!reply.ok()) {
     return reply.error();
   }
-  auto part_tlv = UnsealTlv(tgs_creds_->session_key, kMsgEncTgsRepPart,
-                            reply.value().sealed_enc_part, options_.enc);
-  if (!part_tlv.ok()) {
-    return part_tlv.error();
-  }
-  auto part = EncTgsRepPart5::FromTlv(part_tlv.value());
+  auto part = Unseal<EncTgsRepPart5>(tgs_creds_->session_key, reply.value().sealed_enc_part,
+                                     options_.enc);
   if (!part.ok()) {
     return part.error();
   }
@@ -340,11 +320,11 @@ kerb::Result<kerb::Bytes> Client5::MakeApRequest(const Principal& service, bool 
 
   ApRequest5 req;
   req.sealed_ticket = creds.value().sealed_ticket;
-  req.sealed_authenticator = auth.Seal(creds.value().session_key, options_.enc, prng_);
+  req.sealed_authenticator = Seal(creds.value().session_key, auth, options_.enc, prng_);
   req.want_mutual = want_mutual;
   req.app_data = kerb::Bytes(app_data.begin(), app_data.end());
   req.challenge_response = std::move(challenge_response);
-  return req.ToTlv().Encode();
+  return kenc::Encode(req);
 }
 
 kerb::Result<ServiceCallResult> Client5::CallService(const ksim::NetAddress& service_addr,
@@ -369,80 +349,68 @@ kerb::Result<ServiceCallResult> Client5::CallService(const ksim::NetAddress& ser
       return reply.error();
     }
 
-    auto tlv = kenc::TlvMessage::Decode(reply.value());
-    if (!tlv.ok()) {
-      if (want_mutual) {
-        // Fail closed: we demanded proof of the server's identity, so an
-        // undecodable reply (e.g. corrupted in flight) is a failure, not an
-        // application payload.
-        return kerb::MakeError(kerb::ErrorCode::kBadFormat,
-                               "expected mutual-auth reply, got undecodable bytes");
-      }
-      // Bare application payload — no mutual auth or negotiation requested.
-      ServiceCallResult result;
-      result.channel_key = creds.value().session_key;
-      result.app_reply = reply.value();
-      return result;
-    }
-
-    if (tlv.value().type() == kMsgError) {
-      auto err = KrbError5::FromTlv(tlv.value());
+    // What the server answered: a KRB_ERROR, an AP reply, or (any other
+    // type, or bytes that are no message at all) the bare application reply.
+    const uint16_t type = kenc::PeekType(reply.value());
+    if (type == kMsgError) {
+      auto err = kenc::Decode<KrbError5>(reply.value());
       if (err.ok() && err.value().code == kErrMethod && attempt == 0) {
         // Server demands challenge/response: decrypt the nonce, answer +1.
-        auto challenge = UnsealTlv(creds.value().session_key, kMsgChallenge,
-                                   err.value().e_data, options_.enc);
+        auto challenge =
+            Unseal<Challenge5>(creds.value().session_key, err.value().e_data, options_.enc);
         if (!challenge.ok()) {
           return challenge.error();
         }
-        auto nonce = challenge.value().GetU64(tag::kNonce);
-        if (!nonce.ok()) {
-          return nonce.error();
-        }
-        kenc::TlvMessage response(kMsgChallenge);
-        response.SetU64(tag::kNonce, nonce.value() + 1);
-        challenge_response =
-            SealTlv(creds.value().session_key, response, options_.enc, prng_);
+        challenge_response = Seal(creds.value().session_key,
+                                  Challenge5{challenge.value().nonce + 1}, options_.enc, prng_);
         continue;
       }
-      return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
-                             err.ok() ? err.value().text : "server error");
+      if (err.ok() || kenc::WellFormed(reply.value())) {
+        return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
+                               err.ok() ? err.value().text : "server error");
+      }
     }
 
     ServiceCallResult result;
     result.channel_key = creds.value().session_key;
 
-    if (tlv.value().type() == kMsgApRep) {
-      auto sealed_part = tlv.value().GetBytes(tag::kSealedPart);
-      if (!sealed_part.ok()) {
-        return sealed_part.error();
-      }
-      auto part_tlv = UnsealTlv(creds.value().session_key, kMsgEncApRepPart,
-                                sealed_part.value(), options_.enc);
-      if (!part_tlv.ok()) {
-        return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "mutual auth reply invalid");
-      }
-      auto part = EncApRepPart5::FromTlv(part_tlv.value());
-      if (!part.ok()) {
-        return part.error();
-      }
-      if (want_mutual && part.value().timestamp != auth_time) {
-        return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
-                               "mutual auth timestamp mismatch");
-      }
-      if (part.value().subkey.has_value()) {
-        kcrypto::DesBlock client_subkey = last_subkey_.value_or(kcrypto::DesBlock{});
-        kcrypto::DesBlock channel;
-        const kcrypto::DesBlock& multi = creds.value().session_key.bytes();
-        for (size_t i = 0; i < 8; ++i) {
-          channel[i] =
-              static_cast<uint8_t>(multi[i] ^ client_subkey[i] ^ (*part.value().subkey)[i]);
+    if (type == kMsgApRep) {
+      auto ap_reply = kenc::Decode<ApReply5>(reply.value());
+      if (ap_reply.ok()) {
+        auto part = Unseal<EncApRepPart5>(creds.value().session_key,
+                                          ap_reply.value().sealed_part, options_.enc);
+        if (!part.ok()) {
+          return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "mutual auth reply invalid");
         }
-        result.channel_key = kcrypto::DesKey(kcrypto::FixParity(channel));
+        if (want_mutual && part.value().timestamp != auth_time) {
+          return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
+                                 "mutual auth timestamp mismatch");
+        }
+        if (part.value().subkey.has_value()) {
+          kcrypto::DesBlock client_subkey = last_subkey_.value_or(kcrypto::DesBlock{});
+          kcrypto::DesBlock channel;
+          const kcrypto::DesBlock& multi = creds.value().session_key.bytes();
+          for (size_t i = 0; i < 8; ++i) {
+            channel[i] =
+                static_cast<uint8_t>(multi[i] ^ client_subkey[i] ^ (*part.value().subkey)[i]);
+          }
+          result.channel_key = kcrypto::DesKey(kcrypto::FixParity(channel));
+        }
+        result.app_reply = std::move(ap_reply.value().app_data);
+        return result;
       }
-      result.app_reply = tlv.value().GetOptionalBytes(tag::kAppData).value_or(kerb::Bytes{});
-      return result;
+      if (kenc::WellFormed(reply.value())) {
+        return ap_reply.error();
+      }
     }
 
+    if (want_mutual && !kenc::WellFormed(reply.value())) {
+      // Fail closed: we demanded proof of the server's identity, so an
+      // undecodable reply (e.g. corrupted in flight) is a failure, not an
+      // application payload.
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat,
+                             "expected mutual-auth reply, got undecodable bytes");
+    }
     // Bare application reply.
     if (want_mutual) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed,

@@ -4,42 +4,15 @@
 #include <cstdlib>
 #include <utility>
 
-#include "src/encoding/io.h"
 #include "src/obs/kobs.h"
 
 namespace krb5 {
 
 namespace {
 
-// Assembles the common reply shape — a sealed ticket blob plus a sealed
-// enc-part — into the context's reply buffer.
-kerb::Bytes& EncodeReplyInto(uint16_t msg_type, kerb::BytesView sealed_ticket,
-                             kerb::BytesView sealed_enc_part, krb4::KdcScratch& scratch) {
-  kenc::Writer w(&scratch.reply);
-  kenc::TlvFieldWriter reply(w, msg_type, 2);
-  reply.AddBytes(tag::kTicketBlob, sealed_ticket);
-  reply.AddBytes(tag::kSealedPart, sealed_enc_part);
-  return scratch.reply;
-}
-
-// Streams `ticket` and its reply `part` into the scratch plaintext buffers
-// — map-free end to end — and seals the two together, the ticket under
-// `ticket_key` and the part under `part_key`.
-template <typename Part>
-void SealReplyPairInto(const kcrypto::DesKey& ticket_key, const Ticket5& ticket,
-                       const kcrypto::DesKey& part_key, const Part& part,
-                       const EncLayerConfig& config, KdcContext& ctx) {
-  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
-  ticket.AppendTlvTo(ticket_writer);
-  kenc::Writer part_writer(&ctx.scratch.body_plain);
-  part.AppendTlvTo(part_writer);
-  SealEncodedPairInto(ticket_key, ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed, part_key,
-                      ctx.scratch.body_plain, ctx.scratch.body_sealed, config, ctx.prng);
-}
-
 // The tail every TGS issue branch shares: `ticket` sealed under
-// `ticket_key`, its reply part under the TGT's session key, and the two
-// encoded as the reply.
+// `ticket_key` and its reply part under the TGT's session key, the two
+// chains in lockstep, then encoded around views of the two as the reply.
 kerb::Bytes& SealTgsReplyInto(const kcrypto::DesKey& ticket_key, const Ticket5& ticket,
                               const kcrypto::DesKey& tgs_session, uint64_t nonce,
                               const EncLayerConfig& config, KdcContext& ctx) {
@@ -48,9 +21,12 @@ kerb::Bytes& SealTgsReplyInto(const kcrypto::DesKey& ticket_key, const Ticket5& 
   part.nonce = nonce;
   part.issued_at = ticket.issued_at;
   part.lifetime = ticket.lifetime;
-  SealReplyPairInto(ticket_key, ticket, tgs_session, part, config, ctx);
-  return EncodeReplyInto(kMsgTgsRep, ctx.scratch.ticket_sealed, ctx.scratch.body_sealed,
-                         ctx.scratch);
+  SealPairInto(ticket_key, ticket, ctx.scratch.ticket_sealed, tgs_session, part,
+               ctx.scratch.body_sealed, config, ctx.prng);
+  kenc::EncodeInto(
+      BasicTgsReply5<kerb::BytesView>{ctx.scratch.ticket_sealed, ctx.scratch.body_sealed},
+      ctx.scratch.reply);
+  return ctx.scratch.reply;
 }
 
 }  // namespace
@@ -91,21 +67,14 @@ kerb::Status KdcCore5::AdmitAs(uint32_t host, ksim::Time now) {
 
 kerb::Result<kerb::Bytes> KdcCore5::HandleAs(const ksim::Message& msg, KdcContext& ctx) {
   return Serve(false, msg, ctx, policy_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
-    auto tlv = kenc::TlvMessage::Decode(msg.payload);
-    if (!tlv.ok()) {
-      return tlv.error();
-    }
-    if (tlv.value().type() == kMsgAsPkReq) {
-      auto pk_req = AsPkRequest5::FromTlv(tlv.value());
+    if (kenc::PeekType(msg.payload) == kMsgAsPkReq) {
+      auto pk_req = kenc::Decode<AsPkRequest5>(msg.payload);
       if (!pk_req.ok()) {
         return pk_req.error();
       }
       return ServeAsPk(msg, pk_req.value(), ctx);
     }
-    if (tlv.value().type() != kMsgAsReq) {
-      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "message type mismatch");
-    }
-    auto req = AsRequest5::FromTlv(tlv.value());
+    auto req = kenc::Decode<AsRequest5>(msg.payload);
     if (!req.ok()) {
       return req.error();
     }
@@ -115,11 +84,7 @@ kerb::Result<kerb::Bytes> KdcCore5::HandleAs(const ksim::Message& msg, KdcContex
 
 kerb::Result<kerb::Bytes> KdcCore5::HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
   return Serve(true, msg, ctx, policy_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
-    auto tlv = kenc::TlvMessage::DecodeExpecting(kMsgTgsReq, msg.payload);
-    if (!tlv.ok()) {
-      return tlv.error();
-    }
-    auto req = TgsRequest5::FromTlv(tlv.value());
+    auto req = kenc::Decode<TgsRequest5>(msg.payload);
     if (!req.ok()) {
       return req.error();
     }
@@ -152,7 +117,8 @@ void KdcCore5::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time no
   part.issued_at = now;
   part.lifetime = lifetime;
 
-  SealReplyPairInto(tgs_key, tgt, client_key, part, policy_.enc, ctx);
+  SealPairInto(tgs_key, tgt, ctx.scratch.ticket_sealed, client_key, part, ctx.scratch.body_sealed,
+               policy_.enc, ctx.prng);
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRequest5& req,
@@ -177,18 +143,14 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRe
     if (!req.padata.has_value()) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "preauthentication required");
     }
-    auto padata =
-        UnsealTlv(client_key.value(), kMsgPreauth, *req.padata, policy_.enc);
+    auto padata = Unseal<Preauth5>(client_key.value(), *req.padata, policy_.enc);
     if (!padata.ok()) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "preauthentication invalid");
     }
-    auto pa_nonce = padata.value().GetU64(tag::kNonce);
-    auto pa_time = padata.value().GetU64(tag::kTimestamp);
-    if (!pa_nonce.ok() || !pa_time.ok() || pa_nonce.value() != req.nonce) {
+    if (padata.value().nonce != req.nonce) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "preauthentication nonce mismatch");
     }
-    if (std::llabs(static_cast<ksim::Time>(pa_time.value()) - now) >
-        policy_.clock_skew_limit) {
+    if (std::llabs(padata.value().timestamp - now) > policy_.clock_skew_limit) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "preauthentication stale");
     }
   }
@@ -199,8 +161,10 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRe
   }
 
   MintTgt(msg, req, now, tgs_key.value(), client_key.value(), ctx);
-  return EncodeReplyInto(kMsgAsRep, ctx.scratch.ticket_sealed, ctx.scratch.body_sealed,
-                         ctx.scratch);
+  kenc::EncodeInto(
+      BasicAsReply5<kerb::BytesView>{ctx.scratch.ticket_sealed, ctx.scratch.body_sealed},
+      ctx.scratch.reply);
+  return ctx.scratch.reply;
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::ServeAsPk(const ksim::Message& msg, const AsPkRequest5& req,
@@ -241,21 +205,20 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAsPk(const ksim::Message& msg, const As
   if (!req.padata.has_value()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "PK preauth proof required");
   }
-  auto padata = UnsealTlv(client_key.value(), kMsgPreauth, *req.padata, policy_.enc);
+  auto padata = Unseal<Preauth5>(client_key.value(), *req.padata, policy_.enc);
   if (!padata.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "PK preauth proof invalid");
   }
-  auto pa_nonce = padata.value().GetU64(tag::kNonce);
-  auto pa_time = padata.value().GetU64(tag::kTimestamp);
-  auto pa_bind = padata.value().GetBytes(tag::kChecksum);
-  if (!pa_nonce.ok() || !pa_time.ok() || !pa_bind.ok() || pa_nonce.value() != req.nonce) {
+  const Preauth5& proof = padata.value();
+  if (!proof.pub_checksum.has_value() || proof.nonce != req.nonce) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "PK preauth proof malformed");
   }
-  if (!kcrypto::VerifyChecksum(kcrypto::ChecksumType::kMd4, req.client_pub, pa_bind.value())) {
+  if (!kcrypto::VerifyChecksum(kcrypto::ChecksumType::kMd4, req.client_pub,
+                               *proof.pub_checksum)) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
                            "PK preauth proof not bound to the DH public");
   }
-  if (std::llabs(static_cast<ksim::Time>(pa_time.value()) - now) > policy_.clock_skew_limit) {
+  if (std::llabs(proof.timestamp - now) > policy_.clock_skew_limit) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "PK preauth proof stale");
   }
 
@@ -273,15 +236,12 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeAsPk(const ksim::Message& msg, const As
   // Inner layer {EncAsRepPart5}K_c, then the DH wrapper over the inner
   // ciphertext — the password-keyed blob never appears bare on the wire.
   MintTgt(msg, req, now, tgs_key.value(), client_key.value(), ctx);
-  kenc::TlvMessage wrap(kMsgPkEncWrap);
-  wrap.SetBytes(tag::kSealedPart, ctx.scratch.body_sealed);
-  SealTlvInto(dh_key, wrap, policy_.enc, ctx.prng, ctx.scratch.pk_outer);
-
-  kenc::Writer w(&ctx.scratch.reply);
-  kenc::TlvFieldWriter reply(w, kMsgAsPkRep, 3);
-  reply.AddBytes(tag::kPkPublic, server_pair.public_key.ToBytes());
-  reply.AddBytes(tag::kTicketBlob, ctx.scratch.ticket_sealed);
-  reply.AddBytes(tag::kSealedPart, ctx.scratch.pk_outer);
+  SealInto(dh_key, BasicPkEncWrap5<kerb::BytesView>{ctx.scratch.body_sealed}, policy_.enc,
+           ctx.prng, ctx.scratch.pk_outer);
+  const kerb::Bytes server_pub = server_pair.public_key.ToBytes();
+  kenc::EncodeInto(
+      BasicAsPkReply5<kerb::BytesView>{server_pub, ctx.scratch.ticket_sealed, ctx.scratch.pk_outer},
+      ctx.scratch.reply);
   return ctx.scratch.reply;
 }
 
@@ -314,7 +274,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
   auto unsealed_tgt = UnsealTgt<Ticket5>(
       tgt_key, req.sealed_tgt, /*ring_fallback=*/local_tgt, now, ctx,
       [this](const kcrypto::DesKey& key, kerb::BytesView sealed) {
-        return Ticket5::Unseal(key, sealed, policy_.enc);
+        return Unseal<Ticket5>(key, sealed, policy_.enc);
       });
   if (!unsealed_tgt.ok()) {
     return unsealed_tgt.error();
@@ -329,8 +289,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
   }
 
   kcrypto::DesKey tgs_session((*tgt).session_key);
-  auto auth =
-      Authenticator5::Unseal(tgs_session, req.sealed_authenticator, policy_.enc);
+  auto auth = Unseal<Authenticator5>(tgs_session, req.sealed_authenticator, policy_.enc);
   if (!auth.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");
   }
@@ -426,7 +385,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
     if (!tgs_db_key.ok()) {
       return tgs_db_key.error();
     }
-    auto enclosed = Ticket5::Unseal(tgs_db_key.value(), req.additional_ticket, policy_.enc);
+    auto enclosed = Unseal<Ticket5>(tgs_db_key.value(), req.additional_ticket, policy_.enc);
     if (!enclosed.ok()) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "additional ticket invalid");
     }
@@ -454,7 +413,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
     if (!donor_key.ok()) {
       return donor_key.error();
     }
-    auto donor = Ticket5::Unseal(donor_key.value(), req.additional_ticket, policy_.enc);
+    auto donor = Unseal<Ticket5>(donor_key.value(), req.additional_ticket, policy_.enc);
     if (!donor.ok()) {
       return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "additional ticket invalid");
     }

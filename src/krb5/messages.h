@@ -2,8 +2,11 @@
 //
 // Everything is a tagged TLV message (src/encoding/tlv.h) — the paper's
 // recommendation (b), which Draft 3 adopted via ASN.1: "all encrypted data
-// is labeled with the message type prior to encryption." Encrypted parts go
-// through the Draft 3 encryption layer (src/krb5/enclayer.h).
+// is labeled with the message type prior to encryption." Each struct below
+// is one message: its `kType` and its field table, `Fields()`, are the
+// whole codec. kenc::Encode and kenc::Decode<Msg> run the table in either
+// direction; krb5::Seal and krb5::Unseal<Msg> put it through the Draft 3
+// encryption layer (src/krb5/enclayer.h).
 //
 // Draft 3 behaviours preserved for study:
 //   * the TGS request's additional-tickets and authorization-data fields
@@ -19,6 +22,7 @@
 
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/crypto/checksum.h"
@@ -115,11 +119,53 @@ constexpr uint32_t kOptOmitAddress = 1u << 3;
 // KRB_ERROR codes used by the model.
 constexpr uint32_t kErrMethod = 48;  // KRB_AP_ERR_METHOD: use another auth method
 
-// Helpers for principals in TLV messages.
-void PutClient(kenc::TlvMessage& msg, const Principal& p);
-void PutServer(kenc::TlvMessage& msg, const Principal& p);
-kerb::Result<Principal> GetClient(const kenc::TlvMessage& msg);
-kerb::Result<Principal> GetServer(const kenc::TlvMessage& msg);
+}  // namespace krb5
+
+namespace kenc {
+
+// A principal is three consecutive string fields: name, instance, realm.
+template <>
+struct Wire<krb4::Principal> {
+  static constexpr uint16_t kTags = 3;
+  template <typename P>
+  static auto& Part(P& p, uint16_t i) {
+    return i == 0 ? p.name : i == 1 ? p.instance : p.realm;
+  }
+  static size_t Size(const krb4::Principal& p, uint16_t i) { return Part(p, i).size(); }
+  static uint8_t* Put(const krb4::Principal& p, uint16_t i, uint8_t* out) {
+    return Wire<std::string>::Put(Part(p, i), 0, out);
+  }
+  static bool Get(kerb::BytesView in, uint16_t i, krb4::Principal& p) {
+    return Wire<std::string>::Get(in, 0, Part(p, i));
+  }
+};
+
+// A checksum type is a u32 that must name a Draft 3 checksum: 0x101 must
+// not read as CRC-32, nor an unknown type reach VerifyChecksum.
+template <>
+struct Wire<kcrypto::ChecksumType> {
+  static constexpr uint16_t kTags = 1;
+  static size_t Size(kcrypto::ChecksumType, uint16_t) { return 4; }
+  static uint8_t* Put(kcrypto::ChecksumType type, uint16_t, uint8_t* out) {
+    return PutBe(out, static_cast<uint32_t>(type), 4);
+  }
+  static bool Get(kerb::BytesView in, uint16_t, kcrypto::ChecksumType& type) {
+    uint32_t value = 0;
+    if (!Wire<uint32_t>::Get(in, 0, value) ||
+        value < static_cast<uint32_t>(kcrypto::ChecksumType::kCrc32) ||
+        value > static_cast<uint32_t>(kcrypto::ChecksumType::kMd4Des)) {
+      return false;
+    }
+    type = static_cast<kcrypto::ChecksumType>(value);
+    return true;
+  }
+};
+
+}  // namespace kenc
+
+namespace krb5 {
+
+using kenc::Field;
 
 // ---------------------------------------------------------------------------
 struct Ticket5 {
@@ -132,15 +178,17 @@ struct Ticket5 {
   kcrypto::DesBlock session_key{};
   std::vector<std::string> transited;  // realms crossed, oldest first
 
-  kenc::TlvMessage ToTlv() const;
-  // Streams the same bytes as ToTlv().Encode() without building a field map.
-  void AppendTlvTo(kenc::Writer& w) const;
-  static kerb::Result<Ticket5> FromTlv(const kenc::TlvMessage& msg);
-
-  kerb::Bytes Seal(const kcrypto::DesKey& key, const EncLayerConfig& config,
-                   kcrypto::Prng& prng) const;
-  static kerb::Result<Ticket5> Unseal(const kcrypto::DesKey& key, kerb::BytesView sealed,
-                                      const EncLayerConfig& config);
+  static constexpr uint16_t kType = kMsgTicket;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kCname, &Ticket5::client},
+                      Field{tag::kSname, &Ticket5::service},
+                      Field{tag::kAddress, &Ticket5::client_addr, kenc::kOptional},
+                      Field{tag::kIssuedAt, &Ticket5::issued_at},
+                      Field{tag::kLifetime, &Ticket5::lifetime},
+                      Field{tag::kSessionKey, &Ticket5::session_key},
+                      Field{tag::kFlags, &Ticket5::flags},
+                      Field{tag::kTransited, &Ticket5::transited, kenc::kNonEmpty}};
+  }
 
   bool Expired(ksim::Time now) const { return now > issued_at + lifetime; }
 };
@@ -160,13 +208,17 @@ struct Authenticator5 {
   // The fix for REUSE-SKEY redirection: name the intended service.
   std::optional<std::string> service_name_check;
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<Authenticator5> FromTlv(const kenc::TlvMessage& msg);
-
-  kerb::Bytes Seal(const kcrypto::DesKey& key, const EncLayerConfig& config,
-                   kcrypto::Prng& prng) const;
-  static kerb::Result<Authenticator5> Unseal(const kcrypto::DesKey& key, kerb::BytesView sealed,
-                                             const EncLayerConfig& config);
+  static constexpr uint16_t kType = kMsgAuthenticator;
+  static constexpr auto Fields() {
+    return std::tuple{
+        Field{tag::kCname, &Authenticator5::client},
+        Field{tag::kTimestamp, &Authenticator5::timestamp},
+        Field{tag::kChecksum, &Authenticator5::request_checksum, kenc::kOptional},
+        Field{tag::kChecksumType, &Authenticator5::checksum_type, kenc::kOptional},
+        Field{tag::kSubkey, &Authenticator5::subkey, kenc::kOptional},
+        Field{tag::kSeqNumber, &Authenticator5::initial_seq, kenc::kOptional},
+        Field{tag::kServiceNameCheck, &Authenticator5::service_name_check, kenc::kOptional}};
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -178,11 +230,33 @@ struct AsRequest5 {
   uint32_t options = 0;  // e.g. kOptOmitAddress
   uint64_t nonce = 0;    // Draft 3's server-to-client challenge/response
   // Optional preauthentication data (padata): recommendation (g). When
-  // present it is {nonce}K_c, proving the requester knows the password key.
+  // present it is {Preauth5}K_c, proving the requester knows the password key.
   std::optional<kerb::Bytes> padata;
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<AsRequest5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgAsReq;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kCname, &AsRequest5::client},
+                      Field{tag::kSrealm, &AsRequest5::service_realm},
+                      Field{tag::kLifetime, &AsRequest5::lifetime},
+                      Field{tag::kNonce, &AsRequest5::nonce},
+                      Field{tag::kOptions, &AsRequest5::options, kenc::kDefaulted},
+                      Field{tag::kPadata, &AsRequest5::padata, kenc::kOptional}};
+  }
+};
+
+// The padata: {nonce, timestamp}K_c, and on the public-key path also the
+// md4 of the request's DH public (AsPkRequest5).
+struct Preauth5 {
+  uint64_t nonce = 0;
+  ksim::Time timestamp = 0;
+  std::optional<kerb::Bytes> pub_checksum;
+
+  static constexpr uint16_t kType = kMsgPreauth;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kNonce, &Preauth5::nonce},
+                      Field{tag::kTimestamp, &Preauth5::timestamp},
+                      Field{tag::kChecksum, &Preauth5::pub_checksum, kenc::kOptional}};
+  }
 };
 
 struct EncAsRepPart5 {
@@ -191,32 +265,44 @@ struct EncAsRepPart5 {
   ksim::Time issued_at = 0;
   ksim::Duration lifetime = 0;
 
-  kenc::TlvMessage ToTlv() const;
-  void AppendTlvTo(kenc::Writer& w) const;
-  static kerb::Result<EncAsRepPart5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgEncAsRepPart;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kIssuedAt, &EncAsRepPart5::issued_at},
+                      Field{tag::kLifetime, &EncAsRepPart5::lifetime},
+                      Field{tag::kSessionKey, &EncAsRepPart5::tgs_session_key},
+                      Field{tag::kNonce, &EncAsRepPart5::nonce}};
+  }
 };
 
-struct AsReply5 {
-  kerb::Bytes sealed_tgt;       // {Ticket5}K_tgs
-  kerb::Bytes sealed_enc_part;  // {EncAsRepPart5}K_c
+// The KDC's replies and the PK wrapper are templated on their blob type:
+// decoded, they own kerb::Bytes; the KDC encodes them from kerb::BytesView
+// views of its scratch buffers.
+template <typename Blob>
+struct BasicAsReply5 {
+  Blob sealed_tgt;       // {Ticket5}K_tgs
+  Blob sealed_enc_part;  // {EncAsRepPart5}K_c
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<AsReply5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgAsRep;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kTicketBlob, &BasicAsReply5::sealed_tgt},
+                      Field{tag::kSealedPart, &BasicAsReply5::sealed_enc_part}};
+  }
 };
+using AsReply5 = BasicAsReply5<kerb::Bytes>;
 
 // ---------------------------------------------------------------------------
 // Public-key preauthenticated AS exchange (V5 shape of the paper's
-// exponential-key-exchange fix). The client's TLV carries a fresh DH
+// exponential-key-exchange fix). The client's request carries a fresh DH
 // public value; the reply wraps the ordinary {EncAsRepPart5}K_c in one
 // extra layer keyed by the negotiated DH secret, so the password-keyed
 // ciphertext that drives offline guessing never crosses the wire bare.
 //
 // The DH wrapper alone only hides the inner layer from *passive*
 // eavesdroppers; an active attacker could supply their own ephemeral key
-// and strip it. The padata — {nonce, timestamp, md4(g^a)}K_c, a kMsgPreauth
-// TLV sealed under the client's key — is therefore mandatory on this path
-// regardless of KdcPolicy5::require_preauth: it proves possession of K_c
-// and binds the attacker-controllable DH public to that proof.
+// and strip it. The padata — {Preauth5 with md4(g^a)}K_c — is therefore
+// mandatory on this path regardless of KdcPolicy5::require_preauth: it
+// proves possession of K_c and binds the attacker-controllable DH public to
+// that proof.
 struct AsPkRequest5 {
   Principal client;
   std::string service_realm;
@@ -224,23 +310,48 @@ struct AsPkRequest5 {
   uint32_t options = 0;
   uint64_t nonce = 0;
   kerb::Bytes client_pub;  // big-endian g^a mod p
-  // Sealed kMsgPreauth TLV: kNonce (== nonce), kTimestamp, kChecksum =
+  // Sealed Preauth5: nonce (== nonce), timestamp, pub_checksum =
   // md4(client_pub). Optional in the codec, required by the KDC.
   std::optional<kerb::Bytes> padata;
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<AsPkRequest5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgAsPkReq;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kCname, &AsPkRequest5::client},
+                      Field{tag::kSrealm, &AsPkRequest5::service_realm},
+                      Field{tag::kLifetime, &AsPkRequest5::lifetime},
+                      Field{tag::kNonce, &AsPkRequest5::nonce},
+                      Field{tag::kOptions, &AsPkRequest5::options, kenc::kDefaulted},
+                      Field{tag::kPadata, &AsPkRequest5::padata, kenc::kOptional},
+                      Field{tag::kPkPublic, &AsPkRequest5::client_pub}};
+  }
 };
 
-struct AsPkReply5 {
-  kerb::Bytes server_pub;   // big-endian g^b mod p, plaintext
-  kerb::Bytes sealed_tgt;   // {Ticket5}K_tgs, as in the ordinary reply
-  // {kMsgPkEncWrap{ {EncAsRepPart5}K_c }}K_dh
-  kerb::Bytes sealed_wrap;
+template <typename Blob>
+struct BasicAsPkReply5 {
+  Blob server_pub;  // big-endian g^b mod p, plaintext
+  Blob sealed_tgt;  // {Ticket5}K_tgs, as in the ordinary reply
+  // {PkEncWrap5{ {EncAsRepPart5}K_c }}K_dh
+  Blob sealed_wrap;
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<AsPkReply5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgAsPkRep;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kTicketBlob, &BasicAsPkReply5::sealed_tgt},
+                      Field{tag::kSealedPart, &BasicAsPkReply5::sealed_wrap},
+                      Field{tag::kPkPublic, &BasicAsPkReply5::server_pub}};
+  }
 };
+using AsPkReply5 = BasicAsPkReply5<kerb::Bytes>;
+
+template <typename Blob>
+struct BasicPkEncWrap5 {
+  Blob sealed_enc_part;  // {EncAsRepPart5}K_c
+
+  static constexpr uint16_t kType = kMsgPkEncWrap;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kSealedPart, &BasicPkEncWrap5::sealed_enc_part}};
+  }
+};
+using PkEncWrap5 = BasicPkEncWrap5<kerb::Bytes>;
 
 // ---------------------------------------------------------------------------
 // TGS exchange. The checksum-bearing fields are canonically encoded by
@@ -263,8 +374,20 @@ struct TgsRequest5 {
   // Canonical bytes covered by the authenticator's request checksum.
   kerb::Bytes ChecksumInput() const;
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<TgsRequest5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgTgsReq;
+  static constexpr auto Fields() {
+    return std::tuple{
+        Field{tag::kSname, &TgsRequest5::service},
+        Field{tag::kLifetime, &TgsRequest5::lifetime},
+        Field{tag::kNonce, &TgsRequest5::nonce},
+        Field{tag::kOptions, &TgsRequest5::options},
+        Field{tag::kAdditionalTicket, &TgsRequest5::additional_ticket, kenc::kNonEmpty},
+        Field{tag::kAuthorizationData, &TgsRequest5::authorization_data, kenc::kNonEmpty},
+        Field{tag::kTicketBlob, &TgsRequest5::sealed_tgt},
+        Field{tag::kAuthBlob, &TgsRequest5::sealed_authenticator},
+        Field{tag::kTgtRealm, &TgsRequest5::tgt_realm},
+        Field{tag::kAname, &TgsRequest5::additional_ticket_service, kenc::kOptional}};
+  }
 };
 
 struct EncTgsRepPart5 {
@@ -273,18 +396,27 @@ struct EncTgsRepPart5 {
   ksim::Time issued_at = 0;
   ksim::Duration lifetime = 0;
 
-  kenc::TlvMessage ToTlv() const;
-  void AppendTlvTo(kenc::Writer& w) const;
-  static kerb::Result<EncTgsRepPart5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgEncTgsRepPart;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kIssuedAt, &EncTgsRepPart5::issued_at},
+                      Field{tag::kLifetime, &EncTgsRepPart5::lifetime},
+                      Field{tag::kSessionKey, &EncTgsRepPart5::session_key},
+                      Field{tag::kNonce, &EncTgsRepPart5::nonce}};
+  }
 };
 
-struct TgsReply5 {
-  kerb::Bytes sealed_ticket;    // {Ticket5}K_s (or K_skey under ENC-TKT-IN-SKEY)
-  kerb::Bytes sealed_enc_part;  // {EncTgsRepPart5}K_c,tgs
+template <typename Blob>
+struct BasicTgsReply5 {
+  Blob sealed_ticket;    // {Ticket5}K_s (or K_skey under ENC-TKT-IN-SKEY)
+  Blob sealed_enc_part;  // {EncTgsRepPart5}K_c,tgs
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<TgsReply5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgTgsRep;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kTicketBlob, &BasicTgsReply5::sealed_ticket},
+                      Field{tag::kSealedPart, &BasicTgsReply5::sealed_enc_part}};
+  }
 };
+using TgsReply5 = BasicTgsReply5<kerb::Bytes>;
 
 // ---------------------------------------------------------------------------
 // AP exchange.
@@ -294,21 +426,71 @@ struct ApRequest5 {
   bool want_mutual = false;
   kerb::Bytes app_data;
   // Present on the second leg of the challenge/response option: the
-  // server's nonce + 1, sealed under the ticket's session key.
+  // server's Challenge5 nonce + 1, sealed under the ticket's session key.
   std::optional<kerb::Bytes> challenge_response;
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<ApRequest5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgApReq;
+  static constexpr auto Fields() {
+    return std::tuple{
+        Field{tag::kTicketBlob, &ApRequest5::sealed_ticket},
+        Field{tag::kAuthBlob, &ApRequest5::sealed_authenticator},
+        Field{tag::kAppData, &ApRequest5::app_data, kenc::kNonEmpty},
+        Field{tag::kMutual, &ApRequest5::want_mutual},
+        Field{tag::kChallengeResponse, &ApRequest5::challenge_response, kenc::kOptional}};
+  }
+};
+
+// The challenge/response option's payload, both ways: the server's nonce,
+// and the client's nonce + 1.
+struct Challenge5 {
+  uint64_t nonce = 0;
+
+  static constexpr uint16_t kType = kMsgChallenge;
+  static constexpr auto Fields() { return std::tuple{Field{tag::kNonce, &Challenge5::nonce}}; }
 };
 
 struct EncApRepPart5 {
-  ksim::Time timestamp = 0;            // echoes the authenticator
+  ksim::Time timestamp = 0;                 // echoes the authenticator
   std::optional<kcrypto::DesBlock> subkey;  // server half of key negotiation
   std::optional<uint32_t> initial_seq;
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<EncApRepPart5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgEncApRepPart;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kTimestamp, &EncApRepPart5::timestamp},
+                      Field{tag::kSubkey, &EncApRepPart5::subkey, kenc::kOptional},
+                      Field{tag::kSeqNumber, &EncApRepPart5::initial_seq, kenc::kOptional}};
+  }
 };
+
+struct ApReply5 {
+  kerb::Bytes app_data;     // the application's reply
+  kerb::Bytes sealed_part;  // {EncApRepPart5}K_session
+
+  static constexpr uint16_t kType = kMsgApRep;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kAppData, &ApReply5::app_data, kenc::kDefaulted},
+                      Field{tag::kSealedPart, &ApReply5::sealed_part}};
+  }
+};
+
+// ---------------------------------------------------------------------------
+// KRB_SAFE and KRB_PRIV bodies (src/krb5/safepriv.h): the data, and the
+// timestamp or sequence number the channel's replay protection reads.
+template <uint16_t Type>
+struct ChannelMessage5 {
+  std::optional<ksim::Time> timestamp;
+  std::optional<uint32_t> seq;
+  kerb::Bytes data;
+
+  static constexpr uint16_t kType = Type;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kTimestamp, &ChannelMessage5::timestamp, kenc::kOptional},
+                      Field{tag::kSeqNumber, &ChannelMessage5::seq, kenc::kOptional},
+                      Field{tag::kAppData, &ChannelMessage5::data}};
+  }
+};
+using SafeMessage5 = ChannelMessage5<kMsgSafe>;
+using PrivMessage5 = ChannelMessage5<kMsgPriv>;
 
 // ---------------------------------------------------------------------------
 // KRB_ERROR.
@@ -317,8 +499,22 @@ struct KrbError5 {
   std::string text;
   kerb::Bytes e_data;  // e.g. challenge material for KRB_AP_ERR_METHOD
 
-  kenc::TlvMessage ToTlv() const;
-  static kerb::Result<KrbError5> FromTlv(const kenc::TlvMessage& msg);
+  static constexpr uint16_t kType = kMsgError;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kEData, &KrbError5::e_data, kenc::kNonEmpty},
+                      Field{tag::kErrorCode, &KrbError5::code},
+                      Field{tag::kErrorText, &KrbError5::text}};
+  }
+};
+
+// A clustered node's referral: an encoded kcluster::ReferralBody.
+struct ClusterReferral5 {
+  kerb::Bytes body;
+
+  static constexpr uint16_t kType = kMsgClusterReferral;
+  static constexpr auto Fields() {
+    return std::tuple{Field{tag::kClusterBody, &ClusterReferral5::body}};
+  }
 };
 
 }  // namespace krb5

@@ -22,37 +22,37 @@ SecureChannel::SecureChannel(const kcrypto::DesKey& key, const ksim::HostClock* 
 }
 
 kerb::Bytes SecureChannel::SealMessage(kerb::BytesView data, kcrypto::Prng& prng) {
-  kenc::TlvMessage msg(config_.private_messages ? kMsgPriv : kMsgSafe);
-  msg.SetBytes(tag::kAppData, kerb::Bytes(data.begin(), data.end()));
-  if (config_.protection == ReplayProtection::kTimestamp) {
-    msg.SetU64(tag::kTimestamp, static_cast<uint64_t>(clock_->Now()));
-  } else if (config_.protection == ReplayProtection::kSequence) {
-    msg.SetU32(tag::kSeqNumber, send_seq_++);
-  }
-
-  if (config_.protection == ReplayProtection::kChainedIv) {
-    // Position is encoded in the IV itself — no field needed at all.
-    kerb::Bytes sealed = SealTlvWithIv(key_, send_iv_, msg, config_.enc, prng);
-    send_iv_ = NextChainedIv(key_, send_iv_);
-    return sealed;
-  }
-  if (config_.private_messages) {
-    return SealTlv(key_, msg, config_.enc, prng);
-  }
-  // KRB_SAFE: plaintext body plus a keyed collision-proof checksum.
-  kerb::Bytes body = msg.Encode();
-  kerb::Bytes checksum =
-      kcrypto::ComputeChecksum(kcrypto::ChecksumType::kMd4Des, body, key_);
-  kenc::Writer w;
-  w.PutLengthPrefixed(body);
-  w.PutBytes(checksum);
-  return w.Take();
+  auto seal = [&](auto msg) {
+    msg.data.assign(data.begin(), data.end());
+    if (config_.protection == ReplayProtection::kTimestamp) {
+      msg.timestamp = clock_->Now();
+    } else if (config_.protection == ReplayProtection::kSequence) {
+      msg.seq = send_seq_++;
+    }
+    if (config_.protection == ReplayProtection::kChainedIv) {
+      // Position is encoded in the IV itself — no field needed at all.
+      kerb::Bytes sealed = Seal(key_, msg, config_.enc, prng, send_iv_);
+      send_iv_ = NextChainedIv(key_, send_iv_);
+      return sealed;
+    }
+    if (config_.private_messages) {
+      return Seal(key_, msg, config_.enc, prng);
+    }
+    // KRB_SAFE: plaintext body plus a keyed collision-proof checksum.
+    kerb::Bytes body = kenc::Encode(msg);
+    kerb::Bytes checksum =
+        kcrypto::ComputeChecksum(kcrypto::ChecksumType::kMd4Des, body, key_);
+    kenc::Writer w;
+    w.PutLengthPrefixed(body);
+    w.PutBytes(checksum);
+    return w.Take();
+  };
+  return config_.private_messages ? seal(PrivMessage5{}) : seal(SafeMessage5{});
 }
 
 kerb::Result<kerb::Bytes> SecureChannel::OpenMessage(kerb::BytesView sealed) {
-  kenc::TlvMessage msg(0);
   if (config_.protection == ReplayProtection::kChainedIv) {
-    auto opened = UnsealTlvWithIv(key_, recv_iv_, kMsgPriv, sealed, config_.enc);
+    auto opened = Unseal<PrivMessage5>(key_, sealed, config_.enc, recv_iv_);
     if (!opened.ok()) {
       // Wrong IV position: a replay, a reordering, or a deletion upstream.
       ++replays_;
@@ -60,18 +60,15 @@ kerb::Result<kerb::Bytes> SecureChannel::OpenMessage(kerb::BytesView sealed) {
                              "message does not match the expected IV position");
     }
     recv_iv_ = NextChainedIv(key_, recv_iv_);
-    auto chained_data = opened.value().GetBytes(tag::kAppData);
-    if (!chained_data.ok()) {
-      return chained_data.error();
-    }
-    return chained_data.value();
+    return std::move(opened.value().data);
   }
+  PrivMessage5 msg;
   if (config_.private_messages) {
-    auto opened = UnsealTlv(key_, kMsgPriv, sealed, config_.enc);
+    auto opened = Unseal<PrivMessage5>(key_, sealed, config_.enc);
     if (!opened.ok()) {
       return opened.error();
     }
-    msg = opened.value();
+    msg = std::move(opened.value());
   } else {
     kenc::Reader r(sealed);
     auto body = r.GetLengthPrefixed();
@@ -86,19 +83,20 @@ kerb::Result<kerb::Bytes> SecureChannel::OpenMessage(kerb::BytesView sealed) {
                                  checksum.value(), key_)) {
       return kerb::MakeError(kerb::ErrorCode::kIntegrity, "KRB_SAFE checksum mismatch");
     }
-    auto decoded = kenc::TlvMessage::DecodeExpecting(kMsgSafe, body.value());
+    auto decoded = kenc::Decode<SafeMessage5>(body.value());
     if (!decoded.ok()) {
       return decoded.error();
     }
-    msg = decoded.value();
+    // Both bodies share one layout; only the message type differs.
+    SafeMessage5& safe = decoded.value();
+    msg = {safe.timestamp, safe.seq, std::move(safe.data)};
   }
 
   if (config_.protection == ReplayProtection::kTimestamp) {
-    auto ts = msg.GetU64(tag::kTimestamp);
-    if (!ts.ok()) {
+    if (!msg.timestamp.has_value()) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "timestamp missing");
     }
-    ksim::Time t = static_cast<ksim::Time>(ts.value());
+    ksim::Time t = *msg.timestamp;
     ksim::Time now = clock_->Now();
     if (std::llabs(t - now) > config_.clock_skew_limit) {
       ++replays_;
@@ -112,26 +110,20 @@ kerb::Result<kerb::Bytes> SecureChannel::OpenMessage(kerb::BytesView sealed) {
       return kerb::MakeError(kerb::ErrorCode::kReplay, "message timestamp replayed");
     }
   } else {
-    auto seq = msg.GetU32(tag::kSeqNumber);
-    if (!seq.ok()) {
+    if (!msg.seq.has_value()) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "sequence number missing");
     }
-    if (seq.value() < expect_seq_) {
+    if (*msg.seq < expect_seq_) {
       ++replays_;
       return kerb::MakeError(kerb::ErrorCode::kReplay, "sequence number reused");
     }
-    if (seq.value() > expect_seq_) {
+    if (*msg.seq > expect_seq_) {
       ++gaps_;
       return kerb::MakeError(kerb::ErrorCode::kReplay, "sequence gap: message deleted?");
     }
     ++expect_seq_;
   }
-
-  auto data = msg.GetBytes(tag::kAppData);
-  if (!data.ok()) {
-    return data.error();
-  }
-  return data.value();
+  return std::move(msg.data);
 }
 
 }  // namespace krb5

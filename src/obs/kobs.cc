@@ -184,8 +184,6 @@ void Trace::Uninstall() {
   g_active_trace.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel);
 }
 
-bool Trace::installed() const { return ActiveTrace() == this; }
-
 void Trace::Record(uint32_t source, Ev kind, int64_t t, uint64_t a, uint64_t b) {
   if (tl_generation != generation_) {
     std::lock_guard lock(mu_);
@@ -305,7 +303,10 @@ void Trace::WriteNdjson(std::ostream& os) {
     hist += EvName(kind);
     hist += "\",\"log2_a\":[";
     for (size_t i = 0; i <= last; ++i) {
-      hist += (i == 0 ? "" : ",") + std::to_string(buckets[i]);
+      if (i != 0) {
+        hist += ',';
+      }
+      hist += std::to_string(buckets[i]);
     }
     hist += "]}\n";
     os << hist;

@@ -212,7 +212,6 @@ class Trace {
 
   void Install();
   void Uninstall();
-  bool installed() const;
 
   // Merged event stream, sorted by (t, source, kind, a, b). The full-tuple
   // order makes the stream — and everything derived from it — independent

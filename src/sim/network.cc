@@ -32,11 +32,6 @@ bool RecordingAdversary::OnDatagram(Message& datagram) {
   return false;
 }
 
-void RecordingAdversary::Clear() {
-  exchanges_.clear();
-  datagrams_.clear();
-}
-
 CompositeAdversary::Decision CompositeAdversary::OnRequest(Message& request) {
   for (Adversary* adversary : chain_) {
     Decision decision = adversary->OnRequest(request);

@@ -112,7 +112,6 @@ class RecordingAdversary : public Adversary {
 
   const std::vector<Exchange>& exchanges() const { return exchanges_; }
   const std::vector<Message>& datagrams() const { return datagrams_; }
-  void Clear();
 
  private:
   std::vector<Exchange> exchanges_;

@@ -49,11 +49,4 @@ size_t ShardedReplayCache::size() const {
   return total;
 }
 
-void ShardedReplayCache::Clear() {
-  for (size_t s = 0; s < kShardCount; ++s) {
-    std::lock_guard lock(shards_[s].mu);
-    shards_[s].entries.clear();
-  }
-}
-
 }  // namespace ksim

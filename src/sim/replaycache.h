@@ -40,7 +40,6 @@ class ShardedReplayCache {
                       Duration window);
 
   size_t size() const;
-  void Clear();
 
  private:
   // Timestamp leads so a shard's stale entries form a contiguous prefix.

@@ -260,17 +260,16 @@ struct Bed5 {
   kcrypto::DesKey user_key;
 };
 
-// The V5 proof-of-possession padata: sealed kMsgPreauth TLV carrying the
+// The V5 proof-of-possession padata: a sealed Preauth5 carrying the
 // request nonce, a timestamp, and the md4 binding of the DH public.
 kerb::Bytes MakePadata5(Bed5& bed, const kcrypto::DesKey& key, uint64_t nonce,
                         kerb::BytesView client_pub, ksim::Time timestamp,
                         kcrypto::Prng& prng) {
-  kenc::TlvMessage pa(krb5::kMsgPreauth);
-  pa.SetU64(krb5::tag::kNonce, nonce);
-  pa.SetU64(krb5::tag::kTimestamp, static_cast<uint64_t>(timestamp));
-  pa.SetBytes(krb5::tag::kChecksum,
-              kcrypto::ComputeChecksum(kcrypto::ChecksumType::kMd4, client_pub));
-  return krb5::SealTlv(key, pa, bed.core->policy().enc, prng);
+  krb5::Preauth5 pa;
+  pa.nonce = nonce;
+  pa.timestamp = timestamp;
+  pa.pub_checksum = kcrypto::ComputeChecksum(kcrypto::ChecksumType::kMd4, client_pub);
+  return krb5::Seal(key, pa, bed.core->policy().enc, prng);
 }
 
 // One full V5 PK exchange; returns the decrypted EncAsRepPart5.
@@ -290,16 +289,12 @@ kerb::Result<krb5::EncAsRepPart5> DoPkLogin5(Bed5& bed, krb4::KdcContext& ctx,
 
   ksim::Message msg;
   msg.src = kClientAddr;
-  msg.payload = req.ToTlv().Encode();
+  msg.payload = kenc::Encode(req);
   auto reply = bed.core->HandleAs(msg, ctx);
   if (!reply.ok()) {
     return reply.error();
   }
-  auto rep_tlv = kenc::TlvMessage::DecodeExpecting(krb5::kMsgAsPkRep, reply.value());
-  if (!rep_tlv.ok()) {
-    return rep_tlv.error();
-  }
-  auto rep = krb5::AsPkReply5::FromTlv(rep_tlv.value());
+  auto rep = kenc::Decode<krb5::AsPkReply5>(reply.value());
   if (!rep.ok()) {
     return rep.error();
   }
@@ -310,19 +305,16 @@ kerb::Result<krb5::EncAsRepPart5> DoPkLogin5(Bed5& bed, krb4::KdcContext& ctx,
   kcrypto::DesKey dh_key = kcrypto::DhDeriveKey(
       kcrypto::DhSharedSecret(group, client_pair.private_key, server_pub));
   const krb5::EncLayerConfig& enc = bed.core->policy().enc;
-  auto wrap = krb5::UnsealTlv(dh_key, krb5::kMsgPkEncWrap, rep.value().sealed_wrap, enc);
+  auto wrap = krb5::Unseal<krb5::PkEncWrap5>(dh_key, rep.value().sealed_wrap, enc);
   if (!wrap.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "DH layer decryption failed");
   }
-  auto inner = wrap.value().GetBytes(krb5::tag::kSealedPart);
-  if (!inner.ok()) {
-    return inner.error();
-  }
-  auto part_tlv = krb5::UnsealTlv(user_key, krb5::kMsgEncAsRepPart, inner.value(), enc);
-  if (!part_tlv.ok()) {
+  auto part =
+      krb5::Unseal<krb5::EncAsRepPart5>(user_key, wrap.value().sealed_enc_part, enc);
+  if (!part.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "password layer decryption failed");
   }
-  return krb5::EncAsRepPart5::FromTlv(part_tlv.value());
+  return part;
 }
 
 TEST(PkPreauth5Test, FullExchangeEchoesNonceAndIssuesTicket) {
@@ -351,16 +343,13 @@ TEST(PkPreauth5Test, TicketBlobUnsealsWithTgsKey) {
                            client_prng);
   ksim::Message msg;
   msg.src = kClientAddr;
-  msg.payload = req.ToTlv().Encode();
+  msg.payload = kenc::Encode(req);
   auto reply = bed.core->HandleAs(msg, ctx);
   ASSERT_TRUE(reply.ok());
-  auto rep = krb5::AsPkReply5::FromTlv(
-      kenc::TlvMessage::DecodeExpecting(krb5::kMsgAsPkRep, reply.value()).value());
+  auto rep = kenc::Decode<krb5::AsPkReply5>(reply.value());
   ASSERT_TRUE(rep.ok());
-  auto tgt_tlv = krb5::UnsealTlv(bed.tgs_key, krb5::kMsgTicket, rep.value().sealed_tgt,
-                                 bed.core->policy().enc);
-  ASSERT_TRUE(tgt_tlv.ok());
-  auto tgt = krb5::Ticket5::FromTlv(tgt_tlv.value());
+  auto tgt = krb5::Unseal<krb5::Ticket5>(bed.tgs_key, rep.value().sealed_tgt,
+                                         bed.core->policy().enc);
   ASSERT_TRUE(tgt.ok());
   EXPECT_EQ(tgt.value().client, Alice());
 }
@@ -395,7 +384,7 @@ kerb::Result<kerb::Bytes> Send5(Bed5& bed, krb4::KdcContext& ctx,
                                 const krb5::AsPkRequest5& req) {
   ksim::Message msg;
   msg.src = kClientAddr;
-  msg.payload = req.ToTlv().Encode();
+  msg.payload = kenc::Encode(req);
   return bed.core->HandleAs(msg, ctx);
 }
 
@@ -473,7 +462,7 @@ TEST(PkPreauth5Test, DegenerateClientPublicsAreRejected) {
     req.client_pub = pub.ToBytes();
     ksim::Message msg;
     msg.src = kClientAddr;
-    msg.payload = req.ToTlv().Encode();
+    msg.payload = kenc::Encode(req);
     auto reply = bed.core->HandleAs(msg, ctx);
     ASSERT_FALSE(reply.ok()) << pub.ToHex();
     EXPECT_EQ(reply.error().code, kerb::ErrorCode::kBadFormat) << pub.ToHex();

@@ -104,8 +104,8 @@ TEST(ThreadedKdcTest, PrincipalStoreNewRealmsErasesAndSortedWalksUnderRace) {
   const kcrypto::DesKey fixed_key = kcrypto::Prng(3000).NextDesKey();
   store.Upsert(fixed, fixed_key, PrincipalKind::kService);
   auto name = [](unsigned t, int i) {
-    return Principal{"u" + std::to_string(i), "",
-                     "R" + std::to_string(t) + "-" + std::to_string(i % 5)};
+    return Principal{std::string("u").append(std::to_string(i)), "",
+                     std::string("R").append(std::to_string(t)) + "-" + std::to_string(i % 5)};
   };
   std::atomic<bool> writing{true};
   std::atomic<int> bad_reads{0};
@@ -208,7 +208,7 @@ TEST(ThreadedKdcTest, ParallelKdcCoreServesEveryRequest) {
   ksim::Message request;
   request.src = Testbed5::kAliceAddr;
   request.dst = Testbed5::kAsAddr;
-  request.payload = as_req.ToTlv().Encode();
+  request.payload = kenc::Encode(as_req);
   request.sent_at = now;
 
   krb5::KdcCore5& core = bed.kdc();

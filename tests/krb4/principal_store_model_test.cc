@@ -37,7 +37,7 @@ std::vector<Principal> Pool() {
   std::vector<Principal> pool;
   for (const char* realm : {kRealmA, kRealmB}) {
     for (int i = 0; i < 40; ++i) {
-      pool.push_back(Principal::User("u" + std::to_string(i), realm));
+      pool.push_back(Principal::User(std::string("u").append(std::to_string(i)), realm));
     }
     for (int i = 0; i < 12; ++i) {
       // Equal first eight bytes; some differ only by length.

@@ -36,7 +36,7 @@ size_t StressPopulation() {
 }
 
 Principal UserAt(size_t i) {
-  return Principal::User("u" + std::to_string(i), kRealm);
+  return Principal::User(std::string("u").append(std::to_string(i)), kRealm);
 }
 
 // With capacity reserved up front the table never rehashes and the load

@@ -38,14 +38,14 @@ TEST(TypeConfusionTest, V5TypeTagsRejectEveryCrossInterpretation) {
   krb5::EncTgsRepPart5 part;
   part.session_key = prng.NextDesKey().bytes();
   part.nonce = 7;
-  kenc::TlvMessage tlv = part.ToTlv();
+  const kerb::Bytes wire = kenc::Encode(part);
   // The same bytes refuse to parse as anything but what they are.
-  EXPECT_TRUE(krb5::EncTgsRepPart5::FromTlv(tlv).ok());
-  EXPECT_FALSE(krb5::EncAsRepPart5::FromTlv(tlv).ok());
-  EXPECT_FALSE(krb5::Ticket5::FromTlv(tlv).ok());
-  EXPECT_FALSE(krb5::Authenticator5::FromTlv(tlv).ok());
-  EXPECT_FALSE(krb5::ApRequest5::FromTlv(tlv).ok());
-  EXPECT_FALSE(krb5::KrbError5::FromTlv(tlv).ok());
+  EXPECT_TRUE(kenc::Decode<krb5::EncTgsRepPart5>(wire).ok());
+  EXPECT_FALSE(kenc::Decode<krb5::EncAsRepPart5>(wire).ok());
+  EXPECT_FALSE(kenc::Decode<krb5::Ticket5>(wire).ok());
+  EXPECT_FALSE(kenc::Decode<krb5::Authenticator5>(wire).ok());
+  EXPECT_FALSE(kenc::Decode<krb5::ApRequest5>(wire).ok());
+  EXPECT_FALSE(kenc::Decode<krb5::KrbError5>(wire).ok());
 }
 
 TEST(TypeConfusionTest, V5SealedBlobsCarryTypeThroughEncryption) {
@@ -58,12 +58,12 @@ TEST(TypeConfusionTest, V5SealedBlobsCarryTypeThroughEncryption) {
   ticket.service = krb4::Principal::Service("nfs", "fs", "R");
   ticket.client = krb4::Principal::User("alice", "R");
   ticket.session_key = prng.NextDesKey().bytes();
-  kerb::Bytes sealed = ticket.Seal(key, enc, prng);
+  kerb::Bytes sealed = krb5::Seal(key, ticket, enc, prng);
 
-  EXPECT_TRUE(krb5::Ticket5::Unseal(key, sealed, enc).ok());
-  EXPECT_FALSE(krb5::Authenticator5::Unseal(key, sealed, enc).ok());
-  EXPECT_FALSE(UnsealTlv(key, krb5::kMsgEncAsRepPart, sealed, enc).ok());
-  EXPECT_FALSE(UnsealTlv(key, krb5::kMsgPriv, sealed, enc).ok());
+  EXPECT_TRUE(krb5::Unseal<krb5::Ticket5>(key, sealed, enc).ok());
+  EXPECT_FALSE(krb5::Unseal<krb5::Authenticator5>(key, sealed, enc).ok());
+  EXPECT_FALSE(krb5::Unseal(key, krb5::kMsgEncAsRepPart, sealed, enc).ok());
+  EXPECT_FALSE(krb5::Unseal(key, krb5::kMsgPriv, sealed, enc).ok());
 }
 
 TEST(TypeConfusionTest, V4SealedAuthenticatorIsNotATicketOnlyByLuck) {

@@ -25,8 +25,8 @@ TEST_P(EncLayerParamTest, SealUnsealRoundTrip) {
   kcrypto::Prng prng(1);
   kcrypto::DesKey key = prng.NextDesKey();
   EncLayerConfig config{GetParam(), true};
-  kerb::Bytes sealed = SealTlv(key, SampleMessage(), config, prng);
-  auto opened = UnsealTlv(key, kMsgEncAsRepPart, sealed, config);
+  kerb::Bytes sealed = Seal(key, SampleMessage(), config, prng);
+  auto opened = Unseal(key, kMsgEncAsRepPart, sealed, config);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value().GetU64(tag::kNonce).value(), 12345u);
 }
@@ -35,8 +35,8 @@ TEST_P(EncLayerParamTest, WrongKeyRejected) {
   kcrypto::Prng prng(2);
   kcrypto::DesKey key = prng.NextDesKey();
   EncLayerConfig config{GetParam(), true};
-  kerb::Bytes sealed = SealTlv(key, SampleMessage(), config, prng);
-  EXPECT_FALSE(UnsealTlv(prng.NextDesKey(), kMsgEncAsRepPart, sealed, config).ok());
+  kerb::Bytes sealed = Seal(key, SampleMessage(), config, prng);
+  EXPECT_FALSE(Unseal(prng.NextDesKey(), kMsgEncAsRepPart, sealed, config).ok());
 }
 
 TEST_P(EncLayerParamTest, WrongTypeRejected) {
@@ -45,8 +45,8 @@ TEST_P(EncLayerParamTest, WrongTypeRejected) {
   kcrypto::Prng prng(3);
   kcrypto::DesKey key = prng.NextDesKey();
   EncLayerConfig config{GetParam(), true};
-  kerb::Bytes sealed = SealTlv(key, SampleMessage(), config, prng);
-  auto as_ticket = UnsealTlv(key, kMsgTicket, sealed, config);
+  kerb::Bytes sealed = Seal(key, SampleMessage(), config, prng);
+  auto as_ticket = Unseal(key, kMsgTicket, sealed, config);
   EXPECT_FALSE(as_ticket.ok());
 }
 
@@ -54,12 +54,12 @@ TEST_P(EncLayerParamTest, RandomBitFlipsDetected) {
   kcrypto::Prng prng(4);
   kcrypto::DesKey key = prng.NextDesKey();
   EncLayerConfig config{GetParam(), true};
-  kerb::Bytes sealed = SealTlv(key, SampleMessage(), config, prng);
+  kerb::Bytes sealed = Seal(key, SampleMessage(), config, prng);
   int undetected = 0;
   for (size_t i = 0; i < sealed.size(); ++i) {
     kerb::Bytes tampered = sealed;
     tampered[i] ^= 0x01;
-    if (UnsealTlv(key, kMsgEncAsRepPart, tampered, config).ok()) {
+    if (Unseal(key, kMsgEncAsRepPart, tampered, config).ok()) {
       ++undetected;
     }
   }
@@ -76,8 +76,8 @@ TEST(EncLayerTest, ConfounderRandomizesCiphertext) {
   // random initial confounders are added."
   kcrypto::Prng prng(5);
   kcrypto::DesKey key = prng.NextDesKey();
-  kerb::Bytes a = SealTlv(key, SampleMessage(), Crc32Config(), prng);
-  kerb::Bytes b = SealTlv(key, SampleMessage(), Crc32Config(), prng);
+  kerb::Bytes a = Seal(key, SampleMessage(), Crc32Config(), prng);
+  kerb::Bytes b = Seal(key, SampleMessage(), Crc32Config(), prng);
   EXPECT_NE(a, b);
 }
 
@@ -85,8 +85,8 @@ TEST(EncLayerTest, WithoutConfounderCiphertextRepeats) {
   kcrypto::Prng prng(6);
   kcrypto::DesKey key = prng.NextDesKey();
   EncLayerConfig config{kcrypto::ChecksumType::kMd4, false};
-  kerb::Bytes a = SealTlv(key, SampleMessage(), config, prng);
-  kerb::Bytes b = SealTlv(key, SampleMessage(), config, prng);
+  kerb::Bytes a = Seal(key, SampleMessage(), config, prng);
+  kerb::Bytes b = Seal(key, SampleMessage(), config, prng);
   EXPECT_EQ(a, b);  // identical plaintext, identical ciphertext — traffic leak
 }
 
@@ -98,18 +98,18 @@ TEST(EncLayerTest, TruncationRejectedEvenWithCrc32) {
   kenc::TlvMessage big(kMsgEncAsRepPart);
   big.SetBytes(tag::kEData, prng.NextBytes(64));
   big.SetU64(tag::kNonce, 1);
-  kerb::Bytes sealed = SealTlv(key, big, Crc32Config(), prng);
+  kerb::Bytes sealed = Seal(key, big, Crc32Config(), prng);
   for (size_t blocks = 1; blocks * 8 < sealed.size(); ++blocks) {
     kerb::Bytes truncated(sealed.begin(), sealed.begin() + 8 * blocks);
-    EXPECT_FALSE(UnsealTlv(key, kMsgEncAsRepPart, truncated, Crc32Config()).ok());
+    EXPECT_FALSE(Unseal(key, kMsgEncAsRepPart, truncated, Crc32Config()).ok());
   }
 }
 
 TEST(EncLayerTest, Md4ConfigRejectsCrc32Sealed) {
   kcrypto::Prng prng(8);
   kcrypto::DesKey key = prng.NextDesKey();
-  kerb::Bytes sealed = SealTlv(key, SampleMessage(), Crc32Config(), prng);
-  EXPECT_FALSE(UnsealTlv(key, kMsgEncAsRepPart, sealed, Md4Config()).ok());
+  kerb::Bytes sealed = Seal(key, SampleMessage(), Crc32Config(), prng);
+  EXPECT_FALSE(Unseal(key, kMsgEncAsRepPart, sealed, Md4Config()).ok());
 }
 
 // A Draft 3 plaintext built by hand: confounder || checksum type byte ||
@@ -146,7 +146,7 @@ kerb::Bytes HandSeal(const kcrypto::DesKey& key, const kerb::Bytes& padded_plain
   return kcrypto::EncryptCbc(key, kcrypto::kZeroIv, padded_plaintext);
 }
 
-// Every rejection UnsealTlv can give, each from a ciphertext sealed by hand,
+// Every rejection Unseal can give, each from a ciphertext sealed by hand,
 // with its error code and exactly one kUnsealFail event.
 TEST(EncLayerTest, UnsealRejectionsPinned) {
   kcrypto::Prng prng(12);
@@ -156,14 +156,14 @@ TEST(EncLayerTest, UnsealRejectionsPinned) {
 
   auto expect_rejected = [&](kerb::BytesView sealed, kerb::ErrorCode code, const char* what) {
     const uint64_t fails = trace->Count(kobs::Ev::kUnsealFail);
-    auto opened = UnsealTlv(key, kMsgEncAsRepPart, sealed, config);
+    auto opened = Unseal(key, kMsgEncAsRepPart, sealed, config);
     EXPECT_EQ(opened.code(), code) << what;
     EXPECT_EQ(trace->Count(kobs::Ev::kUnsealFail), fails + 1) << what;
   };
 
   // The crafting itself is the layer's format: left alone, it unseals.
   {
-    auto opened = UnsealTlv(key, kMsgEncAsRepPart, HandSeal(key, CraftPlaintext(key, {})),
+    auto opened = Unseal(key, kMsgEncAsRepPart, HandSeal(key, CraftPlaintext(key, {})),
                             config);
     ASSERT_TRUE(opened.ok());
     EXPECT_EQ(opened.value(), SampleMessage());

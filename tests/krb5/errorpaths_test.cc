@@ -21,7 +21,7 @@ TEST(ErrorPaths5Test, AsRequestForUnknownPrincipal) {
   req.service_realm = bed.realm;
   req.nonce = 1;
   auto reply = bed.world().network().Call(Testbed5::kEveAddr, Testbed5::kAsAddr,
-                                          req.ToTlv().Encode());
+                                          kenc::Encode(req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kNotFound);
 }
 
@@ -48,7 +48,7 @@ TEST(ErrorPaths5Test, MalformedPreauthRejectedCleanly) {
   req.nonce = 7;
   req.padata = prng.NextBytes(40);  // not even block-aligned-sealed data
   auto reply = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kAsAddr,
-                                          req.ToTlv().Encode());
+                                          kenc::Encode(req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
@@ -64,12 +64,12 @@ TEST(ErrorPaths5Test, PreauthWithWrongNonceRejected) {
   req.client = bed.alice_principal();
   req.service_realm = bed.realm;
   req.nonce = 7;
-  kenc::TlvMessage preauth(kMsgPreauth);
-  preauth.SetU64(tag::kNonce, 8);  // mismatched
-  preauth.SetU64(tag::kTimestamp, static_cast<uint64_t>(bed.world().clock().Now()));
-  req.padata = SealTlv(alice_key, preauth, EncLayerConfig{}, prng);
+  Preauth5 preauth;
+  preauth.nonce = 8;  // mismatched
+  preauth.timestamp = bed.world().clock().Now();
+  req.padata = Seal(alice_key, preauth, EncLayerConfig{}, prng);
   auto reply = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kAsAddr,
-                                          req.ToTlv().Encode());
+                                          kenc::Encode(req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
@@ -84,13 +84,12 @@ TEST(ErrorPaths5Test, StalePreauthRejected) {
   req.client = bed.alice_principal();
   req.service_realm = bed.realm;
   req.nonce = 7;
-  kenc::TlvMessage preauth(kMsgPreauth);
-  preauth.SetU64(tag::kNonce, 7);
-  preauth.SetU64(tag::kTimestamp,
-                 static_cast<uint64_t>(bed.world().clock().Now() - ksim::kHour));
-  req.padata = SealTlv(alice_key, preauth, EncLayerConfig{}, prng);
+  Preauth5 preauth;
+  preauth.nonce = 7;
+  preauth.timestamp = bed.world().clock().Now() - ksim::kHour;
+  req.padata = Seal(alice_key, preauth, EncLayerConfig{}, prng);
   auto reply = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kAsAddr,
-                                          req.ToTlv().Encode());
+                                          kenc::Encode(req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
@@ -109,9 +108,9 @@ TEST(ErrorPaths5Test, TgsRequestWithoutChecksumRejected) {
   auth.timestamp = bed.world().clock().Now();
   // No checksum fields at all.
   req.sealed_authenticator =
-      auth.Seal(bed.alice().tgs_credentials()->session_key, EncLayerConfig{}, prng);
+      Seal(bed.alice().tgs_credentials()->session_key, auth, EncLayerConfig{}, prng);
   auto reply = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kTgsAddr,
-                                          req.ToTlv().Encode());
+                                          kenc::Encode(req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
@@ -136,9 +135,9 @@ TEST(ErrorPaths5Test, TgsRequestFromWrongAddressRejected) {
       kcrypto::ComputeChecksum(kcrypto::ChecksumType::kCrc32, raw.ChecksumInput(),
                                bed.alice().tgs_credentials()->session_key);
   raw.sealed_authenticator =
-      auth.Seal(bed.alice().tgs_credentials()->session_key, EncLayerConfig{}, prng);
+      Seal(bed.alice().tgs_credentials()->session_key, auth, EncLayerConfig{}, prng);
   auto reply = bed.world().network().Call(Testbed5::kEveAddr, Testbed5::kTgsAddr,
-                                          raw.ToTlv().Encode());
+                                          kenc::Encode(raw));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
@@ -164,13 +163,14 @@ TEST(ErrorPaths5Test, TgsRequestWithUnknownChecksumTypeRejected) {
       Authenticator5 auth;
       auth.client = bed.alice_principal();
       auth.timestamp = bed.world().clock().Now();
-      kenc::TlvMessage tlv = auth.ToTlv();
+      kenc::TlvMessage tlv = kenc::TlvMessage::Decode(kenc::Encode(auth)).value();
       tlv.SetU32(tag::kChecksumType, type);
       tlv.SetBytes(tag::kChecksum, kerb::Bytes{});
-      EXPECT_EQ(Authenticator5::FromTlv(tlv).code(), kerb::ErrorCode::kBadFormat) << type;
-      req.sealed_authenticator = SealTlv(session, tlv, EncLayerConfig{}, prng);
+      EXPECT_EQ(kenc::Decode<Authenticator5>(tlv.Encode()).code(), kerb::ErrorCode::kBadFormat)
+          << type;
+      req.sealed_authenticator = Seal(session, tlv, EncLayerConfig{}, prng);
       auto reply = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kTgsAddr,
-                                              req.ToTlv().Encode());
+                                              kenc::Encode(req));
       EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed)
           << "type " << type << ", collision-proof policy " << collision_proof;
     }
@@ -178,6 +178,132 @@ TEST(ErrorPaths5Test, TgsRequestWithUnknownChecksumTypeRejected) {
   const auto unknown = static_cast<kcrypto::ChecksumType>(4);
   EXPECT_FALSE(kcrypto::VerifyChecksum(unknown, kerb::ToBytes("request"), kerb::Bytes{}));
   EXPECT_FALSE(kcrypto::IsCollisionProof(unknown));
+}
+
+// `msg`'s wire form with field `tag` replaced by `size` bytes: present, but
+// not the width its kind demands. Each mis-sized field below must be a
+// decode error, never read as absent.
+template <typename Msg>
+kenc::TlvMessage WithMisSizedField(const Msg& msg, uint16_t tag, size_t size) {
+  kenc::TlvMessage tlv = kenc::TlvMessage::Decode(kenc::Encode(msg)).value();
+  tlv.SetBytes(tag, kerb::Bytes(size, 0x01));
+  return tlv;
+}
+
+// A ticket whose address field is 3 or 5 bytes must not become a ticket
+// bound to no address, usable from any host.
+TEST(ErrorPaths5Test, MisSizedTicketAddressRejected) {
+  for (size_t size : {3u, 5u}) {
+    Testbed5 bed;
+    kcrypto::Prng prng(9);
+    const kcrypto::DesKey session = prng.NextDesKey();
+    Ticket5 ticket;
+    ticket.service = bed.mail_principal();
+    ticket.client = bed.alice_principal();
+    ticket.client_addr = Testbed5::kAliceAddr.host;
+    ticket.issued_at = bed.world().clock().Now();
+    ticket.lifetime = ksim::kHour;
+    ticket.session_key = session.bytes();
+    kenc::TlvMessage tlv = WithMisSizedField(ticket, tag::kAddress, size);
+    EXPECT_EQ(kenc::Decode<Ticket5>(tlv.Encode()).code(), kerb::ErrorCode::kBadFormat) << size;
+
+    ApRequest5 req;
+    req.sealed_ticket = Seal(bed.mail_key(), tlv, EncLayerConfig{}, prng);
+    Authenticator5 auth;
+    auth.client = bed.alice_principal();
+    auth.timestamp = bed.world().clock().Now();
+    req.sealed_authenticator = Seal(session, auth, EncLayerConfig{}, prng);
+    auto verdict = bed.mail_server().VerifyApRequest(req, Testbed5::kEveAddr.host, nullptr);
+    EXPECT_EQ(verdict.code(), kerb::ErrorCode::kAuthFailed) << size;
+  }
+}
+
+TEST(ErrorPaths5Test, MisSizedAsRequestOptionsRejected) {
+  Testbed5 bed;
+  AsRequest5 req;
+  req.client = bed.alice_principal();
+  req.service_realm = bed.realm;
+  req.lifetime = ksim::kHour;
+  req.options = kOptOmitAddress;
+  req.nonce = 11;
+  kenc::TlvMessage tlv = WithMisSizedField(req, tag::kOptions, 3);
+  EXPECT_EQ(kenc::Decode<AsRequest5>(tlv.Encode()).code(), kerb::ErrorCode::kBadFormat);
+  auto reply =
+      bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kAsAddr, tlv.Encode());
+  EXPECT_EQ(reply.code(), kerb::ErrorCode::kBadFormat);
+}
+
+TEST(ErrorPaths5Test, MisSizedPkAsRequestOptionsRejected) {
+  Testbed5 bed;
+  kcrypto::Prng prng(10);
+  AsPkRequest5 req;
+  req.client = bed.alice_principal();
+  req.service_realm = bed.realm;
+  req.lifetime = ksim::kHour;
+  req.nonce = 12;
+  req.client_pub = prng.NextBytes(64);
+  kenc::TlvMessage tlv = WithMisSizedField(req, tag::kOptions, 5);
+  EXPECT_EQ(kenc::Decode<AsPkRequest5>(tlv.Encode()).code(), kerb::ErrorCode::kBadFormat);
+  auto reply =
+      bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kAsAddr, tlv.Encode());
+  EXPECT_EQ(reply.code(), kerb::ErrorCode::kBadFormat);
+}
+
+TEST(ErrorPaths5Test, MisSizedAuthenticatorChecksumTypeRejected) {
+  Testbed5 bed;
+  ASSERT_TRUE(bed.alice().Login(Testbed5::kAlicePassword).ok());
+  const kcrypto::DesKey& session = bed.alice().tgs_credentials()->session_key;
+  kcrypto::Prng prng(11);
+  TgsRequest5 req;
+  req.service = bed.mail_principal();
+  req.lifetime = ksim::kHour;
+  req.nonce = prng.NextU64();
+  req.tgt_realm = bed.realm;
+  req.sealed_tgt = bed.alice().tgs_credentials()->sealed_tgt;
+  Authenticator5 auth;
+  auth.client = bed.alice_principal();
+  auth.timestamp = bed.world().clock().Now();
+  auth.checksum_type = kcrypto::ChecksumType::kCrc32;
+  auth.request_checksum =
+      kcrypto::ComputeChecksum(kcrypto::ChecksumType::kCrc32, req.ChecksumInput(), session);
+  kenc::TlvMessage tlv = WithMisSizedField(auth, tag::kChecksumType, 3);
+  EXPECT_EQ(kenc::Decode<Authenticator5>(tlv.Encode()).code(), kerb::ErrorCode::kBadFormat);
+  req.sealed_authenticator = Seal(session, tlv, EncLayerConfig{}, prng);
+  auto reply = bed.world().network().Call(Testbed5::kAliceAddr, Testbed5::kTgsAddr,
+                                          kenc::Encode(req));
+  EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
+}
+
+TEST(ErrorPaths5Test, MisSizedAuthenticatorSeqNumberRejected) {
+  Testbed5 bed;
+  ASSERT_TRUE(bed.alice().Login(Testbed5::kAlicePassword).ok());
+  auto creds = bed.alice().GetServiceTicket(bed.mail_principal());
+  ASSERT_TRUE(creds.ok());
+  kcrypto::Prng prng(12);
+  Authenticator5 auth;
+  auth.client = bed.alice_principal();
+  auth.timestamp = bed.world().clock().Now();
+  auth.initial_seq = 7;
+  kenc::TlvMessage tlv = WithMisSizedField(auth, tag::kSeqNumber, 5);
+  EXPECT_EQ(kenc::Decode<Authenticator5>(tlv.Encode()).code(), kerb::ErrorCode::kBadFormat);
+  ApRequest5 req;
+  req.sealed_ticket = creds.value().sealed_ticket;
+  req.sealed_authenticator = Seal(creds.value().session_key, tlv, EncLayerConfig{}, prng);
+  auto verdict = bed.mail_server().VerifyApRequest(req, Testbed5::kAliceAddr.host, nullptr);
+  EXPECT_EQ(verdict.code(), kerb::ErrorCode::kAuthFailed);
+}
+
+TEST(ErrorPaths5Test, MisSizedApReplySeqNumberRejected) {
+  kcrypto::Prng prng(13);
+  const kcrypto::DesKey session = prng.NextDesKey();
+  EncApRepPart5 part;
+  part.timestamp = 5 * ksim::kSecond;
+  part.initial_seq = 9;
+  kenc::TlvMessage tlv = WithMisSizedField(part, tag::kSeqNumber, 3);
+  EXPECT_EQ(kenc::Decode<EncApRepPart5>(tlv.Encode()).code(), kerb::ErrorCode::kBadFormat);
+  kerb::Bytes sealed = Seal(session, tlv, EncLayerConfig{}, prng);
+  EXPECT_EQ(Unseal<EncApRepPart5>(session, sealed, EncLayerConfig{}).code(),
+            kerb::ErrorCode::kBadFormat);
 }
 
 // A TGT the KDC has no key to verify must be refused, not unsealed under a
@@ -203,16 +329,16 @@ TEST(ErrorPaths5Test, TgtUnderDefaultKeyRefused) {
     req.lifetime = ksim::kHour;
     req.nonce = prng.NextU64();
     req.tgt_realm = tgt_realm;
-    req.sealed_tgt = forged.Seal(kcrypto::DesKey(), EncLayerConfig{}, prng);
+    req.sealed_tgt = Seal(kcrypto::DesKey(), forged, EncLayerConfig{}, prng);
     Authenticator5 auth;
     auth.client = bed.alice_principal();
     auth.timestamp = now;
     auth.checksum_type = kcrypto::ChecksumType::kCrc32;
     auth.request_checksum =
         kcrypto::ComputeChecksum(kcrypto::ChecksumType::kCrc32, req.ChecksumInput(), session);
-    req.sealed_authenticator = auth.Seal(session, EncLayerConfig{}, prng);
+    req.sealed_authenticator = Seal(session, auth, EncLayerConfig{}, prng);
     return bed.world().network().Call(Testbed5::kEveAddr, Testbed5::kTgsAddr,
-                                      req.ToTlv().Encode());
+                                      kenc::Encode(req));
   };
 
   EXPECT_EQ(present("NO.SUCH.REALM").code(), kerb::ErrorCode::kAuthFailed);

@@ -82,7 +82,7 @@ TEST(InterRealmTest, ForgedDirectTicketLacksTransitRecord) {
   forged.lifetime = ksim::kHour;
   forged.session_key = prng.NextDesKey().bytes();
   // transited deliberately left empty: CORP "forgets" to record anything.
-  kerb::Bytes sealed = forged.Seal(tree.corp_sales_key(), tree.policy().enc, prng);
+  kerb::Bytes sealed = Seal(tree.corp_sales_key(), forged, tree.policy().enc, prng);
 
   // SALES' TGS accepts it — it is sealed with the right key and looks local
   // to the CORP hop.
@@ -90,7 +90,7 @@ TEST(InterRealmTest, ForgedDirectTicketLacksTransitRecord) {
   ASSERT_TRUE(sales_tgs_key.ok());
   // Ticket decodes under the inter-realm key: structurally indistinguishable
   // from an honest one.
-  auto opened = Ticket5::Unseal(tree.corp_sales_key(), sealed, tree.policy().enc);
+  auto opened = Unseal<Ticket5>(tree.corp_sales_key(), sealed, tree.policy().enc);
   ASSERT_TRUE(opened.ok());
   EXPECT_TRUE(opened.value().transited.empty());
   EXPECT_EQ(opened.value().client.ToString(), "ceo@ENG.CORP");

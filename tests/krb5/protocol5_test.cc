@@ -162,7 +162,7 @@ TEST(Protocol5Test, ForwardedTgtFlaggedAndUsable) {
   // original source" — verify by unsealing with the TGS key via the KDC db.
   auto tgs_key = bed.kdc().database().Lookup(krb4::TgsPrincipal(bed.realm));
   ASSERT_TRUE(tgs_key.ok());
-  auto ticket = Ticket5::Unseal(tgs_key.value(), forwarded.value().sealed_tgt,
+  auto ticket = Unseal<Ticket5>(tgs_key.value(), forwarded.value().sealed_tgt,
                                 bed.kdc().policy().enc);
   ASSERT_TRUE(ticket.ok());
   EXPECT_TRUE(ticket.value().flags & kFlagForwarded);
@@ -183,7 +183,7 @@ TEST(Protocol5Test, ForwardedTicketOmitsOriginalSource) {
     EXPECT_TRUE(fwd.ok());
     auto tgs_key = bed.kdc().database().Lookup(krb4::TgsPrincipal(bed.realm));
     EXPECT_TRUE(tgs_key.ok());
-    auto ticket = Ticket5::Unseal(tgs_key.value(), fwd.value().sealed_tgt,
+    auto ticket = Unseal<Ticket5>(tgs_key.value(), fwd.value().sealed_tgt,
                                   bed.kdc().policy().enc);
     EXPECT_TRUE(ticket.ok());
     return ticket.value();
@@ -242,16 +242,12 @@ TEST(Protocol5Test, TamperedTgsRequestDetectedEvenWithCrc32WhenNotCompensated) {
       if (msg.dst.port != 750) {
         return {};
       }
-      auto tlv = kenc::TlvMessage::Decode(msg.payload);
-      if (!tlv.ok()) {
-        return {};
-      }
-      auto req = TgsRequest5::FromTlv(tlv.value());
+      auto req = kenc::Decode<TgsRequest5>(msg.payload);
       if (!req.ok()) {
         return {};
       }
       req.value().options |= kOptOmitAddress;  // no checksum compensation
-      msg.payload = req.value().ToTlv().Encode();
+      msg.payload = kenc::Encode(req.value());
       return {};
     }
   } flipper;
@@ -285,8 +281,7 @@ TEST(Protocol5Test, ExpiredTicketsRejected) {
   auth.client = bed.alice_principal();
   auth.timestamp = bed.world().clock().Now();
   kcrypto::Prng prng(1);
-  req.sealed_authenticator =
-      auth.Seal(creds.value().session_key, bed.kdc().policy().enc, prng);
+  req.sealed_authenticator = Seal(creds.value().session_key, auth, bed.kdc().policy().enc, prng);
   auto verdict = bed.mail_server().VerifyApRequest(req, Testbed5::kAliceAddr.host, nullptr);
   EXPECT_EQ(verdict.code(), kerb::ErrorCode::kExpired);
 }

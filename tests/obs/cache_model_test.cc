@@ -50,7 +50,8 @@ TEST(CacheModelTest, ShardedReplayCacheMatchesNaiveModelExactly) {
     if (prng.NextBelow(8) == 0) {
       now += static_cast<ksim::Time>(prng.NextBelow(static_cast<uint64_t>(window / 4)));
     }
-    std::string identity = "client" + std::to_string(prng.NextBelow(32)) + "@mail";
+    std::string identity =
+        std::string("client").append(std::to_string(prng.NextBelow(32))) + "@mail";
     uint32_t addr = 0x0a000000u + static_cast<uint32_t>(prng.NextBelow(4));
     // In-window timestamps only: stamp ∈ (now - window, now].
     ksim::Time stamp =
@@ -171,7 +172,7 @@ TEST(CacheModelTest, PrincipalStoreMatchesNaiveModelWithEraseInTheMix) {
   // Erase's backward shift constantly rearranges live entries.
   std::vector<krb4::Principal> pool;
   for (int i = 0; i < 48; ++i) {
-    pool.push_back(krb4::Principal{"p" + std::to_string(i),
+    pool.push_back(krb4::Principal{std::string("p").append(std::to_string(i)),
                                    i % 3 == 0 ? "svc" : "", "ATHENA.SIM"});
   }
 

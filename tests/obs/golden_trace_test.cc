@@ -184,7 +184,7 @@ TEST(GoldenTraceTest, KdcLoadDigestIndependentOfWorkerCount) {
     ksim::Message request;
     request.src = kattack::Testbed5::kAliceAddr;
     request.dst = kattack::Testbed5::kAsAddr;
-    request.payload = as_req.ToTlv().Encode();
+    request.payload = kenc::Encode(as_req);
     request.sent_at = bed.world().MakeHostClock().Now();
 
     krb5::KdcCore5& core = bed.kdc();

@@ -57,14 +57,16 @@ TEST(ShardedReplayCacheTest, FrozenClockStaysBoundedToTheWindow) {
   ShardedReplayCache cache;
   Time now = 1000000;
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(cache.CheckAndInsert("u" + std::to_string(i), 1, now, now, kWindow));
+    ASSERT_TRUE(
+        cache.CheckAndInsert(std::string("u").append(std::to_string(i)), 1, now, now, kWindow));
   }
   EXPECT_EQ(cache.size(), 1000u);  // all live: nothing to evict yet
   // One tick past expiry: re-presenting each identity lands in the same
   // shard as its stale entry and sweeps it, so the total never reaches 2000.
   now += kWindow + 1;
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(cache.CheckAndInsert("u" + std::to_string(i), 1, now, now, kWindow));
+    ASSERT_TRUE(
+        cache.CheckAndInsert(std::string("u").append(std::to_string(i)), 1, now, now, kWindow));
   }
   EXPECT_EQ(cache.size(), 1000u);
 }

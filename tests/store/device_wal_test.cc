@@ -130,8 +130,9 @@ TEST(WalTest, EveryTruncationAndBitFlipFailsClosed) {
 TEST(WalTest, ScanToleratesTornTailOnly) {
   kerb::Bytes image;
   for (uint64_t lsn = 1; lsn <= 3; ++lsn) {
-    kerb::Append(image, kstore::EncodeWalFrame(
-                            {lsn, kstore::kWalOpUpsert, B("r" + std::to_string(lsn))}));
+    kerb::Append(image,
+                 kstore::EncodeWalFrame({lsn, kstore::kWalOpUpsert,
+                                         B(std::string("r").append(std::to_string(lsn)))}));
   }
   const size_t intact = image.size();
   // A torn 4th frame: only half of it made the platter.
@@ -281,7 +282,7 @@ TEST(KStoreTest, DeltaMatchesAFullScanAtEveryLsn) {
     kstore::WalRecord record;
     record.op = i % 3 == 2 ? kstore::kWalOpClusterMark
                            : (i % 4 == 3 ? kstore::kWalOpDelete : kstore::kWalOpUpsert);
-    record.payload = B("r" + std::to_string(i));
+    record.payload = B(std::string("r").append(std::to_string(i)));
     record.lsn = store.Append(record.op, record.payload);
     journal.push_back(record);
   };
@@ -340,7 +341,7 @@ TEST(KStoreTest, DeltaMatchesAFullScanAtEveryLsn) {
 TEST(KStoreTest, RecoveryIsIdempotent) {
   kstore::KStore store(kcrypto::Prng(5), {}, EmptyBase());
   for (int i = 0; i < 5; ++i) {
-    store.Append(kstore::kWalOpUpsert, B("x" + std::to_string(i)));
+    store.Append(kstore::kWalOpUpsert, B(std::string("x").append(std::to_string(i))));
   }
   store.Crash();
   auto first = store.Recover();

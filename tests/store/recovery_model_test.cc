@@ -109,7 +109,7 @@ TEST(RecoveryModelTest, SnapshotPlusWalPrefixEqualsModel) {
   ksim::Time now = 0;  // virtual clock for rotation drain deadlines
 
   auto random_principal = [&] {
-    return Principal::User("u" + std::to_string(prng.NextBelow(10)), "R");
+    return Principal::User(std::string("u").append(std::to_string(prng.NextBelow(10))), "R");
   };
 
   for (int step = 0; step < 600; ++step) {
@@ -186,7 +186,8 @@ TEST(RecoveryModelTest, HonestDiskLosesNothing) {
 
   std::vector<LoggedOp> history;
   for (int i = 0; i < 100; ++i) {
-    LoggedOp op{kstore::kWalOpUpsert, Principal::User("u" + std::to_string(i % 7), "R"),
+    LoggedOp op{kstore::kWalOpUpsert,
+                Principal::User(std::string("u").append(std::to_string(i % 7)), "R"),
                 prng.NextDesKey(), PrincipalKind::kUser};
     db.ApplyUpsert(op.principal, op.key, op.kind);
     history.push_back(std::move(op));
