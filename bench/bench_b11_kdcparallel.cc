@@ -2,19 +2,23 @@
 //
 // Unlike B7, which times the full client round trip (client-side request
 // encode + network hop + KDC + client-side reply decode), these benches
-// pre-encode one valid request and hand it straight to the KdcCore5 handler,
-// isolating the serving cost the PR-2 fast path optimises: sharded principal
-// lookups, the per-context derived-key cache, and the allocation-free encode
-// path. BM_KdcParallel{As,Tgs} then drive the same handler from a worker
-// pool (one KdcContext per worker) to measure multi-threaded serving;
-// the *Env variants size the pool from KERB_KDC_THREADS.
+// pre-encode one valid request and hand it straight to the KdcCore5 handler
+// (the KdcCore4 one in BM_Kdc4{As,Tgs}), isolating the serving cost: sharded
+// principal lookups, the per-context derived-key cache, the seals and the
+// allocation-free encode path. BM_KdcParallel{As,Tgs} then drive the V5
+// handler from a worker pool (one KdcContext per worker) to measure
+// multi-threaded serving; the *Env variants size the pool from
+// KERB_KDC_THREADS.
 //
 // Replaying one pre-encoded request is sound here: the simulation clock
 // never advances during the loop (preauth timestamps stay fresh) and the
 // Draft 3 TGS keeps no replay cache — itself one of the paper's points.
 
+#include <cstdlib>
+
 #include "bench/bench_util.h"
 #include "src/attacks/kdcload.h"
+#include "src/attacks/testbed.h"
 #include "src/attacks/testbed5.h"
 #include "src/crypto/checksum.h"
 #include "src/crypto/str2key.h"
@@ -28,8 +32,9 @@ using kattack::Testbed5Config;
 void PrintExperimentReport() {
   kbench::Header("B11", "KDC serving fast path: handler-level and parallel throughput");
   kbench::Line("  BM_Kdc{AsBare,AsPreauth,Tgs} time KdcCore5 handlers on pre-encoded");
-  kbench::Line("  requests (no client-side work). BM_KdcParallel* add a worker pool;");
-  kbench::Line("  the Env variants honour KERB_KDC_THREADS.");
+  kbench::Line("  requests (no client-side work), BM_Kdc4{As,Tgs} the KdcCore4 ones.");
+  kbench::Line("  BM_KdcParallel* add a worker pool; the Env variants honour");
+  kbench::Line("  KERB_KDC_THREADS.");
 }
 
 // A testbed plus one pre-encoded request per exchange, built once. The
@@ -136,6 +141,70 @@ void BM_KdcTgs(benchmark::State& state) {
   RunHandlerBenchmark(state, BareSetup(), BareSetup().tgs_request, true);
 }
 BENCHMARK(BM_KdcTgs)->Unit(benchmark::kMicrosecond);
+
+// The same handler-level timing for the V4 core (KdcCore4 behind Testbed4's
+// KDC): a bare AS request, and a TGS request presenting the TGT alice's
+// login obtained. V4 has no AS nonce, and its TGS keeps no replay cache, so
+// one pre-encoded request of each replays soundly.
+struct Kdc4BenchSetup {
+  Kdc4BenchSetup() {
+    const ksim::Time now = bed.world().MakeHostClock().Now();
+    krb4::AsRequest4 as_req;
+    as_req.client = bed.alice_principal();
+    as_req.service_realm = bed.realm;
+    as_req.lifetime = 8 * ksim::kHour;
+    as_request.src = kattack::Testbed4::kAliceAddr;
+    as_request.dst = kattack::Testbed4::kAsAddr;
+    as_request.payload = krb4::Frame4(krb4::MsgType::kAsRequest, as_req.Encode());
+    as_request.sent_at = now;
+
+    // Alice's login yields the TGT and session key, built the way Client4
+    // builds them.
+    if (!bed.alice().Login(kattack::Testbed4::kAlicePassword).ok()) {
+      std::abort();
+    }
+    const krb4::TgsCredentials& creds = *bed.alice().tgs_credentials();
+    krb4::Authenticator4 auth;
+    auth.client = bed.alice_principal();
+    auth.client_addr = kattack::Testbed4::kAliceAddr.host;
+    auth.timestamp = now;
+    krb4::TgsRequest4 tgs_req;
+    tgs_req.service = bed.mail_principal();
+    tgs_req.sealed_tgt = creds.sealed_tgt;
+    tgs_req.sealed_auth = auth.Seal(creds.session_key);
+    tgs_req.lifetime = ksim::kHour;
+    tgs_request.src = kattack::Testbed4::kAliceAddr;
+    tgs_request.dst = kattack::Testbed4::kTgsAddr;
+    tgs_request.payload = krb4::Frame4(krb4::MsgType::kTgsRequest, tgs_req.Encode());
+    tgs_request.sent_at = now;
+  }
+
+  kattack::Testbed4 bed;
+  ksim::Message as_request;
+  ksim::Message tgs_request;
+};
+
+void RunKdc4Benchmark(benchmark::State& state, bool tgs) {
+  static Kdc4BenchSetup setup;
+  krb4::KdcCore4& core = setup.bed.kdc();
+  const ksim::Message& request = tgs ? setup.tgs_request : setup.as_request;
+  krb4::KdcContext ctx(kcrypto::Prng(0xb11c0d4));
+  for (auto _ : state) {
+    auto reply = tgs ? core.HandleTgs(request, ctx) : core.HandleAs(request, ctx);
+    if (!reply.ok()) {
+      state.SkipWithError(reply.error().detail.c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(reply.value().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+void BM_Kdc4As(benchmark::State& state) { RunKdc4Benchmark(state, false); }
+BENCHMARK(BM_Kdc4As)->Unit(benchmark::kMicrosecond);
+
+void BM_Kdc4Tgs(benchmark::State& state) { RunKdc4Benchmark(state, true); }
+BENCHMARK(BM_Kdc4Tgs)->Unit(benchmark::kMicrosecond);
 
 // Worker-pool variants. Each timed iteration dispatches a fixed batch per
 // worker through RunKdcLoad; items/sec is computed against wall-clock time

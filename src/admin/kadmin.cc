@@ -33,7 +33,9 @@ kerb::Result<kerb::Bytes> KadminServer::Handle(const ksim::Message& msg) {
 
   // Layer 1: byte-identical duplicates earn the byte-identical reply —
   // never a second pass through the state machine.
-  const kerb::Bytes* cached = replies_.Get(msg.src, msg.payload, now, policy_.reply_cache_window);
+  const size_t slot = krb4::KdcReplyCache::Slot(msg.src, msg.payload);
+  const kerb::Bytes* cached =
+      replies_.Get(slot, msg.src, msg.payload, now, policy_.reply_cache_window);
   if (cached != nullptr) {
     ++reply_cache_hits_;
     kobs::Emit(kobs::kSrcAdmin, kobs::Ev::kAdminReplayServe, now, msg.src.host, 0);
@@ -42,7 +44,7 @@ kerb::Result<kerb::Bytes> KadminServer::Handle(const ksim::Message& msg) {
 
   auto reply = Process(msg, now);
   if (reply.ok()) {
-    replies_.Put(msg.src, msg.payload, reply.value(), now);
+    replies_.Put(slot, msg.src, msg.payload, reply.value(), now);
   }
   return reply;
 }

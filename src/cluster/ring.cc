@@ -4,20 +4,27 @@
 
 namespace kcluster {
 
-uint64_t HashRing::PointOf(uint64_t seed, uint64_t node_id, uint32_t vnode) {
-  // FNV-1a over the (seed, node_id, vnode) tuple, then a SplitMix64-style
-  // finalizer: FNV alone is weak in its high bits, and ring ownership
-  // compares full 64-bit coordinates.
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(seed);
-  mix(node_id);
-  mix(vnode);
+namespace {
+
+// FNV-1a over the eight little-endian bytes of `v`, continuing from `h`.
+uint64_t FnvMix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The FNV state after (seed, node_id), the prefix every point of one
+// member shares.
+uint64_t MemberPrefix(uint64_t seed, uint64_t node_id) {
+  return FnvMix(FnvMix(0xcbf29ce484222325ull, seed), node_id);
+}
+
+// Mixes in the vnode, then a SplitMix64-style finalizer: FNV alone is weak
+// in its high bits, and ring ownership compares full 64-bit coordinates.
+uint64_t PointAfter(uint64_t prefix, uint32_t vnode) {
+  uint64_t h = FnvMix(prefix, vnode);
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ull;
   h ^= h >> 27;
@@ -26,14 +33,23 @@ uint64_t HashRing::PointOf(uint64_t seed, uint64_t node_id, uint32_t vnode) {
   return h;
 }
 
+}  // namespace
+
+uint64_t HashRing::PointOf(uint64_t seed, uint64_t node_id, uint32_t vnode) {
+  // FNV-1a over the (seed, node_id, vnode) tuple, then the finalizer.
+  return PointAfter(MemberPrefix(seed, node_id), vnode);
+}
+
 void HashRing::SetMembers(uint32_t epoch, std::vector<RingMember> members) {
   epoch_ = epoch;
   members_ = std::move(members);
   points_.clear();
   points_.reserve(members_.size() * config_.vnodes);
   for (uint32_t m = 0; m < members_.size(); ++m) {
+    // PointOf for each vnode, the member's prefix folded once.
+    const uint64_t prefix = MemberPrefix(config_.seed, members_[m].node_id);
     for (uint32_t v = 0; v < config_.vnodes; ++v) {
-      points_.push_back(Point{PointOf(config_.seed, members_[m].node_id, v), m});
+      points_.push_back(Point{PointAfter(prefix, v), m});
     }
   }
   // Tie-break on member index so coincident points order identically on

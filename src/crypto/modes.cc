@@ -142,6 +142,18 @@ uint64_t CbcChainInPlace(const DesKey& key, uint64_t y, uint8_t* data, size_t si
   return y;
 }
 
+// Continues a PCBC chain held in the IP domain over whole blocks in place:
+// `y` is the previous output before FP and `prev` the previous plaintext
+// block (0 and the IV at the start).
+void PcbcChainInPlace(const DesKey& key, uint64_t y, uint64_t prev, uint8_t* data, size_t size) {
+  for (size_t off = 0; off < size; off += 8) {
+    const uint64_t p = LoadU64BE(data + off);
+    y = key.EncryptRounds(y ^ InitialPermutation(p ^ prev));
+    StoreU64BE(data + off, FinalPermutation(y));
+    prev = p;
+  }
+}
+
 }  // namespace
 
 void EncryptEcbInPlace(const DesKey& key, uint8_t* data, size_t size) {
@@ -201,14 +213,7 @@ void EncryptPcbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, si
   assert(size % 8 == 0);
   // C_i = E(P_i ^ P_{i-1} ^ C_{i-1}) in the IP domain: the chain carries
   // IP(P_i ^ P_{i-1}) ^ y_{i-1}, starting from P_0 = IV and y_0 = 0.
-  uint64_t prev = BlockToU64(iv);
-  uint64_t y = 0;
-  for (size_t off = 0; off < size; off += 8) {
-    const uint64_t p = LoadU64BE(data + off);
-    y = key.EncryptRounds(y ^ InitialPermutation(p ^ prev));
-    StoreU64BE(data + off, FinalPermutation(y));
-    prev = p;
-  }
+  PcbcChainInPlace(key, 0, BlockToU64(iv), data, size);
 }
 
 void DecryptPcbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, size_t size) {
@@ -246,6 +251,31 @@ void EncryptCbcPairInPlace(const DesKey& key_a, uint8_t* a, size_t a_size, const
   // At most one of these has blocks left.
   CbcChainInPlace(key_a, ya, a + both, a_size - both);
   CbcChainInPlace(key_b, yb, b + both, b_size - both);
+}
+
+void EncryptPcbcNestedInPlace(const DesKey& inner_key, size_t inner_offset, size_t inner_size,
+                              const DesKey& outer_key, uint8_t* data, size_t size) {
+  assert(size % 8 == 0 && inner_size % 8 == 0);
+  assert(inner_offset >= 8 && inner_offset + inner_size <= size);
+  uint8_t* inner = data + inner_offset;
+  uint64_t y_in = 0;  // both chains start from the zero IV
+  uint64_t prev_in = 0;
+  uint64_t y_out = 0;
+  uint64_t prev_out = 0;
+  // Outer block s ends before inner block s starts, and the outer stores of
+  // steps < s end before either, so each load sees the serial order's bytes.
+  for (size_t off = 0; off < inner_size; off += 8) {
+    const uint64_t p_in = LoadU64BE(inner + off);
+    const uint64_t p_out = LoadU64BE(data + off);
+    y_in ^= InitialPermutation(p_in ^ prev_in);
+    y_out ^= InitialPermutation(p_out ^ prev_out);
+    DesKey::EncryptRoundsPair(inner_key, y_in, outer_key, y_out);
+    StoreU64BE(inner + off, FinalPermutation(y_in));
+    StoreU64BE(data + off, FinalPermutation(y_out));
+    prev_in = p_in;
+    prev_out = p_out;
+  }
+  PcbcChainInPlace(outer_key, y_out, prev_out, data + inner_size, size - inner_size);
 }
 
 // --- Allocating convenience wrappers. ------------------------------------

@@ -92,6 +92,17 @@ void DecryptPcbcInPlace(const DesKey& key, const DesBlock& iv, uint8_t* data, si
 void EncryptCbcPairInPlace(const DesKey& key_a, uint8_t* a, size_t a_size, const DesKey& key_b,
                            uint8_t* b, size_t b_size);
 
+// Two nested PCBC encryptions with the zero IV, in one pass over one buffer:
+// byte-identical to EncryptPcbcInPlace(inner_key, kZeroIv, data +
+// inner_offset, inner_size) followed by EncryptPcbcInPlace(outer_key,
+// kZeroIv, data, size). This is the shape of a V4 KDC reply, whose sealed
+// body carries the sealed ticket. With inner_offset >= 8, outer block s reads
+// only inner ciphertext blocks < s, so step s runs inner block s and outer
+// block s in lockstep; the outer chain finishes alone. Requires inner_offset
+// >= 8 and inner_offset + inner_size <= size, both sizes multiples of 8.
+void EncryptPcbcNestedInPlace(const DesKey& inner_key, size_t inner_offset, size_t inner_size,
+                              const DesKey& outer_key, uint8_t* data, size_t size);
+
 // --- Allocating convenience wrappers (copy once, transform in place). ----
 
 // ECB. Input must be a multiple of 8 bytes (asserted).

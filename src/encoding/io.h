@@ -29,8 +29,13 @@ class Writer {
   // Appends into a caller-owned buffer instead — the allocation-free serving
   // path hands the same buffer back every request, so after warm-up the
   // capacity is already there and no encode allocates. The buffer is cleared
-  // (capacity kept) on construction; it is NOT valid to call Take().
-  explicit Writer(kerb::Bytes* reuse) : out_(reuse) { out_->clear(); }
+  // (capacity kept) on construction unless `append` is set, which writes
+  // after what it already holds; it is NOT valid to call Take().
+  explicit Writer(kerb::Bytes* reuse, bool append = false) : out_(reuse) {
+    if (!append) {
+      out_->clear();
+    }
+  }
 
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;

@@ -52,12 +52,9 @@ kerb::Result<kcrypto::DesKey> KdcServeFrame::CachedLookup(const Principal& princ
   return looked_up;
 }
 
-const kerb::Bytes* KdcServeFrame::CachedReply(const ksim::Message& msg, KdcContext& ctx,
-                                              ksim::Duration window) {
-  if (window <= 0) {
-    return nullptr;
-  }
-  const kerb::Bytes* cached = ctx.replies.Get(msg.src, msg.payload, clock_.Now(), window);
+const kerb::Bytes* KdcServeFrame::CachedReply(size_t slot, const ksim::Message& msg,
+                                              KdcContext& ctx, ksim::Duration window) {
+  const kerb::Bytes* cached = ctx.replies.Get(slot, msg.src, msg.payload, clock_.Now(), window);
   if (cached != nullptr) {
     reply_cache_hits_.fetch_add(1, std::memory_order_relaxed);
     if (kobs::Enabled()) {
@@ -68,12 +65,9 @@ const kerb::Bytes* KdcServeFrame::CachedReply(const ksim::Message& msg, KdcConte
   return cached;
 }
 
-void KdcServeFrame::RememberReply(const ksim::Message& msg, const kerb::Bytes& reply,
-                                  KdcContext& ctx, ksim::Duration window) {
-  if (window <= 0) {
-    return;
-  }
-  ctx.replies.Put(msg.src, msg.payload, reply, clock_.Now());
+void KdcServeFrame::RememberReply(size_t slot, const ksim::Message& msg,
+                                  const kerb::Bytes& reply, KdcContext& ctx) {
+  ctx.replies.Put(slot, msg.src, msg.payload, reply, clock_.Now());
   if (kobs::Enabled()) {
     kobs::Emit(source_, kobs::Ev::kKdcReplyCacheStore, clock_.Now(), msg.src.host, reply.size());
   }
@@ -117,32 +111,36 @@ kerb::Result<kerb::Bytes> KdcCore4::HandleTgs(const ksim::Message& msg, KdcConte
   });
 }
 
-template <typename AsReq>
-void KdcCore4::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
-                       const kcrypto::DesKey& tgs_key, KdcContext& ctx) {
-  // V4 quantization: the grant is whatever fits a one-byte 5-minute count.
-  ksim::Duration lifetime = V4UnitsToLifetime(
-      LifetimeToV4Units(std::min(req.lifetime, options_.max_ticket_lifetime)));
+namespace {
 
-  // Session keys are only sent, never used here: draw them unscheduled.
-  const kcrypto::DesBlock session_key = ctx.prng.NextDesKeyBytes();
+// Frames the reply that carries `ticket` into ctx.scratch.reply (capacity
+// kept): the ticket sealed under `ticket_key` inside the body sealed under
+// `reply_key`, in one pass.
+const kerb::Bytes& SealReply(MsgType type, const Ticket4& ticket,
+                             const kcrypto::DesKey& ticket_key, const kcrypto::DesKey& reply_key,
+                             KdcContext& ctx) {
+  kerb::Bytes& reply = ctx.scratch.reply;
+  reply.assign({kProtocolVersion, static_cast<uint8_t>(type)});
+  AppendSealedReply4(ticket, ticket_key, reply_key, reply);
+  return reply;
+}
+
+}  // namespace
+
+template <typename AsReq>
+Ticket4 KdcCore4::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
+                          KdcContext& ctx) const {
   Ticket4 tgt;
   tgt.service = tgs_principal_;
   tgt.client = req.client;
   tgt.client_addr = msg.src.host;  // trusts the claimed source address
   tgt.issued_at = now;
-  tgt.lifetime = lifetime;
-  tgt.session_key = session_key;
-
-  // Assembled through the context's scratch buffers instead of
-  // AsReplyBody4 temporaries.
-  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
-  tgt.AppendTo(ticket_writer);
-  ctx.scratch.ticket_sealed.clear();
-  Seal4Into(tgs_key, ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
-
-  kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key, ctx.scratch.ticket_sealed, now, lifetime);
+  // V4 quantization: the grant is whatever fits a one-byte 5-minute count.
+  tgt.lifetime = V4UnitsToLifetime(
+      LifetimeToV4Units(std::min(req.lifetime, options_.max_ticket_lifetime)));
+  // Session keys are only sent, never used here: draw them unscheduled.
+  tgt.session_key = ctx.prng.NextDesKeyBytes();
+  return tgt;
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRequest4& req,
@@ -159,10 +157,8 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAs(const ksim::Message& msg, const AsRe
   }
 
   // The reply is {K_c,tgs, {T_c,tgs}K_tgs, times}K_c.
-  MintTgt(msg, req, clock_.Now(), tgs_key.value(), ctx);
-  SealedFrame4Into(MsgType::kAsReply, client_key.value(), ctx.scratch.body_plain,
-                   ctx.scratch.reply);
-  return ctx.scratch.reply;
+  return SealReply(MsgType::kAsReply, MintTgt(msg, req, clock_.Now(), ctx), tgs_key.value(),
+                   client_key.value(), ctx);
 }
 
 kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const AsPkRequest4& req,
@@ -220,12 +216,11 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const As
   kcrypto::DesKey dh_key = kcrypto::DhDeriveKey(
       kcrypto::DhSharedSecret(group, server_pair.private_key, client_pub));
 
-  MintTgt(msg, req, now, tgs_key.value(), ctx);
-
   // Inner layer {body}K_c, then the DH layer over the inner ciphertext —
   // the password-keyed blob never appears bare on the wire.
   ctx.scratch.body_sealed.clear();
-  Seal4Into(client_key.value(), ctx.scratch.body_plain, ctx.scratch.body_sealed);
+  AppendSealedReply4(MintTgt(msg, req, now, ctx), tgs_key.value(), client_key.value(),
+                     ctx.scratch.body_sealed);
   ctx.scratch.pk_outer.clear();
   Seal4Into(dh_key, ctx.scratch.body_sealed, ctx.scratch.pk_outer);
 
@@ -287,7 +282,6 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   ksim::Duration requested =
       std::min({req.lifetime, options_.max_ticket_lifetime, tgt_remaining});
   ksim::Duration lifetime = (requested / kV4LifetimeUnit) * kV4LifetimeUnit;
-  const kcrypto::DesBlock session_key = ctx.prng.NextDesKeyBytes();
 
   Ticket4 ticket;
   ticket.service = req.service;
@@ -295,18 +289,9 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   ticket.client_addr = tgt->client_addr;
   ticket.issued_at = now;
   ticket.lifetime = lifetime;
-  ticket.session_key = session_key;
+  ticket.session_key = ctx.prng.NextDesKeyBytes();
 
-  kenc::Writer ticket_writer(&ctx.scratch.ticket_plain);
-  ticket.AppendTo(ticket_writer);
-  ctx.scratch.ticket_sealed.clear();
-  Seal4Into(service_key.value(), ctx.scratch.ticket_plain, ctx.scratch.ticket_sealed);
-
-  kenc::Writer body_writer(&ctx.scratch.body_plain);
-  AppendReplyBody4(body_writer, session_key, ctx.scratch.ticket_sealed, now, lifetime);
-
-  SealedFrame4Into(MsgType::kTgsReply, tgs_session, ctx.scratch.body_plain, ctx.scratch.reply);
-  return ctx.scratch.reply;
+  return SealReply(MsgType::kTgsReply, ticket, service_key.value(), tgs_session, ctx);
 }
 
 }  // namespace krb4

@@ -109,9 +109,19 @@ class KdcKeyCache {
 // ticket never answers a V5 lookup (std::any_cast checks it).
 class KdcUnsealMemo {
  public:
+  // The slot of `sealed`: computed once per request and passed to every Get
+  // and Put for that ciphertext.
+  static size_t Slot(kerb::BytesView sealed) {
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t b : sealed) {
+      h = (h ^ b) * 1099511628211ull;
+    }
+    return static_cast<size_t>(h & (kSlots - 1));
+  }
+
   template <typename T>
-  const T* Get(const kcrypto::DesBlock& key, kerb::BytesView sealed) const {
-    const Entry& entry = entries_[Slot(sealed)];
+  const T* Get(size_t slot, const kcrypto::DesBlock& key, kerb::BytesView sealed) const {
+    const Entry& entry = entries_[slot];
     if (!entry.used || entry.key_bytes != key || entry.sealed.size() != sealed.size() ||
         !std::equal(entry.sealed.begin(), entry.sealed.end(), sealed.begin())) {
       return nullptr;
@@ -120,8 +130,8 @@ class KdcUnsealMemo {
   }
 
   template <typename T>
-  const T* Put(const kcrypto::DesBlock& key, kerb::BytesView sealed, T value) {
-    Entry& entry = entries_[Slot(sealed)];
+  const T* Put(size_t slot, const kcrypto::DesBlock& key, kerb::BytesView sealed, T value) {
+    Entry& entry = entries_[slot];
     entry.used = true;
     entry.key_bytes = key;
     entry.sealed.assign(sealed.begin(), sealed.end());
@@ -131,14 +141,6 @@ class KdcUnsealMemo {
 
  private:
   static constexpr size_t kSlots = 16;
-
-  static size_t Slot(kerb::BytesView sealed) {
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : sealed) {
-      h = (h ^ b) * 1099511628211ull;
-    }
-    return static_cast<size_t>(h & (kSlots - 1));
-  }
 
   struct Entry {
     bool used = false;
@@ -159,32 +161,8 @@ class KdcUnsealMemo {
 // the serving path stays lock-free.
 class KdcReplyCache {
  public:
-  // Returns the cached reply for a fresh duplicate, or nullptr.
-  const kerb::Bytes* Get(const ksim::NetAddress& src, kerb::BytesView request, ksim::Time now,
-                         ksim::Duration window) const {
-    const Entry& entry = entries_[Slot(src, request)];
-    if (!entry.used || entry.src_host != src.host || entry.src_port != src.port ||
-        now - entry.stored_at > window || entry.request.size() != request.size() ||
-        !std::equal(entry.request.begin(), entry.request.end(), request.begin())) {
-      return nullptr;
-    }
-    return &entry.reply;
-  }
-
-  void Put(const ksim::NetAddress& src, kerb::BytesView request, kerb::BytesView reply,
-           ksim::Time now) {
-    Entry& entry = entries_[Slot(src, request)];
-    entry.used = true;
-    entry.src_host = src.host;
-    entry.src_port = src.port;
-    entry.request.assign(request.begin(), request.end());
-    entry.reply.assign(reply.begin(), reply.end());
-    entry.stored_at = now;
-  }
-
- private:
-  static constexpr size_t kSlots = 16;
-
+  // The slot of (src, request): computed once per request and passed to
+  // both its Get and its Put.
   static size_t Slot(const ksim::NetAddress& src, kerb::BytesView request) {
     uint64_t h = 1469598103934665603ull;
     auto mix = [&h](uint8_t b) { h = (h ^ b) * 1099511628211ull; };
@@ -198,6 +176,32 @@ class KdcReplyCache {
     }
     return static_cast<size_t>(h & (kSlots - 1));
   }
+
+  // Returns the cached reply for a fresh duplicate, or nullptr.
+  const kerb::Bytes* Get(size_t slot, const ksim::NetAddress& src, kerb::BytesView request,
+                         ksim::Time now, ksim::Duration window) const {
+    const Entry& entry = entries_[slot];
+    if (!entry.used || entry.src_host != src.host || entry.src_port != src.port ||
+        now - entry.stored_at > window || entry.request.size() != request.size() ||
+        !std::equal(entry.request.begin(), entry.request.end(), request.begin())) {
+      return nullptr;
+    }
+    return &entry.reply;
+  }
+
+  void Put(size_t slot, const ksim::NetAddress& src, kerb::BytesView request,
+           kerb::BytesView reply, ksim::Time now) {
+    Entry& entry = entries_[slot];
+    entry.used = true;
+    entry.src_host = src.host;
+    entry.src_port = src.port;
+    entry.request.assign(request.begin(), request.end());
+    entry.reply.assign(reply.begin(), reply.end());
+    entry.stored_at = now;
+  }
+
+ private:
+  static constexpr size_t kSlots = 16;
 
   struct Entry {
     bool used = false;
@@ -215,9 +219,7 @@ class KdcReplyCache {
 // exception is the reply handed back to the network, which the caller
 // owns).
 struct KdcScratch {
-  kerb::Bytes ticket_plain;
-  kerb::Bytes ticket_sealed;
-  kerb::Bytes body_plain;
+  kerb::Bytes ticket_sealed;  // V5 only: V4 seals its ticket inside the reply
   kerb::Bytes body_sealed;
   kerb::Bytes pk_outer;  // DH-layer seal of body_sealed in the PK AS path
   kerb::Bytes reply;
@@ -310,7 +312,8 @@ class KdcServeFrame {
   kerb::Result<const Ticket*> UnsealTgt(const kcrypto::DesKey& key, kerb::BytesView sealed,
                                         bool ring_fallback, ksim::Time now, KdcContext& ctx,
                                         Unseal&& unseal) const {
-    const Ticket* tgt = ctx.unseals.Get<Ticket>(key.bytes(), sealed);
+    const size_t slot = KdcUnsealMemo::Slot(sealed);
+    const Ticket* tgt = ctx.unseals.Get<Ticket>(slot, key.bytes(), sealed);
     if (kobs::Enabled()) {
       kobs::Emit(source_,
                  tgt != nullptr ? kobs::Ev::kKdcUnsealMemoHit : kobs::Ev::kKdcUnsealMemoMiss,
@@ -320,7 +323,7 @@ class KdcServeFrame {
       return tgt;
     }
     if (auto unsealed = unseal(key, sealed); unsealed.ok()) {
-      return ctx.unseals.Put(key.bytes(), sealed, std::move(unsealed.value()));
+      return ctx.unseals.Put(slot, key.bytes(), sealed, std::move(unsealed.value()));
     }
     PrincipalEntry tgs_entry;
     if (ring_fallback && db_.store().LookupEntry(tgs_principal_, &tgs_entry)) {
@@ -329,12 +332,12 @@ class KdcServeFrame {
         if (kv.not_after != 0 && now > kv.not_after) {
           continue;
         }
-        tgt = ctx.unseals.Get<Ticket>(kv.key, sealed);
+        tgt = ctx.unseals.Get<Ticket>(slot, kv.key, sealed);
         if (tgt == nullptr) {
           // The store holds the old version's bytes; schedule it only now
           // that the memo has missed.
           if (auto old_unsealed = unseal(kcrypto::DesKey(kv.key), sealed); old_unsealed.ok()) {
-            tgt = ctx.unseals.Put(kv.key, sealed, std::move(old_unsealed.value()));
+            tgt = ctx.unseals.Put(slot, kv.key, sealed, std::move(old_unsealed.value()));
           }
         }
         if (tgt != nullptr) {
@@ -359,22 +362,26 @@ class KdcServeFrame {
   kerb::Result<kerb::Bytes> CountAndServe(bool tgs, const ksim::Message& msg, KdcContext& ctx,
                                           ksim::Duration reply_cache_window, Body& body) {
     (tgs ? tgs_requests_ : as_requests_).fetch_add(1, std::memory_order_relaxed);
-    if (const kerb::Bytes* cached = CachedReply(msg, ctx, reply_cache_window)) {
+    if (reply_cache_window <= 0) {
+      return body();
+    }
+    const size_t slot = KdcReplyCache::Slot(msg.src, msg.payload);
+    if (const kerb::Bytes* cached = CachedReply(slot, msg, ctx, reply_cache_window)) {
       return *cached;
     }
     kerb::Result<kerb::Bytes> reply = body();
     if (reply.ok()) {
-      RememberReply(msg, reply.value(), ctx, reply_cache_window);
+      RememberReply(slot, msg, reply.value(), ctx);
     }
     return reply;
   }
 
-  // Serves a fresh duplicate from the context's reply cache, if enabled.
-  const kerb::Bytes* CachedReply(const ksim::Message& msg, KdcContext& ctx,
+  // Serves a fresh duplicate from the context's reply cache.
+  const kerb::Bytes* CachedReply(size_t slot, const ksim::Message& msg, KdcContext& ctx,
                                  ksim::Duration window);
-  // Remembers a successful reply for retransmission, if enabled.
-  void RememberReply(const ksim::Message& msg, const kerb::Bytes& reply, KdcContext& ctx,
-                     ksim::Duration window);
+  // Remembers a successful reply for retransmission.
+  void RememberReply(size_t slot, const ksim::Message& msg, const kerb::Bytes& reply,
+                     KdcContext& ctx);
 
   // DH group for PK preauth, engine pre-built; immutable while serving, so
   // worker threads share it without locks.
@@ -405,13 +412,12 @@ class KdcCore4 : public KdcServeFrame {
   kerb::Result<kerb::Bytes> ServeTgs(const ksim::Message& msg, const TgsRequest4& req,
                                      KdcContext& ctx);
 
-  // The TGT both AS paths issue: mints it for `req`'s client at the claimed
-  // source address, seals it under `tgs_key`, and leaves the AS reply body
-  // {K_c,tgs, {T_c,tgs}K_tgs, times} in ctx.scratch.body_plain. Draws the
-  // session key from the context PRNG.
+  // The TGT both AS paths issue: for `req`'s client at the claimed source
+  // address, its lifetime quantized to V4 units, with a session key drawn
+  // from the context PRNG.
   template <typename AsReq>
-  void MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
-               const kcrypto::DesKey& tgs_key, KdcContext& ctx);
+  Ticket4 MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
+                  KdcContext& ctx) const;
 
   KdcOptions options_;
 };

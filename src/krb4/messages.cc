@@ -21,6 +21,29 @@ kerb::Result<kcrypto::DesBlock> GetKeyBlock(kenc::Reader& r) {
   return block;
 }
 
+void StoreU32At(kerb::Bytes& out, size_t at, size_t value) {
+  for (size_t i = 0; i < 4; ++i) {
+    out[at + i] = static_cast<uint8_t>(value >> (24 - 8 * i));
+  }
+}
+
+// Starts a seal at the end of `w`'s buffer: the magic, then a plaintext
+// length that EndSeal4 fills in. Returns where the seal starts.
+size_t BeginSeal4(kenc::Writer& w) {
+  const size_t start = w.size();
+  w.PutBytes(kerb::BytesView(kSealMagic, 4));
+  w.PutU32(0);
+  return start;
+}
+
+// Finishes the seal begun at `start` once its plaintext is written: fills in
+// the length and zero-pads to a block boundary. Returns the seal's size.
+size_t EndSeal4(kerb::Bytes& out, size_t start) {
+  StoreU32At(out, start + 4, out.size() - start - 8);
+  out.resize(start + ((out.size() - start + 7) & ~size_t{7}), 0);
+  return out.size() - start;
+}
+
 }  // namespace
 
 uint8_t LifetimeToV4Units(ksim::Duration lifetime) {
@@ -34,32 +57,40 @@ uint8_t LifetimeToV4Units(ksim::Duration lifetime) {
 ksim::Duration V4UnitsToLifetime(uint8_t units) { return units * kV4LifetimeUnit; }
 
 kerb::Bytes Seal4(const kcrypto::DesKey& key, kerb::BytesView plaintext) {
-  kenc::Writer w;
-  w.PutBytes(kerb::BytesView(kSealMagic, 4));
-  w.PutLengthPrefixed(plaintext);
-  kerb::Bytes padded = kcrypto::ZeroPadTo8(w.Peek());
-  kcrypto::EncryptPcbcInPlace(key, kcrypto::kZeroIv, padded.data(), padded.size());
-  kobs::EmitNow(kobs::kSrcSeal4, kobs::Ev::kSeal, padded.size(), 0);
-  return padded;
+  kerb::Bytes out;
+  out.reserve(plaintext.size() + 15);
+  Seal4Into(key, plaintext, out);
+  return out;
 }
 
 void Seal4Into(const kcrypto::DesKey& key, kerb::BytesView plaintext, kerb::Bytes& out) {
-  const size_t start = out.size();
-  out.push_back(kSealMagic[0]);
-  out.push_back(kSealMagic[1]);
-  out.push_back(kSealMagic[2]);
-  out.push_back(kSealMagic[3]);
-  const uint32_t len = static_cast<uint32_t>(plaintext.size());
-  out.push_back(static_cast<uint8_t>(len >> 24));
-  out.push_back(static_cast<uint8_t>(len >> 16));
-  out.push_back(static_cast<uint8_t>(len >> 8));
-  out.push_back(static_cast<uint8_t>(len));
-  kerb::Append(out, plaintext);
-  while ((out.size() - start) % 8 != 0) {
-    out.push_back(0);
-  }
-  kcrypto::EncryptPcbcInPlace(key, kcrypto::kZeroIv, out.data() + start, out.size() - start);
-  kobs::EmitNow(kobs::kSrcSeal4, kobs::Ev::kSeal, out.size() - start, 0);
+  kenc::Writer w(&out, /*append=*/true);
+  const size_t start = BeginSeal4(w);
+  w.PutBytes(plaintext);
+  const size_t size = EndSeal4(out, start);
+  kcrypto::EncryptPcbcInPlace(key, kcrypto::kZeroIv, out.data() + start, size);
+  kobs::EmitNow(kobs::kSrcSeal4, kobs::Ev::kSeal, size, 0);
+}
+
+void AppendSealedReply4(const Ticket4& ticket, const kcrypto::DesKey& ticket_key,
+                        const kcrypto::DesKey& reply_key, kerb::Bytes& out) {
+  kenc::Writer w(&out, /*append=*/true);
+  const size_t start = BeginSeal4(w);
+  // AppendReplyBody4's layout, the sealed ticket written in place behind
+  // its length.
+  w.PutBytes(kerb::BytesView(ticket.session_key.data(), ticket.session_key.size()));
+  w.PutU32(0);
+  const size_t ticket_start = BeginSeal4(w);
+  ticket.AppendTo(w);
+  const size_t ticket_size = EndSeal4(out, ticket_start);
+  StoreU32At(out, ticket_start - 4, ticket_size);
+  w.PutU64(static_cast<uint64_t>(ticket.issued_at));
+  w.PutU64(static_cast<uint64_t>(ticket.lifetime));
+  const size_t size = EndSeal4(out, start);
+  kcrypto::EncryptPcbcNestedInPlace(ticket_key, ticket_start - start, ticket_size, reply_key,
+                                    out.data() + start, size);
+  kobs::EmitNow(kobs::kSrcSeal4, kobs::Ev::kSeal, ticket_size, 0);
+  kobs::EmitNow(kobs::kSrcSeal4, kobs::Ev::kSeal, size, 0);
 }
 
 namespace {
@@ -454,14 +485,6 @@ kerb::Bytes Frame4(MsgType type, kerb::BytesView body) {
   w.PutU8(static_cast<uint8_t>(type));
   w.PutBytes(body);
   return w.Take();
-}
-
-void SealedFrame4Into(MsgType type, const kcrypto::DesKey& key, kerb::BytesView plaintext,
-                      kerb::Bytes& out) {
-  out.clear();
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<uint8_t>(type));
-  Seal4Into(key, plaintext, out);
 }
 
 void AppendReplyBody4(kenc::Writer& w, const kcrypto::DesBlock& session_key,

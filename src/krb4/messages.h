@@ -237,18 +237,23 @@ kerb::Result<std::pair<uint32_t, kerb::Bytes>> ParseError4(kerb::BytesView body)
 kerb::Bytes Frame4(MsgType type, kerb::BytesView body);
 kerb::Result<std::pair<MsgType, kerb::Bytes>> Unframe4(kerb::BytesView data);
 
-// Builds `Frame4(type, Seal4(key, plaintext))` directly into `out` — the
-// shape of every KDC reply — with zero intermediate buffers. `out` is
-// cleared first (capacity kept).
-void SealedFrame4Into(MsgType type, const kcrypto::DesKey& key, kerb::BytesView plaintext,
-                      kerb::Bytes& out);
-
 // The common layout of AsReplyBody4 / TgsReplyBody4: 8-byte session key,
-// length-prefixed sealed blob, issue time, lifetime. Shared so the serving
-// path and the struct Encode()s cannot drift apart.
+// length-prefixed sealed blob, issue time, lifetime. The KDC writes the same
+// layout through AppendSealedReply4, with the blob sealed in place;
+// tests/krb4/messages4_test.cc holds the two to the same bytes.
 void AppendReplyBody4(kenc::Writer& w, const kcrypto::DesBlock& session_key,
                       kerb::BytesView sealed_blob, ksim::Time issued_at,
                       ksim::Duration lifetime);
+
+// Appends Seal4(reply_key, body) to `out`, where body is the KDC reply body
+// that carries `ticket`: AppendReplyBody4 of the ticket's session key, the
+// sealed ticket Seal4(ticket_key, ticket.Encode()), and the ticket's issue
+// time and lifetime — the shape of every AS and TGS reply. The ticket is
+// encoded at its final offset, and its PCBC chain runs in lockstep with the
+// reply's (kcrypto::EncryptPcbcNestedInPlace): the bytes, and the two kSeal
+// events in their order, are those of sealing the ticket and then the body.
+void AppendSealedReply4(const Ticket4& ticket, const kcrypto::DesKey& ticket_key,
+                        const kcrypto::DesKey& reply_key, kerb::Bytes& out);
 
 }  // namespace krb4
 

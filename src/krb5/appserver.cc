@@ -105,6 +105,7 @@ kerb::Result<VerifiedSession5> AppServer5::VerifyApRequest(const ApRequest5& req
   session.channel_key = session_key;
   session.authenticator_time = auth.value().timestamp;
   session.client_initial_seq = auth.value().initial_seq;
+  session.client_subkey = auth.value().subkey;
   session.transited = ticket.value().transited;
   return session;
 }
@@ -133,12 +134,8 @@ kerb::Result<kerb::Bytes> AppServer5::Handle(const ksim::Message& msg) {
   // the multi-session key with both parties' random subkeys.
   std::optional<kcrypto::DesBlock> server_subkey;
   if (options_.negotiate_subkey) {
-    auto auth = Unseal<Authenticator5>(session.value().multi_session_key,
-                                       req.value().sealed_authenticator, options_.enc);
-    kcrypto::DesBlock client_subkey{};
-    if (auth.ok() && auth.value().subkey.has_value()) {
-      client_subkey = *auth.value().subkey;
-    }
+    const kcrypto::DesBlock client_subkey =
+        session.value().client_subkey.value_or(kcrypto::DesBlock{});
     server_subkey = prng_.NextDesKey().bytes();
     kcrypto::DesBlock channel;
     const kcrypto::DesBlock& multi = session.value().multi_session_key.bytes();

@@ -53,6 +53,7 @@ struct VerifiedSession5 {
   kcrypto::DesKey channel_key;        // negotiated true session key (or the above)
   ksim::Time authenticator_time = 0;
   std::optional<uint32_t> client_initial_seq;
+  std::optional<kcrypto::DesBlock> client_subkey;  // from the authenticator
   std::vector<std::string> transited;
 };
 

@@ -130,18 +130,18 @@ kerb::Result<TgsReply5> Client5::RawTgsRequest(const std::string& tgs_realm, Tgs
   return kenc::Decode<TgsReply5>(reply.value());
 }
 
-kerb::Result<TgsCredentials5> Client5::GetTgtForRealm(const std::string& target_realm,
-                                                      ksim::Duration lifetime) {
+kerb::Result<const TgsCredentials5*> Client5::GetTgtForRealm(const std::string& target_realm,
+                                                             ksim::Duration lifetime) {
   if (!tgs_creds_.has_value()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "not logged in");
   }
   if (target_realm == tgs_creds_->realm) {
-    return *tgs_creds_;
+    return &*tgs_creds_;
   }
   auto cached = foreign_tgts_.find(target_realm);
   if (cached != foreign_tgts_.end() &&
       clock_.Now() < cached->second.issued_at + cached->second.lifetime) {
-    return cached->second;
+    return &cached->second;
   }
 
   // Walk from the home realm toward the target, at most 8 hops.
@@ -223,9 +223,9 @@ kerb::Result<TgsCredentials5> Client5::GetTgtForRealm(const std::string& target_
       return dot == std::string::npos ? target_realm : current.substr(dot + 1);
     }();
 
-    foreign_tgts_.insert_or_assign(next, hop_creds);
+    auto stored = foreign_tgts_.insert_or_assign(next, std::move(hop_creds)).first;
     if (next == target_realm) {
-      return hop_creds;
+      return &stored->second;
     }
     current = next;
   }
@@ -256,7 +256,7 @@ kerb::Result<ServiceCredentials5> Client5::GetServiceTicket(const Principal& ser
   if (!reply.ok()) {
     return reply.error();
   }
-  auto part = Unseal<EncTgsRepPart5>(tgt.value().session_key, reply.value().sealed_enc_part,
+  auto part = Unseal<EncTgsRepPart5>(tgt.value()->session_key, reply.value().sealed_enc_part,
                                      options_.enc);
   if (!part.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "cannot decrypt TGS reply");

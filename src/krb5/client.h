@@ -108,8 +108,11 @@ class Client5 : public krb4::KdcLink {
   const std::optional<kcrypto::DesBlock>& last_subkey() const { return last_subkey_; }
 
  private:
-  kerb::Result<TgsCredentials5> GetTgtForRealm(const std::string& realm,
-                                               ksim::Duration lifetime);
+  // The cached TGT for `realm`, walking realm hops to obtain it if needed.
+  // Points into tgs_creds_ or foreign_tgts_: valid until Logout, though a
+  // later login or realm walk may overwrite the credentials it points to.
+  kerb::Result<const TgsCredentials5*> GetTgtForRealm(const std::string& realm,
+                                                      ksim::Duration lifetime);
 
   ksim::HostClock clock_;
   Principal user_;

@@ -1,8 +1,10 @@
 // Consistent-hash ring properties: determinism, balance, and the minimal-
 // movement guarantee a rebalance leans on.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +49,63 @@ TEST(RingTest, PointPlacementIsPureInSeedNodeAndVnode) {
   EXPECT_NE(HashRing::PointOf(1, 2, 3), HashRing::PointOf(1, 2, 4));
   EXPECT_NE(HashRing::PointOf(1, 2, 3), HashRing::PointOf(1, 3, 3));
   EXPECT_NE(HashRing::PointOf(2, 2, 3), HashRing::PointOf(1, 2, 3));
+}
+
+// Coordinates computed by the original one-pass FNV over the whole
+// (seed, node_id, vnode) tuple; ownership on every host depends on them.
+TEST(RingTest, PointPlacementIsPinned) {
+  struct Case {
+    uint64_t seed;
+    uint64_t node_id;
+    uint32_t vnode;
+    uint64_t point;
+  };
+  const Case cases[] = {
+      {0x0ull, 0x0ull, 0u, 0x6d688654e9834407ull},
+      {0x1ull, 0x2ull, 3u, 0xb0320c21b46a9760ull},
+      {0x6b636c7573746572ull, 0x1ull, 0u, 0x5c74b1b60f0d94dfull},
+      {0x6b636c7573746572ull, 0x4ull, 63u, 0x543fde8aebe6bff2ull},
+      {0xffffffffffffffffull, 0x123456789abcdefull, 4294967295u, 0x186c93bfdda3a632ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(HashRing::PointOf(c.seed, c.node_id, c.vnode), c.point)
+        << "seed " << c.seed << ", node " << c.node_id << ", vnode " << c.vnode;
+  }
+}
+
+// SetMembers places each member's points where PointOf puts them: with the
+// expected points sorted, every key in (previous point, point] belongs to
+// the point's member, the wrap-around range included.
+TEST(RingTest, BuiltPointsMatchPointOf) {
+  kcrypto::Prng prng(0x71ed);
+  for (int round = 0; round < 50; ++round) {
+    RingConfig config;
+    config.seed = prng.NextU64();
+    config.vnodes = 1 + static_cast<uint32_t>(prng.NextBelow(64));
+    std::vector<RingMember> members;
+    const int n = 1 + static_cast<int>(prng.NextBelow(8));
+    for (int i = 0; i < n; ++i) {
+      members.push_back({prng.NextU64(), static_cast<uint32_t>(prng.NextU64())});
+    }
+    HashRing ring(config);
+    ring.SetMembers(1, members);
+
+    std::vector<std::pair<uint64_t, size_t>> expected;  // (point, member index)
+    for (size_t m = 0; m < members.size(); ++m) {
+      for (uint32_t v = 0; v < config.vnodes; ++v) {
+        expected.emplace_back(HashRing::PointOf(config.seed, members[m].node_id, v), m);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const auto& [point, member] = expected[i];
+      const uint64_t range_start = (i == 0 ? expected.back() : expected[i - 1]).first + 1;
+      ASSERT_EQ(ring.OwnerOf(point), &ring.members()[member])
+          << "round " << round << ", point " << i;
+      ASSERT_EQ(ring.OwnerOf(range_start), &ring.members()[member])
+          << "round " << round << ", range before point " << i;
+    }
+  }
 }
 
 TEST(RingTest, VirtualNodesKeepThePartitionBalanced) {

@@ -304,6 +304,32 @@ TEST(ModesTest, CbcPairMatchesTwoSerialChains) {
   }
 }
 
+// The nested lockstep seal is the inner range's PCBC encryption followed by
+// the whole buffer's: for every outer size up to 32 blocks, every inner byte
+// offset from 8 on and every inner size that fits (up to 31 blocks), with
+// two keys and with one key for both chains.
+TEST(ModesTest, PcbcNestedMatchesInnerThenOuterChains) {
+  Prng prng(27);
+  for (size_t n_out = 1; n_out <= 32; ++n_out) {
+    const size_t size = 8 * n_out;
+    for (size_t offset = 8; offset <= size; ++offset) {
+      for (size_t inner_size = 0; offset + inner_size <= size; inner_size += 8) {
+        const bool same_key = prng.NextBelow(8) == 0;
+        DesKey inner_key = prng.NextDesKey();
+        DesKey outer_key = same_key ? inner_key : prng.NextDesKey();
+        Bytes data = prng.NextBytes(size);
+        Bytes want = data;
+        EncryptPcbcInPlace(inner_key, kZeroIv, want.data() + offset, inner_size);
+        EncryptPcbcInPlace(outer_key, kZeroIv, want.data(), want.size());
+        EncryptPcbcNestedInPlace(inner_key, offset, inner_size, outer_key, data.data(),
+                                 data.size());
+        ASSERT_EQ(data, want) << inner_size / 8 << " inner blocks at byte " << offset << " of "
+                              << n_out << " outer blocks, same key " << same_key;
+      }
+    }
+  }
+}
+
 TEST(ModesTest, Pkcs5PadInPlaceMatchesCopy) {
   Prng prng(24);
   for (size_t len = 0; len < 20; ++len) {

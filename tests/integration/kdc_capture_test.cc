@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "src/attacks/kdcload.h"
 #include "src/attacks/testbed.h"
 #include "src/attacks/testbed5.h"
 #include "src/common/hex.h"
+#include "src/crypto/dh.h"
 #include "src/crypto/md4.h"
+#include "src/crypto/str2key.h"
 
 namespace {
 
@@ -27,15 +30,19 @@ class KdcReplyDigest : public ksim::Adversary {
  public:
   bool OnReply(const ksim::Message& request, kerb::Bytes& reply) override {
     if (request.dst.port == 88 || request.dst.port == 750) {
-      uint8_t len[4] = {static_cast<uint8_t>(reply.size() >> 24),
-                        static_cast<uint8_t>(reply.size() >> 16),
-                        static_cast<uint8_t>(reply.size() >> 8),
-                        static_cast<uint8_t>(reply.size())};
-      state_.Update(kerb::BytesView(len, 4));
-      state_.Update(reply);
-      ++replies_;
+      Add(reply);
     }
     return false;
+  }
+
+  void Add(kerb::BytesView reply) {
+    uint8_t len[4] = {static_cast<uint8_t>(reply.size() >> 24),
+                      static_cast<uint8_t>(reply.size() >> 16),
+                      static_cast<uint8_t>(reply.size() >> 8),
+                      static_cast<uint8_t>(reply.size())};
+    state_.Update(kerb::BytesView(len, 4));
+    state_.Update(reply);
+    ++replies_;
   }
 
   std::string HexDigest() {
@@ -63,6 +70,39 @@ TEST(KdcCaptureTest, V4RepliesByteIdentical) {
 
   EXPECT_EQ(digest.replies(), 5);
   EXPECT_EQ(digest.HexDigest(), "1f8eec6c922a90f285b8964dc044517e") << "V4 KDC replies changed";
+}
+
+// The PK-preauthenticated V4 AS reply, {{body}K_c}K_dh behind the KDC's DH
+// public: alice and, a minute later, bob log in through the core's AS
+// handler, and DoPkLogin4 opens each reply end to end.
+TEST(KdcCaptureTest, V4PkPreauthRepliesByteIdentical) {
+  Testbed4 bed;
+  const kcrypto::DhGroup group = kcrypto::OakleyGroup1();
+  bed.kdc().EnablePkPreauth(group);
+  KdcReplyDigest digest;
+  kattack::KdcHandler handler = [&](const ksim::Message& msg, krb4::KdcContext& ctx) {
+    auto reply = bed.kdc().HandleAs(msg, ctx);
+    if (reply.ok()) {
+      digest.Add(reply.value());
+    }
+    return reply;
+  };
+  krb4::KdcContext ctx{kcrypto::Prng(0x9c4)};
+  kcrypto::Prng client_prng(0x9c5);
+  auto login = [&](const krb4::Principal& user, const char* password,
+                   const ksim::NetAddress& src) {
+    const kcrypto::DesKey key = kcrypto::StringToKey(password, user.Salt());
+    return kattack::DoPkLogin4(handler, user, key, group, bed.world().clock().Now(), ctx,
+                               client_prng, src)
+        .ok();
+  };
+
+  ASSERT_TRUE(login(bed.alice_principal(), Testbed4::kAlicePassword, Testbed4::kAliceAddr));
+  bed.world().clock().Advance(ksim::kMinute);
+  ASSERT_TRUE(login(bed.bob_principal(), Testbed4::kBobPassword, Testbed4::kBobAddr));
+
+  EXPECT_EQ(digest.replies(), 2);
+  EXPECT_EQ(digest.HexDigest(), "a9b5feb0bb639e3e4a21568fc711b43c") << "V4 PK KDC replies changed";
 }
 
 TEST(KdcCaptureTest, V5RepliesByteIdentical) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/prng.h"
+#include "src/obs/kobs.h"
 
 namespace krb4 {
 namespace {
@@ -213,6 +214,49 @@ TEST(V4LifetimeTest, UnitRoundTripAndSaturation) {
   EXPECT_EQ(V4UnitsToLifetime(255), 21 * ksim::kHour + 15 * ksim::kMinute);
   for (int units = 0; units <= 255; ++units) {
     EXPECT_EQ(LifetimeToV4Units(V4UnitsToLifetime(static_cast<uint8_t>(units))), units);
+  }
+}
+
+// The KDC's one-pass reply equals sealing the ticket, then the reply body
+// that carries it, appended after whatever the buffer held: for principals
+// of many lengths (so the ticket and the reply end at every offset within a
+// block) and random keys. It emits the same two kSeal events.
+TEST(SealedReply4Test, MatchesSealingTheTicketThenTheBody) {
+  kcrypto::Prng prng(78);
+  auto name = [&prng](size_t max_len) {
+    std::string s(prng.NextBelow(max_len + 1), 'a');
+    for (char& c : s) {
+      c = static_cast<char>('a' + prng.NextBelow(26));
+    }
+    return s;
+  };
+  for (int round = 0; round < 200; ++round) {
+    Ticket4 ticket;
+    ticket.service = Principal{name(12), name(12), name(24)};
+    ticket.client = Principal{name(16), name(8), name(24)};
+    ticket.client_addr = static_cast<uint32_t>(prng.NextU64());
+    ticket.issued_at = static_cast<ksim::Time>(prng.NextBelow(1ull << 40));
+    ticket.lifetime = static_cast<ksim::Duration>(prng.NextBelow(1ull << 30));
+    ticket.session_key = prng.NextDesKey().bytes();
+    const kcrypto::DesKey ticket_key = prng.NextDesKey();
+    const kcrypto::DesKey reply_key = prng.NextDesKey();
+    const kerb::Bytes prefix = prng.NextBytes(prng.NextBelow(10));
+
+    AsReplyBody4 body;
+    body.tgs_session_key = ticket.session_key;
+    body.sealed_tgt = Seal4(ticket_key, ticket.Encode());
+    body.issued_at = ticket.issued_at;
+    body.lifetime = ticket.lifetime;
+    kerb::Bytes want = prefix;
+    kerb::Append(want, Seal4(reply_key, body.Encode()));
+
+    kerb::Bytes got = prefix;
+    kobs::ScopedTrace trace;
+    AppendSealedReply4(ticket, ticket_key, reply_key, got);
+    ASSERT_EQ(got, want) << "round " << round;
+    EXPECT_EQ(trace->Count(kobs::Ev::kSeal), 2u);
+    EXPECT_EQ(trace->CountA(kobs::Ev::kSeal, body.sealed_tgt.size()), 1u);
+    EXPECT_EQ(trace->CountA(kobs::Ev::kSeal, want.size() - prefix.size()), 1u);
   }
 }
 

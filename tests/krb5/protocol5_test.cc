@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/attacks/testbed5.h"
+#include "src/obs/kobs.h"
 
 namespace krb5 {
 namespace {
@@ -150,6 +151,44 @@ TEST(Protocol5Test, SubkeyNegotiationYieldsSharedChannelKey) {
   ASSERT_TRUE(creds.ok());
   // The negotiated key differs from the ticket's multi-session key.
   EXPECT_FALSE(result.value().channel_key == creds.value().session_key);
+}
+
+// With negotiate_subkey the server takes the client's subkey from the
+// authenticator VerifyApRequest already opened: one AP exchange unseals the
+// ticket and the authenticator once each, and both ends still derive the
+// same channel key.
+TEST(Protocol5Test, SubkeyNegotiationUnsealsTheAuthenticatorOnce) {
+  Testbed5Config config;
+  config.client_options.send_subkey = true;
+  Testbed5 bed(config);
+  AppServer5Options options;
+  options.negotiate_subkey = true;
+  constexpr ksim::NetAddress kProbeAddr{0x0a000013, 220};
+  kcrypto::DesKey server_channel_key;
+  AppServer5 server(
+      &bed.world().network(), kProbeAddr, bed.mail_principal(), bed.mail_key(),
+      bed.world().MakeHostClock(), kcrypto::Prng(0x5b),
+      [&](const VerifiedSession5& session, const kerb::Bytes&) {
+        server_channel_key = session.channel_key;
+        return kerb::Bytes{};
+      },
+      options);
+  ASSERT_TRUE(bed.alice().Login(Testbed5::kAlicePassword).ok());
+  auto request = bed.alice().MakeApRequest(bed.mail_principal(), /*want_mutual=*/true);
+  ASSERT_TRUE(request.ok());
+
+  {
+    kobs::ScopedTrace trace;
+    auto reply = bed.world().network().Call(Testbed5::kAliceAddr, kProbeAddr, request.value());
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(trace->Count(kobs::Ev::kUnsealOk), 2u);
+    EXPECT_EQ(trace->Count(kobs::Ev::kUnsealFail), 0u);
+  }
+
+  auto result = bed.alice().CallService(kProbeAddr, bed.mail_principal(), true);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().channel_key, server_channel_key);
+  ASSERT_TRUE(bed.alice().last_subkey().has_value());
 }
 
 TEST(Protocol5Test, ForwardedTgtFlaggedAndUsable) {

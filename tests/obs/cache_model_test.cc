@@ -127,7 +127,8 @@ TEST(CacheModelTest, KdcReplyCacheHitsAlwaysMatchTheModel) {
     const kerb::Bytes& request = requests[prng.NextBelow(requests.size())];
     ReplyKey key{src.host, src.port, request};
 
-    const kerb::Bytes* got = cache.Get(src, request, now, window);
+    const size_t slot = krb4::KdcReplyCache::Slot(src, request);
+    const kerb::Bytes* got = cache.Get(slot, src, request, now, window);
     if (got != nullptr) {
       ++hits;
       auto it = model.find(key);
@@ -140,7 +141,7 @@ TEST(CacheModelTest, KdcReplyCacheHitsAlwaysMatchTheModel) {
     if (got == nullptr) {
       // Miss path: the server mints a fresh reply and remembers it.
       kerb::Bytes reply = prng.NextBytes(32 + prng.NextBelow(64));
-      cache.Put(src, request, reply, now);
+      cache.Put(slot, src, request, reply, now);
       model[key] = ReplyValue{reply, now};
     }
   }
