@@ -21,8 +21,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/admin/kadmin.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/population.h"
+#include "src/cluster/router.h"
+#include "src/krb4/client.h"
+#include "src/krb4/kdcstore.h"
 #include "src/obs/kobs.h"
 #include "src/sim/faults.h"
 #include "src/sim/world.h"
@@ -228,6 +232,68 @@ void BM_ClusterRebalance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterRebalance)->Unit(benchmark::kMillisecond);
+
+// One cluster write as kdcbench's cluster_churn makes it: a service key
+// rotation through AdminClient -> KadminServer on the controller's logical
+// database, then PropagateAll to 4 nodes, over a 2,000-user realm. The
+// virtual clock steps 20 ms per write, cluster_churn's write spacing, so
+// the replay and ack caches hold what they hold there; the controller's
+// journal is compacted, untimed, every 4,096 records, as there.
+void BM_ClusterWrite(benchmark::State& state) {
+  constexpr ksim::NetAddress kAdminAddr{0x0a0000f0, kadmin::kAdminPort};
+  constexpr size_t kServices = 16;
+  ksim::World world(0xc1a5);
+  kcluster::PopulationConfig pc;
+  pc.users = 2000;
+  pc.services = kServices;
+  kcluster::Population population(pc);
+  kcluster::ClusterController controller(&world, kcluster::ClusterConfig{});
+  const std::string realm = controller.config().realm;
+  krb4::KdcDatabase& logical = controller.logical_db();
+  population.Install(logical);
+  kcrypto::Prng key_prng(0xad417);
+  logical.AddServiceWithRandomKey(kadmin::AdminPrincipal(realm), key_prng);
+  const krb4::Principal oper{"oper", "admin", realm};
+  const kcrypto::DesKey oper_key = key_prng.NextDesKey();
+  logical.ApplyUpsert(oper, oper_key, krb4::PrincipalKind::kUser);
+  controller.Bootstrap(MakeMembers(4));
+
+  kadmin::AdminPolicy policy;
+  policy.nonce_window = 10 * ksim::kSecond;
+  kadmin::KadminServer server(&world.network(), kAdminAddr, realm, &logical,
+                              world.MakeHostClock(), world.prng().Fork(), policy);
+  kcluster::ClientRouter router;
+  router.AdoptView(controller.View());
+  krb4::Client4 client(&world.network(), {0x0a0000f1, 4000}, world.MakeHostClock(), oper,
+                       {0x0a000010, controller.config().as_port},
+                       {0x0a000010, controller.config().tgs_port});
+  router.Attach(client);
+  if (!client.LoginWithKey(oper_key).ok()) {
+    state.SkipWithError("operator login failed");
+    return;
+  }
+  kadmin::AdminClient admin(&client, &world.network(), world.MakeHostClock(), kAdminAddr,
+                            kcrypto::Prng(0xad));
+  kstore::KStore& store = controller.store();
+  uint64_t compacted_lsn = store.last_lsn();
+  uint64_t writes = 0;
+  for (auto _ : state) {
+    if (!admin.RotateKey(population.ServicePrincipal(writes++ % kServices)).ok()) {
+      state.SkipWithError("rotation denied");
+      return;
+    }
+    controller.PropagateAll();
+    world.clock().Advance(20 * ksim::kMillisecond);
+    if (store.last_lsn() - compacted_lsn >= 4096) {
+      state.PauseTiming();
+      compacted_lsn = store.last_lsn();
+      store.Compact(krb4::SnapshotDatabase(logical, compacted_lsn));
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(writes));
+}
+BENCHMARK(BM_ClusterWrite)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

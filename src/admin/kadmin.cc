@@ -1,6 +1,9 @@
 #include "src/admin/kadmin.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,21 +59,63 @@ kerb::Error KadminServer::Deny(uint8_t op, kerb::ErrorCode code, const char* wha
   return kerb::MakeError(code, what);
 }
 
-kerb::Result<krb4::Ticket4> KadminServer::UnsealTicket(kerb::BytesView sealed, ksim::Time now) {
-  auto entry = db_->LookupEntry(self_);
-  if (!entry.ok()) {
+kerb::Result<const KadminServer::UnsealedTicket*> KadminServer::UnsealTicket(
+    kerb::BytesView sealed, ksim::Time now) {
+  if (!db_->store().LookupEntry(self_, &self_entry_)) {
     return kerb::MakeError(kerb::ErrorCode::kInternal, "changepw service key missing");
   }
-  for (const krb4::KeyVersion& kv : entry.value().keys) {
+  const size_t slot = krb4::KdcUnsealMemo::Slot(sealed);
+  for (const krb4::KeyVersion& kv : self_entry_.keys) {
     if (kv.not_after != 0 && now > kv.not_after) {
       continue;  // drain window closed
     }
+    if (const UnsealedTicket* memo = unseals_.Get<UnsealedTicket>(slot, kv.key, sealed)) {
+      return memo;
+    }
     auto ticket = krb4::Ticket4::Unseal(kcrypto::DesKey(kv.key), sealed);
     if (ticket.ok()) {
-      return ticket;
+      const kcrypto::DesKey session_key(ticket.value().session_key);
+      return unseals_.Put(slot, kv.key, sealed,
+                          UnsealedTicket{std::move(ticket).value(), session_key});
     }
   }
   return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "ticket not sealed with changepw key");
+}
+
+namespace {
+
+uint64_t AckHash(uint64_t client, uint64_t nonce) {
+  return kerb::NonzeroHash(client ^ (nonce * 0x9e3779b97f4a7c15ull));
+}
+
+}  // namespace
+
+void KadminServer::AckCache::Expire(ksim::Time now, ksim::Duration window) {
+  while (!queue_.empty() && now - std::get<0>(queue_.front()) > window) {
+    table_.Erase(Lookup(std::get<1>(queue_.front()), std::get<2>(queue_.front())));
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
+    queue_.pop_back();
+  }
+}
+
+KadminServer::AckCache::Slot* KadminServer::AckCache::Lookup(uint64_t client, uint64_t nonce) {
+  return table_.Find(AckHash(client, nonce),
+                     [&](const Slot& s) { return s.client == client && s.nonce == nonce; });
+}
+
+const kerb::Bytes* KadminServer::AckCache::Find(uint64_t client, uint64_t nonce) {
+  const Slot* slot = Lookup(client, nonce);
+  return slot != nullptr ? &slot->reply : nullptr;
+}
+
+void KadminServer::AckCache::Store(uint64_t client, uint64_t nonce, kerb::Bytes reply,
+                                   ksim::Time now) {
+  Slot& slot = table_.Insert(AckHash(client, nonce));
+  slot.client = client;
+  slot.nonce = nonce;
+  slot.reply = std::move(reply);
+  queue_.emplace_back(now, client, nonce);
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>());
 }
 
 kerb::Bytes KadminServer::SealReply(const kcrypto::DesKey& session_key,
@@ -88,31 +133,31 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
     return Deny(0, req.error().code, "malformed admin request");
   }
 
-  auto ticket = UnsealTicket(req.value().sealed_ticket, now);
-  if (!ticket.ok()) {
-    return Deny(0, ticket.error().code, "admin ticket rejected");
+  auto unsealed = UnsealTicket(req.value().sealed_ticket, now);
+  if (!unsealed.ok()) {
+    return Deny(0, unsealed.error().code, "admin ticket rejected");
   }
-  if (!(ticket.value().service == self_)) {
+  const krb4::Ticket4& ticket = unsealed.value()->ticket;
+  if (!(ticket.service == self_)) {
     return Deny(0, kerb::ErrorCode::kAuthFailed, "ticket names a different service");
   }
-  if (ticket.value().Expired(now)) {
+  if (ticket.Expired(now)) {
     return Deny(0, kerb::ErrorCode::kExpired, "admin ticket expired");
   }
 
-  kcrypto::DesKey session_key(ticket.value().session_key);
+  const kcrypto::DesKey& session_key = unsealed.value()->session_key;
   auto auth = krb4::Authenticator4::Unseal(session_key, req.value().sealed_auth);
   if (!auth.ok()) {
     return Deny(0, kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");
   }
   const krb4::Principal& client = auth.value().client;
-  if (!(client == ticket.value().client)) {
+  if (!(client == ticket.client)) {
     return Deny(0, kerb::ErrorCode::kAuthFailed, "authenticator/ticket client mismatch");
   }
   // The address binding is load-bearing here: an interceptor re-sending a
   // captured exchange from its own host fails this check even with the
   // sealed blobs intact.
-  if (ticket.value().client_addr != msg.src.host ||
-      auth.value().client_addr != ticket.value().client_addr) {
+  if (ticket.client_addr != msg.src.host || auth.value().client_addr != ticket.client_addr) {
     return Deny(0, kerb::ErrorCode::kAuthFailed, "address mismatch");
   }
   if (std::llabs(auth.value().timestamp - now) > policy_.clock_skew_limit) {
@@ -146,10 +191,14 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   // virtual instant do not collide — the nonce rides inside the sealed
   // body, so minting a fresh one requires the session key, and a verbatim
   // replay (same timestamp, same nonce) still trips the cache.
-  if (!seen_authenticators_.CheckAndInsert(
-          client.ToString() + "#" + std::to_string(body.value().nonce),
-          auth.value().client_addr, auth.value().timestamp, now,
-          policy_.clock_skew_limit)) {
+  char nonce[20];
+  identity_.clear();
+  client.AppendTo(identity_);
+  identity_ += '#';
+  identity_.append(nonce, std::to_chars(nonce, nonce + sizeof(nonce), body.value().nonce).ptr);
+  if (!seen_authenticators_.CheckAndInsert(identity_, auth.value().client_addr,
+                                           auth.value().timestamp, now,
+                                           policy_.clock_skew_limit)) {
     ++auth_replays_;
     return Deny(op, kerb::ErrorCode::kReplay, "authenticator replayed");
   }
@@ -159,17 +208,12 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   // different body) never applies twice.
   // The expired verdicts are exactly the oldest stored ones, whatever order
   // the clock stored them in.
-  while (!ack_times_.empty() && now - ack_times_.begin()->first > policy_.nonce_window) {
-    acks_.erase(ack_times_.begin()->second);
-    ack_times_.erase(ack_times_.begin());
-  }
-  const auto ack_key =
-      std::make_pair(krb4::PrincipalStore::Hash(client), body.value().nonce);
-  auto ack = acks_.find(ack_key);
-  if (ack != acks_.end()) {
+  acks_.Expire(now, policy_.nonce_window);
+  const uint64_t client_hash = krb4::PrincipalStore::Hash(client);
+  if (const kerb::Bytes* ack = acks_.Find(client_hash, body.value().nonce)) {
     ++ack_replays_;
     kobs::Emit(kobs::kSrcAdmin, kobs::Ev::kAdminReplayServe, now, msg.src.host, 1);
-    return ack->second;
+    return *ack;
   }
 
   AdminReplyBody verdict = Apply(client, body.value(), now);
@@ -177,8 +221,7 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   if (verdict.code == 0) {
     ++applied_;
     kobs::Emit(kobs::kSrcAdmin, kobs::Ev::kAdminApply, now, op, verdict.kvno);
-    acks_[ack_key] = reply;
-    ack_times_.emplace(now, ack_key);
+    acks_.Store(client_hash, body.value().nonce, reply, now);
   } else {
     ++denied_;
     kobs::Emit(kobs::kSrcAdmin, kobs::Ev::kAdminDeny, now, op, verdict.code);
@@ -305,21 +348,22 @@ void AdminClient::ConfigureRetry(ksim::SimClock* sim_clock, const ksim::RetryPol
   exchanger_.emplace(net_, sim_clock, kcrypto::Prng(jitter_seed), policy);
 }
 
-kerb::Result<kcrypto::DesKey> AdminClient::SessionKey() {
-  auto creds = client_->GetServiceTicket(AdminPrincipal(client_->user().realm));
-  if (!creds.ok()) {
-    return creds.error();
-  }
-  return creds.value().session_key;
+kerb::Result<const krb4::ServiceCredentials*> AdminClient::Credentials() {
+  return client_->ServiceTicket(AdminPrincipal(client_->user().realm));
 }
 
 kerb::Result<kerb::Bytes> AdminClient::BuildRequest(AdminOp op, const krb4::Principal& target,
                                                     kerb::BytesView payload, uint64_t nonce) {
-  auto creds = client_->GetServiceTicket(AdminPrincipal(client_->user().realm));
+  auto creds = Credentials();
   if (!creds.ok()) {
     return creds.error();
   }
+  return BuildRequest(*creds.value(), op, target, payload, nonce);
+}
 
+kerb::Bytes AdminClient::BuildRequest(const krb4::ServiceCredentials& creds, AdminOp op,
+                                      const krb4::Principal& target, kerb::BytesView payload,
+                                      uint64_t nonce) {
   krb4::Authenticator4 auth;
   auth.client = client_->user();
   auth.client_addr = client_->address().host;
@@ -335,18 +379,24 @@ kerb::Result<kerb::Bytes> AdminClient::BuildRequest(AdminOp op, const krb4::Prin
   body.payload.assign(payload.begin(), payload.end());
 
   AdminRequest req;
-  req.sealed_ticket = creds.value().sealed_ticket;
-  req.sealed_auth = auth.Seal(creds.value().session_key);
-  req.sealed_req = krb4::Seal4(creds.value().session_key, body.Encode());
+  req.sealed_ticket = creds.sealed_ticket;
+  req.sealed_auth = auth.Seal(creds.session_key);
+  req.sealed_req = krb4::Seal4(creds.session_key, body.Encode());
   return req.Encode();
 }
 
 kerb::Result<AdminClient::Ack> AdminClient::ParseReply(uint64_t nonce,
                                                        kerb::BytesView reply_frame) {
-  auto key = SessionKey();
-  if (!key.ok()) {
-    return key.error();
+  auto creds = Credentials();
+  if (!creds.ok()) {
+    return creds.error();
   }
+  return ParseReply(creds.value()->session_key, nonce, reply_frame);
+}
+
+kerb::Result<AdminClient::Ack> AdminClient::ParseReply(const kcrypto::DesKey& session_key,
+                                                       uint64_t nonce,
+                                                       kerb::BytesView reply_frame) {
   auto framed = krb4::Unframe4(reply_frame);
   if (!framed.ok()) {
     return framed.error();
@@ -354,7 +404,7 @@ kerb::Result<AdminClient::Ack> AdminClient::ParseReply(uint64_t nonce,
   if (framed.value().first != krb4::MsgType::kAdminReply) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected admin reply");
   }
-  auto plain = krb4::Unseal4(key.value(), framed.value().second);
+  auto plain = krb4::Unseal4(session_key, framed.value().second);
   if (!plain.ok()) {
     return plain.error();
   }
@@ -388,7 +438,19 @@ kerb::Result<AdminClient::Ack> AdminClient::ParseReply(uint64_t nonce,
 kerb::Result<AdminClient::Ack> AdminClient::Execute(AdminOp op, const krb4::Principal& target,
                                                     kerb::BytesView payload) {
   const uint64_t nonce = prng_.NextU64();
-  auto build = [&]() { return BuildRequest(op, target, payload, nonce); };
+  // One credentials fetch per write, made by the first attempt's build;
+  // later attempts and the reply reuse it.
+  const krb4::ServiceCredentials* creds = nullptr;
+  auto build = [&]() -> kerb::Result<kerb::Bytes> {
+    if (creds == nullptr) {
+      auto fetched = Credentials();
+      if (!fetched.ok()) {
+        return fetched.error();
+      }
+      creds = fetched.value();
+    }
+    return BuildRequest(*creds, op, target, payload, nonce);
+  };
   kerb::Result<kerb::Bytes> reply = kerb::MakeError(kerb::ErrorCode::kInternal, "unsent");
   if (exchanger_.has_value()) {
     reply = exchanger_->Exchange(client_->address(), {admin_addr_}, build);
@@ -402,7 +464,7 @@ kerb::Result<AdminClient::Ack> AdminClient::Execute(AdminOp op, const krb4::Prin
   if (!reply.ok()) {
     return reply.error();
   }
-  return ParseReply(nonce, reply.value());
+  return ParseReply(creds->session_key, nonce, reply.value());
 }
 
 kerb::Result<AdminClient::Ack> AdminClient::ChangePassword(const krb4::Principal& target,

@@ -26,14 +26,14 @@
 #define SRC_ADMIN_KADMIN_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <tuple>
+#include <vector>
 
 #include "src/admin/messages.h"
+#include "src/common/flat_table.h"
 #include "src/crypto/prng.h"
 #include "src/krb4/client.h"
 #include "src/krb4/database.h"
@@ -91,9 +91,18 @@ class KadminServer {
  private:
   // Everything after the duplicate-reply cache.
   kerb::Result<kerb::Bytes> Process(const ksim::Message& msg, ksim::Time now);
+  // A changepw ticket as the unseal memo keeps it: decoded, with its
+  // session key already scheduled.
+  struct UnsealedTicket {
+    krb4::Ticket4 ticket;
+    kcrypto::DesKey session_key;
+  };
   // Unseals the ticket under the changepw key ring (current first, then
-  // unexpired retained versions — the server's own key rotates too).
-  kerb::Result<krb4::Ticket4> UnsealTicket(kerb::BytesView sealed, ksim::Time now);
+  // unexpired retained versions — the server's own key rotates too),
+  // through the unseal memo: an operator's changepw ticket is the same on
+  // every request of its session. The result stays valid until the next
+  // call. The caller checks its expiry, service and address every time.
+  kerb::Result<const UnsealedTicket*> UnsealTicket(kerb::BytesView sealed, ksim::Time now);
   // Applies an authorized op; returns the reply body (code 0 or a verdict).
   AdminReplyBody Apply(const krb4::Principal& client, const AdminReqBody& req, ksim::Time now);
   // Seals a reply body into a framed kAdminReply.
@@ -109,15 +118,37 @@ class KadminServer {
   kcrypto::Prng prng_;
   AdminPolicy policy_;
 
+  // Applied verdicts by (client hash, nonce) in a flat table, beside an
+  // expiry queue in stored-time order (a min-heap), so expiry pops the
+  // oldest verdicts even when the clock stepped back between two stores.
+  // Only applied verdicts are stored; denials recompute deterministically.
+  class AckCache {
+   public:
+    // Drops every verdict stored more than `window` before `now`.
+    void Expire(ksim::Time now, ksim::Duration window);
+    const kerb::Bytes* Find(uint64_t client, uint64_t nonce);
+    // `(client, nonce)` must not be stored already.
+    void Store(uint64_t client, uint64_t nonce, kerb::Bytes reply, ksim::Time now);
+
+   private:
+    struct Slot {
+      uint64_t hash = 0;
+      uint64_t client = 0;
+      uint64_t nonce = 0;
+      kerb::Bytes reply;
+    };
+    Slot* Lookup(uint64_t client, uint64_t nonce);
+
+    kerb::FlatTable<Slot> table_;
+    std::vector<std::tuple<ksim::Time, uint64_t, uint64_t>> queue_;  // (stored, client, nonce)
+  };
+
   krb4::KdcReplyCache replies_;
   ksim::ShardedReplayCache seen_authenticators_;
-  // (client hash, nonce) → stored framed reply. Only applied verdicts are
-  // stored; denials recompute deterministically.
-  using AckKey = std::pair<uint64_t, uint64_t>;
-  std::map<AckKey, kerb::Bytes> acks_;
-  // The same verdicts by stored time, so expiry erases a prefix instead of
-  // scanning every ack on each request.
-  std::set<std::pair<ksim::Time, AckKey>> ack_times_;
+  AckCache acks_;
+  krb4::KdcUnsealMemo unseals_;
+  krb4::PrincipalEntry self_entry_;  // the changepw key ring, re-read per request
+  std::string identity_;             // replay-cache identity buffer
 
   uint64_t requests_ = 0;
   uint64_t applied_ = 0;
@@ -165,7 +196,12 @@ class AdminClient {
 
  private:
   kerb::Result<Ack> Execute(AdminOp op, const krb4::Principal& target, kerb::BytesView payload);
-  kerb::Result<kcrypto::DesKey> SessionKey();
+  kerb::Result<const krb4::ServiceCredentials*> Credentials();
+  kerb::Bytes BuildRequest(const krb4::ServiceCredentials& creds, AdminOp op,
+                           const krb4::Principal& target, kerb::BytesView payload,
+                           uint64_t nonce);
+  kerb::Result<Ack> ParseReply(const kcrypto::DesKey& session_key, uint64_t nonce,
+                               kerb::BytesView reply_frame);
 
   krb4::Client4* client_;
   ksim::Network* net_;

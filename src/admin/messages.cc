@@ -13,11 +13,13 @@ krb4::Principal AdminPrincipal(const std::string& realm) {
 }
 
 kerb::Bytes AdminRequest::Encode() const {
-  kenc::Writer w;
+  kerb::Bytes body;
+  body.reserve(12 + sealed_ticket.size() + sealed_auth.size() + sealed_req.size());
+  kenc::Writer w(&body);
   w.PutLengthPrefixed(sealed_ticket);
   w.PutLengthPrefixed(sealed_auth);
   w.PutLengthPrefixed(sealed_req);
-  return krb4::Frame4(krb4::MsgType::kAdminRequest, w.Peek());
+  return krb4::Frame4(krb4::MsgType::kAdminRequest, body);
 }
 
 kerb::Result<AdminRequest> AdminRequest::Decode(kerb::BytesView body) {
@@ -46,9 +48,14 @@ kerb::Result<AdminRequest> AdminRequest::Decode(kerb::BytesView body) {
 
 // Appends `w`'s current contents' MD4 to `w` itself, length-prefixed.
 static void AppendChecksum(kenc::Writer& w) {
-  kerb::Bytes sum = kcrypto::ComputeChecksum(kcrypto::ChecksumType::kMd4, w.Peek());
-  w.PutLengthPrefixed(sum);
+  uint8_t sum[kcrypto::kMaxChecksumSize];
+  const size_t size = kcrypto::ComputeChecksumInto(kcrypto::ChecksumType::kMd4, w.Peek(), sum);
+  w.PutLengthPrefixed(kerb::BytesView(sum, size));
 }
+
+// Room for a body's fixed fields, one principal and its checksum, so an
+// encode allocates once.
+constexpr size_t kBodyReserve = 128;
 
 // Verifies the trailing length-prefixed MD4 over everything before it.
 // `body_len` is where the checksum's length prefix begins.
@@ -62,7 +69,9 @@ static kerb::Status VerifyTrailingChecksum(kerb::BytesView data, size_t body_len
 }
 
 kerb::Bytes AdminReqBody::Encode() const {
-  kenc::Writer w;
+  kerb::Bytes out;
+  out.reserve(kBodyReserve + payload.size());
+  kenc::Writer w(&out);
   w.PutU8(static_cast<uint8_t>(op));
   target.EncodeTo(w);
   w.PutU64(nonce);
@@ -71,7 +80,7 @@ kerb::Bytes AdminReqBody::Encode() const {
   w.PutU8(direction);
   w.PutLengthPrefixed(payload);
   AppendChecksum(w);
-  return w.Take();
+  return out;
 }
 
 kerb::Result<AdminReqBody> AdminReqBody::Decode(kerb::BytesView data) {
@@ -132,7 +141,9 @@ kerb::Result<AdminReqBody> AdminReqBody::Decode(kerb::BytesView data) {
 }
 
 kerb::Bytes AdminReplyBody::Encode() const {
-  kenc::Writer w;
+  kerb::Bytes out;
+  out.reserve(kBodyReserve + detail.size());
+  kenc::Writer w(&out);
   w.PutU64(nonce_plus_one);
   w.PutU64(static_cast<uint64_t>(timestamp));
   w.PutU8(direction);
@@ -140,7 +151,7 @@ kerb::Bytes AdminReplyBody::Encode() const {
   w.PutU32(kvno);
   w.PutLengthPrefixed(detail);
   AppendChecksum(w);
-  return w.Take();
+  return out;
 }
 
 kerb::Result<AdminReplyBody> AdminReplyBody::Decode(kerb::BytesView data) {

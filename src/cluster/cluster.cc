@@ -254,19 +254,25 @@ kerb::Status ClusterNode::ApplyRecord(uint8_t op, kerb::BytesView payload) {
     store_->Append(op, payload);
     return kerb::Status::Ok();
   }
-  auto record = krb4::DecodeStoreRecord(op, payload);
-  if (!record.ok()) {
-    return record.error();
+  // The principal leads the record: a record this node does not own
+  // becomes a mark without decoding its entry.
+  kenc::Reader r(payload);
+  auto principal = krb4::DecodeRecordPrincipal(op, r);
+  if (!principal.ok()) {
+    return principal.error();
   }
-  const krb4::StoreRecord& decoded = record.value();
-  if (!OwnedOrInfra(decoded.principal)) {
+  if (!OwnedOrInfra(principal.value())) {
     store_->Append(kstore::kWalOpClusterMark, {});
     return kerb::Status::Ok();
   }
+  auto entry = krb4::DecodeRecordRest(op, r);
+  if (!entry.ok()) {
+    return entry.error();
+  }
   store_->Append(op, payload);
-  if (!decoded.entry.has_value()) {
-    db().Remove(decoded.principal);
-  } else if (!db().ApplyEntry(decoded.principal, *decoded.entry)) {
+  if (!entry.value().has_value()) {
+    db().Remove(principal.value());
+  } else if (!db().ApplyEntry(principal.value(), *entry.value())) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: entry rejected");
   }
   return kerb::Status::Ok();

@@ -133,7 +133,9 @@ class ClusterNode {
   kerb::Bytes ReferralReply(const krb4::Principal& p);
   kerb::Result<kerb::Bytes> HandleKdc(bool tgs, const ksim::Message& msg);
   kerb::Result<kerb::Bytes> HandleCtl(const ksim::Message& msg);
-  // PropagationSink applier: exactly one local WAL append per record.
+  // PropagationSink applier: exactly one local WAL append per record. A
+  // record for a principal the node does not own is journaled as a mark
+  // and its entry is never decoded.
   kerb::Status ApplyRecord(uint8_t op, kerb::BytesView payload);
   // PropagationSink loader: replace the database with the slice snapshot
   // and rebuild the local store around it as the new durable base.

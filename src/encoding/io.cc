@@ -79,6 +79,14 @@ kerb::Result<kerb::Bytes> Reader::GetBytes(size_t n) {
 }
 
 kerb::Result<kerb::Bytes> Reader::GetLengthPrefixed() {
+  auto view = GetLengthPrefixedView();
+  if (!view.ok()) {
+    return view.error();
+  }
+  return kerb::Bytes(view.value().begin(), view.value().end());
+}
+
+kerb::Result<kerb::BytesView> Reader::GetLengthPrefixedView() {
   auto len = GetU32();
   if (!len.ok()) {
     return len.error();
@@ -86,7 +94,9 @@ kerb::Result<kerb::Bytes> Reader::GetLengthPrefixed() {
   if (remaining() < len.value()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "length prefix exceeds buffer");
   }
-  return GetBytes(len.value());
+  const kerb::BytesView out = data_.subspan(pos_, len.value());
+  pos_ += len.value();
+  return out;
 }
 
 kerb::Result<std::string> Reader::GetString() {

@@ -69,6 +69,8 @@ class Reader {
   kerb::Result<uint64_t> GetU64();
   kerb::Result<kerb::Bytes> GetBytes(size_t n);
   kerb::Result<kerb::Bytes> GetLengthPrefixed();
+  // The same field, viewed in place within the reader's buffer.
+  kerb::Result<kerb::BytesView> GetLengthPrefixedView();
   kerb::Result<std::string> GetString();
 
   size_t remaining() const { return data_.size() - pos_; }

@@ -65,13 +65,22 @@ kerb::Status Client4::LoginWithKey(const kcrypto::DesKey& client_key,
 
 kerb::Result<ServiceCredentials> Client4::GetServiceTicket(const Principal& service,
                                                            ksim::Duration lifetime) {
+  auto creds = ServiceTicket(service, lifetime);
+  if (!creds.ok()) {
+    return creds.error();
+  }
+  return *creds.value();
+}
+
+kerb::Result<const ServiceCredentials*> Client4::ServiceTicket(const Principal& service,
+                                                               ksim::Duration lifetime) {
   if (!tgs_creds_.has_value()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "not logged in");
   }
   auto cached = service_creds_.find(service);
   if (cached != service_creds_.end() &&
       clock_.Now() < cached->second.issued_at + cached->second.lifetime) {
-    return cached->second;
+    return &cached->second;
   }
 
   Authenticator4 auth;
@@ -103,20 +112,19 @@ kerb::Result<ServiceCredentials> Client4::GetServiceTicket(const Principal& serv
     return body.error();
   }
 
-  ServiceCredentials creds;
+  ServiceCredentials& creds = service_creds_[service];
   creds.service = service;
   creds.session_key = kcrypto::DesKey(body.value().session_key);
-  creds.sealed_ticket = body.value().sealed_ticket;
+  creds.sealed_ticket = std::move(body.value().sealed_ticket);
   creds.issued_at = body.value().issued_at;
   creds.lifetime = body.value().lifetime;
-  service_creds_[service] = creds;
-  return creds;
+  return &creds;
 }
 
 kerb::Result<kerb::Bytes> Client4::MakeApRequest(const Principal& service, bool want_mutual,
                                                  kerb::BytesView app_data,
                                                  kerb::BytesView challenge_response) {
-  auto creds = GetServiceTicket(service);
+  auto creds = ServiceTicket(service);
   if (!creds.ok()) {
     return creds.error();
   }
@@ -127,8 +135,8 @@ kerb::Result<kerb::Bytes> Client4::MakeApRequest(const Principal& service, bool 
   auth.timestamp = clock_.Now();
 
   ApRequest4 req;
-  req.sealed_ticket = creds.value().sealed_ticket;
-  req.sealed_auth = auth.Seal(creds.value().session_key);
+  req.sealed_ticket = creds.value()->sealed_ticket;
+  req.sealed_auth = auth.Seal(creds.value()->session_key);
   req.want_mutual = want_mutual;
   req.app_data = kerb::Bytes(app_data.begin(), app_data.end());
   req.challenge_response =

@@ -59,6 +59,11 @@ class Client4 : public KdcLink {
   // TGS exchange for a service ticket (cached per service).
   kerb::Result<ServiceCredentials> GetServiceTicket(const Principal& service,
                                                     ksim::Duration lifetime = 8 * ksim::kHour);
+  // The same credentials, uncopied: a pointer into the cache, valid until
+  // the next exchange for the same service, DropServiceCredentials() or
+  // Logout().
+  kerb::Result<const ServiceCredentials*> ServiceTicket(
+      const Principal& service, ksim::Duration lifetime = 8 * ksim::kHour);
 
   // Builds a framed AP request for the service, with a fresh authenticator.
   // `challenge_response` carries the answer to a server challenge on the

@@ -18,7 +18,12 @@ void KdcDatabase::AddService(const Principal& service, const kcrypto::DesKey& ke
 void KdcDatabase::ApplyUpsert(const Principal& principal, const kcrypto::DesBlock& key,
                               PrincipalKind kind) {
   if (journal_ != nullptr) {
-    journal_->Append(kstore::kWalOpUpsert, EncodePrincipalUpsert(principal, key, kind));
+    journal_->AppendWith(kstore::kWalOpUpsert, [&](kenc::Writer& w) {
+      PrincipalEntry entry;
+      entry.kind = kind;
+      entry.keys.push_back(KeyVersion{1, key, 0});
+      EncodePrincipalEntryTo(w, principal, entry);
+    });
   }
   store_.Upsert(principal, key, kind);
 }
@@ -28,7 +33,8 @@ bool KdcDatabase::ApplyEntry(const Principal& principal, const PrincipalEntry& e
     return false;
   }
   if (journal_ != nullptr) {
-    journal_->Append(kstore::kWalOpUpsert, EncodePrincipalEntry(principal, entry));
+    journal_->AppendWith(kstore::kWalOpUpsert,
+                         [&](kenc::Writer& w) { EncodePrincipalEntryTo(w, principal, entry); });
   }
   return store_.UpsertEntry(principal, entry);
 }
@@ -59,8 +65,10 @@ kerb::Result<uint32_t> KdcDatabase::RotateKey(const Principal& principal,
   }
   entry.keys = std::move(ring);
   ApplyEntry(principal, entry);
-  kobs::EmitNow(kobs::kSrcAdmin, kobs::Ev::kKvnoRotate, PrincipalStore::Hash(principal),
-                new_kvno);
+  if (kobs::Enabled()) {
+    kobs::EmitNow(kobs::kSrcAdmin, kobs::Ev::kKvnoRotate, PrincipalStore::Hash(principal),
+                  new_kvno);
+  }
   return new_kvno;
 }
 
@@ -76,7 +84,7 @@ bool KdcDatabase::Remove(const Principal& principal) {
     return false;
   }
   if (journal_ != nullptr) {
-    journal_->Append(kstore::kWalOpDelete, EncodePrincipalDelete(principal));
+    journal_->AppendWith(kstore::kWalOpDelete, [&](kenc::Writer& w) { principal.EncodeTo(w); });
   }
   return store_.Erase(principal);
 }

@@ -18,41 +18,8 @@ constexpr uint64_t kDeviceSeed = 0x6b70726f70644256ull;
 // lands complete prefixes on a slave.
 constexpr uint32_t kRecordsPerFrame = 4;
 
-}  // namespace
-
-kerb::Bytes EncodePrincipalEntry(const Principal& principal, const PrincipalEntry& entry) {
-  kenc::Writer w;
-  EncodePrincipalEntryTo(w, principal, entry);
-  return w.Take();
-}
-
-void EncodePrincipalEntryTo(kenc::Writer& w, const Principal& principal,
-                            const PrincipalEntry& entry) {
-  principal.EncodeTo(w);
-  w.PutU8(static_cast<uint8_t>(entry.kind));
-  w.PutU64(static_cast<uint64_t>(entry.max_life));
-  w.PutU64(static_cast<uint64_t>(entry.max_renew));
-  w.PutU8(static_cast<uint8_t>(entry.keys.size()));
-  for (const KeyVersion& kv : entry.keys) {
-    w.PutU32(kv.kvno);
-    w.PutBytes(kv.key);
-    w.PutU64(static_cast<uint64_t>(kv.not_after));
-  }
-}
-
-kerb::Bytes EncodePrincipalUpsert(const Principal& principal, const kcrypto::DesBlock& key,
-                                  PrincipalKind kind) {
-  PrincipalEntry entry;
-  entry.kind = kind;
-  entry.keys.push_back(KeyVersion{1, key, 0});
-  return EncodePrincipalEntry(principal, entry);
-}
-
-kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Reader& r) {
-  auto principal = Principal::DecodeFrom(r);
-  if (!principal.ok()) {
-    return principal.error();
-  }
+// The fields of an upsert payload after its principal.
+kerb::Result<PrincipalEntry> DecodeEntryFields(kenc::Reader& r) {
   auto kind = r.GetU8();
   auto max_life = r.GetU64();
   auto max_renew = r.GetU64();
@@ -85,13 +52,42 @@ kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Re
     std::copy(key_bytes.value().begin(), key_bytes.value().end(), kv.key.begin());
     kv.not_after = static_cast<ksim::Time>(not_after.value());
   }
-  return std::make_pair(std::move(principal).value(), std::move(entry));
+  return entry;
 }
 
-kerb::Bytes EncodePrincipalDelete(const Principal& principal) {
+}  // namespace
+
+kerb::Bytes EncodePrincipalEntry(const Principal& principal, const PrincipalEntry& entry) {
   kenc::Writer w;
-  principal.EncodeTo(w);
+  EncodePrincipalEntryTo(w, principal, entry);
   return w.Take();
+}
+
+void EncodePrincipalEntryTo(kenc::Writer& w, const Principal& principal,
+                            const PrincipalEntry& entry) {
+  principal.EncodeTo(w);
+  w.PutU8(static_cast<uint8_t>(entry.kind));
+  w.PutU64(static_cast<uint64_t>(entry.max_life));
+  w.PutU64(static_cast<uint64_t>(entry.max_renew));
+  w.PutU8(static_cast<uint8_t>(entry.keys.size()));
+  for (const KeyVersion& kv : entry.keys) {
+    w.PutU32(kv.kvno);
+    w.PutBytes(kv.key);
+    w.PutU64(static_cast<uint64_t>(kv.not_after));
+  }
+}
+
+
+kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Reader& r) {
+  auto principal = Principal::DecodeFrom(r);
+  if (!principal.ok()) {
+    return principal.error();
+  }
+  auto entry = DecodeEntryFields(r);
+  if (!entry.ok()) {
+    return entry.error();
+  }
+  return std::make_pair(std::move(principal).value(), std::move(entry).value());
 }
 
 kerb::Result<std::pair<Principal, PrincipalEntry>> DecodeEntry(kerb::BytesView payload) {
@@ -117,29 +113,39 @@ kerb::Result<std::vector<std::pair<Principal, PrincipalEntry>>> DecodeEntries(
   return entries;
 }
 
-kerb::Result<StoreRecord> DecodeStoreRecord(uint8_t op, kerb::BytesView payload) {
-  kenc::Reader r(payload);
-  StoreRecord record;
-  if (op == kstore::kWalOpDelete) {
-    auto principal = Principal::DecodeFrom(r);
-    if (!principal.ok()) {
-      return principal.error();
-    }
-    record.principal = std::move(principal).value();
-  } else if (op == kstore::kWalOpUpsert) {
-    auto decoded = DecodePrincipalEntry(r);
-    if (!decoded.ok()) {
-      return decoded.error();
-    }
-    record.principal = std::move(decoded.value().first);
-    record.entry = std::move(decoded.value().second);
-  } else {
+kerb::Result<Principal> DecodeRecordPrincipal(uint8_t op, kenc::Reader& r) {
+  if (op != kstore::kWalOpDelete && op != kstore::kWalOpUpsert) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: unknown record op");
+  }
+  return Principal::DecodeFrom(r);
+}
+
+kerb::Result<std::optional<PrincipalEntry>> DecodeRecordRest(uint8_t op, kenc::Reader& r) {
+  std::optional<PrincipalEntry> entry;
+  if (op == kstore::kWalOpUpsert) {
+    auto fields = DecodeEntryFields(r);
+    if (!fields.ok()) {
+      return fields.error();
+    }
+    entry = std::move(fields).value();
   }
   if (!r.AtEnd()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: trailing record bytes");
   }
-  return record;
+  return entry;
+}
+
+kerb::Result<StoreRecord> DecodeStoreRecord(uint8_t op, kerb::BytesView payload) {
+  kenc::Reader r(payload);
+  auto principal = DecodeRecordPrincipal(op, r);
+  if (!principal.ok()) {
+    return principal.error();
+  }
+  auto entry = DecodeRecordRest(op, r);
+  if (!entry.ok()) {
+    return entry.error();
+  }
+  return StoreRecord{std::move(principal).value(), std::move(entry).value()};
 }
 
 kerb::Status ApplyStoreRecord(KdcDatabase& db, uint8_t op, kerb::BytesView payload) {

@@ -55,11 +55,6 @@ kerb::Bytes EncodePrincipalEntry(const Principal& principal, const PrincipalEntr
 // The same bytes, appended to `w`.
 void EncodePrincipalEntryTo(kenc::Writer& w, const Principal& principal,
                             const PrincipalEntry& entry);
-// Single-version convenience used by registration-shaped callers/tests:
-// encodes a fresh ring at kvno 1.
-kerb::Bytes EncodePrincipalUpsert(const Principal& principal, const kcrypto::DesBlock& key,
-                                  PrincipalKind kind);
-kerb::Bytes EncodePrincipalDelete(const Principal& principal);
 
 // Decodes one upsert payload; `r` is left positioned after the record.
 kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Reader& r);
@@ -79,6 +74,12 @@ struct StoreRecord {
   std::optional<PrincipalEntry> entry;  // none for a delete
 };
 kerb::Result<StoreRecord> DecodeStoreRecord(uint8_t op, kerb::BytesView payload);
+
+// The same decode in two steps, for a reader that may stop after the
+// first: the principal, which leads both record shapes; then the rest of
+// the record, `r` positioned after that principal.
+kerb::Result<Principal> DecodeRecordPrincipal(uint8_t op, kenc::Reader& r);
+kerb::Result<std::optional<PrincipalEntry>> DecodeRecordRest(uint8_t op, kenc::Reader& r);
 
 // Applies one WAL record (op, payload) to `db`. Fails closed on malformed
 // payloads; the database is untouched on failure.

@@ -206,11 +206,13 @@ kerb::Result<Ticket4> Ticket4::Unseal(const kcrypto::DesKey& service_key,
 // --------------------------------------------------------------------------- Authenticator4
 
 kerb::Bytes Authenticator4::Encode() const {
-  kenc::Writer w;
+  kerb::Bytes out;
+  out.reserve(12 + client.name.size() + client.instance.size() + client.realm.size() + 12);
+  kenc::Writer w(&out);
   client.EncodeTo(w);
   w.PutU32(client_addr);
   w.PutU64(static_cast<uint64_t>(timestamp));
-  return w.Take();
+  return out;
 }
 
 kerb::Result<Authenticator4> Authenticator4::Decode(kerb::BytesView data) {
@@ -480,11 +482,13 @@ kerb::Result<std::pair<uint32_t, kerb::Bytes>> ParseError4(kerb::BytesView body)
 // --------------------------------------------------------------------------- framing
 
 kerb::Bytes Frame4(MsgType type, kerb::BytesView body) {
-  kenc::Writer w;
+  kerb::Bytes out;
+  out.reserve(2 + body.size());
+  kenc::Writer w(&out);
   w.PutU8(kProtocolVersion);
   w.PutU8(static_cast<uint8_t>(type));
   w.PutBytes(body);
-  return w.Take();
+  return out;
 }
 
 void AppendReplyBody4(kenc::Writer& w, const kcrypto::DesBlock& session_key,

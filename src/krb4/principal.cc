@@ -5,12 +5,19 @@
 namespace krb4 {
 
 std::string Principal::ToString() const {
-  std::string out = name;
-  if (!instance.empty()) {
-    out += "." + instance;
-  }
-  out += "@" + realm;
+  std::string out;
+  AppendTo(out);
   return out;
+}
+
+void Principal::AppendTo(std::string& out) const {
+  out += name;
+  if (!instance.empty()) {
+    out += '.';
+    out += instance;
+  }
+  out += '@';
+  out += realm;
 }
 
 bool Principal::operator<(const Principal& other) const {

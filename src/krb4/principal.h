@@ -31,6 +31,8 @@ struct Principal {
 
   // "name.instance@REALM", the classic display form.
   std::string ToString() const;
+  // The same form, appended to `out`.
+  void AppendTo(std::string& out) const;
 
   // Salt for string-to-key: realm then name then instance, as V4 did
   // (modulo V4's truncation quirks, which are not security-relevant here).

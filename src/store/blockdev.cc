@@ -1,6 +1,5 @@
 #include "src/store/blockdev.h"
 
-#include <cassert>
 #include <utility>
 
 #include "src/obs/kobs.h"
@@ -46,14 +45,19 @@ void SimDevice::FoldName(const std::string& name) {
   }
 }
 
-void SimDevice::Append(const std::string& file, kerb::BytesView data) {
-  FileState& state = files_[file];
-  assert(!state.staged.has_value() && "Append while a WriteAtomic is staged");
-  kerb::Append(state.tail, data);
+SimDevice::File& SimDevice::Open(const std::string& name) {
+  auto [it, inserted] = files_.try_emplace(name);
+  if (inserted) {
+    it->second.name = name;
+  }
+  return it->second;
+}
+
+void SimDevice::Appended(const File& file, size_t size) {
   Fold(kOpAppend);
-  FoldName(file);
-  Fold(data.size());
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevWrite, data.size());
+  FoldName(file.name);
+  Fold(size);
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevWrite, size);
 }
 
 void SimDevice::WriteAtomic(const std::string& file, kerb::BytesView data) {
@@ -61,10 +65,10 @@ void SimDevice::WriteAtomic(const std::string& file, kerb::BytesView data) {
 }
 
 void SimDevice::WriteAtomic(const std::string& file, kerb::Bytes&& data) {
-  FileState& state = files_[file];
+  File& state = Open(file);
   // A staged replacement subsumes any volatile tail: the caller is
   // replacing the whole file.
-  state.tail.clear();
+  state.data.resize(state.durable);
   const size_t size = data.size();
   state.staged = std::move(data);
   Fold(kOpWriteAtomic);
@@ -75,10 +79,12 @@ void SimDevice::WriteAtomic(const std::string& file, kerb::Bytes&& data) {
 
 void SimDevice::Flush(const std::string& file) {
   auto it = files_.find(file);
-  if (it == files_.end()) {
-    return;
+  if (it != files_.end()) {
+    Flush(it->second);
   }
-  FileState& state = it->second;
+}
+
+void SimDevice::Flush(File& state) {
   size_t hardened = 0;
   // A flushed rename is a barrier: it either already happened or the crash
   // reverts it wholesale. The lost-flush fault models a lying append-path
@@ -87,20 +93,21 @@ void SimDevice::Flush(const std::string& file) {
   // recoverable base, which is not a failure mode rename-based stores have.
   if (state.staged.has_value()) {
     hardened += state.staged->size();
-    state.durable = std::move(*state.staged);
+    state.data = std::move(*state.staged);
+    state.durable = state.data.size();
     state.staged.reset();
   }
-  if (!state.tail.empty() && Chance(plan_.lost_flush)) {
+  const size_t tail = state.data.size() - state.durable;
+  if (tail != 0 && Chance(plan_.lost_flush)) {
     ++flushes_lost_;
     Fold(kOpFlushLost);
-    FoldName(file);
+    FoldName(state.name);
   } else {
-    hardened += state.tail.size();
-    kerb::Append(state.durable, state.tail);
-    state.tail.clear();
+    hardened += tail;
+    state.durable = state.data.size();
   }
   Fold(kOpFlush);
-  FoldName(file);
+  FoldName(state.name);
   Fold(hardened);
   kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreDevFlush, hardened);
 }
@@ -110,10 +117,9 @@ kerb::Bytes SimDevice::ReadAll(const std::string& file) const {
   if (it == files_.end()) {
     return {};
   }
-  const FileState& state = it->second;
-  kerb::Bytes out = state.staged.has_value() ? *state.staged : state.durable;
-  kerb::Append(out, state.tail);
-  return out;
+  // A staged replacement cleared the tail, so it is the whole file.
+  const File& state = it->second;
+  return state.staged.has_value() ? *state.staged : state.data;
 }
 
 size_t SimDevice::size(const std::string& file) const {
@@ -121,14 +127,13 @@ size_t SimDevice::size(const std::string& file) const {
   if (it == files_.end()) {
     return 0;
   }
-  const FileState& state = it->second;
-  return (state.staged.has_value() ? state.staged->size() : state.durable.size()) +
-         state.tail.size();
+  const File& state = it->second;
+  return state.staged.has_value() ? state.staged->size() : state.data.size();
 }
 
 size_t SimDevice::durable_size(const std::string& file) const {
   auto it = files_.find(file);
-  return it == files_.end() ? 0 : it->second.durable.size();
+  return it == files_.end() ? 0 : it->second.durable;
 }
 
 void SimDevice::Crash() {
@@ -142,22 +147,21 @@ void SimDevice::Crash() {
       state.staged.reset();
       ++files_affected;
     }
-    if (!state.tail.empty()) {
+    const size_t tail = state.data.size() - state.durable;
+    if (tail != 0) {
       ++files_affected;
+      size_t keep = 0;
       if (Chance(plan_.torn_tail)) {
         // A prefix of the in-flight append made it to the platter.
-        const size_t keep = static_cast<size_t>(prng_.NextBelow(state.tail.size()));
+        keep = static_cast<size_t>(prng_.NextBelow(tail));
         ++tails_torn_;
         Fold(kOpTear);
         FoldName(name);
         Fold(keep);
-        bytes_lost += state.tail.size() - keep;
-        state.tail.resize(keep);
-        kerb::Append(state.durable, state.tail);
-      } else {
-        bytes_lost += state.tail.size();
       }
-      state.tail.clear();
+      bytes_lost += tail - keep;
+      state.durable += keep;
+      state.data.resize(state.durable);
     }
   }
   Fold(files_affected);

@@ -27,6 +27,7 @@
 #ifndef SRC_STORE_BLOCKDEV_H_
 #define SRC_STORE_BLOCKDEV_H_
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -49,10 +50,37 @@ class SimDevice {
   SimDevice() : prng_(0) {}
   SimDevice(kcrypto::Prng prng, DevFaultPlan plan) : prng_(prng), plan_(plan) {}
 
+  // An open file. The handle resolves the name once, so a writer that
+  // appends on every record (the WAL) skips the lookup; it stays valid for
+  // the device's lifetime. One buffer holds the file: its durable prefix,
+  // then the volatile tail appended since the last flush.
+  class File {
+   private:
+    friend class SimDevice;
+    std::string name;
+    kerb::Bytes data;                   // durable prefix + volatile tail
+    size_t durable = 0;                 // bytes of `data` that survive Crash()
+    std::optional<kerb::Bytes> staged;  // WriteAtomic awaiting flush
+  };
+
+  // The named file, created empty if absent.
+  File& Open(const std::string& name);
+
   // Appends to the file's volatile tail. Must not race a staged
   // WriteAtomic on the same file (asserted): the WAL appends, snapshots
   // replace, and the two live in different files.
-  void Append(const std::string& file, kerb::BytesView data);
+  void Append(const std::string& file, kerb::BytesView data) {
+    AppendWith(Open(file), [data](kerb::Bytes& out) { kerb::Append(out, data); });
+  }
+  // The same append, with `write(kerb::Bytes& out)` appending the bytes to
+  // `out` in place: a record encodes straight into the tail, uncopied.
+  template <typename Write>
+  void AppendWith(File& file, Write&& write) {
+    assert(!file.staged.has_value() && "Append while a WriteAtomic is staged");
+    const size_t before = file.data.size();
+    write(file.data);
+    Appended(file, file.data.size() - before);
+  }
 
   // Stages a wholesale replacement of the file's content, committed by the
   // next Flush(). Until then readers see the staged bytes but a crash
@@ -64,6 +92,7 @@ class SimDevice {
   // Hardens the file: commits a staged replacement and/or moves the
   // volatile tail into the durable prefix. Subject to lost_flush.
   void Flush(const std::string& file);
+  void Flush(File& file);
 
   // The file as the running system sees it (staged/volatile included).
   kerb::Bytes ReadAll(const std::string& file) const;
@@ -87,17 +116,12 @@ class SimDevice {
   uint64_t tails_torn() const { return tails_torn_; }
 
  private:
-  struct FileState {
-    kerb::Bytes durable;                 // survives Crash()
-    kerb::Bytes tail;                    // appended since the last flush
-    std::optional<kerb::Bytes> staged;   // WriteAtomic awaiting flush
-  };
-
+  void Appended(const File& file, size_t size);
   bool Chance(double p);
   void Fold(uint64_t v);
   void FoldName(const std::string& name);
 
-  std::map<std::string, FileState> files_;
+  std::map<std::string, File> files_;
   kcrypto::Prng prng_;
   DevFaultPlan plan_;
   uint64_t digest_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis

@@ -1,5 +1,6 @@
 #include "src/store/kprop.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/crypto/modes.h"
@@ -38,9 +39,15 @@ kerb::Result<std::pair<uint8_t, kerb::BytesView>> OpenFrame(const kcrypto::DesKe
 }
 
 kerb::Bytes EncodeDeltaFrame(const kcrypto::DesKey& key, uint64_t from_lsn,
-                             uint64_t to_lsn, const std::vector<WalRecord>& records) {
+                             uint64_t to_lsn, std::span<const WalRecord> records) {
   assert(to_lsn - from_lsn == records.size() && "delta window must match records");
-  kenc::Writer w;
+  size_t size = 4 + 1 + 8 + 8 + 4 + 8;
+  for (const WalRecord& record : records) {
+    size += 1 + 4 + record.payload.size();
+  }
+  kerb::Bytes frame;
+  frame.reserve(size);
+  kenc::Writer w(&frame);
   w.PutU32(kPropMagic);
   w.PutU8(kPropDelta);
   w.PutU64(from_lsn);
@@ -51,23 +58,27 @@ kerb::Bytes EncodeDeltaFrame(const kcrypto::DesKey& key, uint64_t from_lsn,
     w.PutU8(records[i].op);
     w.PutLengthPrefixed(records[i].payload);
   }
-  return SealFrame(key, w.Take());
+  return SealFrame(key, std::move(frame));
 }
 
 kerb::Bytes EncodeWholesaleFrame(const kcrypto::DesKey& key, kerb::BytesView snapshot_image) {
-  kenc::Writer w;
+  kerb::Bytes frame;
+  frame.reserve(4 + 1 + 4 + snapshot_image.size() + 8);
+  kenc::Writer w(&frame);
   w.PutU32(kPropMagic);
   w.PutU8(kPropWholesale);
   w.PutLengthPrefixed(snapshot_image);
-  return SealFrame(key, w.Take());
+  return SealFrame(key, std::move(frame));
 }
 
 kerb::Bytes EncodeAckFrame(const kcrypto::DesKey& key, uint64_t applied_lsn) {
-  kenc::Writer w;
+  kerb::Bytes frame;
+  frame.reserve(4 + 1 + 8 + 8);
+  kenc::Writer w(&frame);
   w.PutU32(kPropMagic);
   w.PutU8(kPropAck);
   w.PutU64(applied_lsn);
-  return SealFrame(key, w.Take());
+  return SealFrame(key, std::move(frame));
 }
 
 kerb::Result<uint64_t> ParseAckFrame(const kcrypto::DesKey& key, kerb::BytesView frame) {
@@ -115,24 +126,17 @@ kerb::Result<kerb::Bytes> PropagationSink::HandleDelta(kenc::Reader& r) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "prop: bad delta window");
   }
   // Parse the whole frame before touching the database: a delta applies
-  // atomically or not at all.
-  struct Pending {
-    uint8_t op;
-    kerb::Bytes payload;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(count.value());
+  // atomically or not at all. The apply pass below reads the records again.
+  const kenc::Reader records = r;
   for (uint32_t i = 0; i < count.value(); ++i) {
     auto op = r.GetU8();
     if (!op.ok() || (op.value() != kWalOpUpsert && op.value() != kWalOpDelete &&
                      op.value() != kWalOpClusterMark)) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "prop: bad record op");
     }
-    auto payload = r.GetLengthPrefixed();
-    if (!payload.ok()) {
+    if (!r.GetLengthPrefixedView().ok()) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "prop: truncated record");
     }
-    pending.push_back(Pending{op.value(), std::move(payload).value()});
   }
   if (!r.AtEnd()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "prop: trailing bytes");
@@ -160,8 +164,14 @@ kerb::Result<kerb::Bytes> PropagationSink::HandleDelta(kenc::Reader& r) {
   // outraced, so it re-sent from an older cursor). Apply only the unseen
   // suffix; re-running the prefix would double-apply mutations.
   const uint64_t skip = applied_ - from.value();
-  for (size_t i = static_cast<size_t>(skip); i < pending.size(); ++i) {
-    auto status = applier_(pending[i].op, pending[i].payload);
+  kenc::Reader apply = records;
+  for (uint64_t i = 0; i < count.value(); ++i) {
+    const uint8_t op = apply.GetU8().value();
+    const kerb::BytesView payload = apply.GetLengthPrefixedView().value();
+    if (i < skip) {
+      continue;
+    }
+    auto status = applier_(op, payload);
     if (!status.ok()) {
       return status.error();
     }
@@ -196,31 +206,44 @@ kerb::Result<kerb::Bytes> PropagationSink::HandleWholesale(kenc::Reader& r) {
   return Ack();
 }
 
+const kerb::Bytes& Propagator::SealDelta(uint64_t from, std::span<const WalRecord> records,
+                                         CycleReport& report) {
+  const uint64_t to = records.back().lsn;
+  if (last_delta_.history != store_->history() || last_delta_.from != from ||
+      last_delta_.to != to) {
+    last_delta_.history = store_->history();
+    last_delta_.from = from;
+    last_delta_.to = to;
+    last_delta_.frame = EncodeDeltaFrame(key_, from, to, records);
+    ++report.deltas_sealed;
+  }
+  return last_delta_.frame;
+}
+
 bool Propagator::CatchUp(uint32_t host, uint64_t* acked_lsn, bool wholesale,
-                         const SnapshotFn& snapshot, CycleReport& report) const {
+                         const SnapshotFn& snapshot, CycleReport& report) {
   const ksim::NetAddress dst{host, source_.port};
   while (wholesale || *acked_lsn < store_->last_lsn()) {
-    std::vector<WalRecord> delta;
-    kerb::Bytes frame;
+    std::span<const WalRecord> delta;
+    kerb::Bytes wholesale_frame;
+    const kerb::Bytes* frame = &wholesale_frame;
     uint64_t frame_to = 0;
     if (!wholesale && store_->Delta(*acked_lsn, &delta)) {
-      if (delta.size() > records_per_frame_) {
-        delta.resize(records_per_frame_);
-      }
+      delta = delta.first(std::min<size_t>(delta.size(), records_per_frame_));
       frame_to = delta.back().lsn;
-      frame = EncodeDeltaFrame(key_, *acked_lsn, frame_to, delta);
+      frame = &SealDelta(*acked_lsn, delta, report);
       report.records_shipped += delta.size();
     } else {
       // Asked for, or the replica predates the compaction horizon: only a
       // full transfer can catch it up.
       frame_to = store_->last_lsn();
-      frame = EncodeWholesaleFrame(key_, EncodeSnapshot(snapshot(frame_to)));
+      wholesale_frame = EncodeWholesaleFrame(key_, EncodeSnapshot(snapshot(frame_to)));
       ++report.wholesale_transfers;
-      report.wholesale_bytes += frame.size();
+      report.wholesale_bytes += wholesale_frame.size();
     }
-    report.bytes_sent += frame.size();
-    kobs::EmitNow(kobs::kSrcProp, kobs::Ev::kPropShip, host, frame.size());
-    auto reply = net_->Call(source_, dst, frame);
+    report.bytes_sent += frame->size();
+    kobs::EmitNow(kobs::kSrcProp, kobs::Ev::kPropShip, host, frame->size());
+    auto reply = net_->Call(source_, dst, *frame);
     if (!reply.ok()) {
       ++report.failures;
       return false;

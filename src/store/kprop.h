@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,7 +70,7 @@ kerb::Result<std::pair<uint8_t, kerb::BytesView>> OpenFrame(const kcrypto::DesKe
                                                             kerb::BytesView frame);
 
 kerb::Bytes EncodeDeltaFrame(const kcrypto::DesKey& key, uint64_t from_lsn,
-                             uint64_t to_lsn, const std::vector<WalRecord>& records);
+                             uint64_t to_lsn, std::span<const WalRecord> records);
 kerb::Bytes EncodeWholesaleFrame(const kcrypto::DesKey& key, kerb::BytesView snapshot_image);
 kerb::Bytes EncodeAckFrame(const kcrypto::DesKey& key, uint64_t applied_lsn);
 
@@ -117,6 +118,7 @@ class Propagator {
   struct CycleReport {
     uint64_t bytes_sent = 0;
     uint64_t records_shipped = 0;
+    uint64_t deltas_sealed = 0;  // delta frames encoded and MAC'd; the rest reused one
     uint64_t wholesale_transfers = 0;
     uint64_t wholesale_bytes = 0;
     uint64_t failures = 0;  // transport or rejection; cycle moved on
@@ -143,14 +145,29 @@ class Propagator {
   // or regressive ack, leaving *acked_lsn at the last acknowledged prefix.
   // True once the replica acked last_lsn().
   bool CatchUp(uint32_t host, uint64_t* acked_lsn, bool wholesale, const SnapshotFn& snapshot,
-               CycleReport& report) const;
+               CycleReport& report);
 
  private:
+  // The sealed delta frame for (from, records]: the last one sealed when
+  // its window and the store's history match, else a fresh one that
+  // replaces it. Replicas at the same position get the same bytes, so one
+  // write propagated to N replicas is encoded and MAC'd once.
+  const kerb::Bytes& SealDelta(uint64_t from, std::span<const WalRecord> records,
+                               CycleReport& report);
+
+  struct SealedDelta {
+    uint64_t history = 0;  // KStore::history() when sealed
+    uint64_t from = 0;
+    uint64_t to = 0;       // 0: nothing sealed yet (a delta's `to` is >= 1)
+    kerb::Bytes frame;
+  };
+
   ksim::Network* net_;
   KStore* store_;
   kcrypto::DesKey key_;
   ksim::NetAddress source_;
   uint32_t records_per_frame_;
+  SealedDelta last_delta_;
 };
 
 }  // namespace kstore

@@ -19,19 +19,8 @@ KStore::KStore(kcrypto::Prng dev_prng, const KStoreOptions& options, const Snaps
   kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, base.lsn, image_size);
 }
 
-uint64_t KStore::Append(uint8_t op, kerb::BytesView payload) {
-  std::lock_guard lock(mu_);
-  const uint64_t lsn = wal_.Append(op, payload);
-  WalRecord record;
-  record.lsn = lsn;
-  record.op = op;
-  record.payload = kerb::Bytes(payload.begin(), payload.end());
-  live_.push_back(std::move(record));
-  return lsn;
-}
-
-bool KStore::Delta(uint64_t from_lsn, std::vector<WalRecord>* out) const {
-  out->clear();
+bool KStore::Delta(uint64_t from_lsn, std::span<const WalRecord>* out) const {
+  *out = {};
   if (from_lsn < snapshot_lsn_) {
     return false;  // compacted away
   }
@@ -40,7 +29,7 @@ bool KStore::Delta(uint64_t from_lsn, std::vector<WalRecord>* out) const {
   // at index from_lsn - snapshot_lsn_.
   const uint64_t skip = from_lsn - snapshot_lsn_;
   if (skip < live_.size()) {
-    out->assign(live_.begin() + static_cast<ptrdiff_t>(skip), live_.end());
+    *out = std::span<const WalRecord>(live_).subspan(static_cast<size_t>(skip));
   }
   return true;
 }
@@ -57,6 +46,7 @@ void KStore::Compact(const Snapshot& snapshot) {
   // Recover() filters those records out.
   wal_.Rewrite({}, snapshot.lsn);
   snapshot_lsn_ = snapshot.lsn;
+  ++history_;
   live_.clear();
   kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreSnapshot, snapshot.lsn, image_size);
 }
@@ -98,6 +88,7 @@ kerb::Result<RecoveredState> KStore::Recover() {
   // the WAL to the surviving records so the torn tail is gone from disk.
   wal_.Rewrite(state.records, state.last_lsn);
   snapshot_lsn_ = state.base.lsn;
+  ++history_;
   live_ = state.records;
 
   kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreRecover, state.last_lsn,

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,15 +66,35 @@ class KStore {
   KStore(kcrypto::Prng dev_prng, const KStoreOptions& options, const Snapshot& base);
 
   // Journals one mutation durably and returns its LSN. Thread-safe.
-  uint64_t Append(uint8_t op, kerb::BytesView payload);
+  uint64_t Append(uint8_t op, kerb::BytesView payload) {
+    return AppendWith(op, [payload](kenc::Writer& w) { w.PutBytes(payload); });
+  }
+
+  // The same, with `encode(kenc::Writer&)` writing the payload straight
+  // into the WAL frame; the delta feed keeps one copy of it.
+  template <typename Encode>
+  uint64_t AppendWith(uint8_t op, Encode&& encode) {
+    std::lock_guard lock(mu_);
+    kerb::BytesView payload;
+    const uint64_t lsn = wal_.AppendWith(op, encode, &payload);
+    live_.push_back(WalRecord{lsn, op, kerb::Bytes(payload.begin(), payload.end())});
+    return lsn;
+  }
 
   uint64_t last_lsn() const { return wal_.last_lsn(); }
   uint64_t snapshot_lsn() const { return snapshot_lsn_; }
 
-  // Copies the journaled records with LSN > from_lsn into `out` (cleared
-  // first). False when from_lsn predates the snapshot — that history is
-  // compacted away and only a wholesale transfer can help.
-  bool Delta(uint64_t from_lsn, std::vector<WalRecord>* out) const;
+  // Views the journaled records with LSN > from_lsn in `out` (emptied
+  // first), valid until the next Append, Compact or Recover. False when
+  // from_lsn predates the snapshot — that history is compacted away and
+  // only a wholesale transfer can help.
+  bool Delta(uint64_t from_lsn, std::span<const WalRecord>* out) const;
+
+  // Advances whenever Compact or Recover rewrites the journal. Between two
+  // advances an LSN names one record; a recovered store may reuse the LSNs
+  // of records a crash lost, so anything cached by LSN window (the kprop
+  // frame memo) is valid only within one history.
+  uint64_t history() const { return history_; }
 
   // Installs `snapshot` (which must reflect every record up to its LSN,
   // snapshot.lsn == last_lsn()) as the new durable base and truncates the
@@ -97,6 +118,7 @@ class KStore {
   KStoreOptions options_;
   Wal wal_;
   uint64_t snapshot_lsn_ = 0;
+  uint64_t history_ = 0;
 
   std::mutex mu_;
   // In-memory mirror of the WAL suffix since the snapshot — the Delta()

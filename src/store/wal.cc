@@ -5,18 +5,47 @@
 
 namespace kstore {
 
-kerb::Bytes EncodeWalFrame(const WalRecord& record) {
-  kenc::Writer body;
-  body.PutU64(record.lsn);
-  body.PutU8(record.op);
-  body.PutLengthPrefixed(record.payload);
-  kerb::Bytes body_bytes = body.Take();
+namespace {
 
-  kenc::Writer frame;
-  frame.PutU32(static_cast<uint32_t>(body_bytes.size()));
-  frame.PutU32(kcrypto::Crc32(body_bytes));
-  frame.PutBytes(body_bytes);
-  return frame.Take();
+// Frame header: u32 body_len | u32 crc32(body); then the body's fixed part,
+// u64 lsn | u8 op | u32 payload_len.
+constexpr size_t kFrameHeader = 8;
+constexpr size_t kBodyHeader = 13;
+
+void StoreU32(uint8_t* at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    at[i] = static_cast<uint8_t>(v >> (24 - 8 * i));
+  }
+}
+
+}  // namespace
+
+size_t BeginWalFrame(kerb::Bytes& out, uint64_t lsn, uint8_t op) {
+  const size_t start = out.size();
+  out.resize(start + kFrameHeader);
+  kenc::Writer w(&out, /*append=*/true);
+  w.PutU64(lsn);
+  w.PutU8(op);
+  w.PutU32(0);
+  return start;
+}
+
+kerb::BytesView FinishWalFrame(kerb::Bytes& out, size_t frame_start) {
+  uint8_t* frame = out.data() + frame_start;
+  const size_t body_len = out.size() - frame_start - kFrameHeader;
+  const size_t payload_len = body_len - kBodyHeader;
+  StoreU32(frame + kFrameHeader + kBodyHeader - 4, static_cast<uint32_t>(payload_len));
+  StoreU32(frame, static_cast<uint32_t>(body_len));
+  StoreU32(frame + 4, kcrypto::Crc32(kerb::BytesView(frame + kFrameHeader, body_len)));
+  return kerb::BytesView(frame + kFrameHeader + kBodyHeader, payload_len);
+}
+
+kerb::Bytes EncodeWalFrame(const WalRecord& record) {
+  kerb::Bytes frame;
+  const size_t start = BeginWalFrame(frame, record.lsn, record.op);
+  kerb::Append(frame, record.payload);
+  FinishWalFrame(frame, start);
+  return frame;
 }
 
 kerb::Result<WalRecord> ParseWalFrame(kenc::Reader& r) {
@@ -87,16 +116,8 @@ kerb::Result<WalScan> ScanWal(kerb::BytesView image) {
   return scan;
 }
 
-uint64_t Wal::Append(uint8_t op, kerb::BytesView payload) {
-  WalRecord record;
-  record.lsn = ++last_lsn_;
-  record.op = op;
-  record.payload = kerb::Bytes(payload.begin(), payload.end());
-  const kerb::Bytes frame = EncodeWalFrame(record);
-  dev_->Append(file_, frame);
-  dev_->Flush(file_);
-  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreAppend, record.lsn, frame.size());
-  return record.lsn;
+void Wal::Appended(uint64_t lsn, size_t frame_size) const {
+  kobs::EmitNow(kobs::kSrcStore, kobs::Ev::kStoreAppend, lsn, frame_size);
 }
 
 void Wal::Rewrite(const std::vector<WalRecord>& records, uint64_t last_lsn) {

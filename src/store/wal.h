@@ -61,6 +61,13 @@ struct WalRecord {
 // Encodes one CRC-framed record.
 kerb::Bytes EncodeWalFrame(const WalRecord& record);
 
+// Appends one CRC-framed record to `out`. The frame is written in place:
+// BeginWalFrame writes its header with the lengths and CRC left blank, the
+// caller appends the payload, and FinishWalFrame fills them in and returns
+// the payload's bytes within `out`.
+size_t BeginWalFrame(kerb::Bytes& out, uint64_t lsn, uint8_t op);
+kerb::BytesView FinishWalFrame(kerb::Bytes& out, size_t frame_start);
+
 // Parses exactly one frame at the reader's position. Fail-closed:
 // truncation, oversized lengths, and CRC mismatches are kBadFormat.
 kerb::Result<WalRecord> ParseWalFrame(kenc::Reader& r);
@@ -76,16 +83,37 @@ struct WalScan {
 // parsed records must be strictly consecutive or the scan itself fails.
 kerb::Result<WalScan> ScanWal(kerb::BytesView image);
 
-// Append-side handle over a SimDevice file. Each Append writes one frame
-// and flushes — the WAL is durable up to the last acknowledged LSN (modulo
-// the device's injected flush faults, which recovery must tolerate).
+// Append-side handle over a SimDevice file. Each AppendWith writes one
+// frame and flushes — the WAL is durable up to the last acknowledged LSN
+// (modulo the device's injected flush faults, which recovery must
+// tolerate).
 class Wal {
  public:
   Wal(SimDevice* dev, std::string file, uint64_t last_lsn)
       : dev_(dev), file_(std::move(file)), last_lsn_(last_lsn) {}
 
   // Stamps the next LSN, appends the frame, flushes, and returns the LSN.
-  uint64_t Append(uint8_t op, kerb::BytesView payload);
+  // `encode(kenc::Writer&)` writes the payload straight into the frame at
+  // the device's tail; `*payload` views the journaled payload bytes until
+  // the file's next write.
+  template <typename Encode>
+  uint64_t AppendWith(uint8_t op, Encode&& encode, kerb::BytesView* payload) {
+    if (file_handle_ == nullptr) {
+      file_handle_ = &dev_->Open(file_);
+    }
+    const uint64_t lsn = ++last_lsn_;
+    size_t frame_size = 0;
+    dev_->AppendWith(*file_handle_, [&](kerb::Bytes& out) {
+      const size_t start = BeginWalFrame(out, lsn, op);
+      kenc::Writer w(&out, /*append=*/true);
+      encode(w);
+      *payload = FinishWalFrame(out, start);
+      frame_size = out.size() - start;
+    });
+    dev_->Flush(*file_handle_);
+    Appended(lsn, frame_size);
+    return lsn;
+  }
 
   uint64_t last_lsn() const { return last_lsn_; }
 
@@ -96,8 +124,11 @@ class Wal {
   const std::string& file() const { return file_; }
 
  private:
+  void Appended(uint64_t lsn, size_t frame_size) const;
+
   SimDevice* dev_;
   std::string file_;
+  SimDevice::File* file_handle_ = nullptr;  // opened on the first append
   uint64_t last_lsn_;
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "src/admin/kadmin.h"
 #include "src/admin/messages.h"
@@ -14,7 +15,9 @@
 #include "src/attacks/testbed5.h"
 #include "src/common/bytes.h"
 #include "src/krb4/database.h"
+#include "src/krb4/messages.h"
 #include "src/krb4/principal.h"
+#include "src/obs/kobs.h"
 
 namespace {
 
@@ -267,6 +270,118 @@ TEST(KadminTest, OldTicketDrainsAcrossRotationThenExpires) {
   clock.Advance(11 * ksim::kMinute);
   auto r3 = t.bed.alice().CallService(Testbed4::kMailAddr, mail, /*want_mutual=*/true);
   EXPECT_FALSE(r3.ok());
+}
+
+// A raw admin request presenting `creds` (any ticket and its session key)
+// from `client` at `addr`, with a fresh authenticator at `now`.
+kerb::Bytes RawAdminRequest(const krb4::ServiceCredentials& creds, const krb4::Principal& client,
+                            uint32_t addr, const krb4::Principal& target, uint64_t nonce,
+                            ksim::Time now) {
+  krb4::Authenticator4 auth;
+  auth.client = client;
+  auth.client_addr = addr;
+  auth.timestamp = now;
+  kadmin::AdminReqBody body;
+  body.op = kadmin::AdminOp::kGetKvno;
+  body.target = target;
+  body.nonce = nonce;
+  body.timestamp = now;
+  body.sender_addr = addr;
+  kadmin::AdminRequest req;
+  req.sealed_ticket = creds.sealed_ticket;
+  req.sealed_auth = auth.Seal(creds.session_key);
+  req.sealed_req = krb4::Seal4(creds.session_key, body.Encode());
+  return req.Encode();
+}
+
+// The server memoises the changepw ticket's unseal, but a memo hit only
+// saves the decrypt: the ticket's service, its expiry and the address
+// binding are checked on every request. Each denial below comes after a
+// hit, which shows as no kUnsealOk for the ticket.
+TEST(KadminTest, UnsealMemoHitStillChecksServiceExpiryAndAddress) {
+  kobs::ScopedTrace trace;
+  AdminBed t;
+  ksim::Network& net = t.bed.world().network();
+  kadmin::KadminServer& server = *t.bed.kadmin_server();
+  const krb4::Principal bob = t.bed.bob_principal();
+  const krb4::Principal oper = t.bed.oper_principal();
+  const uint32_t oper_host = Testbed4::kOperAddr.host;
+  ASSERT_TRUE(t.admin->GetKvno(bob).ok());  // memoises the operator's ticket
+  auto unseals_during = [&](const ksim::NetAddress& from, const kerb::Bytes& wire) {
+    const uint64_t before = trace->Count(kobs::Ev::kUnsealOk);
+    auto reply = net.Call(from, Testbed4::kAdminAddr, wire);
+    EXPECT_FALSE(reply.ok());
+    return std::make_pair(reply.ok() ? kerb::ErrorCode::kInternal : reply.code(),
+                          trace->Count(kobs::Ev::kUnsealOk) - before);
+  };
+
+  // Wrong address: eve re-sends a fresh honest request from her own host.
+  // The ticket comes from the memo; the authenticator is the one unseal.
+  auto honest = t.admin->BuildRequest(kadmin::AdminOp::kGetKvno, bob, {}, /*nonce=*/21);
+  ASSERT_TRUE(honest.ok());
+  EXPECT_EQ(unseals_during(Testbed4::kEveAddr, honest.value()),
+            std::make_pair(kerb::ErrorCode::kAuthFailed, uint64_t{1}));
+
+  // Another service: a ticket sealed under the changepw key that names the
+  // mail service. The first presentation unseals and memoises it, the
+  // second is a memo hit; both are refused before the authenticator.
+  auto changepw = t.bed.kdc().database().LookupEntry(kadmin::AdminPrincipal(t.bed.realm));
+  ASSERT_TRUE(changepw.ok());
+  krb4::Ticket4 forged;
+  forged.service = t.bed.mail_principal();
+  forged.client = oper;
+  forged.client_addr = oper_host;
+  forged.issued_at = server.clock().Now();
+  forged.lifetime = ksim::kHour;
+  forged.session_key = kcrypto::Prng(0xf00d).NextDesKey().bytes();
+  krb4::ServiceCredentials forged_creds;
+  forged_creds.session_key = kcrypto::DesKey(forged.session_key);
+  forged_creds.sealed_ticket = forged.Seal(kcrypto::DesKey(changepw.value().keys.front().key));
+  const ksim::Time now = server.clock().Now();
+  EXPECT_EQ(unseals_during(Testbed4::kOperAddr,
+                           RawAdminRequest(forged_creds, oper, oper_host, bob, 22, now)),
+            std::make_pair(kerb::ErrorCode::kAuthFailed, uint64_t{1}));
+  EXPECT_EQ(unseals_during(Testbed4::kOperAddr,
+                           RawAdminRequest(forged_creds, oper, oper_host, bob, 23, now)),
+            std::make_pair(kerb::ErrorCode::kAuthFailed, uint64_t{0}));
+
+  // Expired: the operator's own memoised ticket, presented with a fresh
+  // authenticator after its lifetime.
+  const krb4::ServiceCredentials own =
+      t.oper->credentials().at(kadmin::AdminPrincipal(t.bed.realm));
+  t.bed.world().clock().Advance(9 * ksim::kHour);
+  EXPECT_EQ(unseals_during(Testbed4::kOperAddr,
+                           RawAdminRequest(own, oper, oper_host, bob, 24,
+                                           server.clock().Now())),
+            std::make_pair(kerb::ErrorCode::kExpired, uint64_t{0}));
+  EXPECT_EQ(server.applied(), 1u);
+}
+
+// The memo is keyed by the key that opened the ticket, and the drain window
+// is checked before the memo is consulted: a ticket under the old changepw
+// kvno keeps working while that key drains and is refused once it closes,
+// although the memo still holds its decoded ticket.
+TEST(KadminTest, OldChangepwKvnoTicketDrainsThenIsRefusedDespiteTheMemo) {
+  AdminBed t;
+  kadmin::KadminServer& server = *t.bed.kadmin_server();
+  server.policy().old_key_retain = 10 * ksim::kMinute;
+  ksim::SimClock& clock = t.bed.world().clock();
+  const krb4::Principal bob = t.bed.bob_principal();
+  ASSERT_TRUE(t.admin->GetKvno(bob).ok());  // memoises the ticket under kvno 1
+
+  auto rotated = t.admin->RotateKey(kadmin::AdminPrincipal(t.bed.realm));
+  ASSERT_TRUE(rotated.ok()) << rotated.error().detail;
+  EXPECT_EQ(rotated.value().kvno, 2u);
+
+  clock.Advance(5 * ksim::kMinute);
+  auto draining = t.admin->GetKvno(bob);
+  EXPECT_TRUE(draining.ok()) << draining.error().detail;
+
+  clock.Advance(6 * ksim::kMinute);
+  auto drained = t.admin->GetKvno(bob);
+  ASSERT_FALSE(drained.ok());
+  EXPECT_EQ(drained.code(), kerb::ErrorCode::kAuthFailed);
+  EXPECT_EQ(server.applied(), 3u);
 }
 
 TEST(KadminTest, TgsKeyRotationHonorsOutstandingTgtV4) {

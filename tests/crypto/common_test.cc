@@ -1,11 +1,54 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/common/bytes.h"
+#include "src/common/flat_table.h"
 #include "src/common/hex.h"
 #include "src/common/result.h"
 
 namespace kerb {
 namespace {
+
+// Keys that share a handful of hashes: every probe run is long, and
+// erases in arbitrary order exercise the backward shift. The table must
+// answer exactly like a std::map throughout.
+TEST(FlatTableTest, CollidingHashesMatchAMap) {
+  struct Slot {
+    uint64_t hash = 0;
+    uint64_t key = 0;
+    uint64_t value = 0;
+  };
+  FlatTable<Slot> table;
+  std::map<uint64_t, uint64_t> model;
+  auto hash_of = [](uint64_t key) { return key % 5 == 0 ? 1 : NonzeroHash(key % 7); };
+  auto find = [&](uint64_t key) {
+    return table.Find(hash_of(key), [key](const Slot& s) { return s.key == key; });
+  };
+  uint64_t x = 12345;
+  for (int i = 0; i < 20000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const uint64_t key = (x >> 33) % 300;
+    Slot* slot = find(key);
+    ASSERT_EQ(slot != nullptr, model.count(key) == 1) << "key " << key;
+    if (slot == nullptr) {
+      Slot& fresh = table.Insert(hash_of(key));
+      fresh.key = key;
+      fresh.value = x;
+      model[key] = x;
+    } else {
+      ASSERT_EQ(slot->value, model[key]);
+      table.Erase(slot);
+      model.erase(key);
+    }
+    ASSERT_EQ(table.size(), model.size());
+  }
+  for (const auto& [key, value] : model) {
+    const Slot* slot = find(key);
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(slot->value, value);
+  }
+}
 
 TEST(BytesTest, ToBytesToStringRoundTrip) {
   std::string s = "kerberos";

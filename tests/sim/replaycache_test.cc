@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "src/crypto/prng.h"
+#include "src/obs/kobs.h"
 #include "src/sim/replaycache.h"
 
 namespace ksim {
@@ -69,6 +75,87 @@ TEST(ShardedReplayCacheTest, FrozenClockStaysBoundedToTheWindow) {
         cache.CheckAndInsert(std::string("u").append(std::to_string(i)), 1, now, now, kWindow));
   }
   EXPECT_EQ(cache.size(), 1000u);
+}
+
+// The ordered-set cache this one replaced, as a model: 16 shards picked by
+// the identity's FNV, each a std::set ordered by timestamp, pruned of
+// entries older than the window on every insert into it.
+class SetModel {
+ public:
+  bool CheckAndInsert(const std::string& identity, uint32_t addr, Time timestamp, Time now,
+                      Duration window) {
+    std::set<Entry>& shard = shards_[(kobs::FnvOf(identity) >> 60) & 15];
+    auto stale_end = shard.lower_bound(Entry{now - window, std::string(), 0});
+    pruned_ += static_cast<uint64_t>(std::distance(shard.begin(), stale_end));
+    shard.erase(shard.begin(), stale_end);
+    return shard.emplace(timestamp, identity, addr).second;
+  }
+
+  size_t size() const {
+    size_t total = 0;
+    for (const auto& shard : shards_) {
+      total += shard.size();
+    }
+    return total;
+  }
+  uint64_t pruned() const { return pruned_; }
+
+ private:
+  using Entry = std::tuple<Time, std::string, uint32_t>;
+  std::array<std::set<Entry>, 16> shards_;
+  uint64_t pruned_ = 0;
+};
+
+// Randomized traffic against the model: claimed timestamps out of order
+// (skewed either way, some already past the cutoff and some exactly on
+// it), verbatim duplicates of earlier tuples, a clock that stands still
+// for long stretches and then jumps, and identities that differ only in a
+// late byte. Every verdict, the size after every call, and the total the
+// kCachePrune events report must match the model.
+TEST(ShardedReplayCacheTest, MatchesAnOrderedSetModel) {
+  constexpr Duration kShort = 40 * kSecond;
+  kobs::ScopedTrace trace;
+  ShardedReplayCache cache;
+  SetModel model;
+  kcrypto::Prng prng(0x2e91a7);
+  std::vector<std::tuple<std::string, uint32_t, Time>> presented;
+  Time now = 1000000;
+  size_t max_size = 0;
+  for (int i = 0; i < 40000; ++i) {
+    const uint64_t step = prng.NextBelow(100);
+    if (step < 60) {
+      // the clock stands still
+    } else if (step < 98) {
+      now += static_cast<Time>(prng.NextBelow(2 * kSecond));
+    } else {
+      now += static_cast<Time>(prng.NextBelow(3 * kShort));
+    }
+    std::string identity;
+    uint32_t addr = 0;
+    Time timestamp = 0;
+    const uint64_t shape = prng.NextBelow(100);
+    if (shape < 25 && !presented.empty()) {
+      std::tie(identity, addr, timestamp) = presented[prng.NextBelow(presented.size())];
+    } else {
+      identity = "client-" + std::to_string(prng.NextBelow(48)) + "@R";
+      addr = static_cast<uint32_t>(prng.NextBelow(3));
+      if (shape < 35) {
+        timestamp = now - kShort - static_cast<Time>(prng.NextBelow(2));  // on the cutoff
+      } else {
+        timestamp = now - kShort - kSecond +
+                    static_cast<Time>(prng.NextBelow(2 * kShort + 2 * kSecond));
+      }
+      presented.emplace_back(identity, addr, timestamp);
+    }
+    ASSERT_EQ(cache.CheckAndInsert(identity, addr, timestamp, now, kShort),
+              model.CheckAndInsert(identity, addr, timestamp, now, kShort))
+        << "call " << i;
+    ASSERT_EQ(cache.size(), model.size()) << "call " << i;
+    max_size = std::max(max_size, cache.size());
+  }
+  EXPECT_EQ(trace->SumA(kobs::Ev::kCachePrune), model.pruned());
+  EXPECT_GT(model.pruned(), 10000u);
+  EXPECT_LT(max_size, 4000u) << "the cache holds about one window of entries";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The simulated device, the WAL codec, and the KStore engine — durability
 // semantics under honest operation, injected storage faults, and crashes.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -241,7 +242,7 @@ TEST(KStoreTest, CompactionBoundsDeltaHistory) {
   store.Append(kstore::kWalOpUpsert, B("a"));
   store.Append(kstore::kWalOpUpsert, B("b"));
 
-  std::vector<kstore::WalRecord> delta;
+  std::span<const kstore::WalRecord> delta;
   ASSERT_TRUE(store.Delta(0, &delta));
   EXPECT_EQ(delta.size(), 2u);
 
@@ -294,7 +295,7 @@ TEST(KStoreTest, DeltaMatchesAFullScanAtEveryLsn) {
           want.push_back(record);
         }
       }
-      std::vector<kstore::WalRecord> got(1);  // Delta clears what it is given
+      std::span<const kstore::WalRecord> got(journal);  // Delta empties what it is given
       const bool ok = store.Delta(from, &got);
       ASSERT_EQ(ok, from >= store.snapshot_lsn()) << stage << ", from " << from;
       if (!ok) {

@@ -13,6 +13,7 @@
 //     digest identically across reruns.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -369,6 +370,156 @@ TEST(PropReplicaTest, ZeroSlaveSetsBuildNoPropagationMachinery) {
   EXPECT_EQ(tb4.kdc_replicas().propagation(), nullptr);
   kattack::Testbed5 tb5;
   EXPECT_EQ(tb5.kdc_replicas().propagation(), nullptr);
+}
+
+// --- Frame memo -------------------------------------------------------------
+
+// A primary feed over a bare KStore and network, and replicas whose sinks
+// keep every payload they apply. The network tap keeps every frame sent.
+struct FeedBed {
+  struct Replica {
+    uint32_t host = 0;
+    uint64_t acked = 0;
+    std::vector<std::string> applied;
+    std::unique_ptr<kstore::PropagationSink> sink;
+  };
+
+  explicit FeedBed(kstore::DevFaultPlan plan = {})
+      : store(kcrypto::Prng(0x5eed), kstore::KStoreOptions{plan}, kstore::Snapshot{}),
+        feed(&net, &store, PropKey(), {0x0a000001, kstore::kPropPort}, /*records_per_frame=*/4) {
+    net.SetAdversary(&tap);
+  }
+
+  Replica& AddReplica(uint32_t host) {
+    auto replica = std::make_unique<Replica>();
+    replica->host = host;
+    Replica* r = replica.get();
+    r->sink = std::make_unique<kstore::PropagationSink>(
+        PropKey(), 0,
+        [r](uint8_t, kerb::BytesView payload) {
+          r->applied.push_back(kerb::ToString(payload));
+          return kerb::Status::Ok();
+        },
+        [](const kstore::Snapshot&) { return kerb::Status::Ok(); });
+    net.Bind({host, kstore::kPropPort},
+             [r](const ksim::Message& msg) { return r->sink->Handle(msg); });
+    replicas.push_back(std::move(replica));
+    return *r;
+  }
+
+  void Append(const std::string& payload) {
+    store.Append(kstore::kWalOpUpsert, kerb::ToBytes(payload));
+  }
+
+  // Catches `r` up; returns the delta frames it was sent.
+  std::vector<kerb::Bytes> CatchUp(Replica& r, kstore::Propagator::CycleReport& report) {
+    const size_t before = tap.exchanges().size();
+    EXPECT_TRUE(feed.CatchUp(r.host, &r.acked, /*wholesale=*/false,
+                             [](uint64_t) { return kstore::Snapshot{}; }, report));
+    std::vector<kerb::Bytes> frames;
+    for (size_t i = before; i < tap.exchanges().size(); ++i) {
+      frames.push_back(tap.exchanges()[i].request.payload);
+    }
+    return frames;
+  }
+
+  ksim::SimClock clock;
+  ksim::Network net{&clock};
+  ksim::RecordingAdversary tap;
+  kstore::KStore store;
+  kstore::Propagator feed;
+  std::vector<std::unique_ptr<Replica>> replicas;
+};
+
+TEST(PropFrameMemoTest, ReplicasAtOneWindowGetOneSealedFrame) {
+  FeedBed bed;
+  for (int i = 0; i < 3; ++i) {
+    bed.Append("rec" + std::to_string(i));
+  }
+  kstore::Propagator::CycleReport report;
+  std::vector<kerb::Bytes> first;
+  for (uint32_t host = 10; host < 14; ++host) {
+    std::vector<kerb::Bytes> frames = bed.CatchUp(bed.AddReplica(host), report);
+    ASSERT_EQ(frames.size(), 1u);
+    if (first.empty()) {
+      first = frames;
+    }
+    EXPECT_EQ(frames, first) << "replica " << host << " got different bytes";
+  }
+  EXPECT_EQ(report.deltas_sealed, 1u) << "four replicas at (0, 3] need one seal";
+  for (const auto& r : bed.replicas) {
+    EXPECT_EQ(r->applied, (std::vector<std::string>{"rec0", "rec1", "rec2"}));
+  }
+}
+
+TEST(PropFrameMemoTest, ADifferentWindowReseals) {
+  FeedBed bed;
+  FeedBed::Replica& a = bed.AddReplica(10);
+  FeedBed::Replica& b = bed.AddReplica(11);
+  bed.Append("rec0");
+  kstore::Propagator::CycleReport report;
+  bed.CatchUp(a, report);
+  bed.Append("rec1");
+  bed.Append("rec2");
+  // b starts at 0: (0, 3]; a starts at 1: (1, 3]. Two windows, two seals.
+  const std::vector<kerb::Bytes> to_b = bed.CatchUp(b, report);
+  const std::vector<kerb::Bytes> to_a = bed.CatchUp(a, report);
+  ASSERT_EQ(to_a.size(), 1u);
+  ASSERT_EQ(to_b.size(), 1u);
+  EXPECT_NE(to_a, to_b);
+  EXPECT_EQ(report.deltas_sealed, 3u);
+  EXPECT_EQ(a.applied, (std::vector<std::string>{"rec0", "rec1", "rec2"}));
+  EXPECT_EQ(b.applied, (std::vector<std::string>{"rec0", "rec1", "rec2"}));
+}
+
+TEST(PropFrameMemoTest, CompactionReseals) {
+  FeedBed bed;
+  FeedBed::Replica& a = bed.AddReplica(10);
+  FeedBed::Replica& b = bed.AddReplica(11);
+  bed.Append("rec0");
+  kstore::Propagator::CycleReport report;
+  bed.CatchUp(a, report);
+  bed.CatchUp(b, report);
+  ASSERT_EQ(report.deltas_sealed, 1u);
+  kstore::Snapshot snapshot;
+  snapshot.lsn = bed.store.last_lsn();
+  bed.store.Compact(snapshot);
+  bed.Append("rec1");
+  bed.CatchUp(a, report);
+  bed.CatchUp(b, report);
+  EXPECT_EQ(report.deltas_sealed, 2u);
+  EXPECT_EQ(b.applied, (std::vector<std::string>{"rec0", "rec1"}));
+}
+
+// A crash loses the primary's unflushed record, and the recovered primary
+// journals a different record under the same LSN. The replica still at the
+// old position must get the new record: a frame memo kept across Recover
+// would hand it the lost one.
+TEST(PropFrameMemoTest, RecoveryThatReusesAnLsnReseals) {
+  FeedBed bed;
+  FeedBed::Replica& a = bed.AddReplica(10);
+  FeedBed::Replica& b = bed.AddReplica(11);
+  bed.Append("durable");
+  kstore::Propagator::CycleReport report;
+  bed.CatchUp(a, report);
+  bed.CatchUp(b, report);
+
+  bed.store.device().plan().lost_flush = 1.0;
+  bed.Append("lost-in-crash");
+  const std::vector<kerb::Bytes> to_a = bed.CatchUp(a, report);
+  bed.store.Crash();
+  bed.store.device().plan().lost_flush = 0;
+  auto recovered = bed.store.Recover();
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_EQ(recovered.value().last_lsn, 1u);
+  bed.Append("journaled-after-recovery");
+  ASSERT_EQ(bed.store.last_lsn(), 2u);
+
+  const std::vector<kerb::Bytes> to_b = bed.CatchUp(b, report);
+  EXPECT_NE(to_a, to_b) << "the window (1, 2] names a different record after recovery";
+  EXPECT_EQ(report.deltas_sealed, 3u);
+  EXPECT_EQ(a.applied, (std::vector<std::string>{"durable", "lost-in-crash"}));
+  EXPECT_EQ(b.applied, (std::vector<std::string>{"durable", "journaled-after-recovery"}));
 }
 
 // --- Determinism ------------------------------------------------------------
