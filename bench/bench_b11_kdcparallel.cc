@@ -155,7 +155,7 @@ struct Kdc4BenchSetup {
     as_req.lifetime = 8 * ksim::kHour;
     as_request.src = kattack::Testbed4::kAliceAddr;
     as_request.dst = kattack::Testbed4::kAsAddr;
-    as_request.payload = krb4::Frame4(krb4::MsgType::kAsRequest, as_req.Encode());
+    as_request.payload = krb4::Frame4(krb4::MsgType::kAsRequest, as_req);
     as_request.sent_at = now;
 
     // Alice's login yields the TGT and session key, built the way Client4
@@ -171,11 +171,11 @@ struct Kdc4BenchSetup {
     krb4::TgsRequest4 tgs_req;
     tgs_req.service = bed.mail_principal();
     tgs_req.sealed_tgt = creds.sealed_tgt;
-    tgs_req.sealed_auth = auth.Seal(creds.session_key);
+    tgs_req.sealed_auth = krb4::Seal(creds.session_key, auth);
     tgs_req.lifetime = ksim::kHour;
     tgs_request.src = kattack::Testbed4::kAliceAddr;
     tgs_request.dst = kattack::Testbed4::kTgsAddr;
-    tgs_request.payload = krb4::Frame4(krb4::MsgType::kTgsRequest, tgs_req.Encode());
+    tgs_request.payload = krb4::Frame4(krb4::MsgType::kTgsRequest, tgs_req);
     tgs_request.sent_at = now;
   }
 

@@ -44,10 +44,10 @@ void BM_GuessConfirmation(benchmark::State& state) {
   kcrypto::Prng prng(1);
   krb4::Principal alice = krb4::Principal::User("alice", "ATHENA.SIM");
   kcrypto::DesKey real_key = kcrypto::StringToKey("the-real-password", alice.Salt());
-  krb4::AsReplyBody4 body;
-  body.tgs_session_key = prng.NextDesKey().bytes();
-  body.sealed_tgt = prng.NextBytes(64);
-  kerb::Bytes sealed = krb4::Seal4(real_key, body.Encode());
+  krb4::ReplyBody4 body;
+  body.session_key = prng.NextDesKey().bytes();
+  body.sealed_ticket = prng.NextBytes(64);
+  kerb::Bytes sealed = krb4::Seal(real_key, body);
 
   int i = 0;
   for (auto _ : state) {
@@ -67,10 +67,10 @@ void BM_ParallelCrackSweep(benchmark::State& state) {
   kcrypto::Prng prng(3);
   krb4::Principal user = krb4::Principal::User("user9", "ATHENA.SIM");
   kcrypto::DesKey key = kcrypto::StringToKey("Tr0ub4dor&3", user.Salt());
-  krb4::AsReplyBody4 body;
-  body.tgs_session_key = prng.NextDesKey().bytes();
-  body.sealed_tgt = prng.NextBytes(64);
-  kerb::Bytes sealed = krb4::Seal4(key, body.Encode());
+  krb4::ReplyBody4 body;
+  body.session_key = prng.NextDesKey().bytes();
+  body.sealed_ticket = prng.NextBytes(64);
+  kerb::Bytes sealed = krb4::Seal(key, body);
   const auto& dictionary = kattack::CommonPasswordDictionary();
   for (auto _ : state) {
     benchmark::DoNotOptimize(kattack::CrackSealedReply(sealed, user, dictionary));
@@ -85,10 +85,10 @@ void BM_FullDictionaryPerUser(benchmark::State& state) {
   kcrypto::Prng prng(2);
   krb4::Principal user = krb4::Principal::User("user7", "ATHENA.SIM");
   kcrypto::DesKey key = kcrypto::StringToKey("tigger", user.Salt());  // weak
-  krb4::AsReplyBody4 body;
-  body.tgs_session_key = prng.NextDesKey().bytes();
-  body.sealed_tgt = prng.NextBytes(64);
-  kerb::Bytes sealed = krb4::Seal4(key, body.Encode());
+  krb4::ReplyBody4 body;
+  body.session_key = prng.NextDesKey().bytes();
+  body.sealed_ticket = prng.NextBytes(64);
+  kerb::Bytes sealed = krb4::Seal(key, body);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         kattack::CrackSealedReply(sealed, user, kattack::CommonPasswordDictionary()));

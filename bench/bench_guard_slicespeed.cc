@@ -50,10 +50,10 @@ int main() {
   kcrypto::Prng prng(0x51ce);
   const krb4::Principal user = krb4::Principal::User("guard", "ATHENA.SIM");
   const kcrypto::DesKey key = kcrypto::StringToKey("Str0ng&Uncrackable!", user.Salt());
-  krb4::AsReplyBody4 body;
-  body.tgs_session_key = prng.NextDesKey().bytes();
-  body.sealed_tgt = prng.NextBytes(64);
-  const kerb::Bytes sealed = krb4::Seal4(key, body.Encode());
+  krb4::ReplyBody4 body;
+  body.session_key = prng.NextDesKey().bytes();
+  body.sealed_ticket = prng.NextBytes(64);
+  const kerb::Bytes sealed = krb4::Seal(key, body);
   // The stock dictionary (~210 words) fills less than one 256-lane slice;
   // replicate it so the bitsliced path runs mostly full chunks, as a real
   // harvest sweep (dictionary x many victims) does. Replication does not

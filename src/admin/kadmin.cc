@@ -72,7 +72,7 @@ kerb::Result<const KadminServer::UnsealedTicket*> KadminServer::UnsealTicket(
     if (const UnsealedTicket* memo = unseals_.Get<UnsealedTicket>(slot, kv.key, sealed)) {
       return memo;
     }
-    auto ticket = krb4::Ticket4::Unseal(kcrypto::DesKey(kv.key), sealed);
+    auto ticket = krb4::Unseal<krb4::Ticket4>(kcrypto::DesKey(kv.key), sealed);
     if (ticket.ok()) {
       const kcrypto::DesKey session_key(ticket.value().session_key);
       return unseals_.Put(slot, kv.key, sealed,
@@ -120,7 +120,7 @@ void KadminServer::AckCache::Store(uint64_t client, uint64_t nonce, kerb::Bytes 
 
 kerb::Bytes KadminServer::SealReply(const kcrypto::DesKey& session_key,
                                     const AdminReplyBody& body) {
-  return krb4::Frame4(krb4::MsgType::kAdminReply, krb4::Seal4(session_key, body.Encode()));
+  return krb4::Frame4(krb4::MsgType::kAdminReply, krb4::Seal4(session_key, EncodeChecked(body)));
 }
 
 kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::Time now) {
@@ -128,7 +128,7 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   if (!framed.ok() || framed.value().first != krb4::MsgType::kAdminRequest) {
     return Deny(0, kerb::ErrorCode::kBadFormat, "expected admin request");
   }
-  auto req = AdminRequest::Decode(framed.value().second);
+  auto req = kenc::Decode<AdminRequest>(framed.value().second);
   if (!req.ok()) {
     return Deny(0, req.error().code, "malformed admin request");
   }
@@ -146,7 +146,7 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   }
 
   const kcrypto::DesKey& session_key = unsealed.value()->session_key;
-  auto auth = krb4::Authenticator4::Unseal(session_key, req.value().sealed_auth);
+  auto auth = krb4::Unseal<krb4::Authenticator4>(session_key, req.value().sealed_auth);
   if (!auth.ok()) {
     return Deny(0, kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");
   }
@@ -168,7 +168,7 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   if (!plain.ok()) {
     return Deny(0, plain.error().code, "request body undecryptable");
   }
-  auto body = AdminReqBody::Decode(plain.value());
+  auto body = DecodeChecked<AdminReqBody>(plain.value());
   if (!body.ok()) {
     return Deny(0, body.error().code, "request body malformed");
   }
@@ -193,7 +193,7 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
   // replay (same timestamp, same nonce) still trips the cache.
   char nonce[20];
   identity_.clear();
-  client.AppendTo(identity_);
+  client.AppendToString(identity_);
   identity_ += '#';
   identity_.append(nonce, std::to_chars(nonce, nonce + sizeof(nonce), body.value().nonce).ptr);
   if (!seen_authenticators_.CheckAndInsert(identity_, auth.value().client_addr,
@@ -380,9 +380,9 @@ kerb::Bytes AdminClient::BuildRequest(const krb4::ServiceCredentials& creds, Adm
 
   AdminRequest req;
   req.sealed_ticket = creds.sealed_ticket;
-  req.sealed_auth = auth.Seal(creds.session_key);
-  req.sealed_req = krb4::Seal4(creds.session_key, body.Encode());
-  return req.Encode();
+  req.sealed_auth = krb4::Seal(creds.session_key, auth);
+  req.sealed_req = krb4::Seal4(creds.session_key, EncodeChecked(body));
+  return krb4::Frame4(krb4::MsgType::kAdminRequest, req);
 }
 
 kerb::Result<AdminClient::Ack> AdminClient::ParseReply(uint64_t nonce,
@@ -408,7 +408,7 @@ kerb::Result<AdminClient::Ack> AdminClient::ParseReply(const kcrypto::DesKey& se
   if (!plain.ok()) {
     return plain.error();
   }
-  auto body = AdminReplyBody::Decode(plain.value());
+  auto body = DecodeChecked<AdminReplyBody>(plain.value());
   if (!body.ok()) {
     return body.error();
   }

@@ -30,9 +30,9 @@ AddressBindingReport RunAddressBindingStudy(uint64_t seed) {
     auth.timestamp = bed.world().clock().Now();
     krb4::ApRequest4 req;
     req.sealed_ticket = stolen_ticket;
-    req.sealed_auth = auth.Seal(stolen_key);
+    req.sealed_auth = krb4::Seal(stolen_key, auth);
     req.app_data = kerb::ToBytes("read /home/alice/secrets");
-    return krb4::Frame4(krb4::MsgType::kApRequest, req.Encode());
+    return krb4::Frame4(krb4::MsgType::kApRequest, req);
   };
 
   // Naive reuse: the packet honestly carries eve's address. The address

@@ -71,11 +71,11 @@ DisklessCacheReport RunDisklessTmpCacheTheft(uint64_t seed) {
   auth.timestamp = bed.world().clock().Now();
   krb4::ApRequest4 req;
   req.sealed_ticket = stolen_ticket;
-  req.sealed_auth = auth.Seal(stolen_key);
+  req.sealed_auth = krb4::Seal(stolen_key, auth);
   req.app_data = kerb::ToBytes("read inbox");
   auto verdict =
       bed.world().network().Call(Testbed4::kAliceAddr, Testbed4::kMailAddr,
-                                 krb4::Frame4(krb4::MsgType::kApRequest, req.Encode()));
+                                 krb4::Frame4(krb4::MsgType::kApRequest, req));
   report.impersonation_succeeded = verdict.ok();
   if (!bed.mail_log().empty()) {
     report.evidence = bed.mail_log().back();

@@ -61,7 +61,7 @@ CrackReport RunEavesdropCrackV4(const HarvestScenario& scenario) {
     if (!req_frame.ok() || !rep_frame.ok()) {
       continue;
     }
-    auto req = krb4::AsRequest4::Decode(req_frame.value().second);
+    auto req = kenc::Decode<krb4::AsRequest4>(req_frame.value().second);
     if (!req.ok()) {
       continue;
     }
@@ -131,12 +131,13 @@ CrackReport RunEavesdropCrackAgainstDhLogin(const DhCrackScenario& scenario) {
       continue;
     }
     kenc::Reader req_reader(exchange.request.payload);
-    auto principal = krb4::Principal::DecodeFrom(req_reader);
+    krb4::Principal principal;
+    const bool principal_ok = kenc::Get(req_reader, principal);
     auto client_pub_bytes = req_reader.GetLengthPrefixed();
     kenc::Reader rep_reader(exchange.reply);
     auto server_pub_bytes = rep_reader.GetLengthPrefixed();
     auto outer = rep_reader.GetLengthPrefixed();
-    if (!principal.ok() || !client_pub_bytes.ok() || !server_pub_bytes.ok() || !outer.ok()) {
+    if (!principal_ok || !client_pub_bytes.ok() || !server_pub_bytes.ok() || !outer.ok()) {
       continue;
     }
     ++report.replies_obtained;
@@ -146,7 +147,7 @@ CrackReport RunEavesdropCrackAgainstDhLogin(const DhCrackScenario& scenario) {
       // Large group: no way in; the dictionary runs against the DH-wrapped
       // blob and confirms nothing.
       uint64_t attempts = 0;
-      auto cracked = CrackSealedReply(outer.value(), principal.value(),
+      auto cracked = CrackSealedReply(outer.value(), principal,
                                       CommonPasswordDictionary(), &attempts);
       report.guess_attempts += attempts;
       if (cracked.has_value()) {
@@ -172,7 +173,7 @@ CrackReport RunEavesdropCrackAgainstDhLogin(const DhCrackScenario& scenario) {
       continue;
     }
     uint64_t attempts = 0;
-    auto cracked = CrackSealedReply(stripped.value(), principal.value(),
+    auto cracked = CrackSealedReply(stripped.value(), principal,
                                     CommonPasswordDictionary(), &attempts);
     report.guess_attempts += attempts;
     if (cracked.has_value()) {

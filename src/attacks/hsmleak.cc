@@ -33,10 +33,10 @@ HsmLeakReport RunEncryptionUnitLeakSweep(uint64_t seed, int fuzz_rounds) {
   tgt.client = alice;
   tgt.session_key = tgs_session.bytes();
   tgt.lifetime = ksim::kHour;
-  krb4::AsReplyBody4 as_body;
-  as_body.tgs_session_key = tgs_session.bytes();
-  as_body.sealed_tgt = tgt.Seal(prng.NextDesKey());
-  kerb::Bytes sealed_as = krb4::Seal4(login_key, as_body.Encode());
+  krb4::ReplyBody4 as_body;
+  as_body.session_key = tgs_session.bytes();
+  as_body.sealed_ticket = krb4::Seal(prng.NextDesKey(), tgt);
+  kerb::Bytes sealed_as = krb4::Seal(login_key, as_body);
 
   kerb::Bytes tgt_out;
   auto tgs_handle = unit.OpenAsReply(login, sealed_as, &tgt_out);
@@ -50,10 +50,10 @@ HsmLeakReport RunEncryptionUnitLeakSweep(uint64_t seed, int fuzz_rounds) {
       capture(auth.value());
     }
     kcrypto::DesKey svc_session = prng.NextDesKey();
-    krb4::TgsReplyBody4 tgs_body;
+    krb4::ReplyBody4 tgs_body;
     tgs_body.session_key = svc_session.bytes();
     tgs_body.sealed_ticket = prng.NextBytes(48);
-    kerb::Bytes sealed_tgs = krb4::Seal4(tgs_session, tgs_body.Encode());
+    kerb::Bytes sealed_tgs = krb4::Seal(tgs_session, tgs_body);
     kerb::Bytes ticket_out;
     auto session_handle = unit.OpenTgsReply(tgs_handle.value(), sealed_tgs, &ticket_out);
     ++report.operations_attempted;
@@ -78,7 +78,7 @@ HsmLeakReport RunEncryptionUnitLeakSweep(uint64_t seed, int fuzz_rounds) {
   service_ticket.client = alice;
   service_ticket.session_key = prng.NextDesKey().bytes();
   service_ticket.lifetime = ksim::kHour;
-  auto info = unit.DecryptTicket(service, service_ticket.Seal(service_key));
+  auto info = unit.DecryptTicket(service, krb4::Seal(service_key, service_ticket));
   ++report.operations_attempted;
   if (info.ok()) {
     capture(kerb::ToBytes(info.value().client.ToString()));

@@ -75,7 +75,7 @@ KdcLoadResult RunKdcLoad(const KdcHandler& handler, const ksim::Message& request
       [&](unsigned, krb4::KdcContext& ctx) { return handler(request, ctx).ok(); });
 }
 
-kerb::Result<krb4::AsReplyBody4> DoPkLogin4(const KdcHandler& handler,
+kerb::Result<krb4::ReplyBody4> DoPkLogin4(const KdcHandler& handler,
                                             const krb4::Principal& user,
                                             const kcrypto::DesKey& user_key,
                                             const kcrypto::DhGroup& group, ksim::Time now,
@@ -99,7 +99,7 @@ kerb::Result<krb4::AsReplyBody4> DoPkLogin4(const KdcHandler& handler,
 
   ksim::Message msg;
   msg.src = src;
-  msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req.Encode());
+  msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req);
   auto reply = handler(msg, kdc_ctx);
   if (!reply.ok()) {
     return reply.error();
@@ -109,7 +109,7 @@ kerb::Result<krb4::AsReplyBody4> DoPkLogin4(const KdcHandler& handler,
   if (!framed.ok() || framed.value().first != krb4::MsgType::kAsPkReply) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected PK AS reply");
   }
-  auto rep = krb4::AsPkReply4::Decode(framed.value().second);
+  auto rep = kenc::Decode<krb4::AsPkReply4>(framed.value().second);
   if (!rep.ok()) {
     return rep.error();
   }
@@ -127,7 +127,7 @@ kerb::Result<krb4::AsReplyBody4> DoPkLogin4(const KdcHandler& handler,
   if (!plain.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "password layer decryption failed");
   }
-  return krb4::AsReplyBody4::Decode(plain.value());
+  return kenc::Decode<krb4::ReplyBody4>(plain.value());
 }
 
 PkLoginLoadResult RunPkLoginLoad(const KdcHandler& handler, const krb4::Principal& user,

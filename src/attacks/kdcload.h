@@ -47,7 +47,7 @@ KdcLoadResult RunKdcLoad(const KdcHandler& handler, const ksim::Message& request
 // with `now`, the client's view of KDC time), and verifies the reply end
 // to end — server public validated, DH layer and password layer unsealed,
 // reply body decoded. `src` is the claimed client address.
-kerb::Result<krb4::AsReplyBody4> DoPkLogin4(const KdcHandler& handler,
+kerb::Result<krb4::ReplyBody4> DoPkLogin4(const KdcHandler& handler,
                                             const krb4::Principal& user,
                                             const kcrypto::DesKey& user_key,
                                             const kcrypto::DhGroup& group, ksim::Time now,

@@ -23,7 +23,7 @@ MorrisReport RunMorrisSpoof(const MorrisScenario& scenario) {
         if (!framed.ok() || framed.value().first != krb4::MsgType::kApRequest) {
           return;
         }
-        auto req = krb4::ApRequest4::Decode(framed.value().second);
+        auto req = kenc::Decode<krb4::ApRequest4>(framed.value().second);
         if (!req.ok()) {
           return;
         }

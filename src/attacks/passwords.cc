@@ -152,7 +152,7 @@ std::optional<size_t> TryChunk4(kerb::BytesView sealed, const std::string& salt,
     }
     kcrypto::DesKey guess(keys[i]);
     auto plain = krb4::Unseal4(guess, sealed);
-    if (plain.ok() && krb4::AsReplyBody4::Decode(plain.value()).ok()) {
+    if (plain.ok() && kenc::Decode<krb4::ReplyBody4>(plain.value()).ok()) {
       return start + i;
     }
   }
@@ -319,7 +319,7 @@ std::optional<std::string> CrackSealedReply(kerb::BytesView sealed_reply_body,
     hit = FirstMatch(dictionary.size(), CrackWorkerThreads(), [&](size_t i) {
       kcrypto::DesKey guess = kcrypto::StringToKey(dictionary[i], salt);
       auto plain = krb4::Unseal4(guess, sealed_reply_body);
-      return plain.ok() && krb4::AsReplyBody4::Decode(plain.value()).ok();
+      return plain.ok() && kenc::Decode<krb4::ReplyBody4>(plain.value()).ok();
     });
   } else {
     hit = FirstMatchChunked(dictionary.size(), CrackWorkerThreads(),

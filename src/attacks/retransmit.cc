@@ -46,8 +46,8 @@ RetransmitReport RunRetransmissionStudy(bool fresh_authenticator_per_retry, uint
     auth.timestamp = bed.world().clock().Now();
     krb4::ApRequest4 req;
     req.sealed_ticket = creds.value().sealed_ticket;
-    req.sealed_auth = auth.Seal(creds.value().session_key);
-    return krb4::Frame4(krb4::MsgType::kApRequest, req.Encode());
+    req.sealed_auth = krb4::Seal(creds.value().session_key, auth);
+    return krb4::Frame4(krb4::MsgType::kApRequest, req);
   };
 
   ReplyDropper dropper;

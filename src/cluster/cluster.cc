@@ -14,11 +14,10 @@ namespace kcluster {
 
 namespace {
 
-// Virtual per-request service time, charged to the serving node's busy
-// meter and to the shared SimClock. The single-core host can't run N nodes
-// in parallel, so aggregate throughput is derived from the busiest node's
-// meter: wall time = max over nodes, not the sum.
-constexpr ksim::Duration kNodeServiceTime = 200 * ksim::kMicrosecond;
+// How far each served request advances the shared SimClock. It dates the
+// tickets the nodes issue, so the traces and digests depend on it; it is
+// not a measure of anything.
+constexpr ksim::Duration kServedRequestClockStep = 200 * ksim::kMicrosecond;
 
 // Chunking for the controller's data plane: WAL records per kprop delta
 // frame, principal entries per range-load frame.
@@ -100,7 +99,7 @@ bool ClusterNode::ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
     }
     switch (framed.value().first) {
       case krb4::MsgType::kAsRequest: {
-        auto req = krb4::AsRequest4::Decode(framed.value().second);
+        auto req = kenc::Decode<krb4::AsRequest4>(framed.value().second);
         if (!req.ok()) {
           return false;
         }
@@ -108,7 +107,7 @@ bool ClusterNode::ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
         return true;
       }
       case krb4::MsgType::kAsPkRequest: {
-        auto req = krb4::AsPkRequest4::Decode(framed.value().second);
+        auto req = kenc::Decode<krb4::AsPkRequest4>(framed.value().second);
         if (!req.ok()) {
           return false;
         }
@@ -116,7 +115,7 @@ bool ClusterNode::ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
         return true;
       }
       case krb4::MsgType::kTgsRequest: {
-        auto req = krb4::TgsRequest4::Decode(framed.value().second);
+        auto req = kenc::Decode<krb4::TgsRequest4>(framed.value().second);
         if (!req.ok()) {
           return false;
         }
@@ -165,11 +164,10 @@ kerb::Bytes ClusterNode::ReferralReply(const krb4::Principal& p) {
   ++referrals_sent_;
   kobs::EmitNow(kobs::kSrcCluster, kobs::Ev::kClusterReferral, node_id_,
                 body.owner_node_id);
-  const kerb::Bytes encoded = EncodeReferralBody(body);
   if (config_.protocol == Protocol::kV4) {
-    return krb4::Frame4(krb4::MsgType::kClusterReferral, encoded);
+    return krb4::Frame4(krb4::MsgType::kClusterReferral, body);
   }
-  return kenc::Encode(krb5::ClusterReferral5{encoded});
+  return kenc::Encode(krb5::ClusterReferral5{kenc::Encode(body)});
 }
 
 kerb::Result<kerb::Bytes> ClusterNode::HandleKdc(bool tgs, const ksim::Message& msg) {
@@ -184,8 +182,7 @@ kerb::Result<kerb::Bytes> ClusterNode::HandleKdc(bool tgs, const ksim::Message& 
     // never mask a fail-closed parse.
     return ReferralReply(routing);
   }
-  busy_us_ += kNodeServiceTime;
-  world_->clock().Advance(kNodeServiceTime);
+  world_->clock().Advance(kServedRequestClockStep);
   ++requests_served_;
   if (core4_.has_value()) {
     return tgs ? core4_->HandleTgs(msg, ctx_) : core4_->HandleAs(msg, ctx_);
@@ -197,32 +194,40 @@ kerb::Result<kerb::Bytes> ClusterNode::HandleCtl(const ksim::Message& msg) {
   if (crashed_) {
     return kerb::MakeError(kerb::ErrorCode::kTransport, "cluster node down");
   }
-  auto opened = OpenCtlFrame(ctl_key_, msg.payload);
+  auto opened = kstore::OpenFrame(ctl_key_, kClusterMagic, msg.payload);
   if (!opened.ok()) {
     return opened.error();
   }
+  const kerb::BytesView body = opened.value().second;
   switch (opened.value().first) {
     case kCtlPing: {
-      auto from = ParsePingBody(opened.value().second);
-      if (!from.ok()) {
-        return from.error();
+      auto ping = kenc::Decode<PingBody>(body);
+      if (!ping.ok()) {
+        return ping.error();
       }
-      return EncodePongFrame(ctl_key_, {node_id_, view_epoch(), sink_->applied_lsn()});
+      return EncodeCtlFrame(ctl_key_, kCtlPong,
+                            PongBody{node_id_, view_epoch(), sink_->applied_lsn()});
     }
     case kCtlRing: {
-      auto announce = ParseRingBody(opened.value().second);
+      auto announce = kenc::Decode<RingAnnounce>(body);
       if (!announce.ok()) {
         return announce.error();
+      }
+      if (auto valid = CheckAnnounce(announce.value()); !valid.ok()) {
+        return valid.error();
       }
       if (!view_.has_value() || announce.value().epoch > view_->epoch) {
         AdoptView(announce.value());
       }
-      return EncodeRingAckFrame(ctl_key_, {node_id_, view_epoch()});
+      return EncodeCtlFrame(ctl_key_, kCtlRingAck, RingAckBody{node_id_, view_epoch()});
     }
     case kCtlLoad: {
-      auto load = ParseLoadBody(opened.value().second);
+      auto load = kenc::Decode<LoadBody>(body);
       if (!load.ok()) {
         return load.error();
+      }
+      if (load.value().entries.size() > kMaxLoadEntries) {
+        return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: bad load header");
       }
       if (load.value().epoch != view_epoch()) {
         return kerb::MakeError(kerb::ErrorCode::kReplay, "cluster: stale load epoch");
@@ -239,7 +244,8 @@ kerb::Result<kerb::Bytes> ClusterNode::HandleCtl(const ksim::Message& msg) {
         db().ApplyEntry(principal, entry);
       }
       kobs::EmitNow(kobs::kSrcCluster, kobs::Ev::kClusterOp, pending.value().size(), 2);
-      return EncodeLoadAckFrame(ctl_key_, static_cast<uint32_t>(pending.value().size()));
+      return EncodeCtlFrame(ctl_key_, kCtlLoadAck,
+                            LoadAckBody{static_cast<uint32_t>(pending.value().size())});
     }
     default:
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: unexpected ctl frame");
@@ -423,26 +429,29 @@ void ClusterController::AppendEpochMark() {
   store_->Append(kstore::kWalOpClusterMark, w.Peek());
 }
 
-kerb::Result<std::pair<uint8_t, kerb::Bytes>> ClusterController::CallCtl(
-    const NodeState& ns, kerb::BytesView frame) {
+template <typename Reply>
+kerb::Result<Reply> ClusterController::CallCtl(const NodeState& ns, kerb::BytesView frame,
+                                               uint8_t reply_type) {
   auto reply = world_->network().Call({config_.controller_host, config_.ctl_port},
                                       {ns.member.host, config_.ctl_port}, frame);
   if (!reply.ok()) {
     return reply.error();
   }
-  return OpenCtlFrame(ctl_key_, reply.value());
+  auto opened = kstore::OpenFrame(ctl_key_, kClusterMagic, reply.value());
+  if (!opened.ok()) {
+    return opened.error();
+  }
+  if (opened.value().first != reply_type) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "cluster: unexpected ctl reply");
+  }
+  return kenc::Decode<Reply>(opened.value().second);
 }
 
-bool ClusterController::Ping(NodeState& ns, PongInfo* pong) {
+bool ClusterController::Ping(NodeState& ns, PongBody* pong) {
   // Two attempts so one dropped datagram on a faulty link is not read as a
   // node loss; a real outage fails both deterministically.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto opened = CallCtl(ns, EncodePingFrame(ctl_key_, 0));
-    if (!opened.ok() || opened.value().first != kCtlPong) {
-      ++stats_.probe_failures;
-      continue;
-    }
-    auto info = ParsePongBody(opened.value().second);
+    auto info = CallCtl<PongBody>(ns, EncodeCtlFrame(ctl_key_, kCtlPing, PingBody{0}), kCtlPong);
     if (!info.ok() || info.value().node_id != ns.member.node_id) {
       ++stats_.probe_failures;
       continue;
@@ -454,11 +463,7 @@ bool ClusterController::Ping(NodeState& ns, PongInfo* pong) {
 }
 
 bool ClusterController::ShipRing(NodeState& ns) {
-  auto opened = CallCtl(ns, EncodeRingFrame(ctl_key_, View()));
-  if (!opened.ok() || opened.value().first != kCtlRingAck) {
-    return false;
-  }
-  auto ack = ParseRingAckBody(opened.value().second);
+  auto ack = CallCtl<RingAckBody>(ns, EncodeCtlFrame(ctl_key_, kCtlRing, View()), kCtlRingAck);
   if (!ack.ok() || ack.value().node_id != ns.member.node_id ||
       ack.value().epoch != epoch_) {
     return false;
@@ -486,18 +491,13 @@ uint64_t ClusterController::ShipGained(NodeState& ns, const HashRing& prev) {
   });
   uint64_t shipped = 0;
   for (size_t start = 0; start < gained.size(); start += kLoadEntriesPerFrame) {
-    LoadFrame frame;
+    LoadBody frame;
     frame.epoch = epoch_;
     const size_t end = std::min(gained.size(), start + kLoadEntriesPerFrame);
     frame.entries.assign(gained.begin() + static_cast<ptrdiff_t>(start),
                          gained.begin() + static_cast<ptrdiff_t>(end));
-    auto opened = CallCtl(ns, EncodeLoadFrame(ctl_key_, frame));
-    bool ok = opened.ok() && opened.value().first == kCtlLoadAck;
-    if (ok) {
-      auto count = ParseLoadAckBody(opened.value().second);
-      ok = count.ok() && count.value() == frame.entries.size();
-    }
-    if (!ok) {
+    auto ack = CallCtl<LoadAckBody>(ns, EncodeCtlFrame(ctl_key_, kCtlLoad, frame), kCtlLoadAck);
+    if (!ack.ok() || ack.value().count_applied != frame.entries.size()) {
       // A lost or rejected load leaves the node short of its new range —
       // flag it for the wholesale hammer rather than guessing what landed.
       ns.needs_wholesale = true;
@@ -568,7 +568,7 @@ void ClusterController::Rebalance(const HashRing& prev) {
 bool ClusterController::ProbeAll() {
   bool changed = false;
   for (NodeState& ns : nodes_) {
-    PongInfo pong;
+    PongBody pong;
     const bool alive = Ping(ns, &pong);
     if (ns.up && !alive) {
       ns.up = false;

@@ -114,7 +114,6 @@ class ClusterNode {
   bool crashed() const { return crashed_; }
   uint32_t view_epoch() const { return view_.has_value() ? view_->epoch : 0; }
   uint64_t applied_lsn() const { return sink_->applied_lsn(); }
-  uint64_t busy_us() const { return busy_us_; }
   uint64_t requests_served() const { return requests_served_; }
   uint64_t referrals_sent() const { return referrals_sent_; }
   krb4::KdcDatabase& database() { return db(); }
@@ -157,7 +156,6 @@ class ClusterNode {
   std::unique_ptr<kstore::KStore> store_;
   std::unique_ptr<kstore::PropagationSink> sink_;
   bool crashed_ = false;
-  uint64_t busy_us_ = 0;
   uint64_t requests_served_ = 0;
   uint64_t referrals_sent_ = 0;
 };
@@ -226,10 +224,11 @@ class ClusterController {
   std::vector<RingMember> UpMembers() const;
   bool OwnedByOrInfra(uint64_t node_id, const krb4::Principal& p) const;
   void AppendEpochMark();
-  // One control-plane round trip to `ns`; returns the opened reply.
-  kerb::Result<std::pair<uint8_t, kerb::Bytes>> CallCtl(const NodeState& ns,
-                                                        kerb::BytesView frame);
-  bool Ping(NodeState& ns, PongInfo* pong);
+  // One control-plane round trip to `ns`: the reply frame opened, checked
+  // to be of `reply_type`, and its body decoded.
+  template <typename Reply>
+  kerb::Result<Reply> CallCtl(const NodeState& ns, kerb::BytesView frame, uint8_t reply_type);
+  bool Ping(NodeState& ns, PongBody* pong);
   bool ShipRing(NodeState& ns);
   uint64_t ShipGained(NodeState& ns, const HashRing& prev);
   kstore::Snapshot SliceSnapshot(uint64_t node_id, uint64_t lsn) const;

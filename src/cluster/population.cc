@@ -197,15 +197,6 @@ ClusterLoadReport RunClusterLoad(ksim::World& world, ClusterController& cluster,
         static_cast<double>(report.routing.referrals_followed) /
         static_cast<double>(report.attempted);
   }
-  for (uint64_t id : cluster.node_ids()) {
-    const uint64_t busy = cluster.node(id)->busy_us();
-    report.total_busy_us += busy;
-    report.max_node_busy_us = std::max(report.max_node_busy_us, busy);
-  }
-  if (report.max_node_busy_us > 0) {
-    report.aggregate_ops_per_sec = static_cast<double>(report.ok) * 1e6 /
-                                   static_cast<double>(report.max_node_busy_us);
-  }
   return report;
 }
 

@@ -101,9 +101,6 @@ struct ClusterLoadReport {
   uint64_t tgs_ops = 0;
   ClientRouter::Stats routing;      // summed over the client pool
   double cold_referral_rate = 0.0;  // referrals followed / attempted
-  uint64_t max_node_busy_us = 0;    // the cluster's virtual critical path
-  uint64_t total_busy_us = 0;
-  double aggregate_ops_per_sec = 0.0;  // ok ops / max_node_busy
 };
 
 ClusterLoadReport RunClusterLoad(ksim::World& world, ClusterController& cluster,

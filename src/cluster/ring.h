@@ -22,6 +22,7 @@
 #define SRC_CLUSTER_RING_H_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "src/krb4/principal.h"
@@ -38,11 +39,15 @@ struct RingMember {
   bool operator==(const RingMember& other) const {
     return node_id == other.node_id && host == other.host;
   }
+
+  static constexpr auto Layout() { return std::tuple{&RingMember::node_id, &RingMember::host}; }
 };
 
 struct RingConfig {
   uint64_t seed = 0x6b636c7573746572ull;  // "kcluster"
   uint32_t vnodes = 64;                   // virtual points per member
+
+  static constexpr auto Layout() { return std::tuple{&RingConfig::seed, &RingConfig::vnodes}; }
 };
 
 class HashRing {

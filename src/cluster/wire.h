@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -44,6 +45,8 @@
 #include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/crypto/des.h"
+#include "src/encoding/layout.h"
+#include "src/store/kprop.h"
 
 namespace kcluster {
 
@@ -56,13 +59,18 @@ constexpr uint8_t kCtlRingAck = 4;
 constexpr uint8_t kCtlLoad = 5;
 constexpr uint8_t kCtlLoadAck = 6;
 
-// Decoder ceilings — fail closed before allocating.
+// Decoder ceilings, checked after a body decodes. A count beyond what its
+// bytes could hold fails the decode itself, before anything is allocated.
 constexpr uint32_t kMaxClusterMembers = 256;
+constexpr uint32_t kMaxRingVnodes = 4096;
 constexpr uint32_t kMaxLoadEntries = 1u << 16;
 
 // The control-plane key every node derives from the realm name, the same
 // convention kprop uses for the propagation key.
 kcrypto::DesKey ClusterKey(const std::string& realm);
+
+// Each body below lists its fields in wire order in Layout()
+// (src/encoding/layout.h); every one must be exact, with no trailing bytes.
 
 // A complete routing view: ring parameters plus the member list at one
 // epoch. This is what ring-update frames carry and what referrals teach
@@ -74,9 +82,18 @@ struct RingAnnounce {
   uint16_t tgs_port = 0;
   uint16_t ctl_port = kClusterCtlPort;
   std::vector<RingMember> members;
+
+  static constexpr auto Layout() {
+    return std::tuple{&RingAnnounce::epoch,    &RingAnnounce::ring,     &RingAnnounce::as_port,
+                      &RingAnnounce::tgs_port, &RingAnnounce::ctl_port, &RingAnnounce::members};
+  }
 };
 
-kerb::Result<RingAnnounce> DecodeRingAnnounce(kerb::BytesView data);
+// A view with no members, an absurd vnode count or a member listed twice
+// cannot describe a serving cluster: kBadFormat rather than a degenerate
+// ring (a duplicate id would double the node's points and make ownership
+// depend on list order).
+kerb::Status CheckAnnounce(const RingAnnounce& announce);
 
 // The body of a kClusterReferral (V4) frame / kMsgClusterReferral (V5)
 // kClusterBody field: the referring node's current view plus who it
@@ -84,52 +101,73 @@ kerb::Result<RingAnnounce> DecodeRingAnnounce(kerb::BytesView data);
 struct ReferralBody {
   RingAnnounce view;
   uint64_t owner_node_id = 0;
+
+  static constexpr auto Layout() {
+    return std::tuple{&ReferralBody::view, &ReferralBody::owner_node_id};
+  }
 };
 
-kerb::Bytes EncodeReferralBody(const ReferralBody& body);
+// kenc::Decode, then CheckAnnounce and the check that the named owner is in
+// the view it rides with (or the client could not act on the referral).
 kerb::Result<ReferralBody> DecodeReferralBody(kerb::BytesView data);
 
 // --- Control frames (MAC'd) -------------------------------------------------
 
-struct PongInfo {
+struct PingBody {
+  uint64_t from_node = 0;
+
+  static constexpr auto Layout() { return std::tuple{&PingBody::from_node}; }
+};
+
+struct PongBody {
   uint64_t node_id = 0;
   uint32_t epoch = 0;
   uint64_t applied_lsn = 0;
+
+  static constexpr auto Layout() {
+    return std::tuple{&PongBody::node_id, &PongBody::epoch, &PongBody::applied_lsn};
+  }
 };
 
-struct RingAckInfo {
+struct RingAckBody {
   uint64_t node_id = 0;
   uint32_t epoch = 0;
+
+  static constexpr auto Layout() { return std::tuple{&RingAckBody::node_id, &RingAckBody::epoch}; }
 };
 
-// One additive range-load record: an encoded principal entry
-// (krb4::EncodePrincipalEntry bytes).
-struct LoadFrame {
+// Additive range-load records: encoded principal entries
+// (krb4::EncodePrincipalEntry bytes), at most kMaxLoadEntries.
+struct LoadBody {
   uint32_t epoch = 0;
   std::vector<kerb::Bytes> entries;
+
+  static constexpr auto Layout() { return std::tuple{&LoadBody::epoch, &LoadBody::entries}; }
 };
 
-kerb::Bytes EncodePingFrame(const kcrypto::DesKey& key, uint64_t from_node);
-kerb::Bytes EncodePongFrame(const kcrypto::DesKey& key, const PongInfo& info);
-kerb::Bytes EncodeRingFrame(const kcrypto::DesKey& key, const RingAnnounce& announce);
-kerb::Bytes EncodeRingAckFrame(const kcrypto::DesKey& key, const RingAckInfo& info);
-kerb::Bytes EncodeLoadFrame(const kcrypto::DesKey& key, const LoadFrame& load);
-kerb::Bytes EncodeLoadAckFrame(const kcrypto::DesKey& key, uint32_t count_applied);
+struct LoadAckBody {
+  uint32_t count_applied = 0;
 
-// kstore::OpenFrame for 'KCL1' frames: (type, body-after-header), or
-// kIntegrity on MAC mismatch, kBadFormat on framing damage — every
-// malformed control frame is a rejection, never a partial parse.
-kerb::Result<std::pair<uint8_t, kerb::Bytes>> OpenCtlFrame(const kcrypto::DesKey& key,
-                                                           kerb::BytesView frame);
+  static constexpr auto Layout() { return std::tuple{&LoadAckBody::count_applied}; }
+};
 
-// Body parsers for the frame types with payloads (input: the bytes
-// OpenCtlFrame returned for that type).
-kerb::Result<uint64_t> ParsePingBody(kerb::BytesView body);
-kerb::Result<PongInfo> ParsePongBody(kerb::BytesView body);
-kerb::Result<RingAnnounce> ParseRingBody(kerb::BytesView body);
-kerb::Result<RingAckInfo> ParseRingAckBody(kerb::BytesView body);
-kerb::Result<LoadFrame> ParseLoadBody(kerb::BytesView body);
-kerb::Result<uint32_t> ParseLoadAckBody(kerb::BytesView body);
+// A 'KCL1' control frame of `type` carrying `body`, sealed by
+// kstore::SealFrame; one allocation. The receiver opens it with
+// kstore::OpenFrame(key, kClusterMagic, frame) — kIntegrity on a MAC
+// mismatch, kBadFormat on framing damage — and decodes the body with
+// kenc::Decode<Body>, so a malformed frame is a rejection, never a partial
+// parse.
+template <typename Body>
+kerb::Bytes EncodeCtlFrame(const kcrypto::DesKey& key, uint8_t type, const Body& body) {
+  const size_t size = kenc::EncodedSize(body);
+  kerb::Bytes frame;
+  frame.reserve(5 + size + 8);  // room for the MAC SealFrame appends
+  frame.resize(5 + size);
+  kenc::PutBe(frame.data(), kClusterMagic, 4);
+  frame[4] = type;
+  kenc::EncodeTo(body, frame.data() + 5);
+  return kstore::SealFrame(key, std::move(frame));
+}
 
 }  // namespace kcluster
 

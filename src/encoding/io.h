@@ -3,8 +3,10 @@
 // Kerberos V4 messages are bare concatenations of fields in a fixed order —
 // the style whose security consequences the paper examines ("the order of
 // concatenation of message fields can have security-critical
-// implications"). The V4 structures in src/krb4 serialize directly with
-// these primitives. The V5 model instead layers the tagged encoding of
+// implications"). The V4, kadmin and cluster messages describe their fields
+// once (src/encoding/layout.h) and are written and read through these
+// primitives; the framings around them (seals, WAL and kprop records) use
+// them directly. The V5 model instead layers the tagged encoding of
 // src/encoding/tlv.h on top.
 //
 // All integers are big-endian on the wire.
@@ -49,6 +51,13 @@ class Writer {
   void PutLengthPrefixed(kerb::BytesView b);
   // Length-prefixed UTF-8 string.
   void PutString(std::string_view s);
+  // Grows the output by n bytes and returns where they start, for a codec
+  // that sizes what it writes before writing it.
+  uint8_t* Extend(size_t n) {
+    const size_t at = out_->size();
+    out_->resize(at + n);
+    return out_->data() + at;
+  }
 
   size_t size() const { return out_->size(); }
   kerb::Bytes Take() { return std::move(owned_); }
@@ -72,6 +81,14 @@ class Reader {
   // The same field, viewed in place within the reader's buffer.
   kerb::Result<kerb::BytesView> GetLengthPrefixedView();
   kerb::Result<std::string> GetString();
+
+  // Consumes n bytes, which the caller has checked remain, and returns
+  // where they start.
+  const uint8_t* Skip(size_t n) {
+    const uint8_t* at = data_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

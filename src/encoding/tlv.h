@@ -339,12 +339,13 @@ template <typename Msg>
 inline constexpr size_t kFieldCount =
     std::tuple_size_v<std::remove_const_t<decltype(kFields<Msg>)>>;
 
-// Calls fn(std::integral_constant<size_t, I>) for each row I of Msg's table.
-template <typename Msg, typename Fn>
-constexpr void ForEachRow(Fn&& fn) {
+// Calls fn(std::integral_constant<size_t, I>) for each I < N, in order: for
+// each row I of a table when N = kFieldCount<Msg>.
+template <size_t N, typename Fn>
+constexpr void ForEachIndex(Fn&& fn) {
   [&]<size_t... I>(std::index_sequence<I...>) {
     (fn(std::integral_constant<size_t, I>{}), ...);
-  }(std::make_index_sequence<kFieldCount<Msg>>{});
+  }(std::make_index_sequence<N>{});
 }
 
 // The table's invariants: tags strictly ascending with each multi-tag value
@@ -354,7 +355,7 @@ template <typename Msg>
 consteval bool Valid() {
   bool ok = true;
   int next = 0;
-  ForEachRow<Msg>([&](auto row) {
+  ForEachIndex<kFieldCount<Msg>>([&](auto row) {
     constexpr auto f = std::get<decltype(row)::value>(kFields<Msg>);
     using F = decltype(f);
     ok = ok && f.tag >= next &&
@@ -380,7 +381,7 @@ const auto* ValueToSend(const T& member) {
 template <typename Msg, typename Fn>
 void ForEachSent(const Msg& msg, Fn&& fn) {
   static_assert(Valid<Msg>(), "field table tags must ascend, below 64");
-  ForEachRow<Msg>([&](auto row) {
+  ForEachIndex<kFieldCount<Msg>>([&](auto row) {
     constexpr auto f = std::get<decltype(row)::value>(kFields<Msg>);
     using W = WireOf<decltype(f)>;
     if (const auto* value = ValueToSend<f.presence>(msg.*f.member)) {
@@ -404,7 +405,7 @@ const char* DecodeFields(kerb::BytesView wire, Msg& msg) {
       return "duplicate field tag";
     }
     const char* field_error = nullptr;
-    ForEachRow<Msg>([&](auto row) {
+    ForEachIndex<kFieldCount<Msg>>([&](auto row) {
       constexpr auto f = std::get<decltype(row)::value>(kFields<Msg>);
       using F = decltype(f);
       using W = WireOf<F>;
@@ -435,7 +436,7 @@ const char* DecodeFields(kerb::BytesView wire, Msg& msg) {
     return "duplicate field tag";
   }
   // A required value needs all its tags; any other, all or none.
-  ForEachRow<Msg>([&](auto row) {
+  ForEachIndex<kFieldCount<Msg>>([&](auto row) {
     constexpr auto f = std::get<decltype(row)::value>(kFields<Msg>);
     constexpr uint64_t mask = ((uint64_t{1} << WireOf<decltype(f)>::kTags) - 1) << f.tag;
     const uint64_t got = tags.low() & mask;

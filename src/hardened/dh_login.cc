@@ -21,9 +21,9 @@ DhLoginServer::DhLoginServer(ksim::Network* net, const ksim::NetAddress& addr,
 
 kerb::Result<kerb::Bytes> DhLoginServer::Handle(const ksim::Message& msg) {
   kenc::Reader r(msg.payload);
-  auto principal = krb4::Principal::DecodeFrom(r);
-  if (!principal.ok()) {
-    return principal.error();
+  krb4::Principal principal;
+  if (!kenc::Get(r, principal)) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "truncated principal");
   }
   auto client_pub_bytes = r.GetLengthPrefixed();
   if (!client_pub_bytes.ok()) {
@@ -36,7 +36,7 @@ kerb::Result<kerb::Bytes> DhLoginServer::Handle(const ksim::Message& msg) {
     return valid.error();
   }
 
-  auto user_key = db_.Lookup(principal.value());
+  auto user_key = db_.Lookup(principal);
   if (!user_key.ok()) {
     return user_key.error();
   }
@@ -55,20 +55,20 @@ kerb::Result<kerb::Bytes> DhLoginServer::Handle(const ksim::Message& msg) {
   kcrypto::DesKey session_key = prng_.NextDesKey();
   krb4::Ticket4 tgt;
   tgt.service = krb4::TgsPrincipal(realm_);
-  tgt.client = principal.value();
+  tgt.client = principal;
   tgt.client_addr = msg.src.host;
   tgt.issued_at = now;
   tgt.lifetime = 8 * ksim::kHour;
   tgt.session_key = session_key.bytes();
 
-  krb4::AsReplyBody4 body;
-  body.tgs_session_key = session_key.bytes();
-  body.sealed_tgt = tgt.Seal(tgs_key.value());
+  krb4::ReplyBody4 body;
+  body.session_key = session_key.bytes();
+  body.sealed_ticket = krb4::Seal(tgs_key.value(), tgt);
   body.issued_at = now;
   body.lifetime = tgt.lifetime;
 
   // ...sealed under K_c, then wrapped in the DH layer.
-  kerb::Bytes inner = krb4::Seal4(user_key.value(), body.Encode());
+  kerb::Bytes inner = krb4::Seal(user_key.value(), body);
   kerb::Bytes outer = krb4::Seal4(dh_key, inner);
 
   kenc::Writer w;
@@ -84,7 +84,7 @@ kerb::Result<DhLoginResult> DhLogin(ksim::Network* net, const ksim::NetAddress& 
   kcrypto::DhKeyPair client_pair = kcrypto::DhGenerate(group, prng);
 
   kenc::Writer w;
-  user.EncodeTo(w);
+  kenc::Put(w, user);
   w.PutLengthPrefixed(client_pair.public_key.ToBytes());
   auto reply = net->Call(client_addr, login_addr, w.Peek());
   if (!reply.ok()) {
@@ -113,13 +113,13 @@ kerb::Result<DhLoginResult> DhLogin(ksim::Network* net, const ksim::NetAddress& 
   if (!plain.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "wrong password");
   }
-  auto body = krb4::AsReplyBody4::Decode(plain.value());
+  auto body = kenc::Decode<krb4::ReplyBody4>(plain.value());
   if (!body.ok()) {
     return body.error();
   }
   DhLoginResult result;
-  result.tgs_session_key = kcrypto::DesKey(body.value().tgs_session_key);
-  result.sealed_tgt = body.value().sealed_tgt;
+  result.tgs_session_key = kcrypto::DesKey(body.value().session_key);
+  result.sealed_tgt = body.value().sealed_ticket;
   return result;
 }
 

@@ -33,11 +33,11 @@ kerb::Result<kerb::Bytes> HandheldLoginServer::Handle(const ksim::Message& msg) 
   if (!op.ok()) {
     return op.error();
   }
-  auto principal = krb4::Principal::DecodeFrom(r);
-  if (!principal.ok()) {
-    return principal.error();
+  krb4::Principal principal;
+  if (!kenc::Get(r, principal)) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "truncated principal");
   }
-  auto user_key = db_.Lookup(principal.value());
+  auto user_key = db_.Lookup(principal);
   if (!user_key.ok()) {
     return user_key.error();
   }
@@ -45,7 +45,7 @@ kerb::Result<kerb::Bytes> HandheldLoginServer::Handle(const ksim::Message& msg) 
 
   if (op.value() == kOpChallenge) {
     uint64_t challenge = prng_.NextU64();
-    outstanding_[principal.value().ToString()] = {challenge, now};
+    outstanding_[principal.ToString()] = {challenge, now};
     ++challenges_issued_;
     kenc::Writer w;
     w.PutU64(challenge);  // R travels in the clear
@@ -55,7 +55,7 @@ kerb::Result<kerb::Bytes> HandheldLoginServer::Handle(const ksim::Message& msg) 
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "unknown login op");
   }
 
-  auto it = outstanding_.find(principal.value().ToString());
+  auto it = outstanding_.find(principal.ToString());
   if (it == outstanding_.end() || now - it->second.second > challenge_lifetime_) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "no live challenge");
   }
@@ -73,19 +73,19 @@ kerb::Result<kerb::Bytes> HandheldLoginServer::Handle(const ksim::Message& msg) 
   kcrypto::DesKey session_key = prng_.NextDesKey();
   krb4::Ticket4 tgt;
   tgt.service = krb4::TgsPrincipal(realm_);
-  tgt.client = principal.value();
+  tgt.client = principal;
   tgt.client_addr = msg.src.host;
   tgt.issued_at = now;
   tgt.lifetime = 8 * ksim::kHour;
   tgt.session_key = session_key.bytes();
 
-  krb4::AsReplyBody4 body;
-  body.tgs_session_key = session_key.bytes();
-  body.sealed_tgt = tgt.Seal(tgs_key.value());
+  krb4::ReplyBody4 body;
+  body.session_key = session_key.bytes();
+  body.sealed_ticket = krb4::Seal(tgs_key.value(), tgt);
   body.issued_at = now;
   body.lifetime = tgt.lifetime;
 
-  return krb4::Seal4(reply_key, body.Encode());
+  return krb4::Seal(reply_key, body);
 }
 
 kerb::Result<uint64_t> RequestLoginChallenge(ksim::Network* net,
@@ -94,7 +94,7 @@ kerb::Result<uint64_t> RequestLoginChallenge(ksim::Network* net,
                                              const krb4::Principal& user) {
   kenc::Writer w;
   w.PutU8(kOpChallenge);
-  user.EncodeTo(w);
+  kenc::Put(w, user);
   auto reply = net->Call(client_addr, login_addr, w.Peek());
   if (!reply.ok()) {
     return reply.error();
@@ -112,7 +112,7 @@ kerb::Result<HandheldLoginResult> CompleteLoginWithResponse(
     const ksim::NetAddress& login_addr, const krb4::Principal& user, uint64_t response) {
   kenc::Writer w;
   w.PutU8(kOpTicket);
-  user.EncodeTo(w);
+  kenc::Put(w, user);
   auto reply = net->Call(client_addr, login_addr, w.Peek());
   if (!reply.ok()) {
     return reply.error();
@@ -123,13 +123,13 @@ kerb::Result<HandheldLoginResult> CompleteLoginWithResponse(
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
                            "cannot decrypt login reply (stale device response?)");
   }
-  auto body = krb4::AsReplyBody4::Decode(plain.value());
+  auto body = kenc::Decode<krb4::ReplyBody4>(plain.value());
   if (!body.ok()) {
     return body.error();
   }
   HandheldLoginResult result;
-  result.tgs_session_key = kcrypto::DesKey(body.value().tgs_session_key);
-  result.sealed_tgt = body.value().sealed_tgt;
+  result.tgs_session_key = kcrypto::DesKey(body.value().session_key);
+  result.sealed_tgt = body.value().sealed_ticket;
   return result;
 }
 

@@ -63,17 +63,17 @@ kerb::Result<KeyHandle> EncryptionUnit::OpenAsReply(KeyHandle login_key,
   if (!plain.ok()) {
     return plain.error();
   }
-  auto body = krb4::AsReplyBody4::Decode(plain.value());
+  auto body = kenc::Decode<krb4::ReplyBody4>(plain.value());
   if (!body.ok()) {
     return body.error();
   }
   // Capture the TGS session key internally; the host only sees a handle.
   KeyHandle handle = next_handle_++;
   keys_.emplace(handle,
-                StoredKey{kcrypto::DesKey(body.value().tgs_session_key),
+                StoredKey{kcrypto::DesKey(body.value().session_key),
                           KeyUsage::kTicketGranting});
   if (sealed_tgt_out != nullptr) {
-    *sealed_tgt_out = body.value().sealed_tgt;
+    *sealed_tgt_out = body.value().sealed_ticket;
   }
   Log("open-as-reply");
   return handle;
@@ -95,7 +95,7 @@ kerb::Result<kerb::Bytes> EncryptionUnit::MakeAuthenticator(KeyHandle key,
   auth.client_addr = addr;
   auth.timestamp = now;
   Log("make-authenticator for " + client.ToString());
-  return auth.Seal(stored.value()->key);
+  return krb4::Seal(stored.value()->key, auth);
 }
 
 kerb::Result<KeyHandle> EncryptionUnit::OpenTgsReply(KeyHandle tgs_key,
@@ -109,7 +109,7 @@ kerb::Result<KeyHandle> EncryptionUnit::OpenTgsReply(KeyHandle tgs_key,
   if (!plain.ok()) {
     return plain.error();
   }
-  auto body = krb4::TgsReplyBody4::Decode(plain.value());
+  auto body = kenc::Decode<krb4::ReplyBody4>(plain.value());
   if (!body.ok()) {
     return body.error();
   }
@@ -129,7 +129,7 @@ kerb::Result<TicketInfo> EncryptionUnit::DecryptTicket(KeyHandle service_key,
   if (!key.ok()) {
     return key.error();
   }
-  auto ticket = krb4::Ticket4::Unseal(key.value()->key, sealed_ticket);
+  auto ticket = krb4::Unseal<krb4::Ticket4>(key.value()->key, sealed_ticket);
   if (!ticket.ok()) {
     return ticket.error();
   }

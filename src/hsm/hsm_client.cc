@@ -21,7 +21,7 @@ kerb::Status HsmClient4::Login(KeyHandle login_key, ksim::Duration lifetime) {
   req.client = user_;
   req.service_realm = user_.realm;
   req.lifetime = lifetime;
-  auto reply = net_->Call(self_, as_addr_, Frame4(krb4::MsgType::kAsRequest, req.Encode()));
+  auto reply = net_->Call(self_, as_addr_, Frame4(krb4::MsgType::kAsRequest, req));
   if (!reply.ok()) {
     return reply.error();
   }
@@ -57,7 +57,7 @@ kerb::Result<HsmClient4::HandleCreds> HsmClient4::GetServiceTicket(
   req.sealed_auth = auth.value();
   req.lifetime = 8 * ksim::kHour;
   auto reply =
-      net_->Call(self_, tgs_addr_, Frame4(krb4::MsgType::kTgsRequest, req.Encode()));
+      net_->Call(self_, tgs_addr_, Frame4(krb4::MsgType::kTgsRequest, req));
   if (!reply.ok()) {
     return reply.error();
   }
@@ -94,7 +94,7 @@ kerb::Result<kerb::Bytes> HsmClient4::CallService(const ksim::NetAddress& servic
   req.want_mutual = true;
   req.app_data = kerb::Bytes(app_data.begin(), app_data.end());
   auto reply =
-      net_->Call(self_, service_addr, Frame4(krb4::MsgType::kApRequest, req.Encode()));
+      net_->Call(self_, service_addr, Frame4(krb4::MsgType::kApRequest, req));
   if (!reply.ok()) {
     return reply.error();
   }

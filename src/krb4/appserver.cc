@@ -29,7 +29,7 @@ kerb::Result<VerifiedSession> AppServer4::VerifyApRequest(const ApRequest4& req,
   };
 
   ksim::Time now = clock_.Now();
-  auto ticket = Ticket4::Unseal(service_key_, req.sealed_ticket);
+  auto ticket = Unseal<Ticket4>(service_key_, req.sealed_ticket);
   if (!ticket.ok()) {
     // kvno drain window: tickets sealed under a rotated-out key keep
     // verifying until that key's deadline passes (see Rekey).
@@ -38,7 +38,7 @@ kerb::Result<VerifiedSession> AppServer4::VerifyApRequest(const ApRequest4& req,
       if (not_after != 0 && now > not_after) {
         continue;
       }
-      auto old_ticket = Ticket4::Unseal(old_key, req.sealed_ticket);
+      auto old_ticket = Unseal<Ticket4>(old_key, req.sealed_ticket);
       if (old_ticket.ok()) {
         ticket = std::move(old_ticket);
         ++old_key_accepts_;
@@ -58,7 +58,7 @@ kerb::Result<VerifiedSession> AppServer4::VerifyApRequest(const ApRequest4& req,
   }
 
   kcrypto::DesKey session_key(ticket.value().session_key);
-  auto auth = Authenticator4::Unseal(session_key, req.sealed_auth);
+  auto auth = Unseal<Authenticator4>(session_key, req.sealed_auth);
   if (!auth.ok()) {
     return fail(kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");
   }
@@ -141,7 +141,7 @@ kerb::Result<kerb::Bytes> AppServer4::Handle(const ksim::Message& msg) {
   if (!framed.ok() || framed.value().first != MsgType::kApRequest) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AP request");
   }
-  auto req = ApRequest4::Decode(framed.value().second);
+  auto req = kenc::Decode<ApRequest4>(framed.value().second);
   if (!req.ok()) {
     return req.error();
   }
@@ -149,7 +149,7 @@ kerb::Result<kerb::Bytes> AppServer4::Handle(const ksim::Message& msg) {
   auto session = VerifyApRequest(req.value(), msg.src.host, &challenge);
   if (!session.ok()) {
     if (!challenge.empty()) {
-      return MakeError4(kErrMethod4, challenge);
+      return Frame4(MsgType::kError, Error4{kErrMethod4, std::move(challenge)});
     }
     return session.error();
   }

@@ -35,7 +35,7 @@ kerb::Status Client4::LoginWithKey(const kcrypto::DesKey& client_key,
   req.lifetime = lifetime;
 
   auto reply =
-      RoutedKdcExchange(user_, false, as_endpoints(), Frame4(MsgType::kAsRequest, req.Encode()));
+      RoutedKdcExchange(user_, false, as_endpoints(), Frame4(MsgType::kAsRequest, req));
   if (!reply.ok()) {
     return reply.error();
   }
@@ -49,14 +49,14 @@ kerb::Status Client4::LoginWithKey(const kcrypto::DesKey& client_key,
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed,
                            "cannot decrypt AS reply (wrong password?)");
   }
-  auto body = AsReplyBody4::Decode(plain.value());
+  auto body = kenc::Decode<ReplyBody4>(plain.value());
   if (!body.ok()) {
     return body.error();
   }
 
   TgsCredentials creds;
-  creds.session_key = kcrypto::DesKey(body.value().tgs_session_key);
-  creds.sealed_tgt = body.value().sealed_tgt;
+  creds.session_key = kcrypto::DesKey(body.value().session_key);
+  creds.sealed_tgt = body.value().sealed_ticket;
   creds.issued_at = body.value().issued_at;
   creds.lifetime = body.value().lifetime;
   tgs_creds_ = creds;
@@ -91,11 +91,11 @@ kerb::Result<const ServiceCredentials*> Client4::ServiceTicket(const Principal& 
   TgsRequest4 req;
   req.service = service;
   req.sealed_tgt = tgs_creds_->sealed_tgt;
-  req.sealed_auth = auth.Seal(tgs_creds_->session_key);
+  req.sealed_auth = Seal(tgs_creds_->session_key, auth);
   req.lifetime = lifetime;
 
   auto reply = RoutedKdcExchange(service, true, TgsEndpoints(tgs_addr_),
-                                 Frame4(MsgType::kTgsRequest, req.Encode()));
+                                 Frame4(MsgType::kTgsRequest, req));
   if (!reply.ok()) {
     return reply.error();
   }
@@ -107,7 +107,7 @@ kerb::Result<const ServiceCredentials*> Client4::ServiceTicket(const Principal& 
   if (!plain.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "cannot decrypt TGS reply");
   }
-  auto body = TgsReplyBody4::Decode(plain.value());
+  auto body = kenc::Decode<ReplyBody4>(plain.value());
   if (!body.ok()) {
     return body.error();
   }
@@ -136,12 +136,12 @@ kerb::Result<kerb::Bytes> Client4::MakeApRequest(const Principal& service, bool 
 
   ApRequest4 req;
   req.sealed_ticket = creds.value()->sealed_ticket;
-  req.sealed_auth = auth.Seal(creds.value()->session_key);
+  req.sealed_auth = Seal(creds.value()->session_key, auth);
   req.want_mutual = want_mutual;
   req.app_data = kerb::Bytes(app_data.begin(), app_data.end());
   req.challenge_response =
       kerb::Bytes(challenge_response.begin(), challenge_response.end());
-  return Frame4(MsgType::kApRequest, req.Encode());
+  return Frame4(MsgType::kApRequest, req);
 }
 
 kerb::Result<kerb::Bytes> Client4::CallService(const ksim::NetAddress& service_addr,
@@ -171,8 +171,8 @@ kerb::Result<kerb::Bytes> Client4::CallService(const ksim::NetAddress& service_a
     }
     auto error_frame = Unframe4(reply.value());
     if (error_frame.ok() && error_frame.value().first == MsgType::kError && attempt == 0) {
-      auto parsed = ParseError4(error_frame.value().second);
-      if (!parsed.ok() || parsed.value().first != kErrMethod4) {
+      auto parsed = kenc::Decode<Error4>(error_frame.value().second);
+      if (!parsed.ok() || parsed.value().code != kErrMethod4) {
         return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "server error");
       }
       // Decrypt the nonce and answer with nonce + 1 under the session key.
@@ -180,7 +180,7 @@ kerb::Result<kerb::Bytes> Client4::CallService(const ksim::NetAddress& service_a
       if (!creds.ok()) {
         return creds.error();
       }
-      auto nonce_plain = Unseal4(creds.value().session_key, parsed.value().second);
+      auto nonce_plain = Unseal4(creds.value().session_key, parsed.value().e_data);
       if (!nonce_plain.ok()) {
         return nonce_plain.error();
       }

@@ -84,7 +84,7 @@ bool KdcDatabase::Remove(const Principal& principal) {
     return false;
   }
   if (journal_ != nullptr) {
-    journal_->AppendWith(kstore::kWalOpDelete, [&](kenc::Writer& w) { principal.EncodeTo(w); });
+    journal_->AppendWith(kstore::kWalOpDelete, [&](kenc::Writer& w) { kenc::Put(w, principal); });
   }
   return store_.Erase(principal);
 }

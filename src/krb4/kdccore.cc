@@ -80,7 +80,7 @@ kerb::Result<kerb::Bytes> KdcCore4::HandleAs(const ksim::Message& msg, KdcContex
   return Serve(false, msg, ctx, options_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
     auto framed = Unframe4(msg.payload);
     if (framed.ok() && framed.value().first == MsgType::kAsPkRequest) {
-      auto pk_req = AsPkRequest4::Decode(framed.value().second);
+      auto pk_req = kenc::Decode<AsPkRequest4>(framed.value().second);
       if (!pk_req.ok()) {
         return pk_req.error();
       }
@@ -89,7 +89,7 @@ kerb::Result<kerb::Bytes> KdcCore4::HandleAs(const ksim::Message& msg, KdcContex
     if (!framed.ok() || framed.value().first != MsgType::kAsRequest) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AS request");
     }
-    auto req = AsRequest4::Decode(framed.value().second);
+    auto req = kenc::Decode<AsRequest4>(framed.value().second);
     if (!req.ok()) {
       return req.error();
     }
@@ -103,7 +103,7 @@ kerb::Result<kerb::Bytes> KdcCore4::HandleTgs(const ksim::Message& msg, KdcConte
     if (!framed.ok() || framed.value().first != MsgType::kTgsRequest) {
       return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected TGS request");
     }
-    auto req = TgsRequest4::Decode(framed.value().second);
+    auto req = kenc::Decode<TgsRequest4>(framed.value().second);
     if (!req.ok()) {
       return req.error();
     }
@@ -224,11 +224,9 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeAsPk(const ksim::Message& msg, const As
   ctx.scratch.pk_outer.clear();
   Seal4Into(dh_key, ctx.scratch.body_sealed, ctx.scratch.pk_outer);
 
-  kenc::Writer w(&ctx.scratch.reply);
-  w.PutU8(kProtocolVersion);
-  w.PutU8(static_cast<uint8_t>(MsgType::kAsPkReply));
-  w.PutLengthPrefixed(server_pair.public_key.ToBytes());
-  w.PutLengthPrefixed(ctx.scratch.pk_outer);
+  ctx.scratch.reply.assign({kProtocolVersion, static_cast<uint8_t>(MsgType::kAsPkReply)});
+  kenc::Writer w(&ctx.scratch.reply, /*append=*/true);
+  kenc::Put(w, AsPkReply4{server_pair.public_key.ToBytes(), ctx.scratch.pk_outer});
   return ctx.scratch.reply;
 }
 
@@ -240,7 +238,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   }
   const ksim::Time now = clock_.Now();
   auto unsealed_tgt = UnsealTgt<Ticket4>(tgs_key.value(), req.sealed_tgt,
-                                         /*ring_fallback=*/true, now, ctx, Ticket4::Unseal);
+                                         /*ring_fallback=*/true, now, ctx, Unseal<Ticket4>);
   if (!unsealed_tgt.ok()) {
     return unsealed_tgt.error();
   }
@@ -251,7 +249,7 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
   }
 
   kcrypto::DesKey tgs_session(tgt->session_key);
-  auto auth = Authenticator4::Unseal(tgs_session, req.sealed_auth);
+  auto auth = Unseal<Authenticator4>(tgs_session, req.sealed_auth);
   if (!auth.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");
   }

@@ -65,7 +65,7 @@ kerb::Bytes EncodePrincipalEntry(const Principal& principal, const PrincipalEntr
 
 void EncodePrincipalEntryTo(kenc::Writer& w, const Principal& principal,
                             const PrincipalEntry& entry) {
-  principal.EncodeTo(w);
+  kenc::Put(w, principal);
   w.PutU8(static_cast<uint8_t>(entry.kind));
   w.PutU64(static_cast<uint64_t>(entry.max_life));
   w.PutU64(static_cast<uint64_t>(entry.max_renew));
@@ -79,15 +79,15 @@ void EncodePrincipalEntryTo(kenc::Writer& w, const Principal& principal,
 
 
 kerb::Result<std::pair<Principal, PrincipalEntry>> DecodePrincipalEntry(kenc::Reader& r) {
-  auto principal = Principal::DecodeFrom(r);
-  if (!principal.ok()) {
-    return principal.error();
+  Principal principal;
+  if (!kenc::Get(r, principal)) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: truncated principal");
   }
   auto entry = DecodeEntryFields(r);
   if (!entry.ok()) {
     return entry.error();
   }
-  return std::make_pair(std::move(principal).value(), std::move(entry).value());
+  return std::make_pair(std::move(principal), std::move(entry).value());
 }
 
 kerb::Result<std::pair<Principal, PrincipalEntry>> DecodeEntry(kerb::BytesView payload) {
@@ -117,7 +117,11 @@ kerb::Result<Principal> DecodeRecordPrincipal(uint8_t op, kenc::Reader& r) {
   if (op != kstore::kWalOpDelete && op != kstore::kWalOpUpsert) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: unknown record op");
   }
-  return Principal::DecodeFrom(r);
+  Principal principal;
+  if (!kenc::Get(r, principal)) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, "kdcstore: truncated principal");
+  }
+  return principal;
 }
 
 kerb::Result<std::optional<PrincipalEntry>> DecodeRecordRest(uint8_t op, kenc::Reader& r) {

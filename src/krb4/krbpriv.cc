@@ -1,17 +1,14 @@
 #include "src/krb4/krbpriv.h"
 
+#include <algorithm>
+
 #include "src/crypto/modes.h"
-#include "src/encoding/io.h"
 
 namespace krb4 {
 
 kerb::Bytes PrivMessage4::Seal(const kcrypto::DesKey& session_key) const {
-  kenc::Writer w;
-  w.PutLengthPrefixed(data);  // the leading length field, order matters
-  w.PutU64(static_cast<uint64_t>(timestamp));
-  w.PutU32(sender_addr);
-  w.PutU8(direction);
-  kerb::Bytes padded = kcrypto::ZeroPadTo8(w.Peek());
+  kerb::Bytes padded((kenc::EncodedSize(*this) + 7) & ~size_t{7});
+  kenc::EncodeTo(*this, padded.data());
   kcrypto::EncryptPcbcInPlace(session_key, kcrypto::kZeroIv, padded.data(), padded.size());
   return padded;
 }
@@ -25,26 +22,14 @@ kerb::Result<PrivMessage4> PrivMessage4::Unseal(const kcrypto::DesKey& session_k
   kcrypto::DecryptPcbcInPlace(session_key, kcrypto::kZeroIv, plain.data(), plain.size());
   kenc::Reader r(plain);
   PrivMessage4 msg;
-  auto data = r.GetLengthPrefixed();
-  if (!data.ok()) {
-    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "KRB_PRIV length invalid");
+  if (!kenc::Get(r, msg)) {
+    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "KRB_PRIV truncated");
   }
-  msg.data = data.value();
-  auto ts = r.GetU64();
-  auto addr = r.GetU32();
-  auto dir = r.GetU8();
-  if (!ts.ok() || !addr.ok() || !dir.ok()) {
-    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "KRB_PRIV trailer truncated");
-  }
-  msg.timestamp = static_cast<ksim::Time>(ts.value());
-  msg.sender_addr = addr.value();
-  msg.direction = dir.value();
   // Remaining bytes must be zero padding.
-  kerb::Bytes rest = r.Rest();
-  for (uint8_t b : rest) {
-    if (b != 0) {
-      return kerb::MakeError(kerb::ErrorCode::kIntegrity, "KRB_PRIV padding nonzero");
-    }
+  const size_t padding = r.remaining();
+  const uint8_t* rest = r.Skip(padding);
+  if (std::any_of(rest, rest + padding, [](uint8_t b) { return b != 0; })) {
+    return kerb::MakeError(kerb::ErrorCode::kIntegrity, "KRB_PRIV padding nonzero");
   }
   return msg;
 }

@@ -15,6 +15,7 @@
 #include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/crypto/des.h"
+#include "src/encoding/layout.h"
 #include "src/sim/clock.h"
 
 namespace krb4 {
@@ -25,8 +26,16 @@ struct PrivMessage4 {
   uint32_t sender_addr = 0;
   uint8_t direction = 0;       // client→server = 0, server→client = 1
 
+  // The plaintext before its zero padding; the leading length field first,
+  // the order that matters.
+  static constexpr auto Layout() {
+    return std::tuple{&PrivMessage4::data, &PrivMessage4::timestamp, &PrivMessage4::sender_addr,
+                      &PrivMessage4::direction};
+  }
+
   // Encrypts under the session key with PCBC and a zero IV (the paper's
-  // "assume the initial vector is fixed and public").
+  // "assume the initial vector is fixed and public"). Unseal fails every
+  // damaged message — truncated fields, non-zero padding — with kIntegrity.
   kerb::Bytes Seal(const kcrypto::DesKey& session_key) const;
   static kerb::Result<PrivMessage4> Unseal(const kcrypto::DesKey& session_key,
                                            kerb::BytesView sealed);

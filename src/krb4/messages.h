@@ -23,10 +23,14 @@
 #define SRC_KRB4_MESSAGES_H_
 
 #include <cstdint>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/crypto/des.h"
+#include "src/encoding/layout.h"
 #include "src/krb4/principal.h"
 #include "src/sim/clock.h"
 
@@ -85,6 +89,61 @@ kerb::Result<kerb::Bytes> Unseal4(const kcrypto::DesKey& key, kerb::BytesView ci
 // must not alias `out`.
 void Seal4Into(const kcrypto::DesKey& key, kerb::BytesView plaintext, kerb::Bytes& out);
 
+// The two halves of a seal, for a plaintext encoded in place: the first
+// appends the magic, the length of an n-byte plaintext, room for it and the
+// zero padding to `out`, and returns where the plaintext goes; the second
+// encrypts the seal that starts at `start` and emits its kSeal event.
+uint8_t* AppendSealFrame4(size_t n, kerb::Bytes& out);
+void EncryptSeal4(const kcrypto::DesKey& key, kerb::Bytes& out, size_t start);
+
+// Seal4 of a message's layout, encoded in place: one allocation.
+template <kenc::LayoutMessage Msg>
+kerb::Bytes Seal(const kcrypto::DesKey& key, const Msg& msg) {
+  kerb::Bytes out;
+  kenc::EncodeTo(msg, AppendSealFrame4(kenc::EncodedSize(msg), out));
+  EncryptSeal4(key, out, 0);
+  return out;
+}
+
+// Decrypts and checks a seal, into `stack` when the ciphertext fits its
+// `stack_size` bytes and into `heap` otherwise; returns the plaintext the
+// seal carries, within that buffer. Errors and kobs events are Unseal4's.
+kerb::Result<kerb::BytesView> Open4(const kcrypto::DesKey& key, kerb::BytesView ciphertext,
+                                    uint8_t* stack, size_t stack_size, kerb::Bytes& heap);
+
+// Unseal4, then the message decoded straight out of the plaintext, which
+// for a seal of up to 256 bytes never leaves the stack.
+template <kenc::LayoutMessage Msg>
+kerb::Result<Msg> Unseal(const kcrypto::DesKey& key, kerb::BytesView sealed) {
+  uint8_t stack[256];
+  kerb::Bytes heap;
+  auto body = Open4(key, sealed, stack, sizeof stack, heap);
+  if (!body.ok()) {
+    return body.error();
+  }
+  return kenc::Decode<Msg>(body.value());
+}
+
+// ---------------------------------------------------------------------------
+// Framing: every V4 message on the wire is version byte + type byte + body.
+kerb::Bytes Frame4(MsgType type, kerb::BytesView body);
+kerb::Result<std::pair<MsgType, kerb::Bytes>> Unframe4(kerb::BytesView data);
+
+// Frame4 of a message's layout, encoded in place: one allocation.
+template <kenc::LayoutMessage Msg>
+kerb::Bytes Frame4(MsgType type, const Msg& msg) {
+  kerb::Bytes out(2 + kenc::EncodedSize(msg));
+  out[0] = kProtocolVersion;
+  out[1] = static_cast<uint8_t>(type);
+  kenc::EncodeTo(msg, out.data() + 2);
+  return out;
+}
+
+// Each message below lists its fields in wire order in Layout()
+// (src/encoding/layout.h). The requests, the reply bodies, the AP request
+// and the error body end in kenc::kIgnoreRest: V4 read their fields and
+// ignored whatever followed. Tickets and authenticators must be exact.
+
 // ---------------------------------------------------------------------------
 // Ticket: encrypted in the *service's* key.
 struct Ticket4 {
@@ -95,13 +154,10 @@ struct Ticket4 {
   ksim::Duration lifetime = 0;
   kcrypto::DesBlock session_key{};  // K_c,s — a multi-session key in truth
 
-  kerb::Bytes Encode() const;
-  void AppendTo(kenc::Writer& w) const;
-  static kerb::Result<Ticket4> Decode(kerb::BytesView data);
-
-  kerb::Bytes Seal(const kcrypto::DesKey& service_key) const;
-  static kerb::Result<Ticket4> Unseal(const kcrypto::DesKey& service_key,
-                                      kerb::BytesView sealed);
+  static constexpr auto Layout() {
+    return std::tuple{&Ticket4::service,   &Ticket4::client,   &Ticket4::client_addr,
+                      &Ticket4::issued_at, &Ticket4::lifetime, &Ticket4::session_key};
+  }
 
   bool Expired(ksim::Time now) const { return now > issued_at + lifetime; }
 };
@@ -112,12 +168,10 @@ struct Authenticator4 {
   uint32_t client_addr = 0;
   ksim::Time timestamp = 0;
 
-  kerb::Bytes Encode() const;
-  static kerb::Result<Authenticator4> Decode(kerb::BytesView data);
-
-  kerb::Bytes Seal(const kcrypto::DesKey& session_key) const;
-  static kerb::Result<Authenticator4> Unseal(const kcrypto::DesKey& session_key,
-                                             kerb::BytesView sealed);
+  static constexpr auto Layout() {
+    return std::tuple{&Authenticator4::client, &Authenticator4::client_addr,
+                      &Authenticator4::timestamp};
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -127,19 +181,27 @@ struct AsRequest4 {
   std::string service_realm;   // realm whose TGT is requested
   ksim::Duration lifetime = 0;
 
-  kerb::Bytes Encode() const;
-  static kerb::Result<AsRequest4> Decode(kerb::BytesView data);
+  static constexpr auto Layout() {
+    return std::tuple{&AsRequest4::client, &AsRequest4::service_realm, &AsRequest4::lifetime,
+                      kenc::kIgnoreRest};
+  }
 };
 
-// Body of the AS reply, sealed under K_c (the password-derived key).
-struct AsReplyBody4 {
-  kcrypto::DesBlock tgs_session_key{};  // K_c,tgs
-  kerb::Bytes sealed_tgt;               // {T_c,tgs}K_tgs, opaque to the client
+// Body of the AS reply, sealed under K_c (the password-derived key), and of
+// the TGS reply, sealed under K_c,tgs: the new session key, the ticket
+// sealed in the service's key (opaque to the client) and its times. The
+// KDC writes the same layout through AppendSealedReply4, with the ticket
+// sealed in place.
+struct ReplyBody4 {
+  kcrypto::DesBlock session_key{};  // K_c,tgs (AS) or K_c,s (TGS)
+  kerb::Bytes sealed_ticket;        // {T_c,tgs}K_tgs or {T_c,s}K_s
   ksim::Time issued_at = 0;
   ksim::Duration lifetime = 0;
 
-  kerb::Bytes Encode() const;
-  static kerb::Result<AsReplyBody4> Decode(kerb::BytesView data);
+  static constexpr auto Layout() {
+    return std::tuple{&ReplyBody4::session_key, &ReplyBody4::sealed_ticket,
+                      &ReplyBody4::issued_at, &ReplyBody4::lifetime, kenc::kIgnoreRest};
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -149,7 +211,7 @@ struct AsReplyBody4 {
 // layer keyed by the negotiated secret:
 //
 //   c → KDC:  c, realm, lifetime, g^a mod p, {timestamp, md4(g^a)}K_c
-//   KDC → c:  g^b mod p, { {AsReplyBody4}K_c } K_dh
+//   KDC → c:  g^b mod p, { {ReplyBody4}K_c } K_dh
 //
 // The double seal alone only defends against *passive* eavesdroppers: an
 // active attacker could otherwise request a ticket for any principal with
@@ -166,8 +228,11 @@ struct AsPkRequest4 {
   // requests whose padata is missing, stale, or bound to a different public.
   kerb::Bytes sealed_padata;
 
-  kerb::Bytes Encode() const;
-  static kerb::Result<AsPkRequest4> Decode(kerb::BytesView data);
+  static constexpr auto Layout() {
+    return std::tuple{&AsPkRequest4::client,     &AsPkRequest4::service_realm,
+                      &AsPkRequest4::lifetime,   &AsPkRequest4::client_pub,
+                      &AsPkRequest4::sealed_padata, kenc::kIgnoreRest};
+  }
 };
 
 // Body of the PK AS reply frame: the KDC's public value (plaintext — it is
@@ -175,9 +240,11 @@ struct AsPkRequest4 {
 // doubly-sealed reply.
 struct AsPkReply4 {
   kerb::Bytes server_pub;     // big-endian g^b mod p
-  kerb::Bytes sealed_reply;   // { {AsReplyBody4}K_c } K_dh
+  kerb::Bytes sealed_reply;   // { {ReplyBody4}K_c } K_dh
 
-  static kerb::Result<AsPkReply4> Decode(kerb::BytesView data);
+  static constexpr auto Layout() {
+    return std::tuple{&AsPkReply4::server_pub, &AsPkReply4::sealed_reply, kenc::kIgnoreRest};
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -188,19 +255,10 @@ struct TgsRequest4 {
   kerb::Bytes sealed_auth;  // {A_c}K_c,tgs
   ksim::Duration lifetime = 0;
 
-  kerb::Bytes Encode() const;
-  static kerb::Result<TgsRequest4> Decode(kerb::BytesView data);
-};
-
-// Body of the TGS reply, sealed under K_c,tgs.
-struct TgsReplyBody4 {
-  kcrypto::DesBlock session_key{};  // K_c,s
-  kerb::Bytes sealed_ticket;        // {T_c,s}K_s
-  ksim::Time issued_at = 0;
-  ksim::Duration lifetime = 0;
-
-  kerb::Bytes Encode() const;
-  static kerb::Result<TgsReplyBody4> Decode(kerb::BytesView data);
+  static constexpr auto Layout() {
+    return std::tuple{&TgsRequest4::service, &TgsRequest4::sealed_tgt, &TgsRequest4::sealed_auth,
+                      &TgsRequest4::lifetime, kenc::kIgnoreRest};
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -214,8 +272,11 @@ struct ApRequest4 {
   // retrofitted to V4 as the paper proposes): {server nonce + 1}K_c,s.
   kerb::Bytes challenge_response;  // empty = absent
 
-  kerb::Bytes Encode() const;
-  static kerb::Result<ApRequest4> Decode(kerb::BytesView data);
+  static constexpr auto Layout() {
+    return std::tuple{&ApRequest4::sealed_ticket, &ApRequest4::sealed_auth,
+                      &ApRequest4::want_mutual,   &ApRequest4::app_data,
+                      &ApRequest4::challenge_response, kenc::kIgnoreRest};
+  }
 };
 
 // Mutual-authentication reply: {timestamp + 1}K_c,s.
@@ -225,36 +286,36 @@ kerb::Result<ksim::Time> VerifyApReply4(const kcrypto::DesKey& session_key,
                                         ksim::Time authenticator_time);
 
 // ---------------------------------------------------------------------------
-// KRB_ERROR: code + opaque e-data. Code 48 signals "use another
+// KRB_ERROR body: code + opaque e-data. Code 48 signals "use another
 // authentication method" and carries the sealed challenge.
 constexpr uint32_t kErrMethod4 = 48;
 
-kerb::Bytes MakeError4(uint32_t code, kerb::BytesView e_data);
-kerb::Result<std::pair<uint32_t, kerb::Bytes>> ParseError4(kerb::BytesView body);
+struct Error4 {
+  uint32_t code = 0;
+  kerb::Bytes e_data;
 
-// ---------------------------------------------------------------------------
-// Framing: every V4 message on the wire is version byte + type byte + body.
-kerb::Bytes Frame4(MsgType type, kerb::BytesView body);
-kerb::Result<std::pair<MsgType, kerb::Bytes>> Unframe4(kerb::BytesView data);
+  static constexpr auto Layout() {
+    return std::tuple{&Error4::code, &Error4::e_data, kenc::kIgnoreRest};
+  }
+};
 
-// The common layout of AsReplyBody4 / TgsReplyBody4: 8-byte session key,
-// length-prefixed sealed blob, issue time, lifetime. The KDC writes the same
-// layout through AppendSealedReply4, with the blob sealed in place;
-// tests/krb4/messages4_test.cc holds the two to the same bytes.
-void AppendReplyBody4(kenc::Writer& w, const kcrypto::DesBlock& session_key,
-                      kerb::BytesView sealed_blob, ksim::Time issued_at,
-                      ksim::Duration lifetime);
-
-// Appends Seal4(reply_key, body) to `out`, where body is the KDC reply body
-// that carries `ticket`: AppendReplyBody4 of the ticket's session key, the
-// sealed ticket Seal4(ticket_key, ticket.Encode()), and the ticket's issue
-// time and lifetime — the shape of every AS and TGS reply. The ticket is
-// encoded at its final offset, and its PCBC chain runs in lockstep with the
-// reply's (kcrypto::EncryptPcbcNestedInPlace): the bytes, and the two kSeal
-// events in their order, are those of sealing the ticket and then the body.
+// Appends Seal4(reply_key, body) to `out`, where body is the ReplyBody4
+// that carries `ticket`: the ticket's session key, the sealed ticket
+// Seal(ticket_key, ticket), and the ticket's issue time and lifetime — the
+// shape of every AS and TGS reply. The ticket is encoded at its final
+// offset, and its PCBC chain runs in lockstep with the reply's
+// (kcrypto::EncryptPcbcNestedInPlace): the bytes, and the two kSeal events
+// in their order, are those of sealing the ticket and then the body.
 void AppendSealedReply4(const Ticket4& ticket, const kcrypto::DesKey& ticket_key,
                         const kcrypto::DesKey& reply_key, kerb::Bytes& out);
 
 }  // namespace krb4
+
+// The request decoders the KDC core and the cluster router share, compiled
+// once in messages.cc (DESIGN.md, "Fixed-order messages").
+extern template kerb::Result<krb4::AsRequest4> kenc::Decode<krb4::AsRequest4>(kerb::BytesView);
+extern template kerb::Result<krb4::AsPkRequest4> kenc::Decode<krb4::AsPkRequest4>(
+    kerb::BytesView);
+extern template kerb::Result<krb4::TgsRequest4> kenc::Decode<krb4::TgsRequest4>(kerb::BytesView);
 
 #endif  // SRC_KRB4_MESSAGES_H_

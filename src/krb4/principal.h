@@ -12,8 +12,7 @@
 
 #include <string>
 
-#include "src/common/result.h"
-#include "src/encoding/io.h"
+#include "src/encoding/layout.h"
 
 namespace krb4 {
 
@@ -32,7 +31,7 @@ struct Principal {
   // "name.instance@REALM", the classic display form.
   std::string ToString() const;
   // The same form, appended to `out`.
-  void AppendTo(std::string& out) const;
+  void AppendToString(std::string& out) const;
 
   // Salt for string-to-key: realm then name then instance, as V4 did
   // (modulo V4's truncation quirks, which are not security-relevant here).
@@ -43,8 +42,10 @@ struct Principal {
   }
   bool operator<(const Principal& other) const;
 
-  void EncodeTo(kenc::Writer& w) const;
-  static kerb::Result<Principal> DecodeFrom(kenc::Reader& r);
+  // On the wire: three length-prefixed strings (src/encoding/layout.h).
+  static constexpr auto Layout() {
+    return std::tuple{&Principal::name, &Principal::instance, &Principal::realm};
+  }
 };
 
 // The well-known ticket-granting service principal for a realm.

@@ -30,10 +30,14 @@ kerb::Bytes TgsRequest5::ChecksumInput() const {
   w.PutString(tgt_realm);
   w.PutLengthPrefixed(additional_ticket);
   if (additional_ticket_service.has_value()) {
-    additional_ticket_service->EncodeTo(w);
+    kenc::Put(w, *additional_ticket_service);
   }
   w.PutLengthPrefixed(authorization_data);
   return out;
 }
 
 }  // namespace krb5
+
+template kerb::Result<krb5::AsRequest5> kenc::Decode<krb5::AsRequest5>(kerb::BytesView);
+template kerb::Result<krb5::AsPkRequest5> kenc::Decode<krb5::AsPkRequest5>(kerb::BytesView);
+template kerb::Result<krb5::TgsRequest5> kenc::Decode<krb5::TgsRequest5>(kerb::BytesView);

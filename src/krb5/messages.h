@@ -519,4 +519,11 @@ struct ClusterReferral5 {
 
 }  // namespace krb5
 
+// The request decoders the KDC core and the cluster router share, compiled
+// once in messages.cc (DESIGN.md, "Fixed-order messages").
+extern template kerb::Result<krb5::AsRequest5> kenc::Decode<krb5::AsRequest5>(kerb::BytesView);
+extern template kerb::Result<krb5::AsPkRequest5> kenc::Decode<krb5::AsPkRequest5>(
+    kerb::BytesView);
+extern template kerb::Result<krb5::TgsRequest5> kenc::Decode<krb5::TgsRequest5>(kerb::BytesView);
+
 #endif  // SRC_KRB5_MESSAGES_H_

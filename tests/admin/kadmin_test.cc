@@ -289,9 +289,9 @@ kerb::Bytes RawAdminRequest(const krb4::ServiceCredentials& creds, const krb4::P
   body.sender_addr = addr;
   kadmin::AdminRequest req;
   req.sealed_ticket = creds.sealed_ticket;
-  req.sealed_auth = auth.Seal(creds.session_key);
-  req.sealed_req = krb4::Seal4(creds.session_key, body.Encode());
-  return req.Encode();
+  req.sealed_auth = krb4::Seal(creds.session_key, auth);
+  req.sealed_req = krb4::Seal4(creds.session_key, kadmin::EncodeChecked(body));
+  return krb4::Frame4(krb4::MsgType::kAdminRequest, req);
 }
 
 // The server memoises the changepw ticket's unseal, but a memo hit only
@@ -336,7 +336,8 @@ TEST(KadminTest, UnsealMemoHitStillChecksServiceExpiryAndAddress) {
   forged.session_key = kcrypto::Prng(0xf00d).NextDesKey().bytes();
   krb4::ServiceCredentials forged_creds;
   forged_creds.session_key = kcrypto::DesKey(forged.session_key);
-  forged_creds.sealed_ticket = forged.Seal(kcrypto::DesKey(changepw.value().keys.front().key));
+  forged_creds.sealed_ticket =
+      krb4::Seal(kcrypto::DesKey(changepw.value().keys.front().key), forged);
   const ksim::Time now = server.clock().Now();
   EXPECT_EQ(unseals_during(Testbed4::kOperAddr,
                            RawAdminRequest(forged_creds, oper, oper_host, bob, 22, now)),

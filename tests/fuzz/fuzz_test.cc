@@ -36,13 +36,12 @@ TEST(FuzzTest, V4DecodersNeverCrashOnRandomBytes) {
   kcrypto::Prng prng(2);
   for (int i = 0; i < 2000; ++i) {
     kerb::Bytes garbage = prng.NextBytes(prng.NextBelow(96));
-    (void)krb4::Ticket4::Decode(garbage);
-    (void)krb4::Authenticator4::Decode(garbage);
-    (void)krb4::AsRequest4::Decode(garbage);
-    (void)krb4::AsReplyBody4::Decode(garbage);
-    (void)krb4::TgsRequest4::Decode(garbage);
-    (void)krb4::TgsReplyBody4::Decode(garbage);
-    (void)krb4::ApRequest4::Decode(garbage);
+    (void)kenc::Decode<krb4::Ticket4>(garbage);
+    (void)kenc::Decode<krb4::Authenticator4>(garbage);
+    (void)kenc::Decode<krb4::AsRequest4>(garbage);
+    (void)kenc::Decode<krb4::ReplyBody4>(garbage);
+    (void)kenc::Decode<krb4::TgsRequest4>(garbage);
+    (void)kenc::Decode<krb4::ApRequest4>(garbage);
     (void)krb4::Unframe4(garbage);
   }
   SUCCEED();
@@ -72,7 +71,7 @@ TEST(FuzzTest, EveryBitFlipInV4ApRequestIsRejected) {
 
   auto framed = krb4::Unframe4(request.value());
   ASSERT_TRUE(framed.ok());
-  auto req = krb4::ApRequest4::Decode(framed.value().second);
+  auto req = kenc::Decode<krb4::ApRequest4>(framed.value().second);
   ASSERT_TRUE(req.ok());
 
   int accepted_mutations = 0;

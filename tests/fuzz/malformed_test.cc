@@ -163,11 +163,11 @@ TEST(MalformedTest, V4DecodersRejectEveryTruncation) {
   for (size_t len = 0; len < as_request.size(); ++len) {
     kerb::Bytes cut(as_request.begin(), as_request.begin() + len);
     (void)krb4::Unframe4(cut);
-    (void)krb4::AsRequest4::Decode(cut);
-    (void)krb4::TgsRequest4::Decode(cut);
-    (void)krb4::ApRequest4::Decode(cut);
-    (void)krb4::Ticket4::Decode(cut);
-    (void)krb4::Authenticator4::Decode(cut);
+    (void)kenc::Decode<krb4::AsRequest4>(cut);
+    (void)kenc::Decode<krb4::TgsRequest4>(cut);
+    (void)kenc::Decode<krb4::ApRequest4>(cut);
+    (void)kenc::Decode<krb4::Ticket4>(cut);
+    (void)kenc::Decode<krb4::Authenticator4>(cut);
   }
   SUCCEED();  // no crash under the sanitizer is the assertion
 }
@@ -225,7 +225,7 @@ TEST(MalformedTest, PkAsRequestSweepsFailCleanly) {
   req.sealed_padata = krb4::Seal4(user_key, pa.Take());
   ksim::Message msg;
   msg.src = {0x0a000101, 1023};
-  msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req.Encode());
+  msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req);
   ASSERT_TRUE(core.HandleAs(msg, ctx).ok());
 
   for (size_t len = 0; len < msg.payload.size(); ++len) {
@@ -243,8 +243,8 @@ TEST(MalformedTest, PkAsRequestSweepsFailCleanly) {
       ExpectCleanFailure(r.error().code, "bit-flipped PK AS request");
     }
   }
-  (void)krb4::AsPkRequest4::Decode(kerb::Bytes{});
-  (void)krb4::AsPkReply4::Decode(kerb::Bytes{});
+  (void)kenc::Decode<krb4::AsPkRequest4>(kerb::Bytes{});
+  (void)kenc::Decode<krb4::AsPkReply4>(kerb::Bytes{});
 }
 
 // --- Durability-subsystem parsers (src/store) -------------------------------
@@ -507,8 +507,8 @@ TEST(MalformedTest, KadminCrossSessionSpliceFailsCleanly) {
   auto bob_parts = krb4::Unframe4(bob_wire.value());
   ASSERT_TRUE(oper_parts.ok());
   ASSERT_TRUE(bob_parts.ok());
-  auto oper_req = kadmin::AdminRequest::Decode(oper_parts.value().second);
-  auto bob_req = kadmin::AdminRequest::Decode(bob_parts.value().second);
+  auto oper_req = kenc::Decode<kadmin::AdminRequest>(oper_parts.value().second);
+  auto bob_req = kenc::Decode<kadmin::AdminRequest>(bob_parts.value().second);
   ASSERT_TRUE(oper_req.ok());
   ASSERT_TRUE(bob_req.ok());
 
@@ -527,7 +527,7 @@ TEST(MalformedTest, KadminCrossSessionSpliceFailsCleanly) {
   };
   for (const auto& spliced : splices) {
     auto r = t.bed.world().network().Call(Testbed4::kOperAddr, Testbed4::kAdminAddr,
-                                          spliced.Encode());
+                                          krb4::Frame4(krb4::MsgType::kAdminRequest, spliced));
     ASSERT_FALSE(r.ok()) << "cross-session splice accepted";
     ExpectCleanFailure(r.error().code, "spliced admin request");
   }
@@ -543,7 +543,7 @@ TEST(MalformedTest, AdminBodyDecodersRejectTruncationAndFlips) {
   req.timestamp = 1234567;
   req.sender_addr = 0x0a000103;
   req.payload = {0x61, 0x62, 0x63, 0x64};
-  const kerb::Bytes req_bytes = req.Encode();
+  const kerb::Bytes req_bytes = kadmin::EncodeChecked(req);
 
   kadmin::AdminReplyBody reply;
   reply.nonce_plus_one = req.nonce + 1;
@@ -551,29 +551,30 @@ TEST(MalformedTest, AdminBodyDecodersRejectTruncationAndFlips) {
   reply.code = 0;
   reply.kvno = 2;
   reply.detail = {0x6f, 0x6b};
-  const kerb::Bytes reply_bytes = reply.Encode();
+  const kerb::Bytes reply_bytes = kadmin::EncodeChecked(reply);
 
-  ASSERT_TRUE(kadmin::AdminReqBody::Decode(req_bytes).ok());
-  ASSERT_TRUE(kadmin::AdminReplyBody::Decode(reply_bytes).ok());
+  ASSERT_TRUE(kadmin::DecodeChecked<kadmin::AdminReqBody>(req_bytes).ok());
+  ASSERT_TRUE(kadmin::DecodeChecked<kadmin::AdminReplyBody>(reply_bytes).ok());
   for (size_t len = 0; len < req_bytes.size(); ++len) {
     kerb::Bytes cut(req_bytes.begin(), req_bytes.begin() + len);
-    EXPECT_FALSE(kadmin::AdminReqBody::Decode(cut).ok()) << "req cut at " << len;
+    EXPECT_FALSE(kadmin::DecodeChecked<kadmin::AdminReqBody>(cut).ok()) << "req cut at " << len;
   }
   for (size_t len = 0; len < reply_bytes.size(); ++len) {
     kerb::Bytes cut(reply_bytes.begin(), reply_bytes.begin() + len);
-    EXPECT_FALSE(kadmin::AdminReplyBody::Decode(cut).ok()) << "reply cut at " << len;
+    EXPECT_FALSE(kadmin::DecodeChecked<kadmin::AdminReplyBody>(cut).ok()) << "reply cut at " << len;
   }
   // The trailing MD4 checksum covers every plaintext field, so every
   // single-bit flip — including flips inside the checksum itself — dies.
   for (size_t bit = 0; bit < req_bytes.size() * 8; ++bit) {
     kerb::Bytes flipped = req_bytes;
     flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    EXPECT_FALSE(kadmin::AdminReqBody::Decode(flipped).ok()) << "req bit " << bit;
+    EXPECT_FALSE(kadmin::DecodeChecked<kadmin::AdminReqBody>(flipped).ok()) << "req bit " << bit;
   }
   for (size_t bit = 0; bit < reply_bytes.size() * 8; ++bit) {
     kerb::Bytes flipped = reply_bytes;
     flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    EXPECT_FALSE(kadmin::AdminReplyBody::Decode(flipped).ok()) << "reply bit " << bit;
+    EXPECT_FALSE(kadmin::DecodeChecked<kadmin::AdminReplyBody>(flipped).ok())
+        << "reply bit " << bit;
   }
 }
 
@@ -640,7 +641,7 @@ TEST(MalformedTest, ClusterReferralBodySweepsFailClosed) {
   kcluster::ReferralBody body;
   body.view = SampleView();
   body.owner_node_id = 2;
-  const kerb::Bytes encoded = kcluster::EncodeReferralBody(body);
+  const kerb::Bytes encoded = kenc::Encode(body);
   ASSERT_TRUE(kcluster::DecodeReferralBody(encoded).ok());
 
   for (size_t len = 0; len < encoded.size(); ++len) {
@@ -663,7 +664,7 @@ TEST(MalformedTest, ClusterReferralBodySweepsFailClosed) {
   // A member-count field inflated past the decoder ceiling fails closed
   // instead of allocating.
   kcluster::RingAnnounce huge = SampleView();
-  kerb::Bytes inflated = kcluster::EncodeReferralBody({huge, 1});
+  kerb::Bytes inflated = kenc::Encode(kcluster::ReferralBody{huge, 1});
   // count lives after epoch(4) + seed(8) + vnodes(4) + 3 ports(6) = offset 22.
   inflated[22] = 0xff;
   inflated[23] = 0xff;
@@ -677,7 +678,7 @@ TEST(MalformedTest, ClusterControlFrameSweepsFailClosed) {
   // and every truncation — including within the MAC trailer itself — must
   // be a clean rejection. Splices of two authentic frames likewise.
   const kcrypto::DesKey key = kcluster::ClusterKey("ATHENA.SIM");
-  kcluster::LoadFrame load;
+  kcluster::LoadBody load;
   load.epoch = 3;
   kcrypto::Prng prng(0x10ad);
   for (int i = 0; i < 6; ++i) {
@@ -688,25 +689,25 @@ TEST(MalformedTest, ClusterControlFrameSweepsFailClosed) {
         krb4::Principal{"u" + std::to_string(i), "", "ATHENA.SIM"}, entry));
   }
   const std::vector<kerb::Bytes> frames = {
-      kcluster::EncodePingFrame(key, 7),
-      kcluster::EncodePongFrame(key, {7, 3, 41}),
-      kcluster::EncodeRingFrame(key, SampleView()),
-      kcluster::EncodeRingAckFrame(key, {7, 3}),
-      kcluster::EncodeLoadFrame(key, load),
-      kcluster::EncodeLoadAckFrame(key, 6),
+      kcluster::EncodeCtlFrame(key, kcluster::kCtlPing, kcluster::PingBody{7}),
+      kcluster::EncodeCtlFrame(key, kcluster::kCtlPong, kcluster::PongBody{7, 3, 41}),
+      kcluster::EncodeCtlFrame(key, kcluster::kCtlRing, SampleView()),
+      kcluster::EncodeCtlFrame(key, kcluster::kCtlRingAck, kcluster::RingAckBody{7, 3}),
+      kcluster::EncodeCtlFrame(key, kcluster::kCtlLoad, load),
+      kcluster::EncodeCtlFrame(key, kcluster::kCtlLoadAck, kcluster::LoadAckBody{6}),
   };
   for (const kerb::Bytes& frame : frames) {
-    ASSERT_TRUE(kcluster::OpenCtlFrame(key, frame).ok());
+    ASSERT_TRUE(kstore::OpenFrame(key, kcluster::kClusterMagic, frame).ok());
     for (size_t len = 0; len < frame.size(); ++len) {
       kerb::Bytes cut(frame.begin(), frame.begin() + len);
-      auto r = kcluster::OpenCtlFrame(key, cut);
+      auto r = kstore::OpenFrame(key, kcluster::kClusterMagic, cut);
       ASSERT_FALSE(r.ok()) << "ctl frame cut at " << len;
       ExpectCleanFailure(r.error().code, "truncated ctl frame");
     }
     for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
       kerb::Bytes flipped = frame;
       flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      auto r = kcluster::OpenCtlFrame(key, flipped);
+      auto r = kstore::OpenFrame(key, kcluster::kClusterMagic, flipped);
       ASSERT_FALSE(r.ok()) << "ctl frame bit " << bit << " accepted";
       ExpectCleanFailure(r.error().code, "flipped ctl frame");
     }
@@ -718,21 +719,23 @@ TEST(MalformedTest, ClusterControlFrameSweepsFailClosed) {
   kerb::Bytes spliced(ring_frame.begin(), ring_frame.begin() + ring_frame.size() / 2);
   spliced.insert(spliced.end(), load_frame.begin() + load_frame.size() / 2,
                  load_frame.end());
-  EXPECT_FALSE(kcluster::OpenCtlFrame(key, spliced).ok());
+  EXPECT_FALSE(kstore::OpenFrame(key, kcluster::kClusterMagic, spliced).ok());
   // The right frame under the wrong realm's key is equally dead.
-  EXPECT_FALSE(kcluster::OpenCtlFrame(kcluster::ClusterKey("OTHER.REALM"), ring_frame).ok());
+  EXPECT_FALSE(
+      kstore::OpenFrame(kcluster::ClusterKey("OTHER.REALM"), kcluster::kClusterMagic, ring_frame)
+          .ok());
 
   // A load body whose count field promises more entries than the ceiling
   // fails before allocation. Forge the body then re-MAC it so only the
-  // count check can reject it. (ParseLoadBody takes the opened body.)
-  auto opened = kcluster::OpenCtlFrame(key, load_frame);
+  // count check can reject it. (The body decoder takes the opened body.)
+  auto opened = kstore::OpenFrame(key, kcluster::kClusterMagic, load_frame);
   ASSERT_TRUE(opened.ok());
-  kerb::Bytes body = opened.value().second;
+  kerb::Bytes body(opened.value().second.begin(), opened.value().second.end());
   body[4] = 0xff;  // count (after u32 epoch)
   body[5] = 0xff;
   body[6] = 0xff;
   body[7] = 0xff;
-  auto r = kcluster::ParseLoadBody(body);
+  auto r = kenc::Decode<kcluster::LoadBody>(body);
   ASSERT_FALSE(r.ok());
   ExpectCleanFailure(r.error().code, "inflated load count");
 }
@@ -761,8 +764,9 @@ TEST(MalformedTest, ClusterLiveNodeSweepsFailClosed) {
   // Authentic frames for each port, then damage them on the wire.
   kstore::Snapshot snap = krb4::SnapshotDatabase(controller.logical_db(), 99);
   const std::vector<std::pair<uint16_t, kerb::Bytes>> probes = {
-      {cc.ctl_port, kcluster::EncodeRingFrame(ctl_key, SampleView())},
-      {cc.ctl_port, kcluster::EncodeLoadFrame(ctl_key, {1, {}})},
+      {cc.ctl_port, kcluster::EncodeCtlFrame(ctl_key, kcluster::kCtlRing, SampleView())},
+      {cc.ctl_port,
+       kcluster::EncodeCtlFrame(ctl_key, kcluster::kCtlLoad, kcluster::LoadBody{1, {}})},
       {cc.prop_port, kstore::EncodeWholesaleFrame(prop_key, kstore::EncodeSnapshot(snap))},
       {cc.prop_port, kstore::EncodeDeltaFrame(prop_key, 1, 0, {})},
   };

@@ -18,19 +18,19 @@ struct UnitFixture {
 TEST(EncryptionUnitTest, OpenAsReplyCapturesSessionKeyAsHandle) {
   UnitFixture f;
   kcrypto::DesKey session = f.prng.NextDesKey();
-  krb4::AsReplyBody4 body;
-  body.tgs_session_key = session.bytes();
-  body.sealed_tgt = f.prng.NextBytes(32);
-  kerb::Bytes sealed = krb4::Seal4(f.login_key, body.Encode());
+  krb4::ReplyBody4 body;
+  body.session_key = session.bytes();
+  body.sealed_ticket = f.prng.NextBytes(32);
+  kerb::Bytes sealed = krb4::Seal(f.login_key, body);
 
   kerb::Bytes tgt_out;
   auto handle = f.unit.OpenAsReply(f.login, sealed, &tgt_out);
   ASSERT_TRUE(handle.ok());
-  EXPECT_EQ(tgt_out, body.sealed_tgt);
+  EXPECT_EQ(tgt_out, body.sealed_ticket);
   // The handle works where a TGS session key should.
   auto auth = f.unit.MakeAuthenticator(handle.value(), Alice(), 1, 0);
   ASSERT_TRUE(auth.ok());
-  EXPECT_TRUE(krb4::Authenticator4::Unseal(session, auth.value()).ok());
+  EXPECT_TRUE(krb4::Unseal<krb4::Authenticator4>(session, auth.value()).ok());
 }
 
 TEST(EncryptionUnitTest, UsageTagsPreventCrossPurposeUse) {
@@ -77,7 +77,7 @@ TEST(EncryptionUnitTest, DecryptTicketReturnsMetadataNotKey) {
   ticket.lifetime = ksim::kHour;
   ticket.session_key = f.prng.NextDesKey().bytes();
 
-  auto info = f.unit.DecryptTicket(service, ticket.Seal(service_key));
+  auto info = f.unit.DecryptTicket(service, krb4::Seal(service_key, ticket));
   ASSERT_TRUE(info.ok());
   EXPECT_TRUE(info.value().client == Alice());
   EXPECT_EQ(info.value().client_addr, 7u);

@@ -118,7 +118,7 @@ TEST(KeyStoreTest, ProvisionServiceKeyIntoUnit) {
   ticket.client = krb4::Principal::User("alice", "R");
   ticket.session_key = world.prng().NextDesKey().bytes();
   ticket.lifetime = ksim::kHour;
-  auto info = unit.DecryptTicket(handle.value(), ticket.Seal(nfs_key));
+  auto info = unit.DecryptTicket(handle.value(), krb4::Seal(nfs_key, ticket));
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info.value().client.name, "alice");
 }

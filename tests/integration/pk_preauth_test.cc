@@ -85,10 +85,10 @@ TEST(PkPreauth4Test, FullExchangeIssuesVerifiableTicket) {
 
   // The TGT inside the body must unseal with the TGS key and carry the
   // session key the body advertises.
-  auto tgt = krb4::Ticket4::Unseal(bed.tgs_key, body.value().sealed_tgt);
+  auto tgt = krb4::Unseal<krb4::Ticket4>(bed.tgs_key, body.value().sealed_ticket);
   ASSERT_TRUE(tgt.ok());
   EXPECT_EQ(tgt.value().client, Alice());
-  EXPECT_EQ(tgt.value().session_key, body.value().tgs_session_key);
+  EXPECT_EQ(tgt.value().session_key, body.value().session_key);
   EXPECT_EQ(tgt.value().client_addr, kClientAddr.host);
 }
 
@@ -133,7 +133,7 @@ kerb::Result<kerb::Bytes> Send4(Bed4& bed, krb4::KdcContext& ctx,
                                 const krb4::AsPkRequest4& req) {
   ksim::Message msg;
   msg.src = kClientAddr;
-  msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req.Encode());
+  msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req);
   return bed.core->HandleAs(msg, ctx);
 }
 
@@ -194,7 +194,7 @@ TEST(PkPreauth4Test, DegenerateClientPublicsAreRejected) {
     req.client_pub = pub.ToBytes();
     ksim::Message msg;
     msg.src = kClientAddr;
-    msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req.Encode());
+    msg.payload = krb4::Frame4(krb4::MsgType::kAsPkRequest, req);
     auto reply = bed.core->HandleAs(msg, ctx);
     ASSERT_FALSE(reply.ok()) << pub.ToHex();
     EXPECT_EQ(reply.error().code, kerb::ErrorCode::kBadFormat) << pub.ToHex();
@@ -211,7 +211,7 @@ TEST(PkPreauth4Test, OrdinaryAsRequestsStillServed) {
   req.lifetime = ksim::kHour;
   ksim::Message msg;
   msg.src = kClientAddr;
-  msg.payload = krb4::Frame4(krb4::MsgType::kAsRequest, req.Encode());
+  msg.payload = krb4::Frame4(krb4::MsgType::kAsRequest, req);
   auto reply = bed.core->HandleAs(msg, ctx);
   ASSERT_TRUE(reply.ok());
   auto framed = krb4::Unframe4(reply.value());

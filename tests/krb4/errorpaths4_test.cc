@@ -27,7 +27,7 @@ TEST(ErrorPaths4Test, WrongMessageTypeToAsPort) {
   TgsRequest4 req;
   req.service = bed.mail_principal();
   auto reply = bed.world().network().Call(Testbed4::kAliceAddr, Testbed4::kAsAddr,
-                                          Frame4(MsgType::kTgsRequest, req.Encode()));
+                                          Frame4(MsgType::kTgsRequest, req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kBadFormat);
 }
 
@@ -47,10 +47,10 @@ TEST(ErrorPaths4Test, TgsRejectsAuthenticatorClientMismatch) {
   TgsRequest4 req;
   req.service = bed.mail_principal();
   req.sealed_tgt = creds.sealed_tgt;
-  req.sealed_auth = auth.Seal(creds.session_key);
+  req.sealed_auth = Seal(creds.session_key, auth);
   req.lifetime = ksim::kHour;
   auto reply = bed.world().network().Call(Testbed4::kAliceAddr, Testbed4::kTgsAddr,
-                                          Frame4(MsgType::kTgsRequest, req.Encode()));
+                                          Frame4(MsgType::kTgsRequest, req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
@@ -65,10 +65,10 @@ TEST(ErrorPaths4Test, TgsRejectsStaleAuthenticator) {
   TgsRequest4 req;
   req.service = bed.mail_principal();
   req.sealed_tgt = creds.sealed_tgt;
-  req.sealed_auth = auth.Seal(creds.session_key);
+  req.sealed_auth = Seal(creds.session_key, auth);
   req.lifetime = ksim::kHour;
   auto reply = bed.world().network().Call(Testbed4::kAliceAddr, Testbed4::kTgsAddr,
-                                          Frame4(MsgType::kTgsRequest, req.Encode()));
+                                          Frame4(MsgType::kTgsRequest, req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kSkew);
 }
 
@@ -83,11 +83,11 @@ TEST(ErrorPaths4Test, TgsRejectsWrongSourceAddress) {
   TgsRequest4 req;
   req.service = bed.mail_principal();
   req.sealed_tgt = creds.sealed_tgt;
-  req.sealed_auth = auth.Seal(creds.session_key);
+  req.sealed_auth = Seal(creds.session_key, auth);
   req.lifetime = ksim::kHour;
   // Honest delivery from eve's own host: the address binding fires.
   auto reply = bed.world().network().Call(Testbed4::kEveAddr, Testbed4::kTgsAddr,
-                                          Frame4(MsgType::kTgsRequest, req.Encode()));
+                                          Frame4(MsgType::kTgsRequest, req));
   EXPECT_EQ(reply.code(), kerb::ErrorCode::kAuthFailed);
 }
 
@@ -109,8 +109,8 @@ TEST(ErrorPaths4Test, ServerRejectsTicketSealedWithWrongKey) {
   auth.timestamp = bed.world().clock().Now();
 
   ApRequest4 req;
-  req.sealed_ticket = forged.Seal(prng.NextDesKey());  // not the mail key
-  req.sealed_auth = auth.Seal(session);
+  req.sealed_ticket = Seal(prng.NextDesKey(), forged);  // not the mail key
+  req.sealed_auth = Seal(session, auth);
   auto verdict = bed.mail_server().VerifyApRequest(req, Testbed4::kAliceAddr.host);
   EXPECT_EQ(verdict.code(), kerb::ErrorCode::kAuthFailed);
 }
@@ -136,8 +136,8 @@ TEST(ErrorPaths4Test, ForgedTicketWithRealKeyWouldWork_KerckhoffsBaseline) {
   auth.timestamp = bed.world().clock().Now();
 
   ApRequest4 req;
-  req.sealed_ticket = forged.Seal(bed.mail_key());  // the compromised key
-  req.sealed_auth = auth.Seal(session);
+  req.sealed_ticket = Seal(bed.mail_key(), forged);  // the compromised key
+  req.sealed_auth = Seal(session, auth);
   auto verdict = bed.mail_server().VerifyApRequest(req, Testbed4::kEveAddr.host);
   EXPECT_TRUE(verdict.ok());
   EXPECT_EQ(verdict.value().client.name, "made-up-user");

@@ -21,11 +21,11 @@ TEST(PrincipalTest, ToStringForms) {
 
 TEST(PrincipalTest, EncodeDecodeRoundTrip) {
   kenc::Writer w;
-  Rlogin().EncodeTo(w);
+  kenc::Put(w, Rlogin());
   kenc::Reader r(w.Peek());
-  auto decoded = Principal::DecodeFrom(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded.value() == Rlogin());
+  Principal decoded;
+  ASSERT_TRUE(kenc::Get(r, decoded));
+  EXPECT_TRUE(decoded == Rlogin());
 }
 
 TEST(Seal4Test, RoundTrip) {
@@ -76,7 +76,7 @@ TEST(Ticket4Test, EncodeDecodeRoundTrip) {
   t.lifetime = 8 * ksim::kHour;
   t.session_key = prng.NextDesKey().bytes();
 
-  auto decoded = Ticket4::Decode(t.Encode());
+  auto decoded = kenc::Decode<Ticket4>(kenc::Encode(t));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded.value().service == t.service);
   EXPECT_TRUE(decoded.value().client == t.client);
@@ -93,11 +93,11 @@ TEST(Ticket4Test, SealUnsealWithServiceKey) {
   t.service = Rlogin();
   t.client = Alice();
   t.session_key = prng.NextDesKey().bytes();
-  kerb::Bytes sealed = t.Seal(service_key);
-  auto opened = Ticket4::Unseal(service_key, sealed);
+  kerb::Bytes sealed = Seal(service_key, t);
+  auto opened = Unseal<Ticket4>(service_key, sealed);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value().session_key, t.session_key);
-  EXPECT_FALSE(Ticket4::Unseal(prng.NextDesKey(), sealed).ok());
+  EXPECT_FALSE(Unseal<Ticket4>(prng.NextDesKey(), sealed).ok());
 }
 
 TEST(Ticket4Test, Expiry) {
@@ -116,7 +116,7 @@ TEST(Authenticator4Test, SealUnsealRoundTrip) {
   a.client = Alice();
   a.client_addr = 42;
   a.timestamp = 555 * ksim::kSecond;
-  auto opened = Authenticator4::Unseal(session, a.Seal(session));
+  auto opened = Unseal<Authenticator4>(session, Seal(session, a));
   ASSERT_TRUE(opened.ok());
   EXPECT_TRUE(opened.value().client == a.client);
   EXPECT_EQ(opened.value().timestamp, a.timestamp);
@@ -130,10 +130,10 @@ TEST(Authenticator4Test, NotConfusableWithTicket) {
   Authenticator4 a;
   a.client = Alice();
   a.timestamp = 1;
-  kerb::Bytes sealed = a.Seal(key);
+  kerb::Bytes sealed = Seal(key, a);
   auto unsealed = Unseal4(key, sealed);
   ASSERT_TRUE(unsealed.ok());
-  EXPECT_FALSE(Ticket4::Decode(unsealed.value()).ok());
+  EXPECT_FALSE(kenc::Decode<Ticket4>(unsealed.value()).ok());
 }
 
 TEST(AsExchangeTest, RequestAndReplyRoundTrip) {
@@ -142,20 +142,20 @@ TEST(AsExchangeTest, RequestAndReplyRoundTrip) {
   req.client = Alice();
   req.service_realm = "ATHENA.SIM";
   req.lifetime = ksim::kHour;
-  auto decoded_req = AsRequest4::Decode(req.Encode());
+  auto decoded_req = kenc::Decode<AsRequest4>(kenc::Encode(req));
   ASSERT_TRUE(decoded_req.ok());
   EXPECT_TRUE(decoded_req.value().client == Alice());
   EXPECT_EQ(decoded_req.value().lifetime, ksim::kHour);
 
-  AsReplyBody4 body;
-  body.tgs_session_key = prng.NextDesKey().bytes();
-  body.sealed_tgt = prng.NextBytes(40);
+  ReplyBody4 body;
+  body.session_key = prng.NextDesKey().bytes();
+  body.sealed_ticket = prng.NextBytes(40);
   body.issued_at = 9;
   body.lifetime = 10;
-  auto decoded_body = AsReplyBody4::Decode(body.Encode());
+  auto decoded_body = kenc::Decode<ReplyBody4>(kenc::Encode(body));
   ASSERT_TRUE(decoded_body.ok());
-  EXPECT_EQ(decoded_body.value().tgs_session_key, body.tgs_session_key);
-  EXPECT_EQ(decoded_body.value().sealed_tgt, body.sealed_tgt);
+  EXPECT_EQ(decoded_body.value().session_key, body.session_key);
+  EXPECT_EQ(decoded_body.value().sealed_ticket, body.sealed_ticket);
 }
 
 TEST(TgsExchangeTest, RequestAndReplyRoundTrip) {
@@ -165,15 +165,15 @@ TEST(TgsExchangeTest, RequestAndReplyRoundTrip) {
   req.sealed_tgt = prng.NextBytes(48);
   req.sealed_auth = prng.NextBytes(24);
   req.lifetime = 2 * ksim::kHour;
-  auto decoded = TgsRequest4::Decode(req.Encode());
+  auto decoded = kenc::Decode<TgsRequest4>(kenc::Encode(req));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().sealed_tgt, req.sealed_tgt);
   EXPECT_EQ(decoded.value().sealed_auth, req.sealed_auth);
 
-  TgsReplyBody4 body;
+  ReplyBody4 body;
   body.session_key = prng.NextDesKey().bytes();
   body.sealed_ticket = prng.NextBytes(56);
-  auto decoded_body = TgsReplyBody4::Decode(body.Encode());
+  auto decoded_body = kenc::Decode<ReplyBody4>(kenc::Encode(body));
   ASSERT_TRUE(decoded_body.ok());
   EXPECT_EQ(decoded_body.value().sealed_ticket, body.sealed_ticket);
 }
@@ -185,7 +185,7 @@ TEST(ApExchangeTest, RequestRoundTripWithAppData) {
   req.sealed_auth = prng.NextBytes(24);
   req.want_mutual = true;
   req.app_data = kerb::ToBytes("DELETE /archive");
-  auto decoded = ApRequest4::Decode(req.Encode());
+  auto decoded = kenc::Decode<ApRequest4>(kenc::Encode(req));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded.value().want_mutual);
   EXPECT_EQ(decoded.value().app_data, req.app_data);
@@ -242,20 +242,20 @@ TEST(SealedReply4Test, MatchesSealingTheTicketThenTheBody) {
     const kcrypto::DesKey reply_key = prng.NextDesKey();
     const kerb::Bytes prefix = prng.NextBytes(prng.NextBelow(10));
 
-    AsReplyBody4 body;
-    body.tgs_session_key = ticket.session_key;
-    body.sealed_tgt = Seal4(ticket_key, ticket.Encode());
+    ReplyBody4 body;
+    body.session_key = ticket.session_key;
+    body.sealed_ticket = Seal(ticket_key, ticket);
     body.issued_at = ticket.issued_at;
     body.lifetime = ticket.lifetime;
     kerb::Bytes want = prefix;
-    kerb::Append(want, Seal4(reply_key, body.Encode()));
+    kerb::Append(want, Seal(reply_key, body));
 
     kerb::Bytes got = prefix;
     kobs::ScopedTrace trace;
     AppendSealedReply4(ticket, ticket_key, reply_key, got);
     ASSERT_EQ(got, want) << "round " << round;
     EXPECT_EQ(trace->Count(kobs::Ev::kSeal), 2u);
-    EXPECT_EQ(trace->CountA(kobs::Ev::kSeal, body.sealed_tgt.size()), 1u);
+    EXPECT_EQ(trace->CountA(kobs::Ev::kSeal, body.sealed_ticket.size()), 1u);
     EXPECT_EQ(trace->CountA(kobs::Ev::kSeal, want.size() - prefix.size()), 1u);
   }
 }

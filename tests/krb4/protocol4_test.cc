@@ -76,7 +76,7 @@ TEST(Protocol4Test, ExpiredTicketRejected) {
   auth.timestamp = bed.world().clock().Now();
   ApRequest4 req;
   req.sealed_ticket = creds.value().sealed_ticket;
-  req.sealed_auth = auth.Seal(creds.value().session_key);
+  req.sealed_auth = krb4::Seal(creds.value().session_key, auth);
   auto verdict = bed.mail_server().VerifyApRequest(req, Testbed4::kAliceAddr.host);
   EXPECT_FALSE(verdict.ok());
   EXPECT_EQ(verdict.code(), kerb::ErrorCode::kExpired);

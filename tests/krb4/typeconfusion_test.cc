@@ -17,20 +17,20 @@
 namespace {
 
 TEST(TypeConfusionTest, V4AsAndTgsReplyBodiesAreIndistinguishable) {
-  // AsReplyBody4 and TgsReplyBody4 have the same field layout (key, blob,
-  // times). A V4 decoder cannot tell which one it holds — the ambiguity a
-  // type tag would remove.
+  // The AS and TGS reply bodies have the same field layout (key, blob,
+  // times) — so the same struct, ReplyBody4. A V4 decoder cannot tell which
+  // one it holds — the ambiguity a type tag would remove.
   kcrypto::Prng prng(1);
-  krb4::TgsReplyBody4 tgs_body;
+  krb4::ReplyBody4 tgs_body;
   tgs_body.session_key = prng.NextDesKey().bytes();
   tgs_body.sealed_ticket = prng.NextBytes(48);
   tgs_body.issued_at = 100;
   tgs_body.lifetime = 200;
 
-  auto as_view = krb4::AsReplyBody4::Decode(tgs_body.Encode());
+  auto as_view = kenc::Decode<krb4::ReplyBody4>(kenc::Encode(tgs_body));
   ASSERT_TRUE(as_view.ok()) << "V4 happily decodes a TGS body as an AS body";
-  EXPECT_EQ(as_view.value().tgs_session_key, tgs_body.session_key);
-  EXPECT_EQ(as_view.value().sealed_tgt, tgs_body.sealed_ticket);
+  EXPECT_EQ(as_view.value().session_key, tgs_body.session_key);
+  EXPECT_EQ(as_view.value().sealed_ticket, tgs_body.sealed_ticket);
 }
 
 TEST(TypeConfusionTest, V5TypeTagsRejectEveryCrossInterpretation) {
@@ -75,9 +75,9 @@ TEST(TypeConfusionTest, V4SealedAuthenticatorIsNotATicketOnlyByLuck) {
   krb4::Authenticator4 auth;
   auth.client = krb4::Principal::User("alice", "R");
   auth.timestamp = 1;
-  auto unsealed = krb4::Unseal4(key, auth.Seal(key));
+  auto unsealed = krb4::Unseal4(key, krb4::Seal(key, auth));
   ASSERT_TRUE(unsealed.ok());
-  EXPECT_FALSE(krb4::Ticket4::Decode(unsealed.value()).ok());
+  EXPECT_FALSE(kenc::Decode<krb4::Ticket4>(unsealed.value()).ok());
 }
 
 }  // namespace
