@@ -231,11 +231,10 @@ kerb::Result<kerb::Bytes> KadminServer::Process(const ksim::Message& msg, ksim::
 
 kerb::Status KadminServer::CheckPassword(const krb4::Principal& target,
                                          std::string_view password) const {
-  if (password.size() < policy_.min_password_length) {
+  if (password.size() < kMinPasswordLength) {
     return kerb::MakeError(kerb::ErrorCode::kPolicy, "password below minimum length");
   }
-  if (policy_.reject_name_in_password && !target.name.empty() &&
-      password.find(target.name) != std::string_view::npos) {
+  if (!target.name.empty() && password.find(target.name) != std::string_view::npos) {
     return kerb::MakeError(kerb::ErrorCode::kPolicy, "password contains principal name");
   }
   return kerb::Status::Ok();
@@ -383,15 +382,6 @@ kerb::Bytes AdminClient::BuildRequest(const krb4::ServiceCredentials& creds, Adm
   req.sealed_auth = krb4::Seal(creds.session_key, auth);
   req.sealed_req = krb4::Seal4(creds.session_key, EncodeChecked(body));
   return krb4::Frame4(krb4::MsgType::kAdminRequest, req);
-}
-
-kerb::Result<AdminClient::Ack> AdminClient::ParseReply(uint64_t nonce,
-                                                       kerb::BytesView reply_frame) {
-  auto creds = Credentials();
-  if (!creds.ok()) {
-    return creds.error();
-  }
-  return ParseReply(creds.value()->session_key, nonce, reply_frame);
 }
 
 kerb::Result<AdminClient::Ack> AdminClient::ParseReply(const kcrypto::DesKey& session_key,

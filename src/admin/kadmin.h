@@ -45,10 +45,11 @@
 
 namespace kadmin {
 
+// Password quality floor for kChangePassword / kAddPrincipal(user): at
+// least this long, and not containing the principal's name.
+constexpr size_t kMinPasswordLength = 8;
+
 struct AdminPolicy {
-  // Password quality floor for kChangePassword / kAddPrincipal(user).
-  size_t min_password_length = 8;
-  bool reject_name_in_password = true;
   // Authenticator freshness bound; also bounds the request-body timestamp.
   ksim::Duration clock_skew_limit = ksim::kDefaultClockSkewLimit;
   // Byte-identical duplicate absorption window.
@@ -184,13 +185,12 @@ class AdminClient {
   kerb::Result<Ack> AddService(const krb4::Principal& target);
   kerb::Result<Ack> DelPrincipal(const krb4::Principal& target);
 
-  // Attack-surface hooks: one raw request frame with a caller-chosen nonce
-  // (fresh authenticator each call), and the matching reply parser. The
-  // replay/interception probes in src/attacks/rotation.cc splice and resend
-  // these without going through Execute's retry loop.
+  // Attack-surface hook: one raw request frame with a caller-chosen nonce
+  // (fresh authenticator each call). The replay/interception probes in
+  // src/attacks/rotation.cc splice and resend these without going through
+  // Execute's retry loop.
   kerb::Result<kerb::Bytes> BuildRequest(AdminOp op, const krb4::Principal& target,
                                          kerb::BytesView payload, uint64_t nonce);
-  kerb::Result<Ack> ParseReply(uint64_t nonce, kerb::BytesView reply_frame);
 
   krb4::Client4& client() { return *client_; }
 

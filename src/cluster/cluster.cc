@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "src/encoding/io.h"
 #include "src/encoding/tlv.h"
@@ -23,6 +24,21 @@ constexpr ksim::Duration kServedRequestClockStep = 200 * ksim::kMicrosecond;
 // frame, principal entries per range-load frame.
 constexpr uint32_t kDeltaRecordsPerFrame = 256;
 constexpr size_t kLoadEntriesPerFrame = 512;
+
+// The principal whose owner serves a KDC request: an AS request's client,
+// a TGS request's service.
+template <typename Request>
+const krb4::Principal& RoutingPrincipal(const Request& request) {
+  return std::visit(
+      [](const auto& req) -> const krb4::Principal& {
+        if constexpr (requires { req.client; }) {
+          return req.client;
+        } else {
+          return req.service;
+        }
+      },
+      request);
+}
 
 }  // namespace
 
@@ -89,73 +105,6 @@ bool ClusterNode::OwnedOrInfra(const krb4::Principal& p) const {
   return owner != nullptr && owner->node_id == node_id_;
 }
 
-bool ClusterNode::ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
-                                          krb4::Principal* out) const {
-  (void)tgs;  // the frame type, not the port, names the routing field
-  if (config_.protocol == Protocol::kV4) {
-    auto framed = krb4::Unframe4(payload);
-    if (!framed.ok()) {
-      return false;
-    }
-    switch (framed.value().first) {
-      case krb4::MsgType::kAsRequest: {
-        auto req = kenc::Decode<krb4::AsRequest4>(framed.value().second);
-        if (!req.ok()) {
-          return false;
-        }
-        *out = req.value().client;
-        return true;
-      }
-      case krb4::MsgType::kAsPkRequest: {
-        auto req = kenc::Decode<krb4::AsPkRequest4>(framed.value().second);
-        if (!req.ok()) {
-          return false;
-        }
-        *out = req.value().client;
-        return true;
-      }
-      case krb4::MsgType::kTgsRequest: {
-        auto req = kenc::Decode<krb4::TgsRequest4>(framed.value().second);
-        if (!req.ok()) {
-          return false;
-        }
-        *out = req.value().service;
-        return true;
-      }
-      default:
-        return false;
-    }
-  }
-  switch (kenc::PeekType(payload)) {
-    case krb5::kMsgAsReq: {
-      auto req = kenc::Decode<krb5::AsRequest5>(payload);
-      if (!req.ok()) {
-        return false;
-      }
-      *out = req.value().client;
-      return true;
-    }
-    case krb5::kMsgAsPkReq: {
-      auto req = kenc::Decode<krb5::AsPkRequest5>(payload);
-      if (!req.ok()) {
-        return false;
-      }
-      *out = req.value().client;
-      return true;
-    }
-    case krb5::kMsgTgsReq: {
-      auto req = kenc::Decode<krb5::TgsRequest5>(payload);
-      if (!req.ok()) {
-        return false;
-      }
-      *out = req.value().service;
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 kerb::Bytes ClusterNode::ReferralReply(const krb4::Principal& p) {
   ReferralBody body;
   body.view = *view_;
@@ -174,20 +123,24 @@ kerb::Result<kerb::Bytes> ClusterNode::HandleKdc(bool tgs, const ksim::Message& 
   if (crashed_) {
     return kerb::MakeError(kerb::ErrorCode::kTransport, "cluster node down");
   }
-  krb4::Principal routing;
-  if (view_.has_value() && !ring_.empty() &&
-      ExtractRoutingPrincipal(tgs, msg.payload, &routing) && !OwnedOrInfra(routing)) {
-    // Not ours: teach the client the current view. Undecodable requests
-    // fall through to the core, which rejects them itself — routing must
-    // never mask a fail-closed parse.
-    return ReferralReply(routing);
-  }
-  world_->clock().Advance(kServedRequestClockStep);
-  ++requests_served_;
+  // One decode per request: the routing check reads it and the core serves
+  // it. A request that does not decode goes to the core, which rejects it
+  // itself — routing must never mask a fail-closed parse.
+  auto route = [&](auto& core, const auto& decoded) -> kerb::Result<kerb::Bytes> {
+    if (decoded.ok() && view_.has_value() && !ring_.empty()) {
+      const krb4::Principal& routing = RoutingPrincipal(decoded.value());
+      if (!OwnedOrInfra(routing)) {
+        return ReferralReply(routing);  // not ours: teach the client the view
+      }
+    }
+    world_->clock().Advance(kServedRequestClockStep);
+    ++requests_served_;
+    return core.Handle(tgs, msg, decoded, ctx_);
+  };
   if (core4_.has_value()) {
-    return tgs ? core4_->HandleTgs(msg, ctx_) : core4_->HandleAs(msg, ctx_);
+    return route(*core4_, krb4::DecodeKdcRequest4(msg.payload));
   }
-  return tgs ? core5_->HandleTgs(msg, ctx_) : core5_->HandleAs(msg, ctx_);
+  return route(*core5_, krb5::DecodeKdcRequest5(msg.payload));
 }
 
 kerb::Result<kerb::Bytes> ClusterNode::HandleCtl(const ksim::Message& msg) {

@@ -12,13 +12,13 @@
 //
 // Division of labour:
 //
-//   * ClusterNode — serving. Binds AS/TGS endpoints, extracts the routing
-//     principal from each request, serves owned principals through the
-//     wrapped core, refers the rest. Binds a kprop PropagationSink for the
-//     controller's data feed and a 'KCL1' control endpoint for membership
-//     traffic. Every applied record is journaled to the node's own KStore
-//     first (write-ahead), so Crash()/Recover() rebuild the node from its
-//     durable files alone.
+//   * ClusterNode — serving. Binds AS/TGS endpoints and decodes each
+//     request once: a request for a principal another node owns gets a
+//     referral, and the wrapped core serves the rest from the same decode.
+//     Binds a kprop PropagationSink for the controller's data feed and a
+//     'KCL1' control endpoint for membership traffic. Every applied record
+//     is journaled to the node's own KStore first (write-ahead), so
+//     Crash()/Recover() rebuild the node from its durable files alone.
 //
 //   * ClusterController — the registration primary and membership brain.
 //     It owns the logical (whole-realm) database and its WAL; per-node
@@ -127,8 +127,6 @@ class ClusterNode {
     return core4_.has_value() ? core4_->database() : core5_->database();
   }
   bool OwnedOrInfra(const krb4::Principal& p) const;
-  bool ExtractRoutingPrincipal(bool tgs, kerb::BytesView payload,
-                               krb4::Principal* out) const;
   kerb::Bytes ReferralReply(const krb4::Principal& p);
   kerb::Result<kerb::Bytes> HandleKdc(bool tgs, const ksim::Message& msg);
   kerb::Result<kerb::Bytes> HandleCtl(const ksim::Message& msg);

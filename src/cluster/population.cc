@@ -51,10 +51,6 @@ kcrypto::DesKey Population::ServiceKey(size_t j) const {
   return KeyStream(config_.seed, 2, j).NextDesKey();
 }
 
-kcrypto::DesKey Population::TgsKey() const {
-  return KeyStream(config_.seed, 3, 0).NextDesKey();
-}
-
 void Population::Install(krb4::KdcDatabase& db) const {
   // The store keeps key bytes, so registration draws each key without
   // scheduling it: the same draws UserKey() and friends make.

@@ -8,12 +8,12 @@
 // without storing a million keys.
 //
 // RunClusterLoad drives login (AS) and service-ticket (TGS) traffic through
-// cluster-routed clients and reports goodput, referral behaviour, and the
-// virtual aggregate throughput (ok operations over the busiest node's
-// charged service time — the single host serializes the simulation, so the
-// busiest node, not the wall clock, is the cluster's critical path).
-// Per-operation latencies are emitted as kobs kClusterOp events; the bench
-// derives p50/p99 from the trace histogram rather than re-aggregating here.
+// cluster-routed clients and reports goodput and referral behaviour; how
+// evenly the ring spreads the work is each node's requests_served(). Each
+// operation's virtual-time span is emitted as a kobs kClusterOp event,
+// which tests/obs/cluster_metrics_test.cc reconciles with the report.
+// Clocked cluster throughput and latency come from kdcbench's
+// cluster_churn workload, not from here.
 //
 // RunClusterChaos is the succeed-or-fail-closed testbed: traffic runs while
 // a node blacks out mid-stream, the controller rebalances under load,
@@ -55,7 +55,6 @@ class Population {
   // Deterministic per-principal keys, re-derivable from (seed, index).
   kcrypto::DesKey UserKey(size_t i) const;
   kcrypto::DesKey ServiceKey(size_t j) const;
-  kcrypto::DesKey TgsKey() const;
 
   const PopulationConfig& config() const { return config_; }
 

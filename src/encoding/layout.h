@@ -20,10 +20,11 @@
 //   * kenc::Encode sizes the message exactly and writes it with one
 //     allocation (kenc::EncodedSize/EncodeTo write it into a caller's
 //     buffer);
-//   * kenc::Decode<Msg> reads it in one pass straight into the struct, and
-//     fails with kBadFormat on truncation, on an invalid field and on
-//     trailing bytes — unless the layout ends in kenc::kIgnoreRest, V4's
-//     "read the fields, ignore whatever follows".
+//   * kenc::Decode<Msg> (kenc::DecodeInto, into a caller's struct) reads it
+//     in one pass straight into the struct, and fails with kBadFormat on
+//     truncation, on an invalid field and on trailing bytes — unless the
+//     layout ends in kenc::kIgnoreRest, V4's "read the fields, ignore
+//     whatever follows".
 // kenc::Put(Writer&, v) and kenc::Get(Reader&, v) run the same codec inside
 // a longer record: a nested field, or a principal at the head of a store
 // record.
@@ -253,15 +254,24 @@ kerb::Bytes Encode(const Msg& msg) {
   return out;
 }
 
+// Decodes into a default-constructed `msg`, in place.
 template <LayoutMessage Msg>
-kerb::Result<Msg> Decode(kerb::BytesView wire) {
-  Msg msg;
+kerb::Status DecodeInto(kerb::BytesView wire, Msg& msg) {
   Reader r(wire);
   if (!Form<Msg>::Get(r, msg)) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "truncated or invalid field");
   }
   if (!r.AtEnd()) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "trailing bytes after message");
+  }
+  return kerb::Status::Ok();
+}
+
+template <LayoutMessage Msg>
+kerb::Result<Msg> Decode(kerb::BytesView wire) {
+  Msg msg;
+  if (kerb::Status status = DecodeInto(wire, msg); !status.ok()) {
+    return status.error();
   }
   return msg;
 }

@@ -25,8 +25,9 @@
 //   * kenc::Encode computes the exact size, allocates once and writes the
 //     fields in table order; the tags' ascending order is checked at compile
 //     time, so the bytes are the sorted-map bytes a TlvMessage would give;
-//   * kenc::Decode walks the wire once, in any field order, straight into
-//     the struct, and rejects missing and mis-sized fields as kBadFormat.
+//   * kenc::Decode (kenc::DecodeInto, into a caller's struct) walks the
+//     wire once, in any field order, straight into the struct, and rejects
+//     missing and mis-sized fields as kBadFormat.
 //
 // TlvMessage, a tag → bytes map, remains as the raw field-editing tool: the
 // attack code and the tests build with it the messages no honest party
@@ -495,11 +496,20 @@ kerb::Bytes Encode(const Msg& msg) {
   return out;
 }
 
+// Decodes into a default-constructed `msg`, in place.
+template <TableMessage Msg>
+kerb::Status DecodeInto(kerb::BytesView wire, Msg& msg) {
+  if (const char* error = table::DecodeFields(wire, msg)) {
+    return kerb::MakeError(kerb::ErrorCode::kBadFormat, error);
+  }
+  return kerb::Status::Ok();
+}
+
 template <TableMessage Msg>
 kerb::Result<Msg> Decode(kerb::BytesView wire) {
   Msg msg;
-  if (const char* error = table::DecodeFields(wire, msg)) {
-    return kerb::MakeError(kerb::ErrorCode::kBadFormat, error);
+  if (kerb::Status status = DecodeInto(wire, msg); !status.ok()) {
+    return status.error();
   }
   return msg;
 }

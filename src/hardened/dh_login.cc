@@ -50,25 +50,16 @@ kerb::Result<kerb::Bytes> DhLoginServer::Handle(const ksim::Message& msg) {
   kcrypto::DesKey dh_key =
       kcrypto::DhDeriveKey(kcrypto::DhSharedSecret(group_, server_pair.private_key, client_pub));
 
-  // Ordinary AS reply body...
-  ksim::Time now = clock_.Now();
-  kcrypto::DesKey session_key = prng_.NextDesKey();
+  // Ordinary AS reply body, sealed under K_c, then wrapped in the DH layer.
   krb4::Ticket4 tgt;
   tgt.service = krb4::TgsPrincipal(realm_);
   tgt.client = principal;
   tgt.client_addr = msg.src.host;
-  tgt.issued_at = now;
+  tgt.issued_at = clock_.Now();
   tgt.lifetime = 8 * ksim::kHour;
-  tgt.session_key = session_key.bytes();
-
-  krb4::ReplyBody4 body;
-  body.session_key = session_key.bytes();
-  body.sealed_ticket = krb4::Seal(tgs_key.value(), tgt);
-  body.issued_at = now;
-  body.lifetime = tgt.lifetime;
-
-  // ...sealed under K_c, then wrapped in the DH layer.
-  kerb::Bytes inner = krb4::Seal(user_key.value(), body);
+  tgt.session_key = prng_.NextDesKeyBytes();
+  kerb::Bytes inner;
+  krb4::AppendSealedReply4(tgt, tgs_key.value(), user_key.value(), inner);
   kerb::Bytes outer = krb4::Seal4(dh_key, inner);
 
   kenc::Writer w;

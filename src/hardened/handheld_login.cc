@@ -70,22 +70,16 @@ kerb::Result<kerb::Bytes> HandheldLoginServer::Handle(const ksim::Message& msg) 
   if (!tgs_key.ok()) {
     return tgs_key.error();
   }
-  kcrypto::DesKey session_key = prng_.NextDesKey();
   krb4::Ticket4 tgt;
   tgt.service = krb4::TgsPrincipal(realm_);
   tgt.client = principal;
   tgt.client_addr = msg.src.host;
   tgt.issued_at = now;
   tgt.lifetime = 8 * ksim::kHour;
-  tgt.session_key = session_key.bytes();
-
-  krb4::ReplyBody4 body;
-  body.session_key = session_key.bytes();
-  body.sealed_ticket = krb4::Seal(tgs_key.value(), tgt);
-  body.issued_at = now;
-  body.lifetime = tgt.lifetime;
-
-  return krb4::Seal(reply_key, body);
+  tgt.session_key = prng_.NextDesKeyBytes();
+  kerb::Bytes reply;
+  krb4::AppendSealedReply4(tgt, tgs_key.value(), reply_key, reply);
+  return reply;
 }
 
 kerb::Result<uint64_t> RequestLoginChallenge(ksim::Network* net,

@@ -11,7 +11,8 @@ std::optional<kerb::Result<kerb::Bytes>> DecodeReferral4(kerb::BytesView reply) 
   if (!framed.ok() || framed.value().first != MsgType::kClusterReferral) {
     return std::nullopt;
   }
-  return std::move(framed.value().second);
+  const kerb::BytesView body = framed.value().second;
+  return kerb::Bytes(body.begin(), body.end());
 }
 
 }  // namespace

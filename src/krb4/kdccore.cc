@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <utility>
+#include <variant>
 
 #include "src/crypto/checksum.h"
 #include "src/encoding/io.h"
@@ -76,38 +77,25 @@ void KdcServeFrame::RememberReply(size_t slot, const ksim::Message& msg,
 KdcCore4::KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options)
     : KdcServeFrame(kobs::kSrcKdc4, clock, std::move(realm), std::move(db)), options_(options) {}
 
-kerb::Result<kerb::Bytes> KdcCore4::HandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  return Serve(false, msg, ctx, options_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
-    auto framed = Unframe4(msg.payload);
-    if (framed.ok() && framed.value().first == MsgType::kAsPkRequest) {
-      auto pk_req = kenc::Decode<AsPkRequest4>(framed.value().second);
-      if (!pk_req.ok()) {
-        return pk_req.error();
-      }
-      return ServeAsPk(msg, pk_req.value(), ctx);
+kerb::Result<kerb::Bytes> KdcCore4::Handle(bool tgs, const ksim::Message& msg,
+                                           const kerb::Result<KdcRequest4>& decoded,
+                                           KdcContext& ctx) {
+  return Serve(tgs, msg, ctx, options_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
+    if (!decoded.ok()) {
+      return decoded.error();
     }
-    if (!framed.ok() || framed.value().first != MsgType::kAsRequest) {
-      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected AS request");
+    const KdcRequest4& req = decoded.value();
+    if (tgs != std::holds_alternative<TgsRequest4>(req)) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat,
+                             tgs ? "expected TGS request" : "expected AS request");
     }
-    auto req = kenc::Decode<AsRequest4>(framed.value().second);
-    if (!req.ok()) {
-      return req.error();
+    if (const auto* as_req = std::get_if<AsRequest4>(&req)) {
+      return ServeAs(msg, *as_req, ctx);
     }
-    return ServeAs(msg, req.value(), ctx);
-  });
-}
-
-kerb::Result<kerb::Bytes> KdcCore4::HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  return Serve(true, msg, ctx, options_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
-    auto framed = Unframe4(msg.payload);
-    if (!framed.ok() || framed.value().first != MsgType::kTgsRequest) {
-      return kerb::MakeError(kerb::ErrorCode::kBadFormat, "expected TGS request");
+    if (const auto* pk_req = std::get_if<AsPkRequest4>(&req)) {
+      return ServeAsPk(msg, *pk_req, ctx);
     }
-    auto req = kenc::Decode<TgsRequest4>(framed.value().second);
-    if (!req.ok()) {
-      return req.error();
-    }
-    return ServeTgs(msg, req.value(), ctx);
+    return ServeTgs(msg, std::get<TgsRequest4>(req), ctx);
   });
 }
 

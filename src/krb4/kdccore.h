@@ -17,7 +17,8 @@
 //
 // KdcServeFrame is the part of a serving core that does not depend on the
 // protocol version. KdcCore4 and KdcCore5 (src/krb5/kdccore.h) derive from
-// it and keep only their decoding, protocol checks and reply encoding.
+// it and keep only their protocol checks and reply encoding; each serves a
+// request its protocol's one request decoder (DecodeKdcRequest4/5) read.
 
 #ifndef SRC_KRB4_KDCCORE_H_
 #define SRC_KRB4_KDCCORE_H_
@@ -268,7 +269,7 @@ class KdcServeFrame {
 
   // Serves one AS (`tgs` false) or TGS request: counts it, answers a fresh
   // duplicate from the reply cache (window <= 0 disables the cache), else
-  // runs `body` — the core's decode, checks and encode — and remembers a
+  // runs `body` — the core's checks and encode — and remembers a
   // successful reply for retransmission. With a kobs::Trace installed the
   // request is framed in request and issue/deny events.
   template <typename Body>
@@ -398,13 +399,22 @@ class KdcCore4 : public KdcServeFrame {
 
   KdcCore4(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcOptions options);
 
-  kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx);
+  // Serves `decoded`, the DecodeKdcRequest4 of msg.payload, which arrived on
+  // the AS (`tgs` false) or the TGS port: a decode failure is the answer,
+  // and a request of the other port's kind gets kBadFormat.
+  kerb::Result<kerb::Bytes> Handle(bool tgs, const ksim::Message& msg,
+                                   const kerb::Result<KdcRequest4>& decoded, KdcContext& ctx);
+  kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx) {
+    return Handle(false, msg, DecodeKdcRequest4(msg.payload), ctx);
+  }
+  kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
+    return Handle(true, msg, DecodeKdcRequest4(msg.payload), ctx);
+  }
 
   const KdcOptions& options() const { return options_; }
 
  private:
-  // Protocol checks and reply encoding, on a request HandleAs/HandleTgs has decoded.
+  // Protocol checks and reply encoding, on a request Handle has decoded.
   kerb::Result<kerb::Bytes> ServeAs(const ksim::Message& msg, const AsRequest4& req,
                                     KdcContext& ctx);
   kerb::Result<kerb::Bytes> ServeAsPk(const ksim::Message& msg, const AsPkRequest4& req,

@@ -176,21 +176,44 @@ kerb::Bytes Frame4(MsgType type, kerb::BytesView body) {
   return out;
 }
 
-kerb::Result<std::pair<MsgType, kerb::Bytes>> Unframe4(kerb::BytesView data) {
-  kenc::Reader r(data);
-  auto version = r.GetU8();
-  if (!version.ok() || version.value() != kProtocolVersion) {
+kerb::Result<std::pair<MsgType, kerb::BytesView>> Unframe4(kerb::BytesView data) {
+  if (data.size() < 2 || data[0] != kProtocolVersion) {
     return kerb::MakeError(kerb::ErrorCode::kBadFormat, "not a V4 message");
   }
-  auto type = r.GetU8();
-  if (!type.ok()) {
-    return type.error();
+  return std::make_pair(static_cast<MsgType>(data[1]), data.subspan(2));
+}
+
+// --------------------------------------------------------------------------- KDC requests
+
+kerb::Result<KdcRequest4> DecodeKdcRequest4(kerb::BytesView frame) {
+  // Every path returns `decoded`, so the request is decoded where the caller
+  // receives it.
+  kerb::Result<KdcRequest4> decoded = KdcRequest4{};
+  KdcRequest4& req = decoded.value();
+  auto framed = Unframe4(frame);
+  kerb::Status status;
+  if (!framed.ok()) {
+    status = framed.error();
+  } else {
+    const auto [type, body] = framed.value();
+    switch (type) {
+      case MsgType::kAsRequest:
+        status = kenc::DecodeInto(body, req.emplace<AsRequest4>());
+        break;
+      case MsgType::kAsPkRequest:
+        status = kenc::DecodeInto(body, req.emplace<AsPkRequest4>());
+        break;
+      case MsgType::kTgsRequest:
+        status = kenc::DecodeInto(body, req.emplace<TgsRequest4>());
+        break;
+      default:
+        status = kerb::MakeError(kerb::ErrorCode::kBadFormat, "not a KDC request");
+    }
   }
-  return std::make_pair(static_cast<MsgType>(type.value()), r.Rest());
+  if (!status.ok()) {
+    decoded = status.error();
+  }
+  return decoded;
 }
 
 }  // namespace krb4
-
-template kerb::Result<krb4::AsRequest4> kenc::Decode<krb4::AsRequest4>(kerb::BytesView);
-template kerb::Result<krb4::AsPkRequest4> kenc::Decode<krb4::AsPkRequest4>(kerb::BytesView);
-template kerb::Result<krb4::TgsRequest4> kenc::Decode<krb4::TgsRequest4>(kerb::BytesView);

@@ -26,6 +26,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <variant>
 
 #include "src/common/bytes.h"
 #include "src/common/result.h"
@@ -127,7 +128,8 @@ kerb::Result<Msg> Unseal(const kcrypto::DesKey& key, kerb::BytesView sealed) {
 // ---------------------------------------------------------------------------
 // Framing: every V4 message on the wire is version byte + type byte + body.
 kerb::Bytes Frame4(MsgType type, kerb::BytesView body);
-kerb::Result<std::pair<MsgType, kerb::Bytes>> Unframe4(kerb::BytesView data);
+// The frame's type and a view of its body, within `data`.
+kerb::Result<std::pair<MsgType, kerb::BytesView>> Unframe4(kerb::BytesView data);
 
 // Frame4 of a message's layout, encoded in place: one allocation.
 template <kenc::LayoutMessage Msg>
@@ -262,6 +264,15 @@ struct TgsRequest4 {
 };
 
 // ---------------------------------------------------------------------------
+// A KDC request, decoded by the type its frame names, whichever port it
+// arrived on: the KDC core and the cluster router read this one decode.
+using KdcRequest4 = std::variant<AsRequest4, AsPkRequest4, TgsRequest4>;
+
+// Unframe4, then the body decoded in place as the request the frame type
+// names; kBadFormat for any other frame and for a malformed body.
+kerb::Result<KdcRequest4> DecodeKdcRequest4(kerb::BytesView frame);
+
+// ---------------------------------------------------------------------------
 // AP exchange (client to application server).
 struct ApRequest4 {
   kerb::Bytes sealed_ticket;  // {T_c,s}K_s
@@ -310,12 +321,5 @@ void AppendSealedReply4(const Ticket4& ticket, const kcrypto::DesKey& ticket_key
                         const kcrypto::DesKey& reply_key, kerb::Bytes& out);
 
 }  // namespace krb4
-
-// The request decoders the KDC core and the cluster router share, compiled
-// once in messages.cc (DESIGN.md, "Fixed-order messages").
-extern template kerb::Result<krb4::AsRequest4> kenc::Decode<krb4::AsRequest4>(kerb::BytesView);
-extern template kerb::Result<krb4::AsPkRequest4> kenc::Decode<krb4::AsPkRequest4>(
-    kerb::BytesView);
-extern template kerb::Result<krb4::TgsRequest4> kenc::Decode<krb4::TgsRequest4>(kerb::BytesView);
 
 #endif  // SRC_KRB4_MESSAGES_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <utility>
+#include <variant>
 
 #include "src/obs/kobs.h"
 
@@ -65,30 +66,25 @@ kerb::Status KdcCore5::AdmitAs(uint32_t host, ksim::Time now) {
   return kerb::Status::Ok();
 }
 
-kerb::Result<kerb::Bytes> KdcCore5::HandleAs(const ksim::Message& msg, KdcContext& ctx) {
-  return Serve(false, msg, ctx, policy_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
-    if (kenc::PeekType(msg.payload) == kMsgAsPkReq) {
-      auto pk_req = kenc::Decode<AsPkRequest5>(msg.payload);
-      if (!pk_req.ok()) {
-        return pk_req.error();
-      }
-      return ServeAsPk(msg, pk_req.value(), ctx);
+kerb::Result<kerb::Bytes> KdcCore5::Handle(bool tgs, const ksim::Message& msg,
+                                           const kerb::Result<KdcRequest5>& decoded,
+                                           KdcContext& ctx) {
+  return Serve(tgs, msg, ctx, policy_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
+    if (!decoded.ok()) {
+      return decoded.error();
     }
-    auto req = kenc::Decode<AsRequest5>(msg.payload);
-    if (!req.ok()) {
-      return req.error();
+    const KdcRequest5& req = decoded.value();
+    if (tgs != std::holds_alternative<TgsRequest5>(req)) {
+      return kerb::MakeError(kerb::ErrorCode::kBadFormat,
+                             tgs ? "expected TGS request" : "expected AS request");
     }
-    return ServeAs(msg, req.value(), ctx);
-  });
-}
-
-kerb::Result<kerb::Bytes> KdcCore5::HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
-  return Serve(true, msg, ctx, policy_.reply_cache_window, [&]() -> kerb::Result<kerb::Bytes> {
-    auto req = kenc::Decode<TgsRequest5>(msg.payload);
-    if (!req.ok()) {
-      return req.error();
+    if (const auto* as_req = std::get_if<AsRequest5>(&req)) {
+      return ServeAs(msg, *as_req, ctx);
     }
-    return ServeTgs(msg, req.value(), ctx);
+    if (const auto* pk_req = std::get_if<AsPkRequest5>(&req)) {
+      return ServeAsPk(msg, *pk_req, ctx);
+    }
+    return ServeTgs(msg, std::get<TgsRequest5>(req), ctx);
   });
 }
 
@@ -104,7 +100,8 @@ void KdcCore5::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time no
   tgt.service = tgs_principal_;
   tgt.client = req.client;
   tgt.flags = kFlagForwardable;
-  if (!(policy_.allow_address_omission && (req.options & kOptOmitAddress))) {
+  // V5 permits tickets without addresses when the client asks.
+  if (!(req.options & kOptOmitAddress)) {
     tgt.client_addr = msg.src.host;
   }
   tgt.issued_at = now;
@@ -446,7 +443,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
   ticket.client = (*tgt).client;
   ticket.flags = (*tgt).flags & ~kFlagForwardable;
   ticket.client_addr = (*tgt).client_addr;
-  if (policy_.allow_address_omission && (req.options & kOptOmitAddress)) {
+  if (req.options & kOptOmitAddress) {
     ticket.client_addr.reset();
   }
   ticket.issued_at = now;

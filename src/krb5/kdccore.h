@@ -52,8 +52,6 @@ struct KdcPolicy5 {
   uint32_t as_rate_limit_per_minute = 0;
   ksim::Duration max_ticket_lifetime = 8 * ksim::kHour;
   ksim::Duration clock_skew_limit = ksim::kDefaultClockSkewLimit;
-  // V5 permits tickets without addresses when the client asks.
-  bool allow_address_omission = true;
   // Retransmit-safe reply cache (see krb4::KdcOptions::reply_cache_window):
   // a duplicated request returns the stored reply instead of minting a
   // second ticket. Zero disables; the chaos testbeds enable it.
@@ -72,8 +70,17 @@ class KdcCore5 : public krb4::KdcServeFrame {
 
   KdcCore5(ksim::HostClock clock, std::string realm, KdcDatabase db, KdcPolicy5 policy);
 
-  kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx);
-  kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx);
+  // Serves `decoded`, the DecodeKdcRequest5 of msg.payload, which arrived on
+  // the AS (`tgs` false) or the TGS port: a decode failure is the answer,
+  // and a request of the other port's kind gets kBadFormat.
+  kerb::Result<kerb::Bytes> Handle(bool tgs, const ksim::Message& msg,
+                                   const kerb::Result<KdcRequest5>& decoded, KdcContext& ctx);
+  kerb::Result<kerb::Bytes> HandleAs(const ksim::Message& msg, KdcContext& ctx) {
+    return Handle(false, msg, DecodeKdcRequest5(msg.payload), ctx);
+  }
+  kerb::Result<kerb::Bytes> HandleTgs(const ksim::Message& msg, KdcContext& ctx) {
+    return Handle(true, msg, DecodeKdcRequest5(msg.payload), ctx);
+  }
 
   KdcPolicy5& policy() { return policy_; }
 
@@ -85,7 +92,7 @@ class KdcCore5 : public krb4::KdcServeFrame {
   }
 
  private:
-  // Protocol checks and reply encoding, on a request HandleAs/HandleTgs has decoded.
+  // Protocol checks and reply encoding, on a request Handle has decoded.
   kerb::Result<kerb::Bytes> ServeAs(const ksim::Message& msg, const AsRequest5& req,
                                     KdcContext& ctx);
   kerb::Result<kerb::Bytes> ServeAsPk(const ksim::Message& msg, const AsPkRequest5& req,
@@ -94,7 +101,7 @@ class KdcCore5 : public krb4::KdcServeFrame {
                                      KdcContext& ctx);
 
   // The TGT both AS paths issue: mints it for `req`'s client (bound to the
-  // source address unless the policy lets the client omit it), then seals
+  // source address unless the client asks to omit it), then seals
   // the ticket under `tgs_key` into ctx.scratch.ticket_sealed and its
   // EncAsRepPart5 under `client_key` into ctx.scratch.body_sealed. Draws
   // the session key, then each seal's confounder, from the context PRNG.

@@ -36,8 +36,29 @@ kerb::Bytes TgsRequest5::ChecksumInput() const {
   return out;
 }
 
-}  // namespace krb5
+kerb::Result<KdcRequest5> DecodeKdcRequest5(kerb::BytesView wire) {
+  // Every path returns `decoded`, so the request is decoded where the caller
+  // receives it.
+  kerb::Result<KdcRequest5> decoded = KdcRequest5{};
+  KdcRequest5& req = decoded.value();
+  kerb::Status status;
+  switch (kenc::PeekType(wire)) {
+    case kMsgAsReq:
+      status = kenc::DecodeInto(wire, req.emplace<AsRequest5>());
+      break;
+    case kMsgAsPkReq:
+      status = kenc::DecodeInto(wire, req.emplace<AsPkRequest5>());
+      break;
+    case kMsgTgsReq:
+      status = kenc::DecodeInto(wire, req.emplace<TgsRequest5>());
+      break;
+    default:
+      status = kerb::MakeError(kerb::ErrorCode::kBadFormat, "not a KDC request");
+  }
+  if (!status.ok()) {
+    decoded = status.error();
+  }
+  return decoded;
+}
 
-template kerb::Result<krb5::AsRequest5> kenc::Decode<krb5::AsRequest5>(kerb::BytesView);
-template kerb::Result<krb5::AsPkRequest5> kenc::Decode<krb5::AsPkRequest5>(kerb::BytesView);
-template kerb::Result<krb5::TgsRequest5> kenc::Decode<krb5::TgsRequest5>(kerb::BytesView);
+}  // namespace krb5

@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "src/crypto/checksum.h"
@@ -390,6 +391,14 @@ struct TgsRequest5 {
   }
 };
 
+// A KDC request, decoded by the type it names, whichever port it arrived
+// on: the KDC core and the cluster router read this one decode.
+using KdcRequest5 = std::variant<AsRequest5, AsPkRequest5, TgsRequest5>;
+
+// The message decoded in place as the request its type names; kBadFormat
+// for any other type and for a malformed request.
+kerb::Result<KdcRequest5> DecodeKdcRequest5(kerb::BytesView wire);
+
 struct EncTgsRepPart5 {
   kcrypto::DesBlock session_key{};
   uint64_t nonce = 0;
@@ -518,12 +527,5 @@ struct ClusterReferral5 {
 };
 
 }  // namespace krb5
-
-// The request decoders the KDC core and the cluster router share, compiled
-// once in messages.cc (DESIGN.md, "Fixed-order messages").
-extern template kerb::Result<krb5::AsRequest5> kenc::Decode<krb5::AsRequest5>(kerb::BytesView);
-extern template kerb::Result<krb5::AsPkRequest5> kenc::Decode<krb5::AsPkRequest5>(
-    kerb::BytesView);
-extern template kerb::Result<krb5::TgsRequest5> kenc::Decode<krb5::TgsRequest5>(kerb::BytesView);
 
 #endif  // SRC_KRB5_MESSAGES_H_

@@ -1,10 +1,21 @@
 #include "src/sim/retry.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/obs/kobs.h"
 
 namespace ksim {
+
+namespace {
+
+// Exponential backoff between failover rounds: min(kBackoffBase << round,
+// kBackoffCap), plus deterministic jitter of up to kBackoffJitterPct percent.
+constexpr Duration kBackoffBase = 250 * kMillisecond;
+constexpr Duration kBackoffCap = 8 * kSecond;
+constexpr int64_t kBackoffJitterPct = 25;
+
+}  // namespace
 
 void Exchanger::Wait(Duration d) {
   if (d <= 0) {
@@ -17,21 +28,14 @@ void Exchanger::Wait(Duration d) {
 }
 
 Duration Exchanger::BackoffFor(int round) {
-  Duration backoff = policy_.backoff_base;
-  for (int i = 0; i < round && backoff < policy_.backoff_cap; ++i) {
+  Duration backoff = kBackoffBase;
+  for (int i = 0; i < round && backoff < kBackoffCap; ++i) {
     backoff *= 2;
   }
-  if (backoff > policy_.backoff_cap) {
-    backoff = policy_.backoff_cap;
-  }
-  if (policy_.jitter_pct > 0 && backoff > 0) {
-    // Deterministic jitter in [-jitter, +jitter]: same seed, same schedule.
-    Duration jitter = backoff * policy_.jitter_pct / 100;
-    if (jitter > 0) {
-      backoff += static_cast<Duration>(prng_.NextBelow(2 * jitter + 1)) - jitter;
-    }
-  }
-  return backoff;
+  backoff = std::min(backoff, kBackoffCap);
+  // Deterministic jitter in [-jitter, +jitter]: same seed, same schedule.
+  const Duration jitter = backoff * kBackoffJitterPct / 100;
+  return backoff + static_cast<Duration>(prng_.NextBelow(2 * jitter + 1)) - jitter;
 }
 
 kerb::Result<kerb::Bytes> Exchanger::Exchange(const NetAddress& src,
@@ -83,7 +87,7 @@ kerb::Result<kerb::Bytes> Exchanger::Exchange(const NetAddress& src,
     // Charge the timeout the client waited before declaring this attempt
     // lost. Advancing virtual time here also timestamps the next attempt's
     // authenticator later than this one's — a fresh build is never a replay.
-    Wait(policy_.timeout);
+    Wait(kRetryTimeout);
     if (attempt + 1 < policy_.max_attempts) {
       ++stats_.retries;
       kobs::Emit(kobs::kSrcXchg, kobs::Ev::kXchgRetry, Now(), endpoints[endpoint].host,

@@ -27,19 +27,16 @@
 
 namespace ksim {
 
+// Virtual time charged to a failed attempt before the client concludes the
+// exchange is lost — the retransmission timeout. Between failover rounds
+// the client also backs off exponentially, with seeded jitter (retry.cc).
+constexpr Duration kRetryTimeout = kSecond;
+
 struct RetryPolicy {
   // Total send attempts per exchange, spread round-robin across the
   // endpoint list (primary first, then slaves — failover ordering). The
   // default of 4 with two endpoints means two rounds through both.
   int max_attempts = 4;
-  // Virtual time charged to a failed attempt before the client concludes
-  // the exchange is lost — the retransmission timeout.
-  Duration timeout = kSecond;
-  // Exponential backoff between failover rounds: min(base << round, cap),
-  // plus deterministic jitter of up to jitter_pct percent.
-  Duration backoff_base = 250 * kMillisecond;
-  Duration backoff_cap = 8 * kSecond;
-  uint32_t jitter_pct = 25;
 };
 
 struct RetryStats {

@@ -266,7 +266,7 @@ TEST(FramingTest, RoundTripAndVersionCheck) {
   auto unframed = Unframe4(framed);
   ASSERT_TRUE(unframed.ok());
   EXPECT_EQ(unframed.value().first, MsgType::kApRequest);
-  EXPECT_EQ(unframed.value().second, body);
+  EXPECT_EQ(kerb::Bytes(unframed.value().second.begin(), unframed.value().second.end()), body);
 
   framed[0] = 5;  // wrong protocol version
   EXPECT_FALSE(Unframe4(framed).ok());

@@ -191,7 +191,7 @@ TEST(ExchangerTest, RetriesThroughTransientLoss) {
   EXPECT_EQ(ex.stats().retries, 1u);
   EXPECT_EQ(ex.stats().successes, 1u);
   // The failed attempt charged its timeout to the virtual clock.
-  EXPECT_GE(ex.stats().virtual_wait, RetryPolicy{}.timeout);
+  EXPECT_GE(ex.stats().virtual_wait, ksim::kRetryTimeout);
 }
 
 TEST(ExchangerTest, TerminalErrorReturnsImmediately) {
