@@ -15,6 +15,8 @@
 // Draft 3 TGS keeps no replay cache — itself one of the paper's points.
 
 #include <cstdlib>
+#include <span>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/attacks/kdcload.h"
@@ -31,7 +33,7 @@ using kattack::Testbed5Config;
 
 void PrintExperimentReport() {
   kbench::Header("B11", "KDC serving fast path: handler-level and parallel throughput");
-  kbench::Line("  BM_Kdc{AsBare,AsPreauth,Tgs} time KdcCore5 handlers on pre-encoded");
+  kbench::Line("  BM_Kdc{AsBare,AsPreauth,Tgs,TgsUnsealed} time KdcCore5 handlers on pre-encoded");
   kbench::Line("  requests (no client-side work), BM_Kdc4{As,Tgs} the KdcCore4 ones.");
   kbench::Line("  BM_KdcParallel* add a worker pool; the Env variants honour");
   kbench::Line("  KERB_KDC_THREADS.");
@@ -63,9 +65,18 @@ struct KdcBenchSetup {
     as_request.payload = kenc::Encode(as_req);
     as_request.sent_at = now;
 
-    // One real AS exchange yields the TGT and session key for the TGS request.
     krb4::KdcContext setup_ctx(prng.Fork());
-    auto as_reply = bed.kdc().HandleAs(as_request, setup_ctx);
+    tgs_request = MintTgsRequest(setup_ctx, prng);
+  }
+
+  // One real AS exchange through `ctx` yields a TGT and its session key;
+  // returns a TGS request for the mail service that presents them.
+  ksim::Message MintTgsRequest(krb4::KdcContext& ctx, kcrypto::Prng& prng) {
+    const ksim::Time now = bed.world().MakeHostClock().Now();
+    const krb5::Principal alice = bed.alice_principal();
+    const kcrypto::DesKey client_key =
+        kcrypto::StringToKey(Testbed5::kAlicePassword, alice.Salt());
+    auto as_reply = bed.kdc().HandleAs(as_request, ctx);
     auto rep = kenc::Decode<krb5::AsReply5>(as_reply.value());
     auto part = krb5::Unseal<krb5::EncAsRepPart5>(client_key, rep.value().sealed_enc_part,
                                                   krb5::EncLayerConfig{});
@@ -84,10 +95,12 @@ struct KdcBenchSetup {
     auth.request_checksum = kcrypto::ComputeChecksum(
         kcrypto::ChecksumType::kCrc32, tgs_req.ChecksumInput(), tgs_session);
     tgs_req.sealed_authenticator = krb5::Seal(tgs_session, auth, krb5::EncLayerConfig{}, prng);
-    tgs_request.src = Testbed5::kAliceAddr;
-    tgs_request.dst = Testbed5::kTgsAddr;
-    tgs_request.payload = kenc::Encode(tgs_req);
-    tgs_request.sent_at = now;
+    ksim::Message request;
+    request.src = Testbed5::kAliceAddr;
+    request.dst = Testbed5::kTgsAddr;
+    request.payload = kenc::Encode(tgs_req);
+    request.sent_at = now;
+    return request;
   }
 
   static Testbed5Config MakeConfig(bool preauth) {
@@ -112,11 +125,30 @@ KdcBenchSetup& PreauthSetup() {
   return setup;
 }
 
+// TGS requests for eight times as many distinct TGTs as a context's memo
+// has slots, all minted in a context the timing loop does not use.
+const std::vector<ksim::Message>& UnsealedTgsRequests() {
+  static const std::vector<ksim::Message> requests = [] {
+    kcrypto::Prng prng(0x5eedb12);
+    krb4::KdcContext mint_ctx(prng.Fork());
+    std::vector<ksim::Message> out;
+    for (size_t i = 0; i < 8 * decltype(krb4::KdcContext::tgts5)::kSlots; ++i) {
+      out.push_back(BareSetup().MintTgsRequest(mint_ctx, prng));
+    }
+    return out;
+  }();
+  return requests;
+}
+
+// Serves `requests` round-robin, one per iteration.
 void RunHandlerBenchmark(benchmark::State& state, KdcBenchSetup& setup,
-                         const ksim::Message& request, bool tgs) {
+                         std::span<const ksim::Message> requests, bool tgs) {
   krb5::KdcCore5& core = setup.bed.kdc();
   krb4::KdcContext ctx(kcrypto::Prng(0xb11c0de));
+  size_t next = 0;
   for (auto _ : state) {
+    const ksim::Message& request = requests[next];
+    next = next + 1 == requests.size() ? 0 : next + 1;
     auto reply = tgs ? core.HandleTgs(request, ctx) : core.HandleAs(request, ctx);
     if (!reply.ok()) {
       state.SkipWithError(reply.error().detail.c_str());
@@ -128,19 +160,27 @@ void RunHandlerBenchmark(benchmark::State& state, KdcBenchSetup& setup,
 }
 
 void BM_KdcAsBare(benchmark::State& state) {
-  RunHandlerBenchmark(state, BareSetup(), BareSetup().as_request, false);
+  RunHandlerBenchmark(state, BareSetup(), {&BareSetup().as_request, 1}, false);
 }
 BENCHMARK(BM_KdcAsBare)->Unit(benchmark::kMicrosecond);
 
 void BM_KdcAsPreauth(benchmark::State& state) {
-  RunHandlerBenchmark(state, PreauthSetup(), PreauthSetup().as_request, false);
+  RunHandlerBenchmark(state, PreauthSetup(), {&PreauthSetup().as_request, 1}, false);
 }
 BENCHMARK(BM_KdcAsPreauth)->Unit(benchmark::kMicrosecond);
 
+// One TGT, so every iteration after the first hits the context's TGT memo.
 void BM_KdcTgs(benchmark::State& state) {
-  RunHandlerBenchmark(state, BareSetup(), BareSetup().tgs_request, true);
+  RunHandlerBenchmark(state, BareSetup(), {&BareSetup().tgs_request, 1}, true);
 }
 BENCHMARK(BM_KdcTgs)->Unit(benchmark::kMicrosecond);
+
+// More distinct TGTs than the memo holds, cycled: every iteration unseals
+// its TGT, the cost a hit in BM_KdcTgs skips.
+void BM_KdcTgsUnsealed(benchmark::State& state) {
+  RunHandlerBenchmark(state, BareSetup(), UnsealedTgsRequests(), true);
+}
+BENCHMARK(BM_KdcTgsUnsealed)->Unit(benchmark::kMicrosecond);
 
 // The same handler-level timing for the V4 core (KdcCore4 behind Testbed4's
 // KDC): a bare AS request, and a TGS request presenting the TGT alice's

@@ -64,19 +64,17 @@ kerb::Result<const KadminServer::UnsealedTicket*> KadminServer::UnsealTicket(
   if (!db_->store().LookupEntry(self_, &self_entry_)) {
     return kerb::MakeError(kerb::ErrorCode::kInternal, "changepw service key missing");
   }
-  const size_t slot = krb4::KdcUnsealMemo::Slot(sealed);
+  const size_t slot = unseals_.Slot(sealed);
   for (const krb4::KeyVersion& kv : self_entry_.keys) {
     if (kv.not_after != 0 && now > kv.not_after) {
       continue;  // drain window closed
     }
-    if (const UnsealedTicket* memo = unseals_.Get<UnsealedTicket>(slot, kv.key, sealed)) {
+    if (const UnsealedTicket* memo = unseals_.Get(slot, kv.key, sealed)) {
       return memo;
     }
     auto ticket = krb4::Unseal<krb4::Ticket4>(kcrypto::DesKey(kv.key), sealed);
     if (ticket.ok()) {
-      const kcrypto::DesKey session_key(ticket.value().session_key);
-      return unseals_.Put(slot, kv.key, sealed,
-                          UnsealedTicket{std::move(ticket).value(), session_key});
+      return unseals_.Put(slot, kv.key, sealed, std::move(ticket).value());
     }
   }
   return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "ticket not sealed with changepw key");

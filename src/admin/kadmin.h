@@ -92,12 +92,7 @@ class KadminServer {
  private:
   // Everything after the duplicate-reply cache.
   kerb::Result<kerb::Bytes> Process(const ksim::Message& msg, ksim::Time now);
-  // A changepw ticket as the unseal memo keeps it: decoded, with its
-  // session key already scheduled.
-  struct UnsealedTicket {
-    krb4::Ticket4 ticket;
-    kcrypto::DesKey session_key;
-  };
+  using UnsealedTicket = krb4::UnsealedTicket<krb4::Ticket4>;
   // Unseals the ticket under the changepw key ring (current first, then
   // unexpired retained versions — the server's own key rotates too),
   // through the unseal memo: an operator's changepw ticket is the same on
@@ -147,7 +142,7 @@ class KadminServer {
   krb4::KdcReplyCache replies_;
   ksim::ShardedReplayCache seen_authenticators_;
   AckCache acks_;
-  krb4::KdcUnsealMemo unseals_;
+  krb4::KdcUnsealMemo<krb4::Ticket4, 16> unseals_;
   krb4::PrincipalEntry self_entry_;  // the changepw key ring, re-read per request
   std::string identity_;             // replay-cache identity buffer
 

@@ -47,6 +47,8 @@ struct RingConfig {
   uint64_t seed = 0x6b636c7573746572ull;  // "kcluster"
   uint32_t vnodes = 64;                   // virtual points per member
 
+  bool operator==(const RingConfig& other) const = default;
+
   static constexpr auto Layout() { return std::tuple{&RingConfig::seed, &RingConfig::vnodes}; }
 };
 

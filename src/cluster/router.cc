@@ -12,14 +12,17 @@ void ClientRouter::Attach(krb4::KdcLink& client) {
 
 void ClientRouter::AdoptView(const RingAnnounce& view) {
   view_ = view;
-  ring_ = HashRing(view.ring);
-  ring_.SetMembers(view.epoch, view.members);
+  // An invalidated client re-learns the view it dropped from its first
+  // referral: rebuild the ring only when that view differs from the one
+  // the ring was built from.
+  if (ring_.config() != view.ring || ring_.epoch() != view.epoch ||
+      ring_.members() != view.members) {
+    ring_ = HashRing(view.ring);
+    ring_.SetMembers(view.epoch, view.members);
+  }
 }
 
-void ClientRouter::Invalidate() {
-  view_.reset();
-  ring_ = HashRing();
-}
+void ClientRouter::Invalidate() { view_.reset(); }
 
 std::vector<ksim::NetAddress> ClientRouter::Endpoints(const krb4::Principal& principal,
                                                       bool tgs) {

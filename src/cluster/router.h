@@ -60,7 +60,8 @@ class ClientRouter {
   // re-route); false when the referral is malformed or not newer.
   bool ApplyReferral(kerb::BytesView body);
 
-  // Drops the cached view back to cold.
+  // Drops the cached view back to cold. The ring built from it is kept, so
+  // re-adopting the same view costs no rebuild.
   void Invalidate();
 
   uint32_t epoch() const { return view_.has_value() ? view_->epoch : 0; }

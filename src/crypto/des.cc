@@ -22,7 +22,9 @@ using destables::Permute;
 //     tables (kSp): E is just overlapping 6-bit windows of R, so each window,
 //     XORed with its 6-bit subkey chunk, indexes a table whose entries are
 //     already P-permuted S-box outputs placed in their final positions.
-//   * PC-1 and PC-2 of the key schedule get the same byte-indexed treatment.
+//   * PC-1 and PC-2 of the key schedule get the same byte-indexed treatment;
+//     PC-2's table also places each 6-bit subkey chunk where the round
+//     function XORs it (kPc2SplitTab), so a round key is seven lookups.
 // All tables are constexpr-generated from the canonical FIPS tables in
 // des_tables.h, so there is exactly one source of truth for the standard.
 // ---------------------------------------------------------------------------
@@ -45,7 +47,30 @@ constexpr std::array<std::array<uint64_t, 256>, kInBytes> MakeByteTable(
 constexpr auto kIpTab = MakeByteTable<8>(destables::kIp, 64, 64);
 constexpr auto kFpTab = MakeByteTable<8>(destables::kFp, 64, 64);
 constexpr auto kPc1Tab = MakeByteTable<8>(destables::kPc1, 64, 56);
-constexpr auto kPc2Tab = MakeByteTable<7>(destables::kPc2, 56, 48);
+
+// PC-2 in the split form DesKey keeps its round keys in: entry [i][v] is
+// the PC-2 contribution of C||D byte i holding v, its even S-box chunks
+// (boxes 0/2/4/6) in the high word and its odd ones in the low word, each
+// chunk at bits 31..26 / 23..18 / 15..10 / 7..2 of its word. PC-2 sends
+// every bit to one place, so the split of an OR of contributions is the OR
+// of their splits.
+constexpr std::array<std::array<uint64_t, 256>, 7> MakePc2SplitTable() {
+  const auto pc2 = MakeByteTable<7>(destables::kPc2, 56, 48);
+  std::array<std::array<uint64_t, 256>, 7> out{};
+  for (int i = 0; i < 7; ++i) {
+    for (int v = 0; v < 256; ++v) {
+      const uint64_t subkey48 = pc2[i][v];
+      for (int chunk = 0; chunk < 4; ++chunk) {
+        const int shift = 26 - 8 * chunk;
+        out[i][v] |= ((subkey48 >> (42 - 12 * chunk)) & 0x3f) << (32 + shift);
+        out[i][v] |= ((subkey48 >> (36 - 12 * chunk)) & 0x3f) << shift;
+      }
+    }
+  }
+  return out;
+}
+
+constexpr auto kPc2SplitTab = MakePc2SplitTable();
 
 // Fused S-box/P tables: kSp[box][six] is P(S_box(six)) with the 4-bit S-box
 // output already placed in its nibble of the 32-bit pre-P word.
@@ -158,22 +183,14 @@ void DesKey::Schedule() {
   for (int round = 0; round < 16; ++round) {
     c = RotateLeft28(c, destables::kShifts[round]);
     d = RotateLeft28(d, destables::kShifts[round]);
-    uint64_t cd = (static_cast<uint64_t>(c) << 28) | d;
-    uint64_t subkey48 = kPc2Tab[0][(cd >> 48) & 0xff] | kPc2Tab[1][(cd >> 40) & 0xff] |
-                        kPc2Tab[2][(cd >> 32) & 0xff] | kPc2Tab[3][(cd >> 24) & 0xff] |
-                        kPc2Tab[4][(cd >> 16) & 0xff] | kPc2Tab[5][(cd >> 8) & 0xff] |
-                        kPc2Tab[6][cd & 0xff];
-    // Split into even/odd S-box chunks placed where the round function's
-    // rotated-R windows sit (31..26 / 23..18 / 15..10 / 7..2).
-    uint32_t even = 0;
-    uint32_t odd = 0;
-    for (int i = 0; i < 4; ++i) {
-      const int shift = 26 - 8 * i;
-      even |= static_cast<uint32_t>((subkey48 >> (42 - 12 * i)) & 0x3f) << shift;
-      odd |= static_cast<uint32_t>((subkey48 >> (36 - 12 * i)) & 0x3f) << shift;
-    }
-    roundkeys_[round][0] = even;
-    roundkeys_[round][1] = odd;
+    const uint64_t cd = (static_cast<uint64_t>(c) << 28) | d;
+    const uint64_t split =
+        kPc2SplitTab[0][(cd >> 48) & 0xff] | kPc2SplitTab[1][(cd >> 40) & 0xff] |
+        kPc2SplitTab[2][(cd >> 32) & 0xff] | kPc2SplitTab[3][(cd >> 24) & 0xff] |
+        kPc2SplitTab[4][(cd >> 16) & 0xff] | kPc2SplitTab[5][(cd >> 8) & 0xff] |
+        kPc2SplitTab[6][cd & 0xff];
+    roundkeys_[round][0] = static_cast<uint32_t>(split >> 32);
+    roundkeys_[round][1] = static_cast<uint32_t>(split);
   }
 }
 

@@ -225,18 +225,18 @@ kerb::Result<kerb::Bytes> KdcCore4::ServeTgs(const ksim::Message& msg, const Tgs
     return tgs_key.error();
   }
   const ksim::Time now = clock_.Now();
-  auto unsealed_tgt = UnsealTgt<Ticket4>(tgs_key.value(), req.sealed_tgt,
-                                         /*ring_fallback=*/true, now, ctx, Unseal<Ticket4>);
+  auto unsealed_tgt = UnsealTgt(tgs_key.value(), req.sealed_tgt, /*ring_fallback=*/true, now,
+                                ctx.tgts4, Unseal<Ticket4>);
   if (!unsealed_tgt.ok()) {
     return unsealed_tgt.error();
   }
-  const Ticket4* tgt = unsealed_tgt.value();
+  const Ticket4* tgt = &unsealed_tgt.value()->ticket;
 
   if (tgt->Expired(now)) {
     return kerb::MakeError(kerb::ErrorCode::kExpired, "ticket-granting ticket expired");
   }
 
-  kcrypto::DesKey tgs_session(tgt->session_key);
+  const kcrypto::DesKey& tgs_session = unsealed_tgt.value()->session_key;
   auto auth = Unseal<Authenticator4>(tgs_session, req.sealed_auth);
   if (!auth.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");

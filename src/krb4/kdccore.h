@@ -24,10 +24,10 @@
 #define SRC_KRB4_KDCCORE_H_
 
 #include <algorithm>
-#include <any>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -36,6 +36,7 @@
 #include "src/crypto/prng.h"
 #include "src/krb4/database.h"
 #include "src/krb4/messages.h"
+#include "src/krb5/messages.h"  // krb5::Ticket5, for the context's V5 TGT memo
 #include "src/obs/kobs.h"
 #include "src/sim/clock.h"
 #include "src/sim/network.h"
@@ -97,19 +98,36 @@ class KdcKeyCache {
   std::array<Slot, kSlots> slots_;
 };
 
-// Memo of deterministic unseal results, keyed by (result type, sealing key,
-// ciphertext). A KDC sees the same sealed TGT on every ticket-granting
-// request a client makes for the lifetime of its login session; decrypting
-// and decoding it is a pure function of key and ciphertext, so the decoded
-// ticket can be reused instead of re-unsealed. Only constant-per-session
+// A presented ticket as the unseal memo keeps it: decoded, with its
+// session key scheduled.
+template <typename Ticket>
+struct UnsealedTicket {
+  Ticket ticket;
+  kcrypto::DesKey session_key;
+};
+
+// Memo of ticket unseals, keyed by (sealing key, ciphertext). A KDC sees the
+// same sealed TGT on every ticket-granting request a client makes for the
+// lifetime of its login session; decrypting and decoding it is a pure
+// function of key and ciphertext, so the decoded ticket and its scheduled
+// session key are reused instead of re-unsealed. Only constant-per-session
 // blobs belong here — never authenticators or preauth data, which change
-// per request in real traffic. Direct-mapped; the stored ciphertext and key
-// bytes are compared in full on lookup, so a hash collision costs a miss,
-// never a wrong ticket. Failures are not cached (garbage varies). One
-// context serves either core, so an entry's type is part of its key: a V4
-// ticket never answers a V5 lookup (std::any_cast checks it).
+// per request in real traffic. Failures are not cached (garbage varies).
+//
+// Direct-mapped over kSlots slots. The key bytes and the ciphertext are
+// compared in full on lookup, so a slot collision costs a miss, never a
+// wrong ticket. Each core keeps its own ticket type, so one context holds a
+// memo per protocol. A slot gets its entry at its first put, so an idle
+// memo touches no entry memory, and a put into a used slot overwrites its
+// entry in place without allocating. A ciphertext longer than kMaxSealed is
+// stored for the current request but never matched.
+template <typename Ticket, size_t Slots>
 class KdcUnsealMemo {
  public:
+  static constexpr size_t kSlots = Slots;
+  static_assert((kSlots & (kSlots - 1)) == 0, "kSlots must be a power of two");
+  static constexpr size_t kMaxSealed = 256;
+
   // The slot of `sealed`: computed once per request and passed to every Get
   // and Put for that ciphertext.
   static size_t Slot(kerb::BytesView sealed) {
@@ -120,36 +138,48 @@ class KdcUnsealMemo {
     return static_cast<size_t>(h & (kSlots - 1));
   }
 
-  template <typename T>
-  const T* Get(size_t slot, const kcrypto::DesBlock& key, kerb::BytesView sealed) const {
-    const Entry& entry = entries_[slot];
-    if (!entry.used || entry.key_bytes != key || entry.sealed.size() != sealed.size() ||
-        !std::equal(entry.sealed.begin(), entry.sealed.end(), sealed.begin())) {
+  // The entry stored for (key, sealed) in `slot`; nullptr on a miss.
+  const UnsealedTicket<Ticket>* Get(size_t slot, const kcrypto::DesBlock& key,
+                                    kerb::BytesView sealed) const {
+    const Entry* entry = entries_[slot].get();
+    if (entry == nullptr || entry->key_bytes != key || entry->sealed_size != sealed.size() ||
+        !std::equal(sealed.begin(), sealed.end(), entry->sealed.begin())) {
       return nullptr;
     }
-    return std::any_cast<T>(&entry.value);
+    return &entry->value;
   }
 
-  template <typename T>
-  const T* Put(size_t slot, const kcrypto::DesBlock& key, kerb::BytesView sealed, T value) {
-    Entry& entry = entries_[slot];
-    entry.used = true;
-    entry.key_bytes = key;
-    entry.sealed.assign(sealed.begin(), sealed.end());
-    entry.value = std::move(value);
-    return std::any_cast<T>(&entry.value);
+  // Stores `ticket`, the unseal of `sealed` under `key`, in `slot` with its
+  // session key scheduled, and returns it. The pointer stays valid until
+  // the next put into `slot`.
+  const UnsealedTicket<Ticket>* Put(size_t slot, const kcrypto::DesBlock& key,
+                                    kerb::BytesView sealed, Ticket ticket) {
+    std::unique_ptr<Entry>& entry = entries_[slot];
+    if (entry == nullptr) {
+      entry = std::make_unique<Entry>();
+    }
+    entry->value.session_key = kcrypto::DesKey(ticket.session_key);
+    entry->value.ticket = std::move(ticket);
+    entry->key_bytes = key;
+    if (sealed.size() <= kMaxSealed) {
+      entry->sealed_size = sealed.size();
+      std::copy(sealed.begin(), sealed.end(), entry->sealed.begin());
+    } else {
+      entry->sealed_size = kUnmatched;
+    }
+    return &entry->value;
   }
 
  private:
-  static constexpr size_t kSlots = 16;
-
   struct Entry {
-    bool used = false;
+    UnsealedTicket<Ticket> value;
     kcrypto::DesBlock key_bytes{};
-    kerb::Bytes sealed;
-    std::any value;
+    size_t sealed_size = 0;  // kUnmatched when the ciphertext did not fit
+    std::array<uint8_t, kMaxSealed> sealed{};
   };
-  std::array<Entry, kSlots> entries_;
+  static constexpr size_t kUnmatched = ~size_t{0};
+
+  std::array<std::unique_ptr<Entry>, kSlots> entries_;
 };
 
 // Retransmit-safe reply memo, keyed by (claimed source, full request
@@ -232,7 +262,13 @@ struct KdcContext {
 
   kcrypto::Prng prng;
   KdcKeyCache keys;
-  KdcUnsealMemo unseals;
+  // The presented TGTs each core has unsealed. KdcCore5 also puts each TGT
+  // it mints, so a session's first TGS request hits, and its memo has room
+  // for the live sessions of a busy context. The V4 core puts only what it
+  // unseals; a cluster node rarely sees the same TGT twice, so its memo
+  // keeps 16 slots.
+  KdcUnsealMemo<Ticket4, 16> tgts4;
+  KdcUnsealMemo<krb5::Ticket5, 1024> tgts5;
   KdcReplyCache replies;
   KdcScratch scratch;
 };
@@ -298,23 +334,25 @@ class KdcServeFrame {
   // kUnsupported while PK preauth is off.
   kerb::Result<const kcrypto::DhGroup*> PkGroup();
 
-  // Decodes a presented TGT sealed under `key` through the context's unseal
-  // memo; `unseal(key, sealed)` decodes on a miss. The same sealed TGT
-  // arrives on every request of a client's session, so the decoded ticket
-  // is reused (the caller still checks expiry against `now`). With
+  // Decodes a presented TGT sealed under `key` through `memo`, the
+  // context's memo for its core's ticket type; `unseal(key, sealed)`
+  // decodes on a miss. The same sealed TGT arrives on every request of a
+  // client's session, so the decoded ticket and its scheduled session key
+  // are reused (the caller still checks expiry against `now`). With
   // `ring_fallback` — a TGT of this realm, sealed under the krbtgt key — a
   // ticket that does not open under the current key is tried under each
   // older, unexpired version of the krbtgt ring: a TGT sealed before a TGS
   // key rotation keeps verifying until its natural expiry (the rotation
-  // drain window). Each candidate key gets its own memo slot, so entries
-  // cached under an old version keep hitting after the current version
-  // moves on.
-  template <typename Ticket, typename Unseal>
-  kerb::Result<const Ticket*> UnsealTgt(const kcrypto::DesKey& key, kerb::BytesView sealed,
-                                        bool ring_fallback, ksim::Time now, KdcContext& ctx,
-                                        Unseal&& unseal) const {
-    const size_t slot = KdcUnsealMemo::Slot(sealed);
-    const Ticket* tgt = ctx.unseals.Get<Ticket>(slot, key.bytes(), sealed);
+  // drain window). Entries are keyed by the key bytes, so one cached under
+  // an old version keeps hitting after the current version moves on.
+  template <typename Ticket, size_t kSlots, typename Unseal>
+  kerb::Result<const UnsealedTicket<Ticket>*> UnsealTgt(const kcrypto::DesKey& key,
+                                                        kerb::BytesView sealed,
+                                                        bool ring_fallback, ksim::Time now,
+                                                        KdcUnsealMemo<Ticket, kSlots>& memo,
+                                                        Unseal&& unseal) const {
+    const size_t slot = memo.Slot(sealed);
+    const UnsealedTicket<Ticket>* tgt = memo.Get(slot, key.bytes(), sealed);
     if (kobs::Enabled()) {
       kobs::Emit(source_,
                  tgt != nullptr ? kobs::Ev::kKdcUnsealMemoHit : kobs::Ev::kKdcUnsealMemoMiss,
@@ -324,7 +362,7 @@ class KdcServeFrame {
       return tgt;
     }
     if (auto unsealed = unseal(key, sealed); unsealed.ok()) {
-      return ctx.unseals.Put(slot, key.bytes(), sealed, std::move(unsealed.value()));
+      return memo.Put(slot, key.bytes(), sealed, std::move(unsealed.value()));
     }
     PrincipalEntry tgs_entry;
     if (ring_fallback && db_.store().LookupEntry(tgs_principal_, &tgs_entry)) {
@@ -333,12 +371,12 @@ class KdcServeFrame {
         if (kv.not_after != 0 && now > kv.not_after) {
           continue;
         }
-        tgt = ctx.unseals.Get<Ticket>(slot, kv.key, sealed);
+        tgt = memo.Get(slot, kv.key, sealed);
         if (tgt == nullptr) {
           // The store holds the old version's bytes; schedule it only now
           // that the memo has missed.
           if (auto old_unsealed = unseal(kcrypto::DesKey(kv.key), sealed); old_unsealed.ok()) {
-            tgt = ctx.unseals.Put(slot, kv.key, sealed, std::move(old_unsealed.value()));
+            tgt = memo.Put(slot, kv.key, sealed, std::move(old_unsealed.value()));
           }
         }
         if (tgt != nullptr) {

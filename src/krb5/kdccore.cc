@@ -116,6 +116,10 @@ void KdcCore5::MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time no
 
   SealPairInto(tgs_key, tgt, ctx.scratch.ticket_sealed, client_key, part, ctx.scratch.body_sealed,
                policy_.enc, ctx.prng);
+  // The client presents this TGT on every TGS request of its session:
+  // remember it now, so the first of them skips the unseal too.
+  const kerb::BytesView sealed = ctx.scratch.ticket_sealed;
+  ctx.tgts5.Put(ctx.tgts5.Slot(sealed), tgs_key.bytes(), sealed, std::move(tgt));
 }
 
 kerb::Result<kerb::Bytes> KdcCore5::ServeAs(const ksim::Message& msg, const AsRequest5& req,
@@ -268,15 +272,15 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
 
   // The kvno-ring fallback is same-realm only: inter-realm keys are
   // pairwise config, not database entries.
-  auto unsealed_tgt = UnsealTgt<Ticket5>(
-      tgt_key, req.sealed_tgt, /*ring_fallback=*/local_tgt, now, ctx,
-      [this](const kcrypto::DesKey& key, kerb::BytesView sealed) {
-        return Unseal<Ticket5>(key, sealed, policy_.enc);
-      });
+  auto unsealed_tgt = UnsealTgt(tgt_key, req.sealed_tgt, /*ring_fallback=*/local_tgt, now,
+                                ctx.tgts5,
+                                [this](const kcrypto::DesKey& key, kerb::BytesView sealed) {
+                                  return Unseal<Ticket5>(key, sealed, policy_.enc);
+                                });
   if (!unsealed_tgt.ok()) {
     return unsealed_tgt.error();
   }
-  const Ticket5* tgt = unsealed_tgt.value();
+  const Ticket5* tgt = &unsealed_tgt.value()->ticket;
   if ((*tgt).Expired(now)) {
     return kerb::MakeError(kerb::ErrorCode::kExpired, "ticket-granting ticket expired");
   }
@@ -285,7 +289,7 @@ kerb::Result<kerb::Bytes> KdcCore5::ServeTgs(const ksim::Message& msg, const Tgs
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "enclosed ticket is not a TGT for us");
   }
 
-  kcrypto::DesKey tgs_session((*tgt).session_key);
+  const kcrypto::DesKey& tgs_session = unsealed_tgt.value()->session_key;
   auto auth = Unseal<Authenticator5>(tgs_session, req.sealed_authenticator, policy_.enc);
   if (!auth.ok()) {
     return kerb::MakeError(kerb::ErrorCode::kAuthFailed, "authenticator undecryptable");

@@ -103,8 +103,9 @@ class KdcCore5 : public krb4::KdcServeFrame {
   // The TGT both AS paths issue: mints it for `req`'s client (bound to the
   // source address unless the client asks to omit it), then seals
   // the ticket under `tgs_key` into ctx.scratch.ticket_sealed and its
-  // EncAsRepPart5 under `client_key` into ctx.scratch.body_sealed. Draws
-  // the session key, then each seal's confounder, from the context PRNG.
+  // EncAsRepPart5 under `client_key` into ctx.scratch.body_sealed, and puts
+  // the sealed ticket in the context's TGT memo. Draws the session key, then
+  // each seal's confounder, from the context PRNG.
   template <typename AsReq>
   void MintTgt(const ksim::Message& msg, const AsReq& req, ksim::Time now,
                const kcrypto::DesKey& tgs_key, const kcrypto::DesKey& client_key,

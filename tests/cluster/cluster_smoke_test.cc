@@ -128,6 +128,63 @@ TEST(ClusterSmokeTest, ReferralTeachesAColdClientTheRing) {
   EXPECT_GT(router.stats().direct_routes, 0u);
 }
 
+// A router invalidated before each request, as a cold client is, sends the
+// first request through the bootstrap list, follows exactly one referral,
+// and then routes as a router that never dropped its view. A view that
+// changed while the router was cold is adopted in full.
+TEST(ClusterSmokeTest, InvalidatedRouterRelearnsTheViewFromOneReferral) {
+  Cluster cluster(Protocol::kV4);
+  // A user node 3 owns: the bootstrap node 1 refers its logins, before and
+  // after node 2 leaves.
+  size_t ui = 0;
+  while (cluster.controller.ring()
+             .OwnerOfPrincipal(cluster.population.UserPrincipal(ui))
+             ->node_id != 3) {
+    ++ui;
+  }
+  const ClusterConfig& cc = cluster.controller.config();
+  kcluster::ClientRouter router;
+  krb4::Client4 client(&cluster.world.network(), {0x0b000001, 4000},
+                       cluster.world.MakeHostClock(),
+                       cluster.population.UserPrincipal(ui), {0x0a000010, cc.as_port},
+                       {0x0a000010, cc.tgs_port});
+  router.Attach(client);
+
+  auto cold_login = [&] {
+    const kcluster::ClientRouter::Stats before = router.stats();
+    router.Invalidate();
+    EXPECT_EQ(router.epoch(), 0u);
+    ASSERT_TRUE(client.LoginWithKey(cluster.population.UserKey(ui)).ok());
+    client.Logout();
+    EXPECT_EQ(router.stats().fallback_routes, before.fallback_routes + 1);
+    EXPECT_EQ(router.stats().referrals_followed, before.referrals_followed + 1);
+    EXPECT_EQ(router.stats().direct_routes, before.direct_routes + 1);
+  };
+  auto routes_as_a_warm_router = [&] {
+    kcluster::ClientRouter warm;
+    warm.AdoptView(cluster.controller.View());
+    EXPECT_EQ(router.epoch(), warm.epoch());
+    for (size_t i = 0; i < 64; ++i) {
+      const krb4::Principal p = cluster.population.UserPrincipal(i);
+      EXPECT_EQ(router.Endpoints(p, false), warm.Endpoints(p, false)) << "user " << i;
+      EXPECT_EQ(router.Endpoints(p, true), warm.Endpoints(p, true)) << "user " << i;
+    }
+  };
+
+  for (int round = 0; round < 3; ++round) {
+    cold_login();
+    routes_as_a_warm_router();
+  }
+  EXPECT_EQ(router.epoch(), 1u);
+
+  cluster.controller.node(2)->Crash();
+  ASSERT_TRUE(cluster.controller.ProbeAll());
+  ASSERT_EQ(cluster.controller.epoch(), 2u);
+  cold_login();
+  EXPECT_EQ(router.epoch(), 2u);
+  routes_as_a_warm_router();
+}
+
 TEST(ClusterSmokeTest, NodeLossRebalancesAndServingContinues) {
   Cluster cluster(Protocol::kV4);
   // Warm-up traffic, then kill node 2.

@@ -1,9 +1,10 @@
 // Heap allocations per V5 exchange, counted by replacing the global
 // allocation functions in this binary: a warmed TGS exchange plus a
-// mutually authenticated AP exchange, and a preauthenticated AS login, each
+// mutually authenticated AP exchange, a preauthenticated AS login, each
 // through the simulated network of Testbed5 (client, KDC and app server all
-// counted). Each budget is the count measured when it was set plus about
-// 10% headroom, so an allocation added to the V5 path fails here.
+// counted), and a preauthenticated login followed by the first TGS+AP
+// exchange on its new TGT. Each budget is the count measured when it was set
+// plus about 10% headroom, so an allocation added to the V5 path fails here.
 
 #include <atomic>
 #include <cstdlib>
@@ -75,6 +76,33 @@ TEST(AllocBudgetTest, PreauthAsLogin) {
   login();
   constexpr uint64_t kBudget = 9;
   const uint64_t allocations = AllocationsIn(login);
+  EXPECT_LE(allocations, kBudget) << allocations << " allocations";
+}
+
+// A fresh login followed by the first TGS+AP exchange on its new TGT: the
+// KDC put the TGT in its memo when it minted it, so that first TGS request
+// hits the memo instead of unsealing. Set at 43 and counting 44 since the
+// memo allocates each slot's entry at its first put; unsealing and
+// memoising the TGT on that request, as the KDC did before, made 45.
+TEST(AllocBudgetTest, LoginThenFirstTgs) {
+  Testbed5Config config;
+  config.kdc_policy.require_preauth = true;
+  config.client_options.use_preauth = true;
+  Testbed5 bed(config);
+  const kcrypto::DesKey key =
+      kcrypto::StringToKey(Testbed5::kAlicePassword, bed.alice_principal().Salt());
+  const kerb::Bytes payload = kerb::ToBytes("op-00001");
+  auto session = [&] {
+    ASSERT_TRUE(bed.alice().LoginWithKey(key).ok());
+    bed.alice().DropServiceCredentials();
+    auto call = bed.alice().CallService(Testbed5::kMailAddr, bed.mail_principal(),
+                                        /*want_mutual=*/true, payload);
+    ASSERT_TRUE(call.ok());
+  };
+  session();  // warm-up
+  session();
+  constexpr uint64_t kBudget = 47;
+  const uint64_t allocations = AllocationsIn(session);
   EXPECT_LE(allocations, kBudget) << allocations << " allocations";
 }
 

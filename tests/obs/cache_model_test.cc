@@ -14,6 +14,13 @@
 // the reply the model stored for that (source, request) pair within the
 // freshness window — never another client's reply, never a stale one.
 //
+// KdcUnsealMemo is direct-mapped too, and checked the same one-sided way:
+// a hit returns exactly the ticket and session key last stored for that
+// (key bytes, ciphertext), scheduled from that ticket's session key, never
+// another pair's; a collision only evicts, so a pair hits from its put
+// until its slot is put again; a ciphertext too long to keep never hits.
+// It runs at the V5 TGT memo's size, 1,024 slots.
+//
 // PrincipalStore is checked for exact agreement with a plain ordered map
 // across a mixed walk of registrations, whole-record (ring) upserts, and
 // erases. Erase is the structurally interesting op: linear probing cannot
@@ -24,6 +31,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,6 +154,64 @@ TEST(CacheModelTest, KdcReplyCacheHitsAlwaysMatchTheModel) {
     }
   }
   // The pools are small, so the walk must actually exercise the hit path.
+  EXPECT_GT(hits, 0u);
+}
+
+TEST(CacheModelTest, KdcUnsealMemoHitsAlwaysMatchTheModel) {
+  using Memo = krb4::KdcUnsealMemo<krb4::Ticket4, decltype(krb4::KdcContext::tgts5)::kSlots>;
+  constexpr int kOps = 40000;
+  kcrypto::Prng prng(0x3e30'0f1c);
+  Memo memo;
+  using MemoKey = std::pair<kcrypto::DesBlock, kerb::Bytes>;
+  std::map<MemoKey, krb4::Ticket4> model;
+
+  // More ciphertexts than slots, a few of them too long to keep, each
+  // presented under one of two keys: collisions are the common case.
+  std::vector<kerb::Bytes> sealed;
+  for (size_t i = 0; i < 2 * Memo::kSlots; ++i) {
+    const size_t size = i % 64 == 0 ? Memo::kMaxSealed + 8 : 8 * (1 + prng.NextBelow(24));
+    sealed.push_back(prng.NextBytes(size));
+  }
+  const kcrypto::DesBlock keys[2] = {prng.NextDesKeyBytes(), prng.NextDesKeyBytes()};
+
+  uint64_t hits = 0;
+  for (int i = 0; i < kOps; ++i) {
+    const kerb::Bytes& blob = sealed[prng.NextBelow(sealed.size())];
+    const kcrypto::DesBlock& key = keys[prng.NextBelow(2)];
+    const size_t slot = Memo::Slot(blob);
+    const krb4::UnsealedTicket<krb4::Ticket4>* got = memo.Get(slot, key, blob);
+    if (got != nullptr) {
+      ++hits;
+      ASSERT_LE(blob.size(), Memo::kMaxSealed) << "op " << i << ": hit for an unkept ciphertext";
+      auto it = model.find(MemoKey{key, blob});
+      ASSERT_NE(it, model.end()) << "op " << i << ": hit for a never-stored pair";
+      ASSERT_EQ(got->ticket.client, it->second.client) << "op " << i << ": wrong ticket";
+      ASSERT_EQ(got->ticket.issued_at, it->second.issued_at) << "op " << i << ": wrong ticket";
+      ASSERT_EQ(got->ticket.session_key, it->second.session_key) << "op " << i;
+      // The schedule is that of the ticket's session key, not a stale one.
+      const kcrypto::DesKey want(it->second.session_key);
+      ASSERT_EQ(got->session_key.bytes(), want.bytes()) << "op " << i;
+      ASSERT_EQ(got->session_key.EncryptBlock(uint64_t{0x0123456789abcdef}),
+                want.EncryptBlock(uint64_t{0x0123456789abcdef}))
+          << "op " << i;
+      continue;
+    }
+    // Miss path: a fresh unseal.
+    krb4::Ticket4 ticket;
+    ticket.client = krb4::Principal::User("u" + std::to_string(prng.NextBelow(100000)), "SIM");
+    ticket.issued_at = i;
+    ticket.session_key = prng.NextDesKeyBytes();
+    model[MemoKey{key, blob}] = ticket;
+    const krb4::UnsealedTicket<krb4::Ticket4>* put = memo.Put(slot, key, blob, ticket);
+    ASSERT_EQ(put->ticket.client, ticket.client) << "op " << i;
+    ASSERT_EQ(put->session_key.EncryptBlock(static_cast<uint64_t>(i)),
+              kcrypto::DesKey(ticket.session_key).EncryptBlock(static_cast<uint64_t>(i)))
+        << "op " << i;
+    // Only a later put into the same slot evicts it.
+    ASSERT_EQ(memo.Get(slot, key, blob) != nullptr, blob.size() <= Memo::kMaxSealed)
+        << "op " << i;
+  }
+  // The pools are small enough that the walk exercises the hit path.
   EXPECT_GT(hits, 0u);
 }
 
